@@ -18,8 +18,8 @@
 //! [`imp_bench::emit_json`] schema (report-level data) and a
 //! `"series":"perf_*"` extension carrying wall-clock seconds and
 //! speedup. Pass `--smoke` for the CI configuration (fewer points and
-//! repetitions) and `--baseline PATH` to also write the JSON lines to
-//! `PATH` (the committed `BENCH_engine.json` baseline).
+//! repetitions). The repository's benchmark of record is `perfbench/`
+//! (see `BENCHMARK.json`); this sweep only checks the engine.
 //!
 //! Telemetry: after the sweep, the 64-group point reruns serially with a
 //! recorder installed; the wall-clock ratio against the uninstrumented
@@ -38,7 +38,6 @@ use imp::OptPolicy;
 use imp_bench::{emit_json_line, header};
 use imp_sim::{Machine, Parallelism, RunReport, SimConfig, Telemetry};
 use imp_workloads::workload;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Times `reps` full runs and returns the best wall-clock seconds plus
@@ -93,11 +92,6 @@ fn assert_identical(serial: &RunReport, parallel: &RunReport, groups: usize) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let baseline_path = args
-        .iter()
-        .position(|a| a == "--baseline")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
     let telemetry_dump_path = args
         .iter()
         .position(|a| a == "--telemetry-dump")
@@ -119,7 +113,6 @@ fn main() {
     );
 
     let w = workload("blackscholes").expect("workload");
-    let mut json = String::new();
     let mut speedup_at_64 = None;
     let mut serial_s_at_64 = None;
     for &groups in group_counts {
@@ -144,7 +137,6 @@ fn main() {
         ] {
             let line = emit_json_line("engine_sweep", series, groups, report, 0.0);
             println!("{line}");
-            let _ = writeln!(json, "{line}");
             let perf = format!(
                 concat!(
                     "{{\"experiment\":\"engine_sweep\",\"series\":\"perf_{}\",\"x\":{},",
@@ -159,7 +151,6 @@ fn main() {
                 if series == "serial" { 1 } else { workers },
             );
             println!("{perf}");
-            let _ = writeln!(json, "{perf}");
         }
     }
 
@@ -211,7 +202,6 @@ fn main() {
             groups, telemetry_s, overhead,
         );
         println!("{perf}");
-        let _ = writeln!(json, "{perf}");
         assert!(
             overhead <= 2.0,
             "telemetry-enabled run at 64 groups cost {overhead:.2}x the plain run — \
@@ -227,9 +217,5 @@ fn main() {
         }
     }
 
-    if let Some(path) = baseline_path {
-        std::fs::write(&path, &json).expect("write baseline");
-        println!("baseline written to {path}");
-    }
     println!("\nall engine-sweep assertions passed");
 }

@@ -211,8 +211,15 @@ impl RowMask {
 
     /// Iterates over the selected row indices in ascending order.
     pub fn rows(self) -> impl Iterator<Item = usize> {
-        let bits = self.0;
-        (0..ARRAY_ROWS).filter(move |row| (bits >> row) & 1 == 1)
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let row = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            Some(row)
+        })
     }
 
     /// Packs into the 16-byte wire format.
@@ -366,6 +373,7 @@ impl fmt::Display for Imm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn addr_roundtrip() {
@@ -416,6 +424,31 @@ mod tests {
         assert_eq!(mask.rows().collect::<Vec<_>>(), vec![0, 5, 127]);
         assert_eq!(RowMask::from_bytes(mask.to_bytes()), mask);
         assert!(RowMask::EMPTY.is_empty());
+    }
+
+    /// The row order the bit-scan iterator must reproduce.
+    fn rows_by_bit_test(bits: u128) -> Vec<usize> {
+        (0..ARRAY_ROWS)
+            .filter(|row| (bits >> row) & 1 == 1)
+            .collect()
+    }
+
+    #[test]
+    fn row_mask_rows_edge_masks() {
+        for bits in [0, u128::MAX, 1 << 127, 1, (1 << 127) | 1] {
+            let rows: Vec<usize> = RowMask::from_bits(bits).rows().collect();
+            assert_eq!(rows, rows_by_bit_test(bits), "mask {bits:#x}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn row_mask_rows_match_bit_test(bits in any::<u128>(), sparsify in any::<u128>()) {
+            for mask in [bits, bits & sparsify, bits & sparsify & (sparsify >> 7)] {
+                let rows: Vec<usize> = RowMask::from_bits(mask).rows().collect();
+                prop_assert_eq!(rows, rows_by_bit_test(mask));
+            }
+        }
     }
 
     #[test]

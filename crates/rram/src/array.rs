@@ -8,7 +8,7 @@ use crate::fault::FaultMap;
 use crate::lut::Lut;
 use crate::regfile::RegisterFile;
 use crate::RramError;
-use imp_isa::{Addr, Instruction, Latency, LANES};
+use imp_isa::{Addr, Instruction, Latency, RowMask, ARRAY_COLS, ARRAY_ROWS, LANES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -307,8 +307,7 @@ impl ReramArray {
         };
         match *inst {
             Instruction::Add { mask, dst } => {
-                let rows: Vec<usize> = mask.rows().collect();
-                let value = self.in_situ_add(&rows, &[], &mut trace)?;
+                let value = self.in_situ_add(mask, RowMask::EMPTY, &mut trace)?;
                 self.finish_write(dst, value, &mut trace);
             }
             Instruction::Sub {
@@ -316,9 +315,7 @@ impl ReramArray {
                 subtrahend,
                 dst,
             } => {
-                let plus: Vec<usize> = minuend.rows().collect();
-                let minus: Vec<usize> = subtrahend.rows().collect();
-                let value = self.in_situ_add(&plus, &minus, &mut trace)?;
+                let value = self.in_situ_add(minuend, subtrahend, &mut trace)?;
                 self.finish_write(dst, value, &mut trace);
             }
             Instruction::Dot {
@@ -326,10 +323,8 @@ impl ReramArray {
                 reg_mask,
                 dst,
             } => {
-                let rows: Vec<usize> = mask.rows().collect();
-                let regs: Vec<usize> = reg_mask.rows().collect();
-                let value = self.in_situ_dot(&rows, &regs, &mut trace)?;
-                trace.regfile_accesses += regs.len() as u32;
+                let value = self.in_situ_dot(mask, reg_mask, &mut trace)?;
+                trace.regfile_accesses += reg_mask.count() as u32;
                 self.finish_write(dst, value, &mut trace);
             }
             Instruction::Mul { a, b, dst } => {
@@ -406,15 +401,36 @@ impl ReramArray {
     /// the sum of minus-row digits (current drained via the subtrahend
     /// word-lines). Each partial is validated against the ADC range, then
     /// the shift-and-add periphery recombines them modulo 2³².
+    ///
+    /// The fault-free fast path is tried first; the ordered general loop
+    /// runs when it is disabled, when a fault or noise model is active, or
+    /// when some partial leaves the ADC range.
     fn in_situ_add(
+        &mut self,
+        plus: RowMask,
+        minus: RowMask,
+        trace: &mut OpTrace,
+    ) -> Result<[i32; LANES], RramError> {
+        if self.fast_path_enabled && self.fault_free() {
+            if let Some(out) = self.in_situ_add_fast(plus, minus, trace) {
+                return Ok(out);
+            }
+        }
+        let plus_rows: Vec<usize> = plus.rows().collect();
+        let minus_rows: Vec<usize> = minus.rows().collect();
+        self.in_situ_add_ordered(&plus_rows, &minus_rows, trace)
+    }
+
+    /// The general path of [`ReramArray::in_situ_add`]: senses every
+    /// digit through the fault model and converts the 128 bit-line
+    /// partials in column order, so the first out-of-range partial is the
+    /// one a strict ADC reports.
+    fn in_situ_add_ordered(
         &mut self,
         plus_rows: &[usize],
         minus_rows: &[usize],
         trace: &mut OpTrace,
     ) -> Result<[i32; LANES], RramError> {
-        if self.fast_path_enabled && self.fault_free() {
-            return self.in_situ_add_fast(plus_rows, minus_rows, trace);
-        }
         trace.crossbar_active = true;
         let mut max_abs_partial: i64 = 0;
         let mut out = [0i32; LANES];
@@ -446,46 +462,45 @@ impl ReramArray {
         Ok(out)
     }
 
-    /// Fault-free fast path of [`ReramArray::in_situ_add`]: reads whole
-    /// programmed rows as slices (no per-digit fault sensing) and skips
-    /// the noise/transient hooks, which under [`ReramArray::fault_free`]
-    /// return 0 without touching RNG state. Conversion order, ADC range
-    /// checks/clipping, and the activity trace are identical to the
-    /// general path — the equivalence proptest in this module holds the
-    /// two together.
+    /// Fault-free fast path of [`ReramArray::in_situ_add`]: one pass of
+    /// `i16` column sums over the programmed rows (at most 128 · 3 in
+    /// magnitude), then one max-abs. When every partial fits the ADC, no
+    /// conversion clips or fails, so the shift-and-add recombination of
+    /// the column sums is the result. Returns `None`, touching nothing,
+    /// when some partial is out of range; the caller then re-runs the
+    /// ordered loop, which reports the same first error or clips the same
+    /// way as always.
     fn in_situ_add_fast(
-        &mut self,
-        plus_rows: &[usize],
-        minus_rows: &[usize],
+        &self,
+        plus: RowMask,
+        minus: RowMask,
         trace: &mut OpTrace,
-    ) -> Result<[i32; LANES], RramError> {
-        trace.crossbar_active = true;
-        let mut max_abs_partial: i64 = 0;
-        let mut out = [0i32; LANES];
-        for (lane, out_word) in out.iter_mut().enumerate() {
-            let base = lane * DIGITS_PER_WORD;
-            let mut partials = [0i64; DIGITS_PER_WORD];
-            for &row in plus_rows {
-                let cells = self.crossbar.programmed_row(row);
-                for (digit_pos, partial) in partials.iter_mut().enumerate() {
-                    *partial += i64::from(cells[base + digit_pos]);
-                }
+    ) -> Option<[i32; LANES]> {
+        let mut sums = [0i16; ARRAY_COLS];
+        for row in plus.rows() {
+            for (sum, &cell) in sums.iter_mut().zip(self.crossbar.programmed_row(row)) {
+                *sum += i16::from(cell);
             }
-            for &row in minus_rows {
-                let cells = self.crossbar.programmed_row(row);
-                for (digit_pos, partial) in partials.iter_mut().enumerate() {
-                    *partial -= i64::from(cells[base + digit_pos]);
-                }
-            }
-            for partial in partials.iter_mut() {
-                max_abs_partial = max_abs_partial.max(partial.abs());
-                *partial = self.spec.convert(*partial)?;
-            }
-            *out_word = digits::combine_partial_sums(&partials);
         }
+        for row in minus.rows() {
+            for (sum, &cell) in sums.iter_mut().zip(self.crossbar.programmed_row(row)) {
+                *sum -= i16::from(cell);
+            }
+        }
+        let max_abs = i64::from(sums.iter().fold(0u16, |m, s| m.max(s.unsigned_abs())));
+        if max_abs > self.spec.adc_max() {
+            return None;
+        }
+        let out = std::array::from_fn(|lane| {
+            let base = lane * DIGITS_PER_WORD;
+            let partials: [i64; DIGITS_PER_WORD] =
+                std::array::from_fn(|digit_pos| i64::from(sums[base + digit_pos]));
+            digits::combine_partial_sums(&partials)
+        });
+        trace.crossbar_active = true;
         trace.adc_conversions += (LANES * DIGITS_PER_WORD) as u32;
-        trace.adc_bits_used = AnalogSpec::required_adc_bits(max_abs_partial.max(1));
-        Ok(out)
+        trace.adc_bits_used = AnalogSpec::required_adc_bits(max_abs.max(1));
+        Some(out)
     }
 
     /// In-situ dot product: selected rows multiplied by register
@@ -503,15 +518,35 @@ impl ReramArray {
     /// which must fit the ADC range; the shift-and-add unit accumulates the
     /// wide product with two's-complement sign correction and selects the
     /// window aligned to the fixed-point format.
+    ///
+    /// The fault-free fast path is tried first; the ordered general loop
+    /// runs when it is disabled, when a fault or noise model is active, or
+    /// when some partial leaves the ADC range.
     fn in_situ_dot(
+        &mut self,
+        rows: RowMask,
+        regs: RowMask,
+        trace: &mut OpTrace,
+    ) -> Result<[i32; LANES], RramError> {
+        if self.fast_path_enabled && self.fault_free() {
+            if let Some(out) = self.in_situ_dot_fast(rows, regs, trace) {
+                return Ok(out);
+            }
+        }
+        let rows: Vec<usize> = rows.rows().collect();
+        let regs: Vec<usize> = regs.rows().collect();
+        self.in_situ_dot_ordered(&rows, &regs, trace)
+    }
+
+    /// The general path of [`ReramArray::in_situ_dot`]: every (bit-line,
+    /// chunk) conversion in order, with noise and fault hooks, so the
+    /// first out-of-range partial is the one a strict ADC reports.
+    fn in_situ_dot_ordered(
         &mut self,
         rows: &[usize],
         regs: &[usize],
         trace: &mut OpTrace,
     ) -> Result<[i32; LANES], RramError> {
-        if self.fast_path_enabled && self.fault_free() {
-            return self.in_situ_dot_fast(rows, regs, trace);
-        }
         trace.crossbar_active = true;
         let pairs = rows.len().min(regs.len());
         let mut max_partial: i64 = 0;
@@ -564,64 +599,89 @@ impl ReramArray {
         Ok(out)
     }
 
-    /// Fault-free fast path of [`ReramArray::in_situ_dot`]: hoists the
-    /// per-pair multiplicand chunks and digit reads out of the
-    /// (bit-line × chunk) conversion loop and skips the zeroed noise
-    /// hooks. ADC range accounting visits conversions in the same order
-    /// with the same partial sums as the general path, so errors,
-    /// clipping, and the trace are identical.
+    /// Fault-free fast path of [`ReramArray::in_situ_dot`]. Chunk `c`
+    /// drives every selected row's word-line with the same DAC vector
+    /// `(chunk_c(m₀), chunk_c(m₁), …)`, so the largest partial is the
+    /// maximum, over the distinct non-zero vectors, of the column-wise
+    /// weighted sum over all 128 bit-lines (`u16` accumulators: at most
+    /// 128 · 3 · 3). Sign-extended high chunks repeat, so few vectors are
+    /// distinct, and since cells are non-negative a vector that another
+    /// bounds field by field cannot hold the maximum and is skipped. When
+    /// the maximum fits the ADC, no conversion can fail and the value is
+    /// the wide MAC. Returns `None`, touching nothing, when some partial
+    /// is out of range; the caller then re-runs the ordered loop, which
+    /// reports the same first error.
     fn in_situ_dot_fast(
-        &mut self,
-        rows: &[usize],
-        regs: &[usize],
+        &self,
+        rows: RowMask,
+        regs: RowMask,
         trace: &mut OpTrace,
-    ) -> Result<[i32; LANES], RramError> {
-        trace.crossbar_active = true;
-        let pairs = rows.len().min(regs.len());
-        // Per pair: the architectural scalar (lane 0) and its sixteen
-        // 2-bit DAC chunks.
-        let mut m_words = vec![0i64; pairs];
-        let mut m_chunks = vec![[0i64; DIGITS_PER_WORD]; pairs];
-        for pair in 0..pairs {
-            let m = self.regfile.read_lane(regs[pair], 0);
-            m_words[pair] = i64::from(m);
-            for (chunk, slot) in m_chunks[pair].iter_mut().enumerate() {
-                *slot = i64::from((m as u32 >> (2 * chunk)) & 0b11);
+    ) -> Option<[i32; LANES]> {
+        type DacVector = [u64; ARRAY_ROWS / 32];
+        let pairs = || rows.rows().zip(regs.rows());
+        let scalar = |reg: usize| self.regfile.read_lane(reg, 0);
+        // Chunk c's DAC vector packs chunk c of every pair's scalar, 2 bits
+        // per pair.
+        let mut vectors = [DacVector::default(); DIGITS_PER_WORD];
+        let mut n_pairs = 0;
+        for (pair, (_, reg)) in pairs().enumerate() {
+            let m = scalar(reg) as u32;
+            for (chunk, vector) in vectors.iter_mut().enumerate() {
+                vector[pair / 32] |= u64::from((m >> (2 * chunk)) & 0b11) << (2 * (pair % 32));
+            }
+            n_pairs += 1;
+        }
+        let dac = |vector: &DacVector, pair: usize| (vector[pair / 32] >> (2 * (pair % 32))) & 0b11;
+        let mut distinct = [DacVector::default(); DIGITS_PER_WORD];
+        let mut n_distinct = 0;
+        for vector in &vectors {
+            if vector.iter().any(|&v| v != 0) && !distinct[..n_distinct].contains(vector) {
+                distinct[n_distinct] = *vector;
+                n_distinct += 1;
             }
         }
-        let mut cells = vec![0i64; pairs];
+        let distinct = &distinct[..n_distinct];
+        let limit = self.spec.adc_max();
         let mut max_partial: i64 = 0;
-        let mut out = [0i32; LANES];
-        for (lane, out_word) in out.iter_mut().enumerate() {
-            for digit_pos in 0..DIGITS_PER_WORD {
-                let col = lane * DIGITS_PER_WORD + digit_pos;
-                for pair in 0..pairs {
-                    cells[pair] = i64::from(self.crossbar.programmed_row(rows[pair])[col]);
-                }
-                for chunk in 0..DIGITS_PER_WORD {
-                    let mut base: i64 = 0;
-                    for (cell, chunks) in cells.iter().zip(&m_chunks) {
-                        base += cell * chunks[chunk];
-                    }
-                    max_partial = max_partial.max(base);
-                    self.spec.convert(base)?;
+        for (i, vector) in distinct.iter().enumerate() {
+            let dominated = distinct.iter().enumerate().any(|(j, other)| {
+                j != i && (0..n_pairs).all(|pair| dac(vector, pair) <= dac(other, pair))
+            });
+            if dominated {
+                continue;
+            }
+            let mut sums = [0u16; ARRAY_COLS];
+            for (pair, (row, _)) in pairs().enumerate() {
+                let weight = dac(vector, pair) as u16;
+                for (sum, &cell) in sums.iter_mut().zip(self.crossbar.programmed_row(row)) {
+                    *sum += u16::from(cell) * weight;
                 }
             }
-            let mut acc: i64 = 0;
-            for pair in 0..pairs {
-                let a = i64::from(self.crossbar.read_word(rows[pair], lane));
-                acc = acc.wrapping_add(a.wrapping_mul(m_words[pair]));
+            max_partial = max_partial.max(i64::from(sums.iter().fold(0, |m, &s| m.max(s))));
+            if max_partial > limit {
+                return None;
             }
-            *out_word = (acc >> self.spec.frac_bits) as i32;
         }
+        let mut acc = [0i64; LANES];
+        for (row, reg) in pairs() {
+            let m = i64::from(scalar(reg));
+            for (acc, word) in acc.iter_mut().zip(self.crossbar.read_row(row)) {
+                *acc = acc.wrapping_add(i64::from(word).wrapping_mul(m));
+            }
+        }
+        trace.crossbar_active = true;
         trace.adc_conversions += (LANES * DIGITS_PER_WORD * DIGITS_PER_WORD) as u32;
         trace.adc_bits_used = AnalogSpec::required_adc_bits(max_partial.max(1));
-        Ok(out)
+        Some(acc.map(|acc| (acc >> self.spec.frac_bits) as i32))
     }
 
     /// In-situ element-wise multiply: operand `a` resident in the array,
     /// operand `b` streamed 2 bits per cycle through the *bit-line* DACs
     /// (the new capability this architecture adds over ISAAC, §2.2).
+    ///
+    /// The fault-free fast path is tried first; the ordered general loop
+    /// runs when it is disabled, when a fault or noise model is active, or
+    /// when some partial leaves the ADC range.
     fn in_situ_mul(
         &mut self,
         a: Addr,
@@ -629,8 +689,22 @@ impl ReramArray {
         trace: &mut OpTrace,
     ) -> Result<[i32; LANES], RramError> {
         if self.fast_path_enabled && self.fault_free() {
-            return self.in_situ_mul_fast(a, b, trace);
+            if let Some(out) = self.in_situ_mul_fast(a, b, trace) {
+                return Ok(out);
+            }
         }
+        self.in_situ_mul_ordered(a, b, trace)
+    }
+
+    /// The general path of [`ReramArray::in_situ_mul`]: every
+    /// (digit, chunk) conversion in order, with noise and fault hooks, so
+    /// the first out-of-range partial is the one a strict ADC reports.
+    fn in_situ_mul_ordered(
+        &mut self,
+        a: Addr,
+        b: Addr,
+        trace: &mut OpTrace,
+    ) -> Result<[i32; LANES], RramError> {
         trace.crossbar_active = true;
         let a_value = self.read_addr(a);
         let b_value = self.read_addr(b);
@@ -678,49 +752,33 @@ impl ReramArray {
         Ok(out)
     }
 
-    /// Fault-free fast path of [`ReramArray::in_situ_mul`]: skips the
-    /// zeroed noise hooks and the conversions whose partial product is 0
-    /// (a zero partial can neither overrange nor raise the running
-    /// maximum, so error order, clipping, and the trace are unchanged).
-    fn in_situ_mul_fast(
-        &mut self,
-        a: Addr,
-        b: Addr,
-        trace: &mut OpTrace,
-    ) -> Result<[i32; LANES], RramError> {
-        trace.crossbar_active = true;
+    /// Fault-free fast path of [`ReramArray::in_situ_mul`]: a lane's
+    /// partials are the products `digit(a)·chunk(b)`, so its largest is
+    /// `max_digit(a)·max_digit(b)`. When that fits the ADC for every
+    /// lane, no conversion can fail and the value is the wide product.
+    /// Returns `None`, touching nothing, when some partial is out of
+    /// range; the caller then re-runs the ordered loop, which reports the
+    /// same first error.
+    fn in_situ_mul_fast(&self, a: Addr, b: Addr, trace: &mut OpTrace) -> Option<[i32; LANES]> {
         let a_value = self.read_addr(a);
         let b_value = self.read_addr(b);
-        if a.is_reg() {
-            trace.regfile_accesses += 1;
+        let max_partial = a_value
+            .iter()
+            .zip(&b_value)
+            .map(|(&x, &y)| i64::from(digits::max_digit(x) * digits::max_digit(y)))
+            .max()
+            .unwrap_or(0);
+        if max_partial > self.spec.adc_max() {
+            return None;
         }
-        if b.is_reg() {
-            trace.regfile_accesses += 1;
-        }
-        let mut max_partial: i64 = 0;
-        let mut out = [0i32; LANES];
-        for (lane, out_word) in out.iter_mut().enumerate() {
-            let a_digits = digits::word_to_digits(a_value[lane]);
-            let b_digits = digits::word_to_digits(b_value[lane]);
-            for &da in a_digits.iter() {
-                if da == 0 {
-                    continue;
-                }
-                for &db in b_digits.iter() {
-                    if db == 0 {
-                        continue;
-                    }
-                    let base = i64::from(da) * i64::from(db);
-                    max_partial = max_partial.max(base);
-                    self.spec.convert(base)?;
-                }
-            }
-            let wide = i64::from(a_value[lane]).wrapping_mul(i64::from(b_value[lane]));
-            *out_word = (wide >> self.spec.frac_bits) as i32;
-        }
+        trace.crossbar_active = true;
+        trace.regfile_accesses += u32::from(a.is_reg()) + u32::from(b.is_reg());
         trace.adc_conversions += (LANES * DIGITS_PER_WORD * DIGITS_PER_WORD) as u32;
         trace.adc_bits_used = AnalogSpec::required_adc_bits(max_partial.max(1));
-        Ok(out)
+        Some(std::array::from_fn(|lane| {
+            let wide = i64::from(a_value[lane]).wrapping_mul(i64::from(b_value[lane]));
+            (wide >> self.spec.frac_bits) as i32
+        }))
     }
 
     /// Reads a source for a digital-periphery op, accounting for the
@@ -1330,6 +1388,49 @@ mod tests {
         }
     }
 
+    /// A 3-bit ADC (limit 7): `mul` overranges whenever both operands
+    /// hold a digit 3 (3·3 = 9), so the fast path must fall back to the
+    /// ordered loop.
+    fn narrow_adc(strict: bool) -> AnalogSpec {
+        AnalogSpec {
+            adc_bits: 3,
+            strict_adc: strict,
+            ..AnalogSpec::integer()
+        }
+    }
+
+    #[test]
+    fn fast_path_fallback_reports_first_overrange() {
+        let mul = Instruction::Mul {
+            a: Addr::mem(0),
+            b: Addr::mem(1),
+            dst: Addr::mem(2),
+        };
+        for fast in [true, false] {
+            let mut a = ReramArray::new(narrow_adc(true));
+            a.set_fast_path_enabled(fast);
+            // Lane 0 stays in range (2·2 = 4); lane 1's first conversion
+            // with a 3 in both operands is the first overrange.
+            a.write_row(0, &[2, 0b11_00, 0, 0, 0, 0, 0, 0]);
+            a.write_row(1, &[2, 0b11, 0, 0, 0, 0, 0, 0]);
+            match a.execute_local(&mul) {
+                Err(RramError::AdcOverrange { partial_sum, limit }) => {
+                    assert_eq!((partial_sum, limit), (9, 7), "fast path {fast}");
+                }
+                other => panic!("fast path {fast}: expected an overrange, got {other:?}"),
+            }
+            // Clipping mode keeps the exact product and reports the 4 ADC
+            // bits the overrange needed.
+            let mut clip = ReramArray::new(narrow_adc(false));
+            clip.set_fast_path_enabled(fast);
+            clip.write_row_broadcast(0, -1);
+            clip.write_row_broadcast(1, 3);
+            let trace = clip.execute_local(&mul).unwrap();
+            assert_eq!(clip.read_word(2, 0), -3);
+            assert_eq!(trace.adc_bits_used, 4);
+        }
+    }
+
     proptest! {
         #[test]
         fn fast_path_add_equivalent(
@@ -1386,6 +1487,115 @@ mod tests {
             strict in any::<bool>(),
         ) {
             let spec = AnalogSpec { strict_adc: strict, ..AnalogSpec::prototype() };
+            let k = rows.len();
+            let (r, w) = (rows.clone(), weights.clone());
+            assert_fast_slow_equivalent(
+                &move |a| {
+                    for (i, &v) in r.iter().enumerate() {
+                        a.write_row_broadcast(i, v);
+                    }
+                    for (i, &x) in w.iter().take(k).enumerate() {
+                        a.write_reg(i, [x; LANES]);
+                    }
+                },
+                &Instruction::Dot {
+                    mask: (0..k).collect(),
+                    reg_mask: (0..k).collect(),
+                    dst: Addr::mem(100),
+                },
+                spec,
+            );
+        }
+
+        #[test]
+        fn fast_path_fallback_add_sub_equivalent(
+            values in prop::collection::vec(any::<i32>(), 2..6),
+            minus in 0usize..4,
+            thin in any::<i32>(),
+            strict in any::<bool>(),
+        ) {
+            // Thinned words keep some column sums within the 3-bit range.
+            let minus = minus.min(values.len() - 1);
+            let plus = values.len() - minus;
+            for vals in [values.clone(), values.iter().map(|&v| v & thin).collect()] {
+                assert_fast_slow_equivalent(
+                    &move |a| {
+                        for (row, &v) in vals.iter().enumerate() {
+                            a.write_row_broadcast(row, v);
+                        }
+                    },
+                    &Instruction::Sub {
+                        minuend: (0..plus).collect(),
+                        subtrahend: (plus..plus + minus).collect(),
+                        dst: Addr::mem(100),
+                    },
+                    narrow_adc(strict),
+                );
+            }
+        }
+
+        #[test]
+        fn fast_path_fallback_mul_equivalent(
+            x in any::<i32>(),
+            y in any::<i32>(),
+            strict in any::<bool>(),
+        ) {
+            // Digits of `y & 0xAAAA_AAAA` are 0 or 2, so 2·3 = 6 fits and
+            // the closed form stands; full words overrange at 3·3 = 9.
+            for y in [y, y & 0xAAAA_AAAAu32 as i32] {
+                assert_fast_slow_equivalent(
+                    &move |a| {
+                        a.write_row_broadcast(0, x);
+                        a.write_row(1, &[y, y, 0, 1, 2, y, -1, y]);
+                    },
+                    &Instruction::Mul { a: Addr::mem(0), b: Addr::mem(1), dst: Addr::mem(2) },
+                    narrow_adc(strict),
+                );
+            }
+        }
+
+        #[test]
+        fn fast_path_fallback_dot_equivalent(
+            rows in prop::collection::vec(any::<i32>(), 4..8),
+            weights in prop::collection::vec(-(1i32 << 18)..(1 << 18), 8),
+            strict in any::<bool>(),
+        ) {
+            // More pairs than `max_dot_operands()` (3 at 5 bits): some
+            // operand sets overrange, small ones stay in range.
+            let spec = AnalogSpec { strict_adc: strict, ..AnalogSpec::prototype() };
+            prop_assert!(rows.len() > spec.max_dot_operands());
+            let k = rows.len();
+            for shift in [0u32, 20] {
+                let (r, w) = (rows.clone(), weights.clone());
+                assert_fast_slow_equivalent(
+                    &move |a| {
+                        for (i, &v) in r.iter().enumerate() {
+                            a.write_row(i, &std::array::from_fn(|lane| (v >> shift) ^ lane as i32));
+                        }
+                        for (i, &x) in w.iter().take(k).enumerate() {
+                            a.write_reg(i, [x >> shift; LANES]);
+                        }
+                    },
+                    &Instruction::Dot {
+                        mask: (0..k).collect(),
+                        reg_mask: (0..k).collect(),
+                        dst: Addr::mem(100),
+                    },
+                    spec,
+                );
+            }
+        }
+
+        #[test]
+        fn fast_path_wide_dot_equivalent(
+            rows in prop::collection::vec(any::<i32>(), 33..48),
+            weights in prop::collection::vec(any::<i32>(), 48),
+            adc_bits in 8u8..10,
+        ) {
+            // Over 32 pairs the DAC vectors span two packed words; a 9-bit
+            // ADC (limit 511) holds the 48 · 9 worst case, an 8-bit one
+            // does not.
+            let spec = AnalogSpec { adc_bits, ..AnalogSpec::prototype() };
             let k = rows.len();
             let (r, w) = (rows.clone(), weights.clone());
             assert_fast_slow_equivalent(

@@ -25,6 +25,20 @@ pub fn word_to_digits(word: i32) -> [u8; DIGITS_PER_WORD] {
     digits
 }
 
+/// The largest base-4 digit of `word` (as its two's-complement bit
+/// pattern): `word_to_digits(word).max()` in a few bit operations.
+pub(crate) fn max_digit(word: i32) -> u8 {
+    const LOW_BITS: u32 = 0x5555_5555;
+    let bits = word as u32;
+    if bits & (bits >> 1) & LOW_BITS != 0 {
+        3
+    } else if bits & !LOW_BITS != 0 {
+        2
+    } else {
+        u8::from(bits != 0)
+    }
+}
+
 /// Recombines base-4 digits into a word: `Σ dᵢ·4ⁱ mod 2³²`, reinterpreted
 /// as two's complement.
 pub fn digits_to_word(digits: &[u8; DIGITS_PER_WORD]) -> i32 {
@@ -115,6 +129,15 @@ mod tests {
         #[test]
         fn roundtrip(word in any::<i32>()) {
             prop_assert_eq!(digits_to_word(&word_to_digits(word)), word);
+        }
+
+        #[test]
+        fn max_digit_matches_digit_scan(word in any::<i32>(), sparsify in any::<i32>()) {
+            // Masks thin the word out so digits 0, 1 and 2 lead too.
+            for w in [word, word & sparsify, word & sparsify & 0x2222_2222, word & 0x1111_1111] {
+                let scanned = word_to_digits(w).into_iter().max().unwrap_or(0);
+                prop_assert_eq!(max_digit(w), scanned);
+            }
         }
 
         #[test]

@@ -362,11 +362,12 @@ impl Machine {
         let mut attempt_idx = 0u64;
         // Attempt-invariant state, hoisted out of the retry loop: the
         // per-IB array templates (LUT + register preloads over a pristine
-        // crossbar), the reduction-slot count, and the per-instance
-        // output buffer. Every `(output, Row-loc element, instance)` cell
+        // crossbar), the input staging plan, the reduction-slot count, and
+        // the per-instance output buffer. Every `(output, Row-loc element, instance)` cell
         // is rewritten on every attempt, and `Reduced` cells are never
         // read, so the buffer needs no clearing between attempts.
         let templates = self.build_templates(kernel, &raw_inputs)?;
+        let staging = stage_inputs(kernel, &raw_inputs)?;
         let n_slots = kernel
             .outputs
             .iter()
@@ -387,7 +388,7 @@ impl Machine {
             let sched = schedule_override.as_ref().unwrap_or(&kernel.schedule);
             let attempt = self.run_once(
                 kernel,
-                &raw_inputs,
+                &staging,
                 instances,
                 &usable,
                 sched,
@@ -555,7 +556,7 @@ impl Machine {
     fn run_once(
         &self,
         kernel: &CompiledKernel,
-        raw_inputs: &HashMap<String, (Vec<i32>, Shape)>,
+        staging: &[Vec<(usize, StagedInput)>],
         instances: usize,
         usable: &[usize],
         sched: &Schedule,
@@ -598,7 +599,7 @@ impl Machine {
 
         let ctx = EngineCtx {
             kernel,
-            raw_inputs,
+            staging,
             usable,
             sched,
             templates,
@@ -844,14 +845,7 @@ impl Machine {
                 let raw = match binding {
                     RegBinding::Const(raw) => *raw,
                     RegBinding::Shared { name, flat_idx } => {
-                        let (data, _) = raw_inputs
-                            .get(name)
-                            .ok_or_else(|| SimError::MissingInput(name.clone()))?;
-                        *data.get(*flat_idx).ok_or_else(|| SimError::InputShape {
-                            name: name.clone(),
-                            expect: format!("at least {} elements", flat_idx + 1),
-                            got: format!("{} elements", data.len()),
-                        })?
+                        shared_value(raw_inputs, name, *flat_idx)?
                     }
                 };
                 array.write_reg(*reg as usize, [raw; LANES]);
@@ -875,7 +869,8 @@ const TRANSIENT_STREAM_SALT: u64 = 0x7261_6E51_6C69_7463;
 /// Read-only state shared by every worker during one attempt.
 struct EngineCtx<'a> {
     kernel: &'a CompiledKernel,
-    raw_inputs: &'a HashMap<String, (Vec<i32>, Shape)>,
+    /// Per-IB input rows and their resolved sources; see [`stage_inputs`].
+    staging: &'a [Vec<(usize, StagedInput<'a>)>],
     usable: &'a [usize],
     sched: &'a Schedule,
     templates: &'a [ReramArray],
@@ -953,7 +948,13 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
     worker.network.reset();
     worker.network.set_next_msg_id(group as u64 * MSG_ID_STRIDE);
 
-    for (ib_index, ib) in kernel.ibs.iter().enumerate() {
+    // Pad lanes beyond the data replicate the group's first instance so
+    // non-linear ops stay in-domain; reductions only sum valid lanes.
+    let lane_instances: [usize; LANES] = std::array::from_fn(|lane| {
+        (group * LANES + lane.min(valid_lanes.saturating_sub(1)))
+            .min(ctx.instances.saturating_sub(1))
+    });
+    for (ib_index, rows) in ctx.staging.iter().enumerate() {
         let array = &mut worker.arrays[ib_index];
         array.reset_from_template(&ctx.templates[ib_index]);
         let slot = ctx.usable[group_in_round * num_ibs + ib_index] as u64;
@@ -974,22 +975,9 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
                 ctx.attempt_idx,
             ));
         }
-        // Input rows.
-        for (row, binding) in &ib.input_rows {
-            let mut words = [0i32; LANES];
-            for (lane, word) in words.iter_mut().enumerate() {
-                // Pad lanes beyond the data replicate the group's
-                // first instance so non-linear ops stay in-domain;
-                // reductions only sum valid lanes.
-                let lane_instance = group * LANES + lane.min(valid_lanes.saturating_sub(1));
-                *word = fetch_input(
-                    kernel,
-                    binding,
-                    lane_instance.min(ctx.instances.saturating_sub(1)),
-                    ctx.raw_inputs,
-                )?;
-            }
-            array.write_row(*row as usize, &words);
+        for (row, input) in rows {
+            let words = lane_instances.map(|instance| input.value(instance));
+            array.write_row(*row, &words);
         }
     }
 
@@ -1201,66 +1189,143 @@ fn tile_of(ctx: &EngineCtx, group_in_round: usize, ib: usize) -> usize {
     (flat / ctx.arrays_per_tile) % ctx.tiles
 }
 
-fn fetch_input(
+/// Where one input row's lanes come from, resolved from its
+/// [`InputBinding`] once per run so the per-group staging loop indexes
+/// slices instead of looking tensors up by name.
+enum StagedInput<'a> {
+    /// Instance `i` reads `data[base + i]`.
+    Element { data: &'a [i32], base: usize },
+    /// Every instance reads the same value.
+    Shared(i32),
+    /// Instance `(r, c)` of the `h × w` grid reads `data[(r+dr)·w + c+dc]`,
+    /// zero beyond the boundary (SAME padding).
+    Window {
+        data: &'a [i32],
+        h: usize,
+        w: usize,
+        dr: isize,
+        dc: isize,
+    },
+}
+
+impl StagedInput<'_> {
+    /// The word `instance` loads. In bounds for every instance below the
+    /// kernel's instance count: [`stage_inputs`] checked the lengths.
+    fn value(&self, instance: usize) -> i32 {
+        match *self {
+            StagedInput::Element { data, base } => data[base + instance],
+            StagedInput::Shared(value) => value,
+            StagedInput::Window { data, h, w, dr, dc } => {
+                let r = (instance / w) as isize + dr;
+                let c = (instance % w) as isize + dc;
+                if r < 0 || r >= h as isize || c < 0 || c >= w as isize {
+                    0
+                } else {
+                    data[r as usize * w + c as usize]
+                }
+            }
+        }
+    }
+}
+
+/// Resolves every IB's `(row, InputBinding)` against the quantized
+/// inputs: the one place input names and lengths are checked, so a short
+/// or missing feed fails here with a typed error instead of inside the
+/// group loop.
+fn stage_inputs<'a>(
     kernel: &CompiledKernel,
-    binding: &InputBinding,
-    instance: usize,
-    raw_inputs: &HashMap<String, (Vec<i32>, Shape)>,
-) -> Result<i32, SimError> {
+    raw_inputs: &'a HashMap<String, (Vec<i32>, Shape)>,
+) -> Result<Vec<Vec<(usize, StagedInput<'a>)>>, SimError> {
     let lookup = |name: &str| {
         raw_inputs
             .get(name)
             .ok_or_else(|| SimError::MissingInput(name.to_string()))
     };
-    match binding {
-        InputBinding::Element {
-            name,
-            intra_idx,
-            intra_len,
-        } => {
-            let (data, _) = lookup(name)?;
-            let n = match kernel.parallel {
-                ParallelSpec::Vector { n } => n,
-                ParallelSpec::Stencil { h, w } => h * w,
-                ParallelSpec::None => 1,
-            };
-            let flat = intra_idx * n + instance;
-            data.get(flat).copied().ok_or_else(|| SimError::InputShape {
-                name: name.clone(),
-                expect: format!(
-                    "{} elements ({} intra × {} instances)",
-                    intra_len * n,
+    let shape_error = |name: &str, expect: String, got: usize| SimError::InputShape {
+        name: name.to_string(),
+        expect,
+        got: format!("{got} elements"),
+    };
+    // Lanes past the last instance replicate an earlier one, so the
+    // highest instance any lane loads is `instances - 1` (instance 0 for
+    // an empty kernel).
+    let last_instance = kernel.parallel.instances().saturating_sub(1);
+    let mut staging = Vec::with_capacity(kernel.ibs.len());
+    for ib in &kernel.ibs {
+        let mut rows = Vec::with_capacity(ib.input_rows.len());
+        for (row, binding) in &ib.input_rows {
+            let input = match binding {
+                InputBinding::Element {
+                    name,
+                    intra_idx,
                     intra_len,
-                    n
-                ),
-                got: format!("{} elements", data.len()),
-            })
-        }
-        InputBinding::Shared { name, flat_idx } => {
-            let (data, _) = lookup(name)?;
-            data.get(*flat_idx)
-                .copied()
-                .ok_or_else(|| SimError::InputShape {
-                    name: name.clone(),
-                    expect: format!("at least {} elements", flat_idx + 1),
-                    got: format!("{} elements", data.len()),
-                })
-        }
-        InputBinding::Window { name, dr, dc } => {
-            let (data, shape) = lookup(name)?;
-            let (h, w) = match kernel.parallel {
-                ParallelSpec::Stencil { h, w } => (h, w),
-                _ => (shape.dim(0), shape.dim(1)),
+                } => {
+                    let (data, _) = lookup(name)?;
+                    let n = kernel.parallel.instances();
+                    let base = intra_idx * n;
+                    if base + last_instance >= data.len() {
+                        return Err(shape_error(
+                            name,
+                            format!(
+                                "{} elements ({} intra × {} instances)",
+                                intra_len * n,
+                                intra_len,
+                                n
+                            ),
+                            data.len(),
+                        ));
+                    }
+                    StagedInput::Element { data, base }
+                }
+                InputBinding::Shared { name, flat_idx } => {
+                    StagedInput::Shared(shared_value(raw_inputs, name, *flat_idx)?)
+                }
+                InputBinding::Window { name, dr, dc } => {
+                    let (data, shape) = lookup(name)?;
+                    let (h, w) = match kernel.parallel {
+                        ParallelSpec::Stencil { h, w } => (h, w),
+                        _ if shape.rank() >= 2 => (shape.dim(0), shape.dim(1)),
+                        _ => (0, 0),
+                    };
+                    if h * w == 0 || data.len() < h * w {
+                        return Err(shape_error(
+                            name,
+                            format!("a non-empty {h} × {w} grid ({} elements)", h * w),
+                            data.len(),
+                        ));
+                    }
+                    StagedInput::Window {
+                        data,
+                        h,
+                        w,
+                        dr: *dr,
+                        dc: *dc,
+                    }
+                }
             };
-            let r = (instance / w) as isize + dr;
-            let c = (instance % w) as isize + dc;
-            if r < 0 || r >= h as isize || c < 0 || c >= w as isize {
-                Ok(0) // SAME zero padding
-            } else {
-                Ok(data[r as usize * w + c as usize])
-            }
+            rows.push((usize::from(*row), input));
         }
+        staging.push(rows);
     }
+    Ok(staging)
+}
+
+/// Element `flat_idx` of the named input, shared by every instance.
+fn shared_value(
+    raw_inputs: &HashMap<String, (Vec<i32>, Shape)>,
+    name: &str,
+    flat_idx: usize,
+) -> Result<i32, SimError> {
+    let (data, _) = raw_inputs
+        .get(name)
+        .ok_or_else(|| SimError::MissingInput(name.to_string()))?;
+    data.get(flat_idx)
+        .copied()
+        .ok_or_else(|| SimError::InputShape {
+            name: name.to_string(),
+            expect: format!("at least {} elements", flat_idx + 1),
+            got: format!("{} elements", data.len()),
+        })
 }
 
 #[cfg(test)]

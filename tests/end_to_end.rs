@@ -177,3 +177,42 @@ fn session_reports_architecture_counters() {
     assert!(report.writes_per_exec > 0);
     assert!(report.lifetime_years.is_finite());
 }
+
+#[test]
+fn short_feeds_are_typed_errors() {
+    // Every input binding is length-checked before any group executes,
+    // so a stencil grid fed half its elements cannot index past the feed.
+    let mut g = GraphBuilder::new();
+    let temp = g.placeholder("temp", Shape::matrix(8, 8)).unwrap();
+    let kern = g
+        .constant(
+            Tensor::from_vec(
+                vec![0.0, 0.1, 0.0, 0.1, -0.4, 0.1, 0.0, 0.1, 0.0],
+                Shape::matrix(3, 3),
+            )
+            .unwrap(),
+        )
+        .unwrap();
+    let diffuse = g.conv2d(temp, kern).unwrap();
+    g.fetch(diffuse);
+    let mut session = Session::builder(g.finish()).build().unwrap();
+    let half = Tensor::from_fn(Shape::vector(32), |i| i as f64);
+    let err = session.run(&[("temp", half)]).unwrap_err();
+    assert!(
+        matches!(&err, imp::Error::Sim { source: imp::SimError::InputShape { name, .. }, .. } if name == "temp"),
+        "{err}"
+    );
+
+    // Per-instance elements: a feed short of the last instance.
+    let mut g = GraphBuilder::new();
+    let x = g.placeholder("x", Shape::vector(20)).unwrap();
+    let y = g.square(x).unwrap();
+    g.fetch(y);
+    let mut session = Session::builder(g.finish()).build().unwrap();
+    let short = Tensor::from_fn(Shape::vector(19), |i| i as f64);
+    let err = session.run(&[("x", short)]).unwrap_err();
+    assert!(
+        matches!(&err, imp::Error::Sim { source: imp::SimError::InputShape { name, .. }, .. } if name == "x"),
+        "{err}"
+    );
+}

@@ -483,6 +483,11 @@ impl LowerCtx<'_> {
                     self.ibs[ib].loc.insert(id, Loc::Row(row));
                     Ok(row)
                 }
+                // Reduction results live in output slots, never in rows.
+                SOp::ReduceAcross(_) => Err(CompileError::Unsupported(format!(
+                    "ib{ib} consumes cross-instance reduction result {id:?}; reductions \
+                     must be final outputs (compute on reduced values host-side)"
+                ))),
                 other => {
                     unreachable!("scalar {id:?} ({other:?}) used in ib{ib} before being produced")
                 }

@@ -193,11 +193,6 @@ pub struct CompiledKernel {
 }
 
 impl CompiledKernel {
-    /// SIMD slots one module instance occupies (one lane per IB).
-    pub fn slots_per_instance(&self) -> usize {
-        self.ibs.len()
-    }
-
     /// The kernel's per-opcode instruction mix across all IBs.
     pub fn instruction_mix(&self) -> InstructionMix {
         InstructionMix::from_instructions(self.ibs.iter().flat_map(|ib| ib.block.instructions()))

@@ -26,18 +26,6 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// Scalars of one IB, in definition (topological) order.
-    pub fn scalars_of_ib(&self, ib: usize) -> Vec<ScalarId> {
-        let mut ids: Vec<ScalarId> = self
-            .ib_of
-            .iter()
-            .filter(|&(_, &b)| b == ib)
-            .map(|(&s, _)| s)
-            .collect();
-        ids.sort();
-        ids
-    }
-
     /// Whether the edge `producer → consumer` crosses IBs (needs a
     /// `movg`).
     pub fn crosses(&self, producer: ScalarId, consumer: ScalarId) -> bool {

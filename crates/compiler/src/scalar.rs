@@ -674,6 +674,7 @@ impl Builder<'_> {
         node: &Node,
     ) -> Result<NodeVal, CompileError> {
         let input = self.values[&node.inputs()[0]].clone();
+        self.check_not_reduced(&input.scalars, op.name())?;
         let input_shape = self.graph.node(node.inputs()[0])?.shape().clone();
         let over_parallel = self.is_parallel_tensor(&input_shape)
             && matches!(self.parallel, ParallelSpec::Vector { .. })

@@ -14,8 +14,7 @@
 //! ```
 
 use imp::compiler::perf;
-use imp::{ChipCapacity, CompileOptions, Machine, OptPolicy, QFormat, SimConfig, Tensor};
-use std::collections::HashMap;
+use imp::{ChipCapacity, Error, OptPolicy, QFormat, Session, Tensor, VerifyLevel};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -61,18 +60,22 @@ fn main() -> ExitCode {
         return rangecheck(&parsed);
     }
 
-    let options = CompileOptions {
-        policy,
-        ranges: parsed.ranges.clone(),
-        ..Default::default()
-    };
-    let kernel = match imp::compile(&parsed.graph, &options) {
-        Ok(kernel) => kernel,
+    let builder = parsed.ranges.iter().fold(
+        Session::builder(parsed.graph.clone()).policy(policy),
+        |b, (name, &interval)| b.range(name, interval),
+    );
+    let mut session = match builder.verify(VerifyLevel::Deny).build() {
+        Ok(session) => session,
+        Err(Error::Verify(report)) => {
+            eprintln!("impc: kernel rejected by the static verifier:\n{report}");
+            return ExitCode::FAILURE;
+        }
         Err(err) => {
-            eprintln!("impc: compile error: {err}");
+            eprintln!("impc: {err}");
             return ExitCode::FAILURE;
         }
     };
+    let kernel = session.kernel();
 
     println!("kernel `{path}` compiled:");
     println!("  parallelism        : {:?}", kernel.parallel);
@@ -86,7 +89,7 @@ fn main() -> ExitCode {
     let mix = kernel.instruction_mix();
     let mix_line: Vec<String> = mix.iter().map(|(m, c)| format!("{m}:{c}")).collect();
     println!("  instruction mix    : {}", mix_line.join(" "));
-    let est = perf::estimate(&kernel, kernel.parallel.instances(), ChipCapacity::paper());
+    let est = perf::estimate(kernel, kernel.parallel.instances(), ChipCapacity::paper());
     println!(
         "  paper-chip estimate: {} rounds, {:.3} µs",
         est.rounds,
@@ -98,16 +101,16 @@ fn main() -> ExitCode {
     }
 
     if flag("--run") {
-        let mut inputs: HashMap<String, Tensor> = HashMap::new();
+        let mut inputs: Vec<(&str, Tensor)> = Vec::new();
         for node in parsed.graph.nodes() {
             if let imp_dfg::Op::Placeholder { name } = node.op() {
                 let mid = parsed.ranges.get(name).map_or(1.0, |r| (r.lo + r.hi) / 2.0);
-                inputs.insert(name.clone(), Tensor::filled(mid, node.shape().clone()));
+                inputs.push((name, Tensor::filled(mid, node.shape().clone())));
             }
         }
-        let mut machine = Machine::new(SimConfig::functional());
-        match machine.run(&kernel, &inputs) {
-            Ok(report) => {
+        match session.run(&inputs) {
+            Ok(outputs) => {
+                let report = outputs.report();
                 println!("\nexecuted with range-midpoint inputs:");
                 println!("  cycles  : {}", report.cycles);
                 println!("  energy  : {:.3} µJ", report.energy.total_j() * 1e6);

@@ -1,10 +1,11 @@
 //! The fluent [`SessionBuilder`]: one chained expression from graph to
-//! runnable [`Session`], replacing hand-assembled
-//! [`CompileOptions`]/[`SimConfig`] pairs for the common paths.
+//! runnable [`Session`], and the only way to make one.
 
 use crate::session::{Session, ShadowConfig};
 use crate::Error;
-use imp_compiler::{ChipCapacity, CompileOptions, OptPolicy};
+use imp_compiler::{
+    perf, ArrayAvailability, ChipCapacity, CompileOptions, CompiledKernel, OptPolicy,
+};
 use imp_dfg::range::Interval;
 use imp_dfg::Graph;
 use imp_rram::QFormat;
@@ -13,15 +14,17 @@ use imp_sim::{
 };
 use imp_verify::VerifyLevel;
 
-/// Fluent constructor for [`Session`], started with [`Session::builder`].
+/// The one constructor for [`Session`], started with [`Session::builder`].
 ///
 /// Every knob defaults to exactly what [`CompileOptions::default`] and
-/// [`SimConfig::functional`] would produce, so `Session::builder(g).build()`
-/// is equivalent to `Session::new(g, Default::default())`. Setters cover
-/// the options users actually reach for; the escape hatches
-/// [`compile_options`](Self::compile_options) and
-/// [`sim_config`](Self::sim_config) replace the whole struct for anything
-/// exotic.
+/// [`SimConfig::functional`] would produce. Setters write into those two
+/// structs — [`capacity`](Self::capacity) and
+/// [`telemetry`](Self::telemetry) into both, so the compiler and the
+/// simulated chip cannot disagree about them — except
+/// [`shadow`](Self::shadow) and [`adaptive`](Self::adaptive), which
+/// configure the session itself. [`build`](Self::build) compiles,
+/// verifies at the configured [`VerifyLevel`], and binds the kernel to
+/// the chip.
 ///
 /// ```
 /// use imp::prelude::*;
@@ -53,7 +56,7 @@ pub struct SessionBuilder {
 impl SessionBuilder {
     /// Starts a builder over `graph` with default compile options and the
     /// functional-test chip.
-    pub fn new(graph: Graph) -> Self {
+    pub(crate) fn new(graph: Graph) -> Self {
         SessionBuilder {
             graph,
             options: CompileOptions::default(),
@@ -96,14 +99,6 @@ impl SessionBuilder {
     pub fn capacity(mut self, capacity: ChipCapacity) -> Self {
         self.options.capacity = capacity;
         self.config.capacity = capacity;
-        self
-    }
-
-    /// Replaces the whole [`CompileOptions`] (escape hatch; the targeted
-    /// setters are preferred). A telemetry handle installed with
-    /// [`telemetry`](Self::telemetry) before this call is overwritten.
-    pub fn compile_options(mut self, options: CompileOptions) -> Self {
-        self.options = options;
         self
     }
 
@@ -156,14 +151,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Replaces the whole [`SimConfig`] (escape hatch; the targeted
-    /// setters are preferred). A telemetry handle installed with
-    /// [`telemetry`](Self::telemetry) before this call is overwritten.
-    pub fn sim_config(mut self, config: SimConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     // --- cross-cutting ----------------------------------------------------
 
     /// Installs one [`Telemetry`] handle into *both* the compiler options
@@ -175,8 +162,16 @@ impl SessionBuilder {
         self
     }
 
-    /// Enables end-to-end shadow validation against the golden
-    /// interpreter (see [`Session::enable_shadow_validation`]).
+    /// Enables end-to-end shadow validation: every [`Session::run`]
+    /// replays the same feeds (and the pre-run variable state) through
+    /// the golden interpreter and compares each fetched output
+    /// element-wise. Divergence beyond the tolerance fails the run with
+    /// [`Error::ShadowDivergence`] *before* variable write-back, so
+    /// corrupted updates never poison session state.
+    ///
+    /// This is the only detector for faults the transport layer accepts
+    /// silently — a `Silent` fault policy, or a bad in-tree reduction
+    /// adder (which re-seals the CRC after corrupting the partial sum).
     pub fn shadow(mut self, shadow: ShadowConfig) -> Self {
         self.shadow = Some(shadow);
         self
@@ -189,9 +184,11 @@ impl SessionBuilder {
     }
 
     /// Uses the §5.2 runtime code selection: compile under every
-    /// optimization target and pick the analytical-model optimum for the
-    /// input size (see [`Session::new_adaptive`]). Overrides
-    /// [`policy`](Self::policy).
+    /// optimization target (MaxDLP, MaxILP, MaxArrayUtil) and, at kernel
+    /// launch, pick the candidate the analytical model predicts fastest
+    /// for the input size on this chip ("the optimal code is chosen at
+    /// runtime based on the analytical model and streamed in to the
+    /// memory chip from host"). Overrides [`policy`](Self::policy).
     pub fn adaptive(mut self) -> Self {
         self.adaptive = true;
         self
@@ -201,44 +198,59 @@ impl SessionBuilder {
     /// (and, inside the simulator, to every remap reschedule).
     ///
     /// [`VerifyLevel::Warn`] (the default) records findings in telemetry
-    /// and continues; [`VerifyLevel::Deny`] fails [`build`](Self::build)
-    /// with [`Error::Verify`] when any error-severity diagnostic fires;
-    /// [`VerifyLevel::Off`] skips verification entirely.
+    /// and continues (without a telemetry handle there is nothing to
+    /// record, so it skips the rules); [`VerifyLevel::Deny`] fails
+    /// [`build`](Self::build) with [`Error::Verify`] when any
+    /// error-severity diagnostic fires; [`VerifyLevel::Off`] skips
+    /// verification entirely.
     pub fn verify(mut self, level: VerifyLevel) -> Self {
         self.config.verify = level;
         self
     }
 
-    /// Compiles the graph and binds it to the simulated chip.
+    /// Compiles the graph, verifies the kernel, and binds it to the
+    /// simulated chip.
     ///
     /// # Errors
-    /// Propagates compile errors. At [`VerifyLevel::Deny`], fails with
+    /// Propagates compile errors (from any candidate, under
+    /// [`adaptive`](Self::adaptive)). At [`VerifyLevel::Deny`], fails with
     /// [`Error::Verify`] when the compiled kernel does not pass the
     /// static verifier's error-severity checks.
-    pub fn build(self) -> Result<Session, Error> {
-        let level = self.config.verify;
-        let arrays = self.config.capacity.arrays();
-        let telemetry = self.config.telemetry.clone();
-        let mut session = if self.adaptive {
-            Session::new_adaptive(self.graph, self.options, self.config)?
+    pub fn build(mut self) -> Result<Session, Error> {
+        let kernel = if self.adaptive {
+            let mut candidates: Vec<CompiledKernel> = Vec::new();
+            for policy in [
+                OptPolicy::MaxDlp,
+                OptPolicy::MaxIlp,
+                OptPolicy::MaxArrayUtil,
+            ] {
+                self.options.policy = policy;
+                let candidate = imp_compiler::compile(&self.graph, &self.options)?;
+                // One candidate per IB count: the first policy to give it.
+                if candidates
+                    .iter()
+                    .all(|k| k.ibs.len() != candidate.ibs.len())
+                {
+                    candidates.push(candidate);
+                }
+            }
+            let instances = candidates[0].parallel.instances();
+            let pick = perf::select_kernel(&candidates, instances, self.config.capacity);
+            candidates.swap_remove(pick.unwrap_or(0))
         } else {
-            Session::with_config(self.graph, self.options, self.config)?
+            imp_compiler::compile(&self.graph, &self.options)?
         };
-        if level != VerifyLevel::Off {
-            let kernel = session.kernel();
-            let avail = imp_compiler::ArrayAvailability::all(arrays);
-            let report = imp_verify::verify_with(kernel, &kernel.schedule, &avail);
-            if let Some(t) = &telemetry {
-                report.record(t);
-            }
-            if level == VerifyLevel::Deny && !report.passes_deny() {
-                return Err(Error::Verify(report));
-            }
-        }
-        if let Some(shadow) = self.shadow {
-            session.enable_shadow_validation(shadow);
-        }
-        Ok(session)
+        let avail = ArrayAvailability::all(self.config.capacity.arrays());
+        let telemetry = self.config.telemetry.as_ref();
+        (self.config.verify)
+            .check(&kernel, &kernel.schedule, &avail, telemetry)
+            .map_err(Error::Verify)?;
+        Ok(Session::from_kernel(
+            self.graph,
+            kernel,
+            self.config,
+            self.shadow,
+        ))
     }
 
     /// The compile options the builder would hand to [`imp_compiler::compile`].

@@ -25,7 +25,7 @@
 //! let y = g.add(sq, one)?;
 //! g.fetch(y);
 //!
-//! let mut session = Session::new(g.finish(), Default::default())?;
+//! let mut session = Session::builder(g.finish()).build()?;
 //! let data = Tensor::from_fn(Shape::vector(64), |i| i as f64 / 8.0);
 //! let outputs = session.run(&[("x", data)])?;
 //! let result = outputs.output(y).unwrap();

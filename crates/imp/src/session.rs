@@ -1,7 +1,7 @@
 //! The end-to-end session: graph → compiled kernel → simulated chip.
 
 use imp_compiler::module::OutputLoc;
-use imp_compiler::{perf, CompileError, CompileOptions, CompiledKernel, OptPolicy};
+use imp_compiler::{CompileError, CompiledKernel};
 use imp_dfg::interp::Interpreter;
 use imp_dfg::{DfgError, Graph, NodeId, Op, Tensor};
 use imp_sim::{Machine, RunReport, SimConfig, SimError};
@@ -162,8 +162,8 @@ impl From<SimError> for Error {
     }
 }
 
-/// Configuration for the opt-in shadow-validation mode
-/// ([`Session::enable_shadow_validation`]).
+/// Configuration for the opt-in shadow-validation mode, installed with
+/// [`SessionBuilder::shadow`](crate::SessionBuilder::shadow).
 ///
 /// Tolerance is expressed in ULPs of the kernel's fixed-point format (one
 /// ULP = [`QFormat::epsilon`]): fixed-point evaluation legitimately
@@ -325,9 +325,9 @@ impl SessionOutputs {
         &self.report
     }
 
-    /// The shadow-validation comparison, when the session ran with
-    /// [`Session::enable_shadow_validation`]. A present report implies the
-    /// run passed (divergence is an error).
+    /// The shadow-validation comparison, when the session was built with
+    /// [`SessionBuilder::shadow`](crate::SessionBuilder::shadow). A
+    /// present report implies the run passed (divergence is an error).
     pub fn shadow_report(&self) -> Option<&ShadowReport> {
         self.shadow.as_ref()
     }
@@ -347,8 +347,7 @@ pub struct Session {
 
 impl Session {
     /// Starts a fluent [`SessionBuilder`](crate::SessionBuilder) over
-    /// `graph` — the preferred
-    /// construction path:
+    /// `graph` — the only way to construct a session:
     ///
     /// ```
     /// use imp::prelude::*;
@@ -366,71 +365,13 @@ impl Session {
         crate::SessionBuilder::new(graph)
     }
 
-    /// Compiles `graph` under `options` for the default (functional-test)
-    /// chip configuration. Thin shim over [`Session::builder`] for
-    /// callers that already hold a [`CompileOptions`].
-    ///
-    /// # Errors
-    /// Propagates compile errors.
-    pub fn new(graph: Graph, options: CompileOptions) -> Result<Self, Error> {
-        Session::with_config(graph, options, SimConfig::functional())
-    }
-
-    /// Compiles `graph` for a specific simulated chip.
-    ///
-    /// # Errors
-    /// Propagates compile errors.
-    pub fn with_config(
+    /// Binds a compiled, verified kernel to a chip built from `config`.
+    pub(crate) fn from_kernel(
         graph: Graph,
-        options: CompileOptions,
+        kernel: CompiledKernel,
         config: SimConfig,
-    ) -> Result<Self, Error> {
-        let kernel = imp_compiler::compile(&graph, &options)?;
-        Ok(Session::from_kernel(graph, kernel, config))
-    }
-
-    /// The §5.2 runtime code selection: compiles the graph under every
-    /// optimization target (MaxDLP, MaxILP, MaxArrayUtil) and, at kernel
-    /// launch, picks the candidate the analytical model predicts fastest
-    /// for the input size on this chip ("the optimal code is chosen at
-    /// runtime based on the analytical model and streamed in to the
-    /// memory chip from host").
-    ///
-    /// # Errors
-    /// Propagates compile errors from any candidate.
-    pub fn new_adaptive(
-        graph: Graph,
-        options: CompileOptions,
-        config: SimConfig,
-    ) -> Result<Self, Error> {
-        let mut candidates = Vec::new();
-        for policy in [
-            OptPolicy::MaxDlp,
-            OptPolicy::MaxIlp,
-            OptPolicy::MaxArrayUtil,
-        ] {
-            let candidate = imp_compiler::compile(
-                &graph,
-                &CompileOptions {
-                    policy,
-                    ..options.clone()
-                },
-            )?;
-            if !candidates
-                .iter()
-                .any(|k: &CompiledKernel| k.ibs.len() == candidate.ibs.len())
-            {
-                candidates.push(candidate);
-            }
-        }
-        let instances = candidates[0].parallel.instances();
-        let pick = perf::select_kernel(&candidates, instances, config.capacity)
-            .expect("at least one candidate");
-        let kernel = candidates.swap_remove(pick);
-        Ok(Session::from_kernel(graph, kernel, config))
-    }
-
-    pub(crate) fn from_kernel(graph: Graph, kernel: CompiledKernel, config: SimConfig) -> Self {
+        shadow: Option<ShadowConfig>,
+    ) -> Self {
         let mut variables = HashMap::new();
         for node in graph.nodes() {
             if let Op::Variable { name, init } = node.op() {
@@ -455,29 +396,9 @@ impl Session {
             kernel,
             machine: Machine::new(config),
             variables,
-            shadow: None,
+            shadow,
             output_names,
         }
-    }
-
-    /// Turns on end-to-end shadow validation: every subsequent
-    /// [`Session::run`] replays the same feeds (and the pre-run variable
-    /// state) through the [`Interpreter`] golden reference and compares
-    /// each fetched output element-wise. Divergence beyond the configured
-    /// tolerance fails the run with [`Error::ShadowDivergence`] *before*
-    /// variable write-back, so corrupted updates never poison session
-    /// state.
-    ///
-    /// This is the only detector for faults the transport layer accepts
-    /// silently — a `Silent` fault policy, or a bad in-tree reduction
-    /// adder (which re-seals the CRC after corrupting the partial sum).
-    pub fn enable_shadow_validation(&mut self, config: ShadowConfig) {
-        self.shadow = Some(config);
-    }
-
-    /// Turns shadow validation back off.
-    pub fn disable_shadow_validation(&mut self) {
-        self.shadow = None;
     }
 
     /// The compiled kernel.
@@ -642,7 +563,7 @@ mod tests {
         let x = g.placeholder("x", Shape::vector(8)).unwrap();
         let upd = g.assign_add(acc, x).unwrap();
         g.fetch(upd);
-        let mut session = Session::new(g.finish(), CompileOptions::default()).unwrap();
+        let mut session = Session::builder(g.finish()).build().unwrap();
         let ones = Tensor::filled(1.0, Shape::vector(8));
         session.run(&[("x", ones.clone())]).unwrap();
         session.run(&[("x", ones)]).unwrap();
@@ -655,7 +576,7 @@ mod tests {
         let mut g = GraphBuilder::new();
         let x = g.placeholder("x", Shape::vector(4)).unwrap();
         g.fetch(x);
-        let mut session = Session::new(g.finish(), CompileOptions::default()).unwrap();
+        let mut session = Session::builder(g.finish()).build().unwrap();
         let err = session.run(&[]).unwrap_err();
         assert!(matches!(
             err,
@@ -674,8 +595,11 @@ mod tests {
         let one = g.scalar(1.0);
         let y = g.add(sq, one).unwrap();
         g.fetch(y);
-        let mut session = Session::new(g.finish(), CompileOptions::default()).unwrap();
-        session.enable_shadow_validation(ShadowConfig::default());
+        let graph = g.finish();
+        let mut session = Session::builder(graph.clone())
+            .shadow(ShadowConfig::default())
+            .build()
+            .unwrap();
         let out = session
             .run(&[("x", Tensor::from_fn(Shape::vector(8), |i| i as f64 / 4.0))])
             .unwrap();
@@ -685,7 +609,8 @@ mod tests {
         assert_eq!(shadow.outputs[0].node, y);
         // Fixed-point rounding on x² + 1 stays within a few ULPs.
         assert!(shadow.worst_ulps() < 64.0, "worst {}", shadow.worst_ulps());
-        session.disable_shadow_validation();
+        // A session built without `.shadow(..)` attaches no report.
+        let mut session = Session::builder(graph).build().unwrap();
         let out = session
             .run(&[("x", Tensor::from_fn(Shape::vector(8), |i| i as f64 / 4.0))])
             .unwrap();
@@ -701,8 +626,10 @@ mod tests {
         let x = g.placeholder("x", Shape::vector(8)).unwrap();
         let upd = g.assign_add(acc, x).unwrap();
         g.fetch(upd);
-        let mut session = Session::new(g.finish(), CompileOptions::default()).unwrap();
-        session.enable_shadow_validation(ShadowConfig::with_tolerance_ulps(-1.0));
+        let mut session = Session::builder(g.finish())
+            .shadow(ShadowConfig::with_tolerance_ulps(-1.0))
+            .build()
+            .unwrap();
         let feed = Tensor::from_fn(Shape::vector(8), |i| i as f64 / 8.0);
         let err = session.run(&[("x", feed)]).unwrap_err();
         assert!(matches!(err, Error::ShadowDivergence(ref r) if r.diverged()));
@@ -722,12 +649,7 @@ mod tests {
         let sq = g.square(x).unwrap();
         let s = g.sum(sq, 0).unwrap();
         g.fetch(s);
-        let session = Session::new_adaptive(
-            g.finish(),
-            CompileOptions::default(),
-            imp_sim::SimConfig::functional(),
-        )
-        .unwrap();
+        let session = Session::builder(g.finish()).adaptive().build().unwrap();
         assert!(
             session.kernel().ibs.len() > 1,
             "tiny input should favour ILP"
@@ -750,7 +672,7 @@ mod tests {
         let x = g.placeholder("x", Shape::vector(4)).unwrap();
         let y = g.add(w, x).unwrap();
         g.fetch(y);
-        let mut session = Session::new(g.finish(), CompileOptions::default()).unwrap();
+        let mut session = Session::builder(g.finish()).build().unwrap();
         session.set_variable("w", Tensor::filled(10.0, Shape::vector(4)));
         let out = session
             .run(&[("x", Tensor::filled(1.0, Shape::vector(4)))])

@@ -17,6 +17,14 @@ pub enum SimError {
         /// What was provided.
         got: String,
     },
+    /// An input tensor holds NaN or an infinity, which no fixed-point
+    /// word represents.
+    NonFiniteInput {
+        /// Input name.
+        name: String,
+        /// Flat index of the first offending element.
+        index: usize,
+    },
     /// The kernel needs more arrays than the simulated chip provides in
     /// one round — either outright, or after the remap policy retired
     /// too many faulty arrays.
@@ -47,10 +55,14 @@ pub enum SimError {
         /// Array cycles spent when the watchdog fired.
         spent_cycles: u64,
     },
-    /// The static verifier rejected a kernel at `Deny` level — either
-    /// the kernel handed to the simulator, or the schedule produced by
-    /// the remap policy's reschedule. Carries the full report.
+    /// The static verifier rejected, at `Deny` level, a schedule the remap
+    /// policy's reschedule produced (a session verifies its initial kernel
+    /// when it is built). Carries the full report.
     Verify(imp_verify::VerifyReport),
+    /// A hand-built kernel the engine cannot execute: an instruction names
+    /// an IB, row or reduction slot the kernel lacks (what the verifier's
+    /// `ISA02` rejects), or the remap policy cannot reschedule it.
+    MalformedKernel(String),
 }
 
 impl fmt::Display for SimError {
@@ -59,6 +71,9 @@ impl fmt::Display for SimError {
             SimError::MissingInput(name) => write!(f, "input `{name}` was not supplied"),
             SimError::InputShape { name, expect, got } => {
                 write!(f, "input `{name}`: expected {expect}, got {got}")
+            }
+            SimError::NonFiniteInput { name, index } => {
+                write!(f, "input `{name}`: element {index} is not finite")
             }
             SimError::OutOfArrays { needed, available } => {
                 write!(
@@ -96,6 +111,7 @@ impl fmt::Display for SimError {
                     report.errors().count()
                 )
             }
+            SimError::MalformedKernel(what) => write!(f, "malformed kernel: {what}"),
         }
     }
 }

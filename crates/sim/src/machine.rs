@@ -7,11 +7,11 @@ use crate::fault::{
 use crate::lifetime;
 use crate::SimError;
 use imp_compiler::module::{as_cross_ib, as_output_slot, OutputLoc, RegBinding};
-use imp_compiler::schedule::Schedule;
+use imp_compiler::schedule::{Schedule, ScheduledInst};
 use imp_compiler::ParallelSpec;
 use imp_compiler::{ArrayAvailability, ChipCapacity, CompiledKernel, InputBinding};
 use imp_dfg::{NodeId, Shape, Tensor};
-use imp_isa::{Instruction, LANES};
+use imp_isa::{GlobalAddr, Instruction, ARRAY_ROWS, LANES};
 use imp_noc::{
     HTreeTopology, LinkFaultMap, Network, NocConfig, NocStats, TransportConfig, TransportEvent,
     TransportFaultKind,
@@ -86,13 +86,11 @@ pub struct SimConfig {
     /// instrumentation entirely — the hot paths then perform one `Option`
     /// check and execution is bit-identical to an uninstrumented build.
     pub telemetry: Option<imp_telemetry::Telemetry>,
-    /// Static verification of schedules produced *during* execution
-    /// (the remap policy's reschedule).
-    /// [`VerifyLevel::Warn`](imp_verify::VerifyLevel::Warn) (the
-    /// default) records findings in telemetry;
-    /// [`VerifyLevel::Deny`](imp_verify::VerifyLevel::Deny) aborts the
-    /// run with [`SimError::Verify`] when a rescheduled kernel fails an
-    /// error-severity check.
+    /// Static verification level, applied through
+    /// [`VerifyLevel::check`](imp_verify::VerifyLevel::check) by the
+    /// session builder to the compiled kernel, and here to every schedule
+    /// the remap policy's reschedule produces (at `Deny`, a failing one
+    /// aborts the run with [`SimError::Verify`]).
     pub verify: imp_verify::VerifyLevel,
 }
 
@@ -304,10 +302,10 @@ impl Machine {
     /// [`RunReport::fault_events`].
     ///
     /// # Errors
-    /// Missing/ill-shaped inputs, array faults (e.g. ADC over-range), a
-    /// kernel wider than the simulated chip (or wider than its healthy
-    /// remainder under remap), or unrecovered fault detections
-    /// ([`SimError::Faults`]).
+    /// Missing, ill-shaped or non-finite inputs, array faults (e.g. ADC
+    /// over-range), a kernel wider than the simulated chip (or wider than
+    /// its healthy remainder under remap), a malformed hand-built kernel,
+    /// or unrecovered fault detections ([`SimError::Faults`]).
     pub fn run(
         &mut self,
         kernel: &CompiledKernel,
@@ -324,9 +322,14 @@ impl Machine {
             });
         }
 
-        // Quantize inputs once.
+        // Quantize inputs once. Finite values saturate at the format's
+        // rails; NaN and ±inf have no fixed-point meaning.
         let mut raw_inputs: HashMap<String, (Vec<i32>, Shape)> = HashMap::new();
         for (name, tensor) in inputs {
+            if let Some(index) = tensor.data().iter().position(|v| !v.is_finite()) {
+                let name = name.clone();
+                return Err(SimError::NonFiniteInput { name, index });
+            }
             let raw = tensor
                 .data()
                 .iter()
@@ -507,22 +510,19 @@ impl Machine {
                                 available: usable,
                             });
                         }
-                        Err(other) => unreachable!("rescheduling a compiled kernel: {other}"),
+                        Err(other) => {
+                            return Err(SimError::MalformedKernel(format!(
+                                "cannot reschedule around retired arrays: {other}"
+                            )));
+                        }
                     };
                     // Re-verify the remapped kernel: rescheduling must
                     // not move an IB onto a retired array or break the
                     // timetable's hazard invariants.
-                    if self.config.verify != imp_verify::VerifyLevel::Off {
-                        let report = imp_verify::verify_with(kernel, &resched, &avail);
-                        if let Some(t) = tel.as_ref() {
-                            report.record(t);
-                        }
-                        if self.config.verify == imp_verify::VerifyLevel::Deny
-                            && !report.passes_deny()
-                        {
-                            return Err(SimError::Verify(report));
-                        }
-                    }
+                    self.config
+                        .verify
+                        .check(kernel, &resched, &avail, tel.as_ref())
+                        .map_err(SimError::Verify)?;
                     schedule_override = Some(resched);
                 }
             }
@@ -932,6 +932,29 @@ struct GroupOutcome {
     ib_energy: Option<Vec<f64>>,
 }
 
+/// Decodes a `movg` endpoint into one of the kernel's `num_ibs` IBs and
+/// a row of it, or a typed error for a hand-built kernel that names none.
+fn movg_endpoint(
+    addr: GlobalAddr,
+    num_ibs: usize,
+    entry: &ScheduledInst,
+) -> Result<(usize, usize), SimError> {
+    match as_cross_ib(addr) {
+        Some((ib, row)) if ib < num_ibs && usize::from(row) < ARRAY_ROWS => {
+            Ok((ib, usize::from(row)))
+        }
+        _ => Err(malformed(
+            entry,
+            format!("movg address {addr} names no IB row"),
+        )),
+    }
+}
+
+/// A [`SimError::MalformedKernel`] located at a scheduled instruction.
+fn malformed(entry: &ScheduledInst, what: String) -> SimError {
+    SimError::MalformedKernel(format!("ib{}/pc{}: {what}", entry.ib, entry.index))
+}
+
 /// Executes one instance group on `worker`, returning its complete
 /// outcome. Pure in `(ctx, group)`: worker state is fully re-initialized
 /// at entry (arrays reset from the templates; network occupancy, stats,
@@ -1000,9 +1023,9 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
         let mut lane0_result = None;
         match inst {
             Instruction::Movg { src, dst } => {
-                let (src_ib, src_row) = as_cross_ib(src).expect("virtual movg source");
-                let (dst_ib, dst_row) = as_cross_ib(dst).expect("virtual movg destination");
-                let value = arrays[src_ib].read_row(src_row as usize);
+                let (src_ib, src_row) = movg_endpoint(src, arrays.len(), entry)?;
+                let (dst_ib, dst_row) = movg_endpoint(dst, arrays.len(), entry)?;
+                let value = arrays[src_ib].read_row(src_row);
                 let src_tile = tile_of(ctx, group_in_round, src_ib);
                 let dst_tile = tile_of(ctx, group_in_round, dst_ib);
                 let now = round_base_net + entry.start * imp_noc::NET_CYCLES_PER_ARRAY_CYCLE;
@@ -1027,14 +1050,19 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
                         if let Some(words) = delivery.payload {
                             let mut row = [0i32; LANES];
                             row.copy_from_slice(&words);
-                            arrays[dst_ib].write_row(dst_row as usize, &row);
+                            arrays[dst_ib].write_row(dst_row, &row);
                         }
                     }
                     Err(ev) => return Err(transport_error(ctx.watchdog_limit, site, ev)),
                 }
             }
             Instruction::ReduceSum { src, dst } => {
-                let slot = as_output_slot(dst).expect("virtual reduce target");
+                let Some(slot) = as_output_slot(dst).filter(|&slot| slot < ctx.n_slots) else {
+                    return Err(malformed(
+                        entry,
+                        format!("reduce_sum target {dst} names no reduction slot"),
+                    ));
+                };
                 let row = arrays[entry.ib].read_row(src.index());
                 for &value in row.iter().take(valid_lanes) {
                     outcome.reduce_acc[slot] = outcome.reduce_acc[slot].wrapping_add(value);

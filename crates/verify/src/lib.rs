@@ -28,8 +28,9 @@
 //! | `OVF01` | warning | interval analysis extended through lowering proves no intermediate value leaves the kernel's fixed-point format |
 //!
 //! Entry points: [`verify_kernel`] for a freshly compiled kernel (checks
-//! against its own schedule), [`verify_with`] for a re-scheduled kernel
-//! (the runtime's fault-remap path).
+//! against its own schedule), [`verify_with`] for a re-scheduled kernel,
+//! and [`VerifyLevel::check`], the level-aware gate that session
+//! construction and the runtime's fault-remap path both go through.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -56,6 +57,48 @@ pub enum VerifyLevel {
     Warn,
     /// Fail the pipeline on any error-severity diagnostic.
     Deny,
+}
+
+impl VerifyLevel {
+    /// The one verification gate, used by session construction and by
+    /// the simulator's remap path. Verifies `kernel` as placed by
+    /// `schedule` on `avail`; records `verify.runs`, the diagnostic and
+    /// error counts and a per-rule hit counter into `telemetry`; and at
+    /// `Deny` refuses a report with an error. `Off` skips the rules, and
+    /// so does `Warn` without a telemetry handle, as nothing would
+    /// observe the report.
+    ///
+    /// # Errors
+    /// At `Deny`, the full report when it carries an error.
+    pub fn check(
+        self,
+        kernel: &CompiledKernel,
+        schedule: &Schedule,
+        avail: &ArrayAvailability,
+        telemetry: Option<&Telemetry>,
+    ) -> Result<(), VerifyReport> {
+        if self == VerifyLevel::Off || (self == VerifyLevel::Warn && telemetry.is_none()) {
+            return Ok(());
+        }
+        let report = verify_with(kernel, schedule, avail);
+        let errors = report.errors().count();
+        if let Some(t) = telemetry {
+            t.counter_add("verify.runs", 1);
+            if !report.is_clean() {
+                t.counter_add("verify.diagnostics", report.diagnostics.len() as u64);
+            }
+            if errors > 0 {
+                t.counter_add("verify.errors", errors as u64);
+            }
+            for d in &report.diagnostics {
+                t.counter_add(rule_counter_key(d.rule), 1);
+            }
+        }
+        if self == VerifyLevel::Deny && errors > 0 {
+            return Err(report);
+        }
+        Ok(())
+    }
 }
 
 /// Diagnostic severity.
@@ -160,22 +203,6 @@ impl VerifyReport {
             let _ = writeln!(out, "{d}");
         }
         out
-    }
-
-    /// Records this pass into `telemetry`: one `verify.runs`, aggregate
-    /// diagnostic/error counts, and a per-rule hit counter.
-    pub fn record(&self, telemetry: &Telemetry) {
-        telemetry.counter_add("verify.runs", 1);
-        if !self.diagnostics.is_empty() {
-            telemetry.counter_add("verify.diagnostics", self.diagnostics.len() as u64);
-        }
-        let errors = self.errors().count();
-        if errors > 0 {
-            telemetry.counter_add("verify.errors", errors as u64);
-        }
-        for d in &self.diagnostics {
-            telemetry.counter_add(rule_counter_key(d.rule), 1);
-        }
     }
 }
 

@@ -123,6 +123,41 @@ fn isa02_malformed_global_address() {
 }
 
 #[test]
+fn verify_level_check_gates_by_level() {
+    use imp_verify::VerifyLevel;
+    let mut k = kernel("kmeans");
+    let (ib, pc) = find_inst(&k, |i| matches!(i, Instruction::Movg { .. }));
+    let Instruction::Movg { src, .. } = k.ibs[ib].block.instructions()[pc] else {
+        unreachable!()
+    };
+    let bad_ib = k.ibs.len() + 7;
+    let dst = vaddr::cross_ib(bad_ib, 0);
+    replace_inst(&mut k, ib, pc, Instruction::Movg { src, dst });
+    let avail = ArrayAvailability::all(k.ibs.len());
+    let check = |level: VerifyLevel, t: Option<&imp_telemetry::Telemetry>| {
+        level.check(&k, &k.schedule, &avail, t)
+    };
+
+    // Off never runs the rules; Warn without an observer need not.
+    let telemetry = imp_telemetry::Telemetry::new();
+    assert!(check(VerifyLevel::Off, Some(&telemetry)).is_ok());
+    assert!(check(VerifyLevel::Warn, None).is_ok());
+    assert!(!telemetry.snapshot().counters.contains_key("verify.runs"));
+
+    // Warn records the findings and lets the kernel through.
+    assert!(check(VerifyLevel::Warn, Some(&telemetry)).is_ok());
+    let counters = telemetry.snapshot().counters;
+    assert_eq!(counters["verify.runs"], 1);
+    assert!(counters["verify.rule.ISA02"] > 0);
+
+    // Deny refuses it with the full report, observed or not.
+    let report = check(VerifyLevel::Deny, None).unwrap_err();
+    assert!(error_rules(&report).contains(&"ISA02"));
+    assert!(check(VerifyLevel::Deny, Some(&telemetry)).is_err());
+    assert_eq!(telemetry.snapshot().counters["verify.runs"], 2);
+}
+
+#[test]
 fn isa03_row_pressure() {
     let mut k = kernel("blackscholes");
     k.ibs[0].peak_rows = 131;

@@ -2,14 +2,16 @@
 //! by `imp-compiler`, executed by `imp-sim` through the `imp::Session`
 //! front-end, validated against the reference interpreter.
 
-use imp::{CompileOptions, GraphBuilder, Interpreter, OptPolicy, Session, Shape, Tensor};
+use imp::{GraphBuilder, Interpreter, OptPolicy, Session, SessionBuilder, Shape, Tensor};
 use imp_testutil::assert_all_close;
 use std::collections::HashMap;
 
+/// Runs `g` through the interpreter and through a session that
+/// `configure` sets up on top of the builder defaults.
 fn run_both(
     g: GraphBuilder,
     feeds: Vec<(&str, Tensor)>,
-    options: CompileOptions,
+    configure: impl FnOnce(SessionBuilder) -> SessionBuilder,
 ) -> (HashMap<imp::NodeId, Tensor>, imp::RunReport) {
     let graph = g.finish();
     let mut interp = Interpreter::new(&graph);
@@ -17,7 +19,7 @@ fn run_both(
         interp.feed(name, tensor.clone());
     }
     let golden = interp.run().unwrap();
-    let mut session = Session::new(graph, options).unwrap();
+    let mut session = configure(Session::builder(graph)).build().unwrap();
     let outputs = session.run(&feeds).unwrap();
     (golden, outputs.report().clone())
 }
@@ -52,17 +54,14 @@ fn pipeline_of_every_op_class() {
     let out = g.add(partial, fd).unwrap();
     g.fetch(out);
 
-    let mut options = CompileOptions::default();
-    options
-        .ranges
-        .insert("x".into(), imp::range::Interval::new(-3.0, 3.0));
-    options
-        .ranges
-        .insert("y".into(), imp::range::Interval::new(-3.0, 3.0));
+    let ranges = |b: SessionBuilder| {
+        b.range("x", imp::range::Interval::new(-3.0, 3.0))
+            .range("y", imp::range::Interval::new(-3.0, 3.0))
+    };
 
     let xs = Tensor::from_fn(Shape::vector(n), |i| ((i as f64) * 0.37).sin() * 3.0);
     let ys = Tensor::from_fn(Shape::vector(n), |i| ((i as f64) * 0.53).cos() * 3.0);
-    let (golden, report) = run_both(g, vec![("x", xs), ("y", ys)], options);
+    let (golden, report) = run_both(g, vec![("x", xs), ("y", ys)], ranges);
 
     let want = &golden[&out];
     let got = &report.outputs[&out];
@@ -79,7 +78,7 @@ fn multi_round_execution_is_seamless() {
     let y = g.mul(x, three).unwrap();
     g.fetch(y);
     let xs = Tensor::from_fn(Shape::vector(n), |i| (i % 1000) as f64 / 100.0);
-    let (golden, report) = run_both(g, vec![("x", xs)], CompileOptions::default());
+    let (golden, report) = run_both(g, vec![("x", xs)], |b| b);
     assert!(
         report.rounds > 1,
         "expected multiple rounds, got {}",
@@ -107,23 +106,9 @@ fn ilp_and_dlp_policies_agree_functionally() {
     let xs = Tensor::from_fn(Shape::new(vec![6, n]), |i| ((i * 13) % 23) as f64 / 5.0);
 
     let (g1, s1) = make();
-    let (_, dlp_report) = run_both(
-        g1,
-        vec![("x", xs.clone())],
-        CompileOptions {
-            policy: OptPolicy::MaxDlp,
-            ..Default::default()
-        },
-    );
+    let (_, dlp_report) = run_both(g1, vec![("x", xs.clone())], |b| b.policy(OptPolicy::MaxDlp));
     let (g2, s2) = make();
-    let (_, ilp_report) = run_both(
-        g2,
-        vec![("x", xs)],
-        CompileOptions {
-            policy: OptPolicy::MaxIlp,
-            ..Default::default()
-        },
-    );
+    let (_, ilp_report) = run_both(g2, vec![("x", xs)], |b| b.policy(OptPolicy::MaxIlp));
     let a = &dlp_report.outputs[&s1];
     let b = &ilp_report.outputs[&s2];
     assert_all_close(a.data(), b.data(), 1e-6, "policies diverge");
@@ -138,7 +123,7 @@ fn reduction_pipeline_through_routers() {
     let total = g.sum(sq, 0).unwrap();
     g.fetch(total);
     let xs = Tensor::from_fn(Shape::vector(n), |i| (i as f64) / 10.0);
-    let (golden, report) = run_both(g, vec![("x", xs)], CompileOptions::default());
+    let (golden, report) = run_both(g, vec![("x", xs)], |b| b);
     let want = golden[&total].data()[0];
     let got = report.outputs[&total].data()[0];
     assert!((got - want).abs() < 0.5, "reduced {got} vs {want}");
@@ -153,7 +138,7 @@ fn compile_errors_surface_cleanly() {
     let b = g.placeholder("b", Shape::vector(8)).unwrap();
     let q = g.div(a, b).unwrap();
     g.fetch(q);
-    let err = Session::new(g.finish(), CompileOptions::default()).unwrap_err();
+    let err = Session::builder(g.finish()).build().unwrap_err();
     assert!(matches!(err, imp::Error::Compile(_)), "{err}");
 }
 
@@ -163,7 +148,7 @@ fn session_reports_architecture_counters() {
     let x = g.placeholder("x", Shape::vector(32)).unwrap();
     let y = g.square(x).unwrap();
     g.fetch(y);
-    let mut session = Session::new(g.finish(), CompileOptions::default()).unwrap();
+    let mut session = Session::builder(g.finish()).build().unwrap();
     let out = session
         .run(&[("x", Tensor::from_fn(Shape::vector(32), |i| i as f64 / 16.0))])
         .unwrap();
@@ -215,4 +200,29 @@ fn short_feeds_are_typed_errors() {
         matches!(&err, imp::Error::Sim { source: imp::SimError::InputShape { name, .. }, .. } if name == "x"),
         "{err}"
     );
+}
+
+#[test]
+fn non_finite_feeds_are_typed_errors() {
+    // NaN and ±inf have no fixed-point value; quantizing them used to
+    // turn NaN into 0 and infinities into the format's rails silently.
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut g = GraphBuilder::new();
+        let x = g.placeholder("x", Shape::vector(16)).unwrap();
+        let y = g.square(x).unwrap();
+        g.fetch(y);
+        let mut session = Session::builder(g.finish()).build().unwrap();
+        let feed = Tensor::from_fn(Shape::vector(16), |i| if i == 5 { bad } else { 1.0 });
+        let err = session.run(&[("x", feed)]).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                imp::Error::Sim {
+                    source: imp::SimError::NonFiniteInput { name, index: 5 },
+                    ..
+                } if name == "x"
+            ),
+            "{bad}: {err}"
+        );
+    }
 }

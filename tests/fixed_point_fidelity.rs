@@ -4,7 +4,7 @@
 //! randomized inputs, and check the claim that fixed point beats floating
 //! point *given* the dynamic range holds.
 
-use imp::{CompileOptions, GraphBuilder, Interpreter, QFormat, Session, Shape, Tensor};
+use imp::{GraphBuilder, Interpreter, QFormat, Session, Shape, Tensor};
 use imp_testutil::assert_all_close;
 use proptest::prelude::*;
 
@@ -25,13 +25,12 @@ fn chip_vs_reference(
     interp.feed("x", tensor.clone());
     let golden = interp.run().unwrap();
 
-    let mut options = CompileOptions::default();
-    for &(name, lo, hi) in ranges {
-        options
-            .ranges
-            .insert(name.into(), imp::range::Interval::new(lo, hi));
-    }
-    let mut session = Session::new(graph, options).unwrap();
+    let builder = ranges
+        .iter()
+        .fold(Session::builder(graph), |b, &(name, lo, hi)| {
+            b.range(name, imp::range::Interval::new(lo, hi))
+        });
+    let mut session = builder.build().unwrap();
     let outputs = session.run(&[("x", tensor)]).unwrap();
     (
         outputs.output(y).unwrap().data().to_vec(),

@@ -1,7 +1,7 @@
-//! Satellite gates for the fluent session API: builder defaults must be
-//! *exactly* the configs `Session::new` has always used, the knobs must
-//! land where they claim, and name-based output lookup must resolve (and
-//! refuse) correctly.
+//! Gates for the fluent session API, the only way to build a session:
+//! builder defaults must be *exactly* `CompileOptions::default()` and
+//! `SimConfig::functional()`, the knobs must land where they claim, and
+//! name-based output lookup must resolve (and refuse) correctly.
 
 use imp::prelude::*;
 use imp::{LinkFaultRates, WatchdogConfig};
@@ -14,9 +14,9 @@ fn square_graph(n: usize) -> (imp::Graph, NodeId) {
     (g.finish(), y)
 }
 
-/// `Session::builder(g).build()` must be indistinguishable from
-/// `Session::new(g, Default::default())`: every compile option and every
-/// simulator field at its historical default.
+/// `Session::builder(g)` starts from `CompileOptions::default()` and
+/// `SimConfig::functional()`: every compile option and every simulator
+/// field at its historical default.
 #[test]
 fn builder_defaults_match_default_configs_field_by_field() {
     let (graph, _) = square_graph(16);

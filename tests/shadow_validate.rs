@@ -5,7 +5,7 @@
 //! sums, so no link-level check can fire).
 
 use imp::{
-    CompileOptions, Error, GraphBuilder, LinkFaultRates, NodeId, Session, ShadowConfig, SimConfig,
+    Error, GraphBuilder, LinkFaultRates, NodeId, Session, SessionBuilder, ShadowConfig,
     TransportConfig, TransportPolicy,
 };
 use imp_dfg::{Graph, Shape, Tensor};
@@ -20,15 +20,13 @@ fn reduction_graph(n: usize) -> (Graph, NodeId) {
     (g.finish(), s)
 }
 
-fn faulted_config(seed: u64, rates: LinkFaultRates) -> SimConfig {
-    SimConfig {
-        fault_seed: seed,
-        transport: Some(TransportConfig {
+fn faulted_session(graph: Graph, seed: u64, rates: LinkFaultRates) -> SessionBuilder {
+    Session::builder(graph)
+        .fault_seed(seed)
+        .transport(TransportConfig {
             rates,
             policy: TransportPolicy::Silent,
-        }),
-        ..SimConfig::functional()
-    }
+        })
 }
 
 fn feed(n: usize) -> Tensor {
@@ -41,13 +39,10 @@ fn feed(n: usize) -> Tensor {
 fn shadow_flags(seed: u64, rates: LinkFaultRates, tolerance_ulps: f64) -> bool {
     let n = 4000;
     let (graph, _) = reduction_graph(n);
-    let mut session = Session::with_config(
-        graph,
-        CompileOptions::default(),
-        faulted_config(seed, rates),
-    )
-    .unwrap();
-    session.enable_shadow_validation(ShadowConfig::with_tolerance_ulps(tolerance_ulps));
+    let mut session = faulted_session(graph, seed, rates)
+        .shadow(ShadowConfig::with_tolerance_ulps(tolerance_ulps))
+        .build()
+        .unwrap();
     match session.run(&[("x", feed(n))]) {
         Ok(_) => false,
         Err(Error::ShadowDivergence(report)) => {
@@ -97,13 +92,10 @@ fn shadow_validation_catches_bad_reduction_adders() {
 fn shadow_validation_passes_fault_free_transport() {
     let n = 4000;
     let (graph, s) = reduction_graph(n);
-    let mut session = Session::with_config(
-        graph,
-        CompileOptions::default(),
-        faulted_config(7, LinkFaultRates::none()),
-    )
-    .unwrap();
-    session.enable_shadow_validation(ShadowConfig::default());
+    let mut session = faulted_session(graph, 7, LinkFaultRates::none())
+        .shadow(ShadowConfig::default())
+        .build()
+        .unwrap();
     let out = session.run(&[("x", feed(n))]).unwrap();
     let shadow = out.shadow_report().expect("report attached on success");
     assert!(!shadow.diverged());

@@ -3,7 +3,7 @@
 //! the simulated chip, and validate against the interpreter — covering
 //! the sample kernels shipped in `examples/kernels/`.
 
-use imp::{CompileOptions, Interpreter, Machine, SimConfig, Tensor};
+use imp::{CompileOptions, Interpreter, Machine, Session, SimConfig, Tensor};
 use std::collections::HashMap;
 
 fn run_text_kernel(text: &str, feeds: &[(&str, Tensor)], tolerance: f64) -> imp::RunReport {
@@ -92,6 +92,47 @@ fn inline_kernel_with_variables() {
     let report = machine.run(&kernel, &inputs).unwrap();
     let updated = &report.variable_updates["acc"];
     assert!(updated.data().iter().all(|&v| (v - 2.0).abs() < 1e-3));
+}
+
+/// Builds a session over `.imp` text, returning the build error.
+fn build_error(text: &str) -> imp::Error {
+    let parsed = imp_dfg::textfmt::parse(text).expect("parses");
+    Session::builder(parsed.graph).build().unwrap_err()
+}
+
+#[test]
+fn reduction_of_a_reduction_is_a_compile_error() {
+    // Summing a cross-instance reduction result again used to panic in
+    // lowering instead of being refused.
+    let err = build_error(
+        "
+        placeholder v [8,1024]
+        square sq v
+        sum per_dim sq axis=1
+        sum total per_dim axis=0
+        fetch per_dim
+        fetch total
+    ",
+    );
+    assert!(matches!(err, imp::Error::Compile(_)), "{err}");
+}
+
+#[test]
+fn selecting_a_reduction_result_is_a_compile_error() {
+    // A select branch that is a cross-instance reduction result reaches
+    // lowering, which has no row holding it.
+    let err = build_error(
+        "
+        placeholder v [1024]
+        placeholder w [1024]
+        sum total v axis=0
+        const z = 0.0
+        less c w z
+        select s c w total
+        fetch s
+    ",
+    );
+    assert!(matches!(err, imp::Error::Compile(_)), "{err}");
 }
 
 #[test]

@@ -1,0 +1,194 @@
+//! `RunReport` bit-identity golden: every simulated result of a fixed
+//! matrix of runs — the eight corpus kernels × two compile policies ×
+//! six analog/fault configurations — is digested and compared against
+//! the checked-in `tests/golden/report_digest.txt`.
+//!
+//! A host-speed change to the simulator or the ReRAM substrate must leave
+//! this file byte-identical: outputs, variable updates, cycles, energy,
+//! NoC counters, fault events, recovery and ADC accounting are all in the
+//! digest. Runs that end in an error digest the error instead.
+//!
+//! To regenerate after an *intentional* model change:
+//! `RUN_DIGEST_GOLDEN_UPDATE=1 cargo test -p imp-sim --test report_digest`
+
+use imp_compiler::OptPolicy;
+use imp_rram::FaultRates;
+use imp_sim::{FaultConfig, FaultPolicy, Machine, Parallelism, RunReport, SimConfig};
+use std::fmt::Write as _;
+
+const GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden/report_digest.txt"
+);
+
+/// Module instances per run: eight instance groups.
+const INSTANCES: usize = 64;
+
+/// 64-bit FNV-1a.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+}
+
+/// A digest of every simulated result in `r`. Host-side telemetry and the
+/// optional instruction trace are excluded.
+fn digest(r: &RunReport) -> u64 {
+    let mut h = Fnv::new();
+    let mut nodes: Vec<_> = r.outputs.keys().collect();
+    nodes.sort();
+    for node in nodes {
+        h.u64(node.index() as u64);
+        for &v in r.outputs[node].data() {
+            h.f64(v);
+        }
+    }
+    let mut vars: Vec<&String> = r.variable_updates.keys().collect();
+    vars.sort();
+    for name in vars {
+        h.bytes(name.as_bytes());
+        for &v in r.variable_updates[name].data() {
+            h.f64(v);
+        }
+    }
+    h.bytes(
+        format!(
+            "{}|{}|{}|{}|{:?}|{:?}|{:?}|{}|{:?}|{}|{}|{}|{}",
+            r.instances,
+            r.rounds,
+            r.cycles,
+            r.load_cycles,
+            r.energy,
+            r.noc,
+            r.fault_events,
+            r.retries,
+            r.retired_arrays,
+            r.fault_overhead_cycles,
+            r.transport_overhead_cycles,
+            r.instructions_executed,
+            r.writes_per_exec,
+        )
+        .as_bytes(),
+    );
+    for v in [r.seconds, r.avg_power_w, r.avg_adc_bits, r.lifetime_years] {
+        h.f64(v);
+    }
+    h.0
+}
+
+/// The analog/fault configurations of the matrix, by name. Fault rates
+/// are light so the whole matrix stays quick in a debug build while still
+/// exercising every faulty read, scan and recovery path.
+fn configs() -> Vec<(&'static str, SimConfig)> {
+    let base = || {
+        let mut config = SimConfig::functional();
+        config.parallelism = Parallelism::Serial;
+        config.fault_seed = 11;
+        config
+    };
+    let faulty = |rates: FaultRates, policy: FaultPolicy| {
+        let mut config = base();
+        config.faults = Some(FaultConfig::new(rates, policy));
+        config
+    };
+    let mut noisy = base();
+    noisy.analog.noise_prob = 1e-3;
+    let mut narrow = base();
+    narrow.analog.adc_bits = 4;
+    narrow.analog.strict_adc = false;
+    vec![
+        ("clean", base()),
+        ("adc_noise", noisy),
+        (
+            "retry_transient",
+            faulty(
+                FaultRates {
+                    transient_adc: 1e-6,
+                    ..FaultRates::none()
+                },
+                FaultPolicy::Retry {
+                    max: 1,
+                    backoff_cycles: 8,
+                },
+            ),
+        ),
+        (
+            "remap_stuck",
+            faulty(FaultRates::cells(4e-6), FaultPolicy::Remap),
+        ),
+        (
+            "silent_offset_deadcol_endurance",
+            faulty(
+                FaultRates {
+                    adc_offset: 0.05,
+                    dead_col: 2e-3,
+                    endurance_limit: Some(6),
+                    ..FaultRates::none()
+                },
+                FaultPolicy::Silent,
+            ),
+        ),
+        ("adc4_clipping", narrow),
+    ]
+}
+
+fn digest_lines() -> String {
+    let mut out = String::new();
+    for workload in imp_workloads::all_workloads() {
+        let inputs = workload.inputs(INSTANCES, 1);
+        for policy in [OptPolicy::MaxDlp, OptPolicy::MaxIlp] {
+            let kernel = workload.compile(INSTANCES, policy).expect("compiles");
+            for (name, config) in configs() {
+                let result = match Machine::new(config).run(&kernel, &inputs) {
+                    Ok(report) => format!("ok {:016x}", digest(&report)),
+                    Err(err) => {
+                        let mut h = Fnv::new();
+                        h.bytes(err.to_string().as_bytes());
+                        format!("err {:016x}", h.0)
+                    }
+                };
+                let _ = writeln!(out, "{} {policy:?} {name} {result}", workload.name);
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn run_reports_match_digest_golden() {
+    let lines = digest_lines();
+    if std::env::var_os("RUN_DIGEST_GOLDEN_UPDATE").is_some() {
+        std::fs::write(GOLDEN_PATH, &lines).expect("write golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(GOLDEN_PATH)
+        .expect("golden file missing — regenerate with RUN_DIGEST_GOLDEN_UPDATE=1");
+    for (got, want) in lines.lines().zip(golden.lines()) {
+        assert_eq!(got, want, "RunReport digest drifted");
+    }
+    assert_eq!(
+        lines.lines().count(),
+        golden.lines().count(),
+        "digest matrix size changed"
+    );
+    assert!(
+        golden.lines().any(|line| line.contains(" err ")),
+        "the matrix must cover at least one failing run"
+    );
+}

@@ -8,7 +8,7 @@ use crate::fault::FaultMap;
 use crate::lut::Lut;
 use crate::regfile::RegisterFile;
 use crate::RramError;
-use imp_isa::{Addr, Instruction, Latency, RowMask, ARRAY_COLS, ARRAY_ROWS, LANES};
+use imp_isa::{Addr, Instruction, Latency, RowMask, LANES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -416,19 +416,25 @@ impl ReramArray {
                 return Ok(out);
             }
         }
-        let plus_rows: Vec<usize> = plus.rows().collect();
-        let minus_rows: Vec<usize> = minus.rows().collect();
+        let plus_rows = self.sense_rows(plus);
+        let minus_rows = self.sense_rows(minus);
         self.in_situ_add_ordered(&plus_rows, &minus_rows, trace)
     }
 
-    /// The general path of [`ReramArray::in_situ_add`]: senses every
-    /// digit through the fault model and converts the 128 bit-line
-    /// partials in column order, so the first out-of-range partial is the
-    /// one a strict ADC reports.
+    /// The words of the rows in `mask` as the bit-lines sense them (faults
+    /// applied), for the ordered general loops.
+    fn sense_rows(&self, mask: RowMask) -> Vec<[i32; LANES]> {
+        mask.rows().map(|row| self.crossbar.read_row(row)).collect()
+    }
+
+    /// The general path of [`ReramArray::in_situ_add`]: takes every
+    /// digit as the faulty bit-lines sense it and converts the 128
+    /// bit-line partials in column order, so the first out-of-range
+    /// partial is the one a strict ADC reports.
     fn in_situ_add_ordered(
         &mut self,
-        plus_rows: &[usize],
-        minus_rows: &[usize],
+        plus_rows: &[[i32; LANES]],
+        minus_rows: &[[i32; LANES]],
         trace: &mut OpTrace,
     ) -> Result<[i32; LANES], RramError> {
         trace.crossbar_active = true;
@@ -437,13 +443,12 @@ impl ReramArray {
         for (lane, out_word) in out.iter_mut().enumerate() {
             let mut partials = [0i64; DIGITS_PER_WORD];
             for (digit_pos, partial) in partials.iter_mut().enumerate() {
-                let col = lane * DIGITS_PER_WORD + digit_pos;
                 let mut sum: i64 = 0;
-                for &row in plus_rows {
-                    sum += i64::from(self.crossbar.digit(row, col));
+                for words in plus_rows {
+                    sum += i64::from(digits::digit(words[lane], digit_pos));
                 }
-                for &row in minus_rows {
-                    sum -= i64::from(self.crossbar.digit(row, col));
+                for words in minus_rows {
+                    sum -= i64::from(digits::digit(words[lane], digit_pos));
                 }
                 sum += self.adc_noise();
                 let fault = self.adc_fault_err();
@@ -462,12 +467,15 @@ impl ReramArray {
         Ok(out)
     }
 
-    /// Fault-free fast path of [`ReramArray::in_situ_add`]: one pass of
-    /// `i16` column sums over the programmed rows (at most 128 · 3 in
-    /// magnitude), then one max-abs. When every partial fits the ADC, no
-    /// conversion clips or fails, so the shift-and-add recombination of
-    /// the column sums is the result. Returns `None`, touching nothing,
-    /// when some partial is out of range; the caller then re-runs the
+    /// Fault-free fast path of [`ReramArray::in_situ_add`]. By §2.3 the
+    /// shift-and-add recombination of the column sums is the wrapping sum
+    /// of the plus words minus the minus words, so that is the value. The
+    /// exact column sums are still needed for the over-range test and
+    /// `adc_bits_used`; they accumulate from the stored words as packed
+    /// [`ColumnSums`](digits::ColumnSums), one per sign. When every
+    /// partial fits the ADC, no conversion clips or fails. Returns `None`,
+    /// touching nothing, when some partial is out of range or a sign has
+    /// more rows than a packed sum holds; the caller then re-runs the
     /// ordered loop, which reports the same first error or clips the same
     /// way as always.
     fn in_situ_add_fast(
@@ -476,27 +484,37 @@ impl ReramArray {
         minus: RowMask,
         trace: &mut OpTrace,
     ) -> Option<[i32; LANES]> {
-        let mut sums = [0i16; ARRAY_COLS];
+        let max_rows = digits::ColumnSums::MAX_WEIGHT as usize;
+        if plus.count() > max_rows || minus.count() > max_rows {
+            return None;
+        }
+        let mut out = [0i32; LANES];
+        let mut plus_sums = digits::ColumnSums::new();
         for row in plus.rows() {
-            for (sum, &cell) in sums.iter_mut().zip(self.crossbar.programmed_row(row)) {
-                *sum += i16::from(cell);
+            let words = self.crossbar.programmed_words(row);
+            for (acc, &word) in out.iter_mut().zip(words) {
+                *acc = acc.wrapping_add(word);
             }
+            plus_sums.add(words, 1);
         }
+        let mut minus_sums = digits::ColumnSums::new();
         for row in minus.rows() {
-            for (sum, &cell) in sums.iter_mut().zip(self.crossbar.programmed_row(row)) {
-                *sum -= i16::from(cell);
+            let words = self.crossbar.programmed_words(row);
+            for (acc, &word) in out.iter_mut().zip(words) {
+                *acc = acc.wrapping_sub(word);
             }
+            minus_sums.add(words, 1);
         }
-        let max_abs = i64::from(sums.iter().fold(0u16, |m, s| m.max(s.unsigned_abs())));
+        let (plus_cols, minus_cols) = (plus_sums.columns(), minus_sums.columns());
+        let max_abs = plus_cols
+            .as_flattened()
+            .iter()
+            .zip(minus_cols.as_flattened())
+            .fold(0, |m, (&p, &n)| m.max(p.abs_diff(n)));
+        let max_abs = i64::from(max_abs);
         if max_abs > self.spec.adc_max() {
             return None;
         }
-        let out = std::array::from_fn(|lane| {
-            let base = lane * DIGITS_PER_WORD;
-            let partials: [i64; DIGITS_PER_WORD] =
-                std::array::from_fn(|digit_pos| i64::from(sums[base + digit_pos]));
-            digits::combine_partial_sums(&partials)
-        });
         trace.crossbar_active = true;
         trace.adc_conversions += (LANES * DIGITS_PER_WORD) as u32;
         trace.adc_bits_used = AnalogSpec::required_adc_bits(max_abs.max(1));
@@ -533,22 +551,26 @@ impl ReramArray {
                 return Ok(out);
             }
         }
-        let rows: Vec<usize> = rows.rows().collect();
-        let regs: Vec<usize> = regs.rows().collect();
-        self.in_situ_dot_ordered(&rows, &regs, trace)
+        let rows = self.sense_rows(rows);
+        let scalars: Vec<i32> = regs
+            .rows()
+            .map(|reg| self.regfile.read_lane(reg, 0))
+            .collect();
+        self.in_situ_dot_ordered(&rows, &scalars, trace)
     }
 
     /// The general path of [`ReramArray::in_situ_dot`]: every (bit-line,
     /// chunk) conversion in order, with noise and fault hooks, so the
-    /// first out-of-range partial is the one a strict ADC reports.
+    /// first out-of-range partial is the one a strict ADC reports. `rows`
+    /// are the sensed row words and `scalars` the streamed multiplicands,
+    /// paired in order.
     fn in_situ_dot_ordered(
         &mut self,
-        rows: &[usize],
-        regs: &[usize],
+        rows: &[[i32; LANES]],
+        scalars: &[i32],
         trace: &mut OpTrace,
     ) -> Result<[i32; LANES], RramError> {
         trace.crossbar_active = true;
-        let pairs = rows.len().min(regs.len());
         let mut max_partial: i64 = 0;
         let mut out = [0i32; LANES];
         for (lane, out_word) in out.iter_mut().enumerate() {
@@ -557,13 +579,11 @@ impl ReramArray {
             // weight 4^(digit+chunk) into the accumulated product.
             let mut noise_acc: i64 = 0;
             for digit_pos in 0..DIGITS_PER_WORD {
-                let col = lane * DIGITS_PER_WORD + digit_pos;
                 for chunk in 0..DIGITS_PER_WORD {
                     let mut base: i64 = 0;
-                    for pair in 0..pairs {
-                        let cell = i64::from(self.crossbar.digit(rows[pair], col));
-                        let m = self.regfile.read_lane(regs[pair], 0);
-                        let m_chunk = i64::from((m as u32 >> (2 * chunk)) & 0b11);
+                    for (words, &m) in rows.iter().zip(scalars) {
+                        let cell = i64::from(digits::digit(words[lane], digit_pos));
+                        let m_chunk = i64::from(digits::digit(m, chunk));
                         base += cell * m_chunk;
                     }
                     let mut err = self.adc_noise();
@@ -587,10 +607,8 @@ impl ReramArray {
             // 32-bit window (see DESIGN.md on Baugh–Wooley correction in
             // the S+A unit).
             let mut acc: i64 = noise_acc;
-            for pair in 0..pairs {
-                let a = i64::from(self.crossbar.read_word(rows[pair], lane));
-                let m = i64::from(self.regfile.read_lane(regs[pair], 0));
-                acc = acc.wrapping_add(a.wrapping_mul(m));
+            for (words, &m) in rows.iter().zip(scalars) {
+                acc = acc.wrapping_add(i64::from(words[lane]).wrapping_mul(i64::from(m)));
             }
             *out_word = (acc >> self.spec.frac_bits) as i32;
         }
@@ -603,61 +621,71 @@ impl ReramArray {
     /// drives every selected row's word-line with the same DAC vector
     /// `(chunk_c(m₀), chunk_c(m₁), …)`, so the largest partial is the
     /// maximum, over the distinct non-zero vectors, of the column-wise
-    /// weighted sum over all 128 bit-lines (`u16` accumulators: at most
-    /// 128 · 3 · 3). Sign-extended high chunks repeat, so few vectors are
-    /// distinct, and since cells are non-negative a vector that another
-    /// bounds field by field cannot hold the maximum and is skipped. When
-    /// the maximum fits the ADC, no conversion can fail and the value is
-    /// the wide MAC. Returns `None`, touching nothing, when some partial
-    /// is out of range; the caller then re-runs the ordered loop, which
-    /// reports the same first error.
+    /// weighted sum over all 128 bit-lines, accumulated from the stored
+    /// words as packed [`ColumnSums`](digits::ColumnSums) that skip the
+    /// rows a vector does not drive. Sign-extended high chunks repeat, so
+    /// few vectors are distinct, and since cells are non-negative a vector
+    /// that another bounds field by field cannot hold the maximum and is
+    /// skipped. When the maximum fits the ADC, no conversion can fail and
+    /// the value is the wide MAC. Returns `None`, touching nothing, when
+    /// some partial is out of range or a vector's total weight exceeds
+    /// what a packed sum holds; the caller then re-runs the ordered loop,
+    /// which reports the same first error.
     fn in_situ_dot_fast(
         &self,
         rows: RowMask,
         regs: RowMask,
         trace: &mut OpTrace,
     ) -> Option<[i32; LANES]> {
-        type DacVector = [u64; ARRAY_ROWS / 32];
+        let n_pairs = rows.count().min(regs.count());
+        // A pair adds at most 3 to a column's weight, so a packed sum holds
+        // `MAX_WEIGHT / 3` pairs — and their DAC vectors fit a `u64`.
+        if 3 * n_pairs > digits::ColumnSums::MAX_WEIGHT as usize {
+            return None;
+        }
         let pairs = || rows.rows().zip(regs.rows());
         let scalar = |reg: usize| self.regfile.read_lane(reg, 0);
         // Chunk c's DAC vector packs chunk c of every pair's scalar, 2 bits
         // per pair.
-        let mut vectors = [DacVector::default(); DIGITS_PER_WORD];
-        let mut n_pairs = 0;
+        let mut vectors = [0u64; DIGITS_PER_WORD];
         for (pair, (_, reg)) in pairs().enumerate() {
             let m = scalar(reg) as u32;
             for (chunk, vector) in vectors.iter_mut().enumerate() {
-                vector[pair / 32] |= u64::from((m >> (2 * chunk)) & 0b11) << (2 * (pair % 32));
+                *vector |= u64::from((m >> (2 * chunk)) & 0b11) << (2 * pair);
             }
-            n_pairs += 1;
         }
-        let dac = |vector: &DacVector, pair: usize| (vector[pair / 32] >> (2 * (pair % 32))) & 0b11;
-        let mut distinct = [DacVector::default(); DIGITS_PER_WORD];
+        let dac = |vector: u64, pair: usize| (vector >> (2 * pair)) & 0b11;
+        let mut distinct = [0u64; DIGITS_PER_WORD];
         let mut n_distinct = 0;
-        for vector in &vectors {
-            if vector.iter().any(|&v| v != 0) && !distinct[..n_distinct].contains(vector) {
-                distinct[n_distinct] = *vector;
+        for &vector in &vectors {
+            if vector != 0 && !distinct[..n_distinct].contains(&vector) {
+                distinct[n_distinct] = vector;
                 n_distinct += 1;
             }
         }
         let distinct = &distinct[..n_distinct];
         let limit = self.spec.adc_max();
         let mut max_partial: i64 = 0;
-        for (i, vector) in distinct.iter().enumerate() {
-            let dominated = distinct.iter().enumerate().any(|(j, other)| {
+        for (i, &vector) in distinct.iter().enumerate() {
+            let dominated = distinct.iter().enumerate().any(|(j, &other)| {
                 j != i && (0..n_pairs).all(|pair| dac(vector, pair) <= dac(other, pair))
             });
             if dominated {
                 continue;
             }
-            let mut sums = [0u16; ARRAY_COLS];
+            let mut sums = digits::ColumnSums::new();
             for (pair, (row, _)) in pairs().enumerate() {
-                let weight = dac(vector, pair) as u16;
-                for (sum, &cell) in sums.iter_mut().zip(self.crossbar.programmed_row(row)) {
-                    *sum += u16::from(cell) * weight;
+                let weight = dac(vector, pair) as u32;
+                if weight != 0 {
+                    sums.add(self.crossbar.programmed_words(row), weight);
                 }
             }
-            max_partial = max_partial.max(i64::from(sums.iter().fold(0, |m, &s| m.max(s))));
+            let vector_max = sums
+                .columns()
+                .as_flattened()
+                .iter()
+                .fold(0, |m, &s| m.max(s));
+            max_partial = max_partial.max(i64::from(vector_max));
             if max_partial > limit {
                 return None;
             }
@@ -665,7 +693,7 @@ impl ReramArray {
         let mut acc = [0i64; LANES];
         for (row, reg) in pairs() {
             let m = i64::from(scalar(reg));
-            for (acc, word) in acc.iter_mut().zip(self.crossbar.read_row(row)) {
+            for (acc, &word) in acc.iter_mut().zip(self.crossbar.programmed_words(row)) {
                 *acc = acc.wrapping_add(i64::from(word).wrapping_mul(m));
             }
         }
@@ -1452,6 +1480,36 @@ mod tests {
         }
 
         #[test]
+        fn fast_path_wide_add_equivalent(
+            values in prop::collection::vec(any::<i32>(), 60..110),
+            threes in any::<i32>(),
+            minus in 0usize..100,
+        ) {
+            // Up to 85 rows per sign the packed column sums hold the
+            // all-threes worst case (255); past that the fast path declines.
+            // `threes` forces digit 3 into the same columns of every row so
+            // those sums reach the limit. A 9-bit ADC (limit 511) holds
+            // every sum here.
+            let spec = AnalogSpec { adc_bits: 9, ..AnalogSpec::integer() };
+            let n = values.len();
+            let split = minus.min(n);
+            let vals: Vec<i32> = values.iter().map(|&v| v | threes).collect();
+            assert_fast_slow_equivalent(
+                &move |a| {
+                    for (row, &v) in vals.iter().enumerate() {
+                        a.write_row_broadcast(row, v);
+                    }
+                },
+                &Instruction::Sub {
+                    minuend: (split..n).collect(),
+                    subtrahend: (0..split).collect(),
+                    dst: Addr::mem(120),
+                },
+                spec,
+            );
+        }
+
+        #[test]
         fn fast_path_sub_equivalent(x in any::<i32>(), y in any::<i32>()) {
             assert_fast_slow_equivalent(
                 &move |a| {
@@ -1588,13 +1646,14 @@ mod tests {
 
         #[test]
         fn fast_path_wide_dot_equivalent(
-            rows in prop::collection::vec(any::<i32>(), 33..48),
+            rows in prop::collection::vec(any::<i32>(), 20..48),
             weights in prop::collection::vec(any::<i32>(), 48),
             adc_bits in 8u8..10,
         ) {
-            // Over 32 pairs the DAC vectors span two packed words; a 9-bit
-            // ADC (limit 511) holds the 48 · 9 worst case, an 8-bit one
-            // does not.
+            // Up to 28 pairs the packed column sums hold the full-weight
+            // worst case (28 · 9 = 252); past that the fast path declines.
+            // A 9-bit ADC (limit 511) holds the 48 · 9 worst case, an 8-bit
+            // one does not.
             let spec = AnalogSpec { adc_bits, ..AnalogSpec::prototype() };
             let k = rows.len();
             let (r, w) = (rows.clone(), weights.clone());

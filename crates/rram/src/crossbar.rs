@@ -1,4 +1,12 @@
-//! The 128×128 crossbar of 2-bit resistive cells.
+//! The 128×128 crossbar of 2-bit resistive cells, stored as the words it
+//! holds.
+//!
+//! §2.3's 4's-complement digits *are* the base-4 rendering of the
+//! two's-complement bit pattern, so a row of eight 32-bit words already is
+//! its 128 cell levels: cell `(row, col)` is bits `2·(col % 16)` and
+//! `2·(col % 16) + 1` of word `col / 16`. The crossbar stores only the
+//! programmed words and derives a cell's digit where the analog model
+//! senses it.
 
 use crate::digits::{self, DIGITS_PER_WORD};
 use crate::fault::FaultMap;
@@ -13,16 +21,16 @@ use imp_isa::{ARRAY_COLS, ARRAY_ROWS, LANES};
 /// The crossbar tracks per-row write counts for the §7.5 lifetime study.
 ///
 /// A [`FaultMap`] may be installed to model broken cells and lines: writes
-/// then record the *intended* digits (a stuck cell physically ignores
+/// then record the *intended* words (a stuck cell physically ignores
 /// programming pulses), reads return what the faulty bit-lines actually
-/// sense, and [`Crossbar::integrity_scan`] performs the spare-checksum-row
-/// residue check described in [`crate::fault`]. Without a fault map every
-/// path is byte-for-byte the pre-fault behaviour.
+/// sense, digit by digit, and [`Crossbar::integrity_scan`] performs the
+/// spare-checksum-row residue check described in [`crate::fault`]. Without
+/// a fault map a read returns the stored words.
 #[derive(Debug, Clone)]
 pub struct Crossbar {
-    /// `cells[row][col]` is the *programmed* 2-bit digit (0..4). With a
-    /// fault map installed this is the intent; reads apply the faults.
-    cells: Vec<[u8; ARRAY_COLS]>,
+    /// `words[row][lane]` is the *programmed* word. With a fault map
+    /// installed this is the intent; reads apply the faults.
+    words: Vec<[i32; LANES]>,
     /// Writes performed to each row since construction.
     writes: Vec<u64>,
     /// Installed fault population, if any (boxed: the clean path pays one
@@ -34,7 +42,7 @@ impl Crossbar {
     /// Creates a zeroed crossbar.
     pub fn new() -> Self {
         Crossbar {
-            cells: vec![[0; ARRAY_COLS]; ARRAY_ROWS],
+            words: vec![[0; LANES]; ARRAY_ROWS],
             writes: vec![0; ARRAY_ROWS],
             faults: None,
         }
@@ -65,18 +73,18 @@ impl Crossbar {
     pub fn reset_dirty(&mut self) {
         for (row, writes) in self.writes.iter_mut().enumerate() {
             if *writes > 0 {
-                self.cells[row] = [0; ARRAY_COLS];
+                self.words[row] = [0; LANES];
                 *writes = 0;
             }
         }
         self.faults = None;
     }
 
-    /// Direct view of the *programmed* digits of `row`, bypassing fault
-    /// sensing. Only equivalent to per-cell [`Crossbar::digit`] reads when
-    /// no fault map is installed — the fault-free fast path's precondition.
-    pub fn programmed_row(&self, row: usize) -> &[u8; ARRAY_COLS] {
-        &self.cells[row]
+    /// Direct view of the *programmed* words of `row`, bypassing fault
+    /// sensing. Only equivalent to [`Crossbar::read_row`] when no fault
+    /// map is installed — the fault-free fast path's precondition.
+    pub fn programmed_words(&self, row: usize) -> &[i32; LANES] {
+        &self.words[row]
     }
 
     /// Reads the 2-bit digit at (`row`, `col`) as the bit-line senses it
@@ -85,29 +93,35 @@ impl Crossbar {
     /// # Panics
     /// Panics if `row` or `col` is out of range.
     pub fn digit(&self, row: usize, col: usize) -> u8 {
-        let stored = self.cells[row][col];
+        let stored = digits::digit(
+            self.words[row][col / DIGITS_PER_WORD],
+            col % DIGITS_PER_WORD,
+        );
         match &self.faults {
             None => stored,
             Some(map) => map.effective_digit(row, col, stored, self.writes[row]),
         }
     }
 
-    /// Reads the word stored in `lane` of `row`.
+    /// Reads the word stored in `lane` of `row`: the programmed word when
+    /// no fault map is installed, otherwise the digits the faulty
+    /// bit-lines sense.
     ///
     /// # Panics
     /// Panics if `row >= ARRAY_ROWS` or `lane >= LANES`.
     pub fn read_word(&self, row: usize, lane: usize) -> i32 {
-        assert!(lane < LANES, "lane {lane} out of range");
+        let word = self.words[row][lane];
+        let Some(map) = self.faults.as_deref() else {
+            return word;
+        };
         let base = lane * DIGITS_PER_WORD;
-        let mut word_digits = [0u8; DIGITS_PER_WORD];
-        if self.faults.is_none() {
-            word_digits.copy_from_slice(&self.cells[row][base..base + DIGITS_PER_WORD]);
-        } else {
-            for (i, digit) in word_digits.iter_mut().enumerate() {
-                *digit = self.digit(row, base + i);
-            }
+        let mut bits: u32 = 0;
+        for digit_pos in 0..DIGITS_PER_WORD {
+            let stored = digits::digit(word, digit_pos);
+            let sensed = map.effective_digit(row, base + digit_pos, stored, self.writes[row]);
+            bits |= u32::from(sensed) << (2 * digit_pos);
         }
-        digits::digits_to_word(&word_digits)
+        bits as i32
     }
 
     /// The spare-checksum-row integrity check: per column, the residue
@@ -123,24 +137,25 @@ impl Crossbar {
         let Some(map) = self.faults.as_deref() else {
             return Vec::new();
         };
-        let mut bad = Vec::new();
-        for col in 0..ARRAY_COLS {
-            let mut intended: u32 = 0;
-            let mut sensed: u32 = 0;
-            for row in 0..ARRAY_ROWS {
-                let stored = self.cells[row][col];
-                intended += u32::from(stored);
-                sensed += u32::from(map.effective_digit(row, col, stored, self.writes[row]));
-            }
-            if intended % 4 != sensed % 4 {
-                bad.push(col);
+        let mut intended = [0u32; ARRAY_COLS];
+        let mut sensed = [0u32; ARRAY_COLS];
+        for (row, words) in self.words.iter().enumerate() {
+            for col in 0..ARRAY_COLS {
+                let stored = digits::digit(words[col / DIGITS_PER_WORD], col % DIGITS_PER_WORD);
+                intended[col] += u32::from(stored);
+                sensed[col] += u32::from(map.effective_digit(row, col, stored, self.writes[row]));
             }
         }
-        bad
+        (0..ARRAY_COLS)
+            .filter(|&col| intended[col] % 4 != sensed[col] % 4)
+            .collect()
     }
 
     /// Reads all eight lanes of `row`.
     pub fn read_row(&self, row: usize) -> [i32; LANES] {
+        if self.faults.is_none() {
+            return self.words[row];
+        }
         std::array::from_fn(|lane| self.read_word(row, lane))
     }
 
@@ -149,31 +164,23 @@ impl Crossbar {
     /// # Panics
     /// Panics if `row` or `lane` is out of range.
     pub fn write_word(&mut self, row: usize, lane: usize, word: i32) {
-        assert!(lane < LANES, "lane {lane} out of range");
-        let base = lane * DIGITS_PER_WORD;
-        let word_digits = digits::word_to_digits(word);
-        self.cells[row][base..base + DIGITS_PER_WORD].copy_from_slice(&word_digits);
+        self.words[row][lane] = word;
         self.writes[row] += 1;
     }
 
     /// Writes all eight lanes of `row` as a single row write.
     pub fn write_row(&mut self, row: usize, words: &[i32; LANES]) {
-        for (lane, &word) in words.iter().enumerate() {
-            let base = lane * DIGITS_PER_WORD;
-            let word_digits = digits::word_to_digits(word);
-            self.cells[row][base..base + DIGITS_PER_WORD].copy_from_slice(&word_digits);
-        }
+        self.words[row] = *words;
         // One write pulse programs the whole row.
         self.writes[row] += 1;
     }
 
     /// Writes selected lanes of `row` (selective move), a single row write.
     pub fn write_row_masked(&mut self, row: usize, words: &[i32; LANES], lane_mask: u8) {
+        let stored = &mut self.words[row];
         for (lane, &word) in words.iter().enumerate() {
             if (lane_mask >> lane) & 1 == 1 {
-                let base = lane * DIGITS_PER_WORD;
-                let word_digits = digits::word_to_digits(word);
-                self.cells[row][base..base + DIGITS_PER_WORD].copy_from_slice(&word_digits);
+                stored[lane] = word;
             }
         }
         self.writes[row] += 1;
@@ -361,5 +368,114 @@ mod tests {
             xb.write_row(row, &words);
             prop_assert_eq!(xb.read_row(row), words);
         }
+
+        #[test]
+        fn clean_digits_are_the_word_digits(seed in any::<u64>()) {
+            let xb = random_crossbar(seed, 40);
+            for row in 0..ARRAY_ROWS {
+                for col in 0..ARRAY_COLS {
+                    let word = xb.read_word(row, col / DIGITS_PER_WORD);
+                    prop_assert_eq!(
+                        xb.digit(row, col),
+                        digits::word_to_digits(word)[col % DIGITS_PER_WORD]
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn faulty_reads_and_scan_match_per_digit_reference(
+            seed in any::<u64>(),
+            map_seed in any::<u64>(),
+            endurance in 1u64..4,
+        ) {
+            let programmed = random_crossbar(seed, 60);
+            let mut xb = programmed.clone();
+            use crate::fault::FaultRates;
+            let map = FaultMap::generate(
+                map_seed,
+                &FaultRates {
+                    stuck_at_zero: 0.01,
+                    stuck_at_max: 0.01,
+                    dead_row: 0.02,
+                    dead_col: 0.02,
+                    endurance_limit: Some(endurance),
+                    ..FaultRates::none()
+                },
+            );
+            xb.install_faults(map.clone());
+            // Reference: sense every digit of the programmed word through
+            // the map, then recombine.
+            let sensed = |row: usize, lane: usize| -> [u8; DIGITS_PER_WORD] {
+                let stored = digits::word_to_digits(programmed.read_word(row, lane));
+                std::array::from_fn(|i| {
+                    let col = lane * DIGITS_PER_WORD + i;
+                    map.effective_digit(row, col, stored[i], xb.row_writes(row))
+                })
+            };
+            let mut intended = [0u32; ARRAY_COLS];
+            let mut read_back = [0u32; ARRAY_COLS];
+            for row in 0..ARRAY_ROWS {
+                for lane in 0..LANES {
+                    let digits_sensed = sensed(row, lane);
+                    prop_assert_eq!(
+                        xb.read_word(row, lane),
+                        digits::digits_to_word(&digits_sensed)
+                    );
+                    let stored = digits::word_to_digits(programmed.read_word(row, lane));
+                    for i in 0..DIGITS_PER_WORD {
+                        intended[lane * DIGITS_PER_WORD + i] += u32::from(stored[i]);
+                        read_back[lane * DIGITS_PER_WORD + i] += u32::from(digits_sensed[i]);
+                    }
+                }
+                prop_assert_eq!(xb.read_row(row), std::array::from_fn(|l| xb.read_word(row, l)));
+            }
+            let expect: Vec<usize> = (0..ARRAY_COLS)
+                .filter(|&col| intended[col] % 4 != read_back[col] % 4)
+                .collect();
+            prop_assert_eq!(xb.integrity_scan(), expect);
+        }
+
+        #[test]
+        fn masked_writes_and_reset_round_trip(
+            seed in any::<u64>(),
+            words in prop::array::uniform8(any::<i32>()),
+            row in 0usize..ARRAY_ROWS,
+            lane_mask in any::<u8>(),
+        ) {
+            let mut xb = random_crossbar(seed, 30);
+            let before = xb.read_row(row);
+            let writes = xb.row_writes(row);
+            xb.write_row_masked(row, &words, lane_mask);
+            let expect: [i32; LANES] = std::array::from_fn(|lane| {
+                if (lane_mask >> lane) & 1 == 1 { words[lane] } else { before[lane] }
+            });
+            prop_assert_eq!(xb.read_row(row), expect);
+            prop_assert_eq!(xb.row_writes(row), writes + 1);
+            xb.reset_dirty();
+            for r in 0..ARRAY_ROWS {
+                prop_assert_eq!(xb.read_row(r), [0; LANES]);
+                prop_assert_eq!(xb.row_writes(r), 0);
+            }
+        }
+    }
+
+    /// A crossbar with `writes` random row, word and masked writes (rows
+    /// may be written more than once, for endurance wear-out).
+    fn random_crossbar(seed: u64, writes: usize) -> Crossbar {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut xb = Crossbar::new();
+        for _ in 0..writes {
+            let row = rng.gen_range(0..ARRAY_ROWS);
+            let words: [i32; LANES] = std::array::from_fn(|_| rng.gen::<u32>() as i32);
+            match rng.gen_range(0..3) {
+                0 => xb.write_row(row, &words),
+                1 => xb.write_word(row, rng.gen_range(0..LANES), words[0]),
+                _ => xb.write_row_masked(row, &words, rng.gen::<u32>() as u8),
+            }
+        }
+        xb
     }
 }

@@ -5,13 +5,65 @@
 //! 4's-complement — which, as §2.3 of the paper observes, *is* the base-4
 //! rendering of the two's-complement bit pattern, so no format conversion is
 //! ever needed: summing digit columns with shift-and-add recombination
-//! yields correct signed results modulo 2³².
+//! yields correct signed results modulo 2³². The crossbar therefore stores
+//! words, and the analog model derives digits from them where it senses
+//! cells, including whole-row column sums for the fast paths.
+
+use imp_isa::LANES;
 
 /// Number of base-4 digits in a 32-bit word.
 pub const DIGITS_PER_WORD: usize = 16;
 
 /// Radix of a digit (2-bit cells → 4 resistance levels).
 pub const RADIX: u32 = 4;
+
+/// Base-4 digit `digit_pos` (0 = least significant) of `word`, as its
+/// two's-complement bit pattern: bits `2·digit_pos` and `2·digit_pos + 1`.
+pub(crate) fn digit(word: i32, digit_pos: usize) -> u8 {
+    ((word as u32 >> (2 * digit_pos)) & 0b11) as u8
+}
+
+/// The 128 bit-line partial sums of a weighted set of rows, computed from
+/// the stored words four columns per word operation: byte `j` of
+/// `fields[k * LANES + lane]` sums digit `4j + k` of that lane's words,
+/// each times its row weight. Adding a row masks every fourth digit in
+/// place rather than extracting sixteen digits one by one. Exact while
+/// every byte stays within 255, i.e. for a total row weight of at most
+/// [`ColumnSums::MAX_WEIGHT`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ColumnSums {
+    fields: [u32; 4 * LANES],
+}
+
+impl ColumnSums {
+    /// The largest total row weight whose column sums fit a byte: 255
+    /// over the largest digit, 3.
+    pub(crate) const MAX_WEIGHT: u32 = 85;
+
+    /// No rows: every column sum is zero.
+    pub(crate) fn new() -> Self {
+        ColumnSums {
+            fields: [0; 4 * LANES],
+        }
+    }
+
+    /// Adds `weight` × the digits of `words` to their columns.
+    #[inline]
+    pub(crate) fn add(&mut self, words: &[i32; LANES], weight: u32) {
+        for (k, fields) in self.fields.chunks_exact_mut(LANES).enumerate() {
+            for (field, &word) in fields.iter_mut().zip(words) {
+                *field += ((word as u32 >> (2 * k)) & 0x0303_0303) * weight;
+            }
+        }
+    }
+
+    /// The 128 column sums, four per field, in an order that is the same
+    /// for every `ColumnSums` but is not bit-line order.
+    #[inline]
+    pub(crate) fn columns(&self) -> [[u8; 4]; 4 * LANES] {
+        self.fields.map(u32::to_le_bytes)
+    }
+}
 
 /// Splits a word (as its two's-complement bit pattern) into base-4 digits,
 /// least significant first. Every digit is in `0..4`.
@@ -67,18 +119,6 @@ pub fn combine_partial_sums(partials: &[i64]) -> i32 {
     (acc as u32) as i32
 }
 
-/// Recombines partial sums with full 64-bit precision and applies an
-/// arithmetic right shift — the datapath for `mul`/`dot`, where the S+A
-/// output register holds the wide product before the aligned 32-bit window
-/// is written back.
-pub fn combine_partial_sums_shifted(partials: &[i64], shift_right: u8) -> i32 {
-    let mut acc: i64 = 0;
-    for (i, &partial) in partials.iter().enumerate() {
-        acc = acc.wrapping_add(partial.wrapping_shl((2 * i) as u32));
-    }
-    (acc >> shift_right) as i32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,15 +157,40 @@ mod tests {
     }
 
     #[test]
-    fn shifted_combine_is_wide() {
-        // 3 << 30 squared needs > 32 bits; the wide path keeps them.
-        let a: i64 = 123_456;
-        let partials = [a; 1];
-        assert_eq!(combine_partial_sums_shifted(&partials, 0), 123_456);
-        assert_eq!(combine_partial_sums_shifted(&partials, 3), 123_456 >> 3);
+    fn column_sums_hold_max_weight_of_threes() {
+        let mut sums = ColumnSums::new();
+        for _ in 0..ColumnSums::MAX_WEIGHT {
+            sums.add(&[-1; LANES], 1);
+        }
+        assert!(sums.columns().as_flattened().iter().all(|&c| c == 255));
     }
 
     proptest! {
+        #[test]
+        fn column_sums_match_digit_columns(
+            rows in prop::collection::vec((prop::array::uniform8(any::<i32>()), 0u32..4), 0..28),
+        ) {
+            let mut sums = ColumnSums::new();
+            let mut reference = [[0u32; DIGITS_PER_WORD]; LANES];
+            for (words, weight) in &rows {
+                sums.add(words, *weight);
+                for (lane, &word) in words.iter().enumerate() {
+                    for (digit_pos, d) in word_to_digits(word).into_iter().enumerate() {
+                        reference[lane][digit_pos] += u32::from(d) * weight;
+                    }
+                }
+            }
+            let columns = sums.columns();
+            for k in 0..4 {
+                for lane in 0..LANES {
+                    for j in 0..4 {
+                        let got = u32::from(columns[k * LANES + lane][j]);
+                        prop_assert_eq!(got, reference[lane][4 * j + k]);
+                    }
+                }
+            }
+        }
+
         #[test]
         fn roundtrip(word in any::<i32>()) {
             prop_assert_eq!(digits_to_word(&word_to_digits(word)), word);

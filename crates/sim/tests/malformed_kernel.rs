@@ -1,13 +1,13 @@
-//! Hand-built kernels whose instructions name an IB, row or reduction
-//! slot the kernel does not have are typed errors from `Machine::run`,
-//! never panics. Each mutation mirrors one the static verifier's `ISA02`
-//! rule rejects; `Machine::run` does not verify, so it must refuse them
-//! on its own.
+//! Hand-built kernels whose instructions, input rows, register preloads,
+//! outputs or schedule name an IB, row, register or reduction slot the
+//! kernel does not have are typed errors from `Machine::run`, never
+//! panics. `Machine::run` does not run the static verifier, so it must
+//! refuse them on its own.
 
-use imp_compiler::module::vaddr;
+use imp_compiler::module::{vaddr, OutputLoc, RegBinding};
 use imp_compiler::{CompileOptions, CompiledKernel, OptPolicy};
 use imp_dfg::{GraphBuilder, Shape, Tensor};
-use imp_isa::{GlobalAddr, Instruction, InstructionBlock};
+use imp_isa::{Addr, GlobalAddr, Instruction, InstructionBlock};
 use imp_sim::{Machine, SimConfig, SimError};
 use std::collections::HashMap;
 
@@ -112,4 +112,96 @@ fn reduce_to_a_missing_slot_is_a_typed_error() {
     });
     let err = run(&kernel, &inputs).unwrap_err();
     assert!(matches!(err, SimError::MalformedKernel(_)), "{err}");
+}
+
+/// Asserts `run` refuses `kernel` as malformed, naming `what`.
+fn assert_malformed(kernel: &CompiledKernel, inputs: &HashMap<String, Tensor>, what: &str) {
+    match run(kernel, inputs) {
+        Err(SimError::MalformedKernel(msg)) => assert!(msg.contains(what), "{msg}"),
+        other => panic!("expected a malformed-kernel error, got {other:?}"),
+    }
+}
+
+#[test]
+fn local_operand_row_past_the_array_is_a_typed_error() {
+    let (mut kernel, inputs) = workload("kmeans");
+    mutate_first(&mut kernel, |inst| match inst {
+        Instruction::Mov { dst, .. } => Some(Instruction::Mov {
+            src: Addr::Mem(200),
+            dst,
+        }),
+        _ => None,
+    });
+    assert_malformed(&kernel, &inputs, "operand m200");
+}
+
+#[test]
+fn local_operand_register_past_the_file_is_a_typed_error() {
+    let (mut kernel, inputs) = workload("kmeans");
+    mutate_first(&mut kernel, |inst| match inst {
+        Instruction::Mov { dst, .. } => Some(Instruction::Mov {
+            src: Addr::Reg(200),
+            dst,
+        }),
+        _ => None,
+    });
+    assert_malformed(&kernel, &inputs, "operand r200");
+}
+
+#[test]
+fn input_row_past_the_array_is_a_typed_error() {
+    let (mut kernel, inputs) = workload("kmeans");
+    let ib = kernel
+        .ibs
+        .iter_mut()
+        .find(|ib| !ib.input_rows.is_empty())
+        .expect("kmeans loads inputs");
+    ib.input_rows[0].0 = 200;
+    assert_malformed(&kernel, &inputs, "input row m200");
+}
+
+#[test]
+fn register_preload_past_the_file_is_a_typed_error() {
+    let (mut kernel, inputs) = workload("kmeans");
+    kernel.ibs[0].reg_preloads.push((200, RegBinding::Const(0)));
+    assert_malformed(&kernel, &inputs, "register preload r200");
+}
+
+#[test]
+fn output_row_past_the_array_is_a_typed_error() {
+    let (mut kernel, inputs) = workload("kmeans");
+    let loc = kernel
+        .outputs
+        .iter_mut()
+        .flat_map(|o| o.locs.iter_mut())
+        .find(|loc| matches!(loc, OutputLoc::Row { .. }))
+        .expect("kmeans has per-instance outputs");
+    let OutputLoc::Row { row, .. } = loc else {
+        unreachable!()
+    };
+    *row = 200;
+    assert_malformed(&kernel, &inputs, "names no IB row");
+}
+
+#[test]
+fn output_from_a_missing_ib_is_a_typed_error() {
+    let (mut kernel, inputs) = workload("kmeans");
+    let bad_ib = kernel.ibs.len() + 3;
+    let loc = kernel
+        .outputs
+        .iter_mut()
+        .flat_map(|o| o.locs.iter_mut())
+        .find(|loc| matches!(loc, OutputLoc::Row { .. }))
+        .expect("kmeans has per-instance outputs");
+    *loc = OutputLoc::Row { ib: bad_ib, row: 0 };
+    assert_malformed(&kernel, &inputs, "names no IB row");
+}
+
+#[test]
+fn schedule_entry_past_its_block_is_a_typed_error() {
+    let (mut kernel, inputs) = workload("kmeans");
+    let len = kernel.ibs[0].block.instructions().len();
+    kernel.schedule.entries[0].ib = 0;
+    kernel.schedule.entries[0].index = len + 5;
+    assert_malformed(&kernel, &inputs, "scheduled instruction does not exist");
 }

@@ -18,6 +18,9 @@ pub enum CompileError {
     /// The declared range is invalid for the operation (e.g. a divisor
     /// interval containing zero).
     BadRange(String),
+    /// A constant node holds a NaN or infinite value, which no fixed-point
+    /// word can represent.
+    NonFiniteConstant(imp_dfg::NodeId),
     /// The module needs more array rows than a 128-row array provides,
     /// even after liveness-based reuse.
     OutOfRows {
@@ -57,6 +60,9 @@ impl fmt::Display for CompileError {
                 write!(f, "lowering requires a declared value range for `{name}`")
             }
             CompileError::BadRange(msg) => write!(f, "invalid value range: {msg}"),
+            CompileError::NonFiniteConstant(node) => {
+                write!(f, "constant {node} holds a non-finite value")
+            }
             CompileError::OutOfRows { ib, needed } => {
                 write!(
                     f,

@@ -137,14 +137,32 @@ impl Default for CompileOptions {
     }
 }
 
+/// Rejects declared ranges with a non-finite or inverted bound (the
+/// interval fields are public, so [`imp_dfg::range::Interval::new`]'s
+/// checks can be bypassed). Every later range is derived from these.
+fn check_ranges(ranges: &ValueRanges) -> Result<(), CompileError> {
+    let bad = ranges
+        .iter()
+        .filter(|(_, r)| !(r.lo.is_finite() && r.hi.is_finite() && r.lo <= r.hi))
+        .min_by_key(|&(name, _)| name);
+    match bad {
+        Some((name, r)) => Err(CompileError::BadRange(format!(
+            "declared range of `{name}` is [{}, {}]; bounds must be finite and ordered",
+            r.lo, r.hi
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Compiles a data-flow graph into an executable in-memory kernel.
 ///
 /// # Errors
 /// Returns a [`CompileError`] when the graph uses unsupported forms
 /// (irregular gathers, oversized modules, reductions feeding further
-/// compute), when required value ranges are missing, or when the module
-/// exceeds array resources.
+/// compute), when required value ranges are missing or non-finite, when a
+/// constant is non-finite, or when the module exceeds array resources.
 pub fn compile(graph: &Graph, options: &CompileOptions) -> Result<CompiledKernel, CompileError> {
+    check_ranges(&options.ranges)?;
     let tel = options.telemetry.as_ref();
     let _compile_span = tel.map(|t| t.span("compile.total"));
 

@@ -97,7 +97,7 @@ impl LutAllocator {
     /// # Errors
     /// Returns [`CompileError::Unsupported`] when the 512-entry LUT is
     /// exhausted, and [`CompileError::BadRange`] for an empty or
-    /// non-finite range.
+    /// non-finite range, or one too wide to index with 32-bit shifts.
     pub fn allocate(
         &mut self,
         func: TableFn,
@@ -105,12 +105,23 @@ impl LutAllocator {
         frac_bits: u8,
         entries: usize,
     ) -> Result<SeedTable, CompileError> {
-        if !range.lo.is_finite() || !range.hi.is_finite() || range.hi < range.lo {
+        let scale = (1i64 << frac_bits) as f64;
+        let lo_raw = (range.lo * scale).floor() as i64;
+        let span = ((range.hi * scale).ceil() as i64)
+            .checked_add(1)
+            .and_then(|hi_raw| hi_raw.checked_sub(lo_raw))
+            .filter(|_| range.lo.is_finite() && range.hi.is_finite() && range.lo <= range.hi)
+            .map(|span| span.max(1) as u64);
+        // Smallest shift so the span maps into the bucket count; lanes
+        // shift 32-bit words, so a range needing 32 or more has no table.
+        let index_shift =
+            span.and_then(|span| (0u8..32).find(|&shift| span >> shift <= entries as u64));
+        let Some(index_shift) = index_shift else {
             return Err(CompileError::BadRange(format!(
                 "seed table range [{}, {}] is not usable",
                 range.lo, range.hi
             )));
-        }
+        };
         // Reuse an identical existing table.
         if let Some(existing) = self
             .tables
@@ -124,15 +135,6 @@ impl LutAllocator {
                 "instruction block needs more than {LUT_CAPACITY} LUT entries of seed \
                  tables; split the kernel or raise the IB count"
             )));
-        }
-        let scale = (1i64 << frac_bits) as f64;
-        let lo_raw = (range.lo * scale).floor() as i64;
-        let hi_raw = (range.hi * scale).ceil() as i64 + 1;
-        let span = (hi_raw - lo_raw).max(1) as u64;
-        // Smallest shift so the span maps into the bucket count.
-        let mut index_shift = 0u8;
-        while (span >> index_shift) > entries as u64 {
-            index_shift += 1;
         }
         let table = SeedTable {
             base: self.next_base,
@@ -203,9 +205,17 @@ pub fn rsqrt_scale(range: Interval) -> i32 {
 }
 
 /// Output scale for an exp table.
-pub fn exp_scale(range: Interval) -> i32 {
+///
+/// # Errors
+/// [`CompileError::BadRange`] when `e^hi` overflows `f64`.
+pub fn exp_scale(range: Interval) -> Result<i32, CompileError> {
     let max_value = range.hi.exp();
-    (255.0 / max_value).log2().floor() as i32
+    if !max_value.is_finite() {
+        return Err(CompileError::BadRange(format!(
+            "exp over {range} overflows"
+        )));
+    }
+    Ok((255.0 / max_value).log2().floor() as i32)
 }
 
 #[cfg(test)]
@@ -290,7 +300,7 @@ mod tests {
         let t = alloc
             .allocate(
                 TableFn::Exp {
-                    scale: exp_scale(r),
+                    scale: exp_scale(r).unwrap(),
                 },
                 r,
                 16,
@@ -330,7 +340,7 @@ mod tests {
         assert!((1.0 / 0.25) * (2.0f64).powi(s) <= 255.0);
         let s = rsqrt_scale(r);
         assert!((1.0 / 0.5) * (2.0f64).powi(s) <= 255.0);
-        let s = exp_scale(Interval::new(-1.0, 3.0));
+        let s = exp_scale(Interval::new(-1.0, 3.0)).unwrap();
         assert!(3.0f64.exp() * (2.0f64).powi(s) <= 255.0);
     }
 }

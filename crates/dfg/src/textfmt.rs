@@ -237,6 +237,9 @@ fn parse_line(
             }
             let lo: f64 = tokens[1].parse().map_err(|_| "bad lo")?;
             let hi: f64 = tokens[2].parse().map_err(|_| "bad hi")?;
+            if !lo.is_finite() || !hi.is_finite() {
+                return Err(format!("non-finite range [{lo}, {hi}]"));
+            }
             if lo > hi {
                 return Err(format!("inverted range [{lo}, {hi}]"));
             }
@@ -577,6 +580,15 @@ mod tests {
         assert!(err.to_string().contains("unbalanced"), "{err}");
         let err = parse("range x 2.0 1.0").unwrap_err();
         assert!(err.to_string().contains("inverted"), "{err}");
+    }
+
+    #[test]
+    fn non_finite_range_bounds_are_syntax_errors() {
+        for bounds in ["0 nan", "nan 0", "-inf inf", "0 inf"] {
+            let err = parse(&format!("placeholder x [4]\nrange x {bounds}\n")).unwrap_err();
+            assert!(err.to_string().contains("line 2"), "{bounds}: {err}");
+            assert!(err.to_string().contains("non-finite"), "{bounds}: {err}");
+        }
     }
 
     #[test]

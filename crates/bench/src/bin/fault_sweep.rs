@@ -35,7 +35,6 @@ fn tiny_chip() -> ChipCapacity {
         tiles: 1,
         clusters_per_tile: 8,
         arrays_per_cluster: 8,
-        lanes: 8,
     }
 }
 

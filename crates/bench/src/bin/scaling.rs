@@ -24,7 +24,6 @@ fn main() {
             tiles,
             clusters_per_tile: 8,
             arrays_per_cluster: 8,
-            lanes: 8,
         };
         let est = perf::estimate(&kernel, n, capacity);
         let tdp = energy::chip_tdp_w(tiles);

@@ -123,7 +123,9 @@ pub fn measure(w: &Workload, n: usize, policy: OptPolicy) -> (f64, RunReport) {
 /// per-round energy over per-round time.
 pub fn imp_avg_power_full_load(kernel: &CompiledKernel, energy_per_instance: f64) -> f64 {
     let cap = ChipCapacity::paper();
-    let instances_per_round = cap.simd_slots() / kernel.ibs.len().max(1);
+    // One instance per SIMD slot is enough to fill a round.
+    let full_round = perf::pack(cap.simd_slots(), kernel.ibs.len(), cap.arrays());
+    let instances_per_round = full_round.groups_per_round * imp_isa::LANES;
     let round_seconds = kernel.module_latency().max(1) as f64 * imp_rram::ARRAY_CYCLE_S;
     energy_per_instance * instances_per_round as f64 / round_seconds
 }

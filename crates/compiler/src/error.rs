@@ -21,6 +21,10 @@ pub enum CompileError {
     /// A constant node holds a NaN or infinite value, which no fixed-point
     /// word can represent.
     NonFiniteConstant(imp_dfg::NodeId),
+    /// The chip capacity describes no buildable chip: the H-tree needs a
+    /// tile count that is a positive power of 8, every tile needs at least
+    /// one cluster and every cluster at least one array.
+    BadCapacity(crate::ChipCapacity),
     /// The module needs more array rows than a 128-row array provides,
     /// even after liveness-based reuse.
     OutOfRows {
@@ -63,6 +67,12 @@ impl fmt::Display for CompileError {
             CompileError::NonFiniteConstant(node) => {
                 write!(f, "constant {node} holds a non-finite value")
             }
+            CompileError::BadCapacity(c) => write!(
+                f,
+                "invalid chip capacity: {} tiles × {} clusters × {} arrays \
+                 (tiles must be a positive power of 8, the other counts positive)",
+                c.tiles, c.clusters_per_tile, c.arrays_per_cluster
+            ),
             CompileError::OutOfRows { ib, needed } => {
                 write!(
                     f,

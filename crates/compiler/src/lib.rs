@@ -154,14 +154,37 @@ fn check_ranges(ranges: &ValueRanges) -> Result<(), CompileError> {
     }
 }
 
+/// Rejects a chip the simulator cannot build: its H-tree needs a tile
+/// count that is a positive power of 8, and the tile → array mapping needs
+/// positive cluster and array counts whose memory size fits a `usize`.
+fn check_capacity(capacity: ChipCapacity) -> Result<(), CompileError> {
+    let ChipCapacity {
+        tiles,
+        clusters_per_tile,
+        arrays_per_cluster,
+    } = capacity;
+    let tiles_ok = tiles.is_power_of_two() && tiles.trailing_zeros() % 3 == 0;
+    let bytes = tiles
+        .checked_mul(clusters_per_tile)
+        .and_then(|n| n.checked_mul(arrays_per_cluster))
+        .and_then(|n| n.checked_mul(perf::ARRAY_BYTES));
+    if tiles_ok && bytes.is_some_and(|n| n > 0) {
+        Ok(())
+    } else {
+        Err(CompileError::BadCapacity(capacity))
+    }
+}
+
 /// Compiles a data-flow graph into an executable in-memory kernel.
 ///
 /// # Errors
-/// Returns a [`CompileError`] when the graph uses unsupported forms
-/// (irregular gathers, oversized modules, reductions feeding further
-/// compute), when required value ranges are missing or non-finite, when a
-/// constant is non-finite, or when the module exceeds array resources.
+/// Returns a [`CompileError`] when the chip capacity is invalid, when the
+/// graph uses unsupported forms (irregular gathers, oversized modules,
+/// reductions feeding further compute), when required value ranges are
+/// missing or non-finite, when a constant is non-finite, or when the
+/// module exceeds array resources.
 pub fn compile(graph: &Graph, options: &CompileOptions) -> Result<CompiledKernel, CompileError> {
+    check_capacity(options.capacity)?;
     check_ranges(&options.ranges)?;
     let tel = options.telemetry.as_ref();
     let _compile_span = tel.map(|t| t.span("compile.total"));

@@ -9,7 +9,7 @@
 //! (§5.2 "Balancing Inter-Module and Intra-Module Parallelism").
 
 use crate::scalar::{SOp, ScalarId, ScalarModule};
-use crate::{CompileError, CompileOptions, OptPolicy};
+use crate::{perf, CompileError, CompileOptions, OptPolicy};
 use std::collections::{HashMap, HashSet};
 
 /// Which IB each live, scheduled scalar op belongs to. Leaves and
@@ -111,11 +111,12 @@ pub fn choose_ib_count(module: &ScalarModule, options: &CompileOptions) -> usize
         OptPolicy::Fixed(n) => n.max(1),
         OptPolicy::MaxArrayUtil => {
             // Use as many IBs as keep every array busy without forcing
-            // extra rounds: instances × ibs ≤ total SIMD slots.
-            let slots = options.capacity.simd_slots();
-            let instances = options.expected_instances.max(1);
-            let budget = (slots / instances).max(1);
-            budget.min(ilp_width)
+            // extra rounds: the most that still pack into one round.
+            let arrays = options.capacity.arrays();
+            (1..=ilp_width)
+                .rev()
+                .find(|&ibs| perf::pack(options.expected_instances, ibs, arrays).rounds == 1)
+                .unwrap_or(1)
         }
     }
 }

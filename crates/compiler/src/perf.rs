@@ -2,14 +2,20 @@
 //!
 //! The number of module instances is only known at runtime, so the paper
 //! compiles code for several IB budgets and picks the best at kernel
-//! launch using a simple analytical model: a round executes
-//! `slots / num_ibs` instances simultaneously; large inputs need multiple
-//! rounds, so more intra-module parallelism (more IBs per module) can
-//! *lose* overall — Amdahl in one direction, utilization in the other
-//! (§7.4's MaxDLP / MaxILP / MaxArrayUtil study).
+//! launch using a simple analytical model. Instances run in whole 8-lane
+//! groups, each group taking one array per IB, so a round executes
+//! `arrays / num_ibs` groups simultaneously ([`pack`], the same rule the
+//! simulator places groups by); large inputs need multiple rounds, so
+//! more intra-module parallelism (more IBs per module) can *lose* overall
+//! — Amdahl in one direction, utilization in the other (§7.4's MaxDLP /
+//! MaxILP / MaxArrayUtil study).
 
 use crate::CompiledKernel;
+use imp_isa::LANES;
 use imp_rram::ARRAY_CYCLE_S;
+
+/// Bytes one array stores: 128 rows × 8 words of 32 bits.
+pub(crate) const ARRAY_BYTES: usize = 4096;
 
 /// Chip capacity parameters (Table 5's IMP column).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,8 +26,6 @@ pub struct ChipCapacity {
     pub clusters_per_tile: usize,
     /// Arrays per cluster.
     pub arrays_per_cluster: usize,
-    /// SIMD lanes per array.
-    pub lanes: usize,
 }
 
 impl ChipCapacity {
@@ -32,7 +36,6 @@ impl ChipCapacity {
             tiles: 4096,
             clusters_per_tile: 8,
             arrays_per_cluster: 8,
-            lanes: 8,
         }
     }
 
@@ -42,7 +45,6 @@ impl ChipCapacity {
             tiles: 64,
             clusters_per_tile: 8,
             arrays_per_cluster: 8,
-            lanes: 8,
         }
     }
 
@@ -51,14 +53,14 @@ impl ChipCapacity {
         self.tiles * self.clusters_per_tile * self.arrays_per_cluster
     }
 
-    /// Total SIMD slots (lanes across all arrays).
+    /// Total SIMD slots ([`LANES`] per array).
     pub fn simd_slots(&self) -> usize {
-        self.arrays() * self.lanes
+        self.arrays() * LANES
     }
 
     /// Aggregate memory capacity in bytes (each array stores 4 KB).
     pub fn memory_bytes(&self) -> usize {
-        self.arrays() * 4096
+        self.arrays() * ARRAY_BYTES
     }
 }
 
@@ -68,12 +70,39 @@ impl Default for ChipCapacity {
     }
 }
 
+/// How a kernel's instances fill the chip's arrays, round by round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Packing {
+    /// 8-lane instance groups covering every instance (at least one).
+    pub groups: usize,
+    /// Groups executing concurrently per round.
+    pub groups_per_round: usize,
+    /// Rounds (kernel invocations) needed to run every group.
+    pub rounds: u64,
+}
+
+/// The round-packing rule: `instances` run in whole [`LANES`]-wide groups,
+/// each group occupying one of `arrays` arrays per IB, so a round holds
+/// `arrays / num_ibs` groups (at least one, at most all of them).
+///
+/// The model ([`estimate`]), the compiler's `MaxArrayUtil` IB budget and
+/// the simulator all pack with this function.
+pub fn pack(instances: usize, num_ibs: usize, arrays: usize) -> Packing {
+    let groups = instances.div_ceil(LANES).max(1);
+    let groups_per_round = (arrays / num_ibs.max(1)).max(1).min(groups);
+    Packing {
+        groups,
+        groups_per_round,
+        rounds: groups.div_ceil(groups_per_round) as u64,
+    }
+}
+
 /// The model's output for one kernel/input-size pairing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfEstimate {
     /// Kernel invocations needed to cover all instances.
     pub rounds: u64,
-    /// Instances executing concurrently per round.
+    /// Instances executing concurrently in the first (fullest) round.
     pub instances_per_round: usize,
     /// Total array cycles (rounds × module latency).
     pub total_cycles: u64,
@@ -86,17 +115,15 @@ pub struct PerfEstimate {
 /// Estimates execution of `kernel` over `instances` data elements.
 pub fn estimate(kernel: &CompiledKernel, instances: usize, capacity: ChipCapacity) -> PerfEstimate {
     let num_ibs = kernel.ibs.len().max(1);
-    let slots = capacity.simd_slots();
-    let instances_per_round = (slots / num_ibs).max(1);
-    let rounds = (instances.max(1)).div_ceil(instances_per_round) as u64;
-    let total_cycles = rounds * kernel.module_latency().max(1);
-    let used_slots = (instances.min(instances_per_round)) * num_ibs;
+    let packing = pack(instances, num_ibs, capacity.arrays());
+    let instances_per_round = instances.min(packing.groups_per_round * LANES);
+    let total_cycles = packing.rounds * kernel.module_latency().max(1);
     PerfEstimate {
-        rounds,
+        rounds: packing.rounds,
         instances_per_round,
         total_cycles,
         seconds: total_cycles as f64 * ARRAY_CYCLE_S,
-        utilization: used_slots as f64 / slots as f64,
+        utilization: (instances_per_round * num_ibs) as f64 / capacity.simd_slots() as f64,
     }
 }
 
@@ -156,6 +183,21 @@ mod tests {
         let est = estimate(&k, 1000, ChipCapacity::paper());
         assert_eq!(est.rounds, 1);
         assert_eq!(est.total_cycles, k.module_latency());
+    }
+
+    #[test]
+    fn rounds_hold_whole_groups() {
+        // 40,000 instances are 5,000 groups; a 27-IB kernel on 4,096
+        // arrays fits 151 groups (1,208 instances, not 32,768 / 27 =
+        // 1,213) per round.
+        let p = pack(40_000, 27, ChipCapacity::small().arrays());
+        assert_eq!((p.groups, p.groups_per_round, p.rounds), (5_000, 151, 34));
+        // A partial group still takes a whole one; a round never holds
+        // more groups than exist, nor fewer than one.
+        assert_eq!(pack(9, 1, 4_096).groups, 2);
+        assert_eq!(pack(9, 1, 4_096).groups_per_round, 2);
+        assert_eq!(pack(0, 1, 4_096).rounds, 1);
+        assert_eq!(pack(64, 100, 8).groups_per_round, 1);
     }
 
     #[test]

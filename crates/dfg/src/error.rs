@@ -59,6 +59,9 @@ pub enum DfgError {
     },
     /// Range analysis needs an input range that was not provided.
     MissingRange(String),
+    /// Range analysis met a constant holding a NaN, which lies in no
+    /// interval.
+    NanConstant(NodeId),
 }
 
 impl fmt::Display for DfgError {
@@ -93,6 +96,7 @@ impl fmt::Display for DfgError {
             DfgError::MissingRange(name) => {
                 write!(f, "no value range declared for input `{name}`")
             }
+            DfgError::NanConstant(node) => write!(f, "constant {node} holds a NaN"),
         }
     }
 }

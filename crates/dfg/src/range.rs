@@ -149,6 +149,8 @@ pub struct RangeReport {
 ///
 /// # Errors
 /// * [`DfgError::MissingRange`] if an input has no declared range;
+/// * [`DfgError::NanConstant`] for a constant holding a NaN, which has no
+///   interval;
 /// * [`DfgError::ZeroSpanDivisor`] for a division whose divisor interval
 ///   contains zero, tagged with the offending node;
 /// * [`DfgError::Domain`] for other operations whose interval operand
@@ -163,6 +165,9 @@ pub fn analyze(
         let get = |i: usize| ranges[&node.inputs()[i]];
         let interval = match node.op() {
             Op::Const(value) => {
+                if value.data().iter().any(|v| v.is_nan()) {
+                    return Err(DfgError::NanConstant(node.id()));
+                }
                 let lo = value.data().iter().copied().fold(f64::INFINITY, f64::min);
                 let hi = value
                     .data()
@@ -435,5 +440,17 @@ mod tests {
         let report = analyze(&graph, &ranges(&[("x", -100.0, 100.0)]), QFormat::Q16_16).unwrap();
         let r = report.node_ranges[&s];
         assert!(r.lo >= 0.0 && r.hi <= 1.0);
+    }
+
+    #[test]
+    fn nan_constant_is_a_typed_error() {
+        let mut g = GraphBuilder::new();
+        let x = g.placeholder("x", Shape::vector(4)).unwrap();
+        let nan = g.scalar(f64::NAN);
+        let y = g.add(x, nan).unwrap();
+        g.fetch(y);
+        let graph = g.finish();
+        let err = analyze(&graph, &ranges(&[("x", 0.0, 1.0)]), QFormat::Q16_16).unwrap_err();
+        assert_eq!(err, DfgError::NanConstant(nan));
     }
 }

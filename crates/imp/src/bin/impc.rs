@@ -14,7 +14,7 @@
 //! ```
 
 use imp::compiler::perf;
-use imp::{ChipCapacity, Error, OptPolicy, QFormat, Session, Tensor, VerifyLevel};
+use imp::{Error, OptPolicy, QFormat, Session, Tensor, VerifyLevel};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -89,11 +89,13 @@ fn main() -> ExitCode {
     let mix = kernel.instruction_mix();
     let mix_line: Vec<String> = mix.iter().map(|(m, c)| format!("{m}:{c}")).collect();
     println!("  instruction mix    : {}", mix_line.join(" "));
-    let est = perf::estimate(kernel, kernel.parallel.instances(), ChipCapacity::paper());
+    let chip = session.sim_config().capacity;
+    let est = perf::estimate(kernel, kernel.parallel.instances(), chip);
     println!(
-        "  paper-chip estimate: {} rounds, {:.3} µs",
+        "  model estimate     : {} rounds, {:.3} µs on {} tiles",
         est.rounds,
-        est.seconds * 1e6
+        est.seconds * 1e6,
+        chip.tiles
     );
 
     if flag("--disasm") {

@@ -16,15 +16,17 @@ use imp_verify::VerifyLevel;
 
 /// The one constructor for [`Session`], started with [`Session::builder`].
 ///
-/// Every knob defaults to exactly what [`CompileOptions::default`] and
-/// [`SimConfig::functional`] would produce. Setters write into those two
-/// structs — [`capacity`](Self::capacity) and
-/// [`telemetry`](Self::telemetry) into both, so the compiler and the
-/// simulated chip cannot disagree about them — except
-/// [`shadow`](Self::shadow) and [`adaptive`](Self::adaptive), which
-/// configure the session itself. [`build`](Self::build) compiles,
-/// verifies at the configured [`VerifyLevel`], and binds the kernel to
-/// the chip.
+/// A session has one chip: the kernel is compiled, selected, verified
+/// and simulated for the same [`ChipCapacity`], by default the simulated
+/// chip of [`SimConfig::functional`]. Every other knob defaults to exactly
+/// what [`CompileOptions::default`] and [`SimConfig::functional`] would
+/// produce. Setters write into those two structs —
+/// [`capacity`](Self::capacity) and [`telemetry`](Self::telemetry) into
+/// both, so the compiler and the simulated chip cannot disagree about
+/// them — except [`shadow`](Self::shadow) and
+/// [`adaptive`](Self::adaptive), which configure the session itself.
+/// [`build`](Self::build) compiles, verifies at the configured
+/// [`VerifyLevel`], and binds the kernel to the chip.
 ///
 /// ```
 /// use imp::prelude::*;
@@ -54,13 +56,17 @@ pub struct SessionBuilder {
 }
 
 impl SessionBuilder {
-    /// Starts a builder over `graph` with default compile options and the
-    /// functional-test chip.
+    /// Starts a builder over `graph` with default compile options, both
+    /// targeting the functional-test chip.
     pub(crate) fn new(graph: Graph) -> Self {
+        let config = SimConfig::functional();
         SessionBuilder {
             graph,
-            options: CompileOptions::default(),
-            config: SimConfig::functional(),
+            options: CompileOptions {
+                capacity: config.capacity,
+                ..CompileOptions::default()
+            },
+            config,
             shadow: None,
             adaptive: false,
         }
@@ -94,8 +100,9 @@ impl SessionBuilder {
         self
     }
 
-    /// Sets the chip capacity for *both* the compiler's utilization
-    /// balancing and the simulated chip.
+    /// Sets the session's one chip: the capacity the compiler balances
+    /// utilization for, the analytical model selects and the verifier
+    /// places against, and the simulated chip.
     pub fn capacity(mut self, capacity: ChipCapacity) -> Self {
         self.options.capacity = capacity;
         self.config.capacity = capacity;
@@ -213,10 +220,13 @@ impl SessionBuilder {
     ///
     /// # Errors
     /// Propagates compile errors (from any candidate, under
-    /// [`adaptive`](Self::adaptive)). At [`VerifyLevel::Deny`], fails with
+    /// [`adaptive`](Self::adaptive)), among them an invalid
+    /// [`capacity`](Self::capacity), which is rejected before any chip is
+    /// built. At [`VerifyLevel::Deny`], fails with
     /// [`Error::Verify`] when the compiled kernel does not pass the
     /// static verifier's error-severity checks.
     pub fn build(mut self) -> Result<Session, Error> {
+        let chip = self.config.capacity;
         let kernel = if self.adaptive {
             let mut candidates: Vec<CompiledKernel> = Vec::new();
             for policy in [
@@ -235,12 +245,12 @@ impl SessionBuilder {
                 }
             }
             let instances = candidates[0].parallel.instances();
-            let pick = perf::select_kernel(&candidates, instances, self.config.capacity);
+            let pick = perf::select_kernel(&candidates, instances, chip);
             candidates.swap_remove(pick.unwrap_or(0))
         } else {
             imp_compiler::compile(&self.graph, &self.options)?
         };
-        let avail = ArrayAvailability::all(self.config.capacity.arrays());
+        let avail = ArrayAvailability::all(chip.arrays());
         let telemetry = self.config.telemetry.as_ref();
         (self.config.verify)
             .check(&kernel, &kernel.schedule, &avail, telemetry)

@@ -7,6 +7,7 @@ use crate::fault::{
 use crate::lifetime;
 use crate::SimError;
 use imp_compiler::module::{as_cross_ib, as_output_slot, OutputLoc, RegBinding};
+use imp_compiler::perf::{self, Packing};
 use imp_compiler::schedule::{Schedule, ScheduledInst};
 use imp_compiler::ParallelSpec;
 use imp_compiler::{ArrayAvailability, ChipCapacity, CompiledKernel, InputBinding};
@@ -51,7 +52,7 @@ impl Parallelism {
 /// Simulator configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Chip capacity (tiles/clusters/arrays/lanes).
+    /// Chip capacity (tiles/clusters/arrays).
     pub capacity: ChipCapacity,
     /// Analog periphery of every array.
     pub analog: AnalogSpec,
@@ -95,23 +96,6 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// The paper's 4,096-tile chip.
-    pub fn paper() -> Self {
-        SimConfig {
-            capacity: ChipCapacity::paper(),
-            analog: AnalogSpec::prototype(),
-            noc: NocConfig::default(),
-            trace: false,
-            fault_seed: 0,
-            faults: None,
-            transport: None,
-            watchdog: None,
-            parallelism: Parallelism::Auto,
-            telemetry: None,
-            verify: imp_verify::VerifyLevel::Warn,
-        }
-    }
-
     /// A 64-tile configuration for fast functional testing.
     pub fn functional() -> Self {
         SimConfig {
@@ -272,6 +256,12 @@ pub struct Machine {
 
 impl Machine {
     /// Creates a machine.
+    ///
+    /// # Panics
+    /// Panics if `config.capacity.tiles` is not a positive power of 8 (the
+    /// H-tree's radix). [`imp_compiler::compile`] rejects such a chip with
+    /// [`CompileError::BadCapacity`](imp_compiler::CompileError::BadCapacity),
+    /// so a session built through the builder never reaches this panic.
     pub fn new(config: SimConfig) -> Self {
         let topology = HTreeTopology::new(config.capacity.tiles, 8);
         let mut network = Network::new(topology, config.noc);
@@ -574,9 +564,11 @@ impl Machine {
             w.max_cycles
                 .saturating_mul(imp_noc::NET_CYCLES_PER_ARRAY_CYCLE)
         });
-        let groups_total = instances.div_ceil(LANES).max(1);
-        let groups_per_round = (usable.len() / num_ibs).max(1).min(groups_total);
-        let rounds = groups_total.div_ceil(groups_per_round) as u64;
+        let Packing {
+            groups: groups_total,
+            groups_per_round,
+            rounds,
+        } = perf::pack(instances, num_ibs, usable.len());
         let module_latency = sched.module_latency.max(1);
 
         // Per-(round-local slot) fault populations, generated once per

@@ -143,7 +143,6 @@ fn one_tile() -> ChipCapacity {
         tiles: 1,
         clusters_per_tile: 8,
         arrays_per_cluster: 8,
-        lanes: 8,
     }
 }
 

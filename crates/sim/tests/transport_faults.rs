@@ -247,7 +247,6 @@ fn movg_transfers_recover_on_a_multi_tile_chip() {
         tiles: 64,
         clusters_per_tile: 1,
         arrays_per_cluster: 1,
-        lanes: 8,
     };
     let mut g = GraphBuilder::new();
     let x = g.placeholder("x", Shape::new(vec![12, 16])).unwrap();

@@ -148,7 +148,7 @@ fn slots_per_instance_bound_array_usage() {
         let est = perf::estimate(&kernel, w.paper_instances, cap);
         // MaxArrayUtil must not blow past one round by more than the
         // instance count demands at 1 IB.
-        let one_ib_rounds = (w.paper_instances as u64).div_ceil(cap.simd_slots() as u64);
+        let one_ib_rounds = perf::pack(w.paper_instances, 1, cap.arrays()).rounds;
         assert!(
             est.rounds <= one_ib_rounds.max(1) * 2,
             "{}: {} rounds vs {} at 1 IB",

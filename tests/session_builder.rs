@@ -1,10 +1,11 @@
 //! Gates for the fluent session API, the only way to build a session:
 //! builder defaults must be *exactly* `CompileOptions::default()` and
-//! `SimConfig::functional()`, the knobs must land where they claim, and
-//! name-based output lookup must resolve (and refuse) correctly.
+//! `SimConfig::functional()` apart from the one chip both target, the
+//! knobs must land where they claim, and name-based output lookup must
+//! resolve (and refuse) correctly.
 
 use imp::prelude::*;
-use imp::{LinkFaultRates, WatchdogConfig};
+use imp::{ChipCapacity, CompileError, LinkFaultRates, RunReport, WatchdogConfig};
 
 fn square_graph(n: usize) -> (imp::Graph, NodeId) {
     let mut g = GraphBuilder::new();
@@ -16,7 +17,8 @@ fn square_graph(n: usize) -> (imp::Graph, NodeId) {
 
 /// `Session::builder(g)` starts from `CompileOptions::default()` and
 /// `SimConfig::functional()`: every compile option and every simulator
-/// field at its historical default.
+/// field at its historical default, except that the compiler targets the
+/// simulated chip rather than the paper's.
 #[test]
 fn builder_defaults_match_default_configs_field_by_field() {
     let (graph, _) = square_graph(16);
@@ -32,7 +34,7 @@ fn builder_defaults_match_default_configs_field_by_field() {
     assert_eq!(opts.node_merging, defaults.node_merging);
     assert_eq!(opts.pipelining, defaults.pipelining);
     assert_eq!(opts.ranges, defaults.ranges);
-    assert_eq!(opts.capacity, defaults.capacity);
+    assert_eq!(opts.capacity, SimConfig::functional().capacity);
     assert_eq!(opts.analog, defaults.analog);
     assert!(opts.telemetry.is_none());
 
@@ -215,4 +217,111 @@ fn shadow_divergence_source_is_the_report() {
         .downcast_ref::<imp::ShadowReport>()
         .expect("source is the ShadowReport");
     assert!(report.diverged());
+}
+
+/// A serial builder for a corpus workload at `n` instances, with its
+/// declared ranges, and seeded feeds for it.
+fn corpus_session(name: &str, n: usize) -> (SessionBuilder, Vec<(String, Tensor)>) {
+    let w = imp::workloads::workload(name).unwrap();
+    let (graph, _, ranges) = w.build(n);
+    let builder = ranges.iter().fold(
+        Session::builder(graph)
+            .expected_instances(n)
+            .parallelism(Parallelism::Serial),
+        |b, (name, &interval)| b.range(name, interval),
+    );
+    (builder, w.inputs(n, 11).into_iter().collect())
+}
+
+/// Builds and runs the session; returns its kernel's IB count and report.
+fn build_and_run(builder: SessionBuilder, feeds: &[(String, Tensor)]) -> (usize, RunReport) {
+    let mut session = builder.build().unwrap();
+    let ibs = session.kernel().ibs.len();
+    let feeds: Vec<(&str, Tensor)> = feeds.iter().map(|(n, t)| (n.as_str(), t.clone())).collect();
+    let report = session.run(&feeds).unwrap().report().clone();
+    (ibs, report)
+}
+
+/// A default builder compiles for the chip it simulates: MaxArrayUtil
+/// sizes canneal's IB count so 2,048 instances fit the functional chip in
+/// one round (compiled for the paper chip, it took three).
+#[test]
+fn default_builder_compiles_for_the_chip_it_simulates() {
+    let (builder, feeds) = corpus_session("canneal", 2048);
+    assert_eq!(
+        builder.peek_compile_options().policy,
+        OptPolicy::MaxArrayUtil
+    );
+    let (ibs, report) = build_and_run(builder, &feeds);
+    assert_eq!(report.rounds, 1, "{ibs} IBs");
+}
+
+/// `.adaptive()` picks, among the three policies' kernels, one with the
+/// fewest simulated cycles on the session's chip. On an 8-tile chip,
+/// 2,400 streamcluster_gpu instances fit one MaxDLP round, while the
+/// 27-IB MaxILP kernel packs 18 whole groups per round and needs 17
+/// rounds; a model counting 4,096 slots / 27 = 151 instances per round
+/// predicted 16 and picked MaxILP.
+#[test]
+fn adaptive_picks_the_fewest_simulated_cycles() {
+    let n = 2400;
+    let chip = ChipCapacity {
+        tiles: 8,
+        ..ChipCapacity::small()
+    };
+    let session = |policy: Option<OptPolicy>| {
+        let (builder, feeds) = corpus_session("streamcluster_gpu", n);
+        let builder = builder.capacity(chip);
+        let builder = match policy {
+            Some(policy) => builder.policy(policy),
+            None => builder.adaptive(),
+        };
+        build_and_run(builder, &feeds)
+    };
+    let best = [
+        OptPolicy::MaxDlp,
+        OptPolicy::MaxIlp,
+        OptPolicy::MaxArrayUtil,
+    ]
+    .map(|policy| session(Some(policy)).1.cycles);
+    let (ibs, picked) = session(None);
+    assert_eq!(
+        picked.cycles,
+        *best.iter().min().unwrap(),
+        "adaptive picked {ibs} IBs; DLP/ILP/ArrayUtil cycles {best:?}"
+    );
+}
+
+/// A chip the simulator cannot build is a typed compile error, returned
+/// before `Machine::new` would panic on it.
+#[test]
+fn invalid_chip_is_a_compile_error() {
+    let small = ChipCapacity::small();
+    for chip in [
+        ChipCapacity { tiles: 4, ..small },
+        ChipCapacity { tiles: 0, ..small },
+        ChipCapacity { tiles: 16, ..small },
+        ChipCapacity {
+            clusters_per_tile: 0,
+            ..small
+        },
+        ChipCapacity {
+            arrays_per_cluster: 0,
+            ..small
+        },
+        ChipCapacity {
+            tiles: 1 << 30,
+            arrays_per_cluster: usize::MAX / 8,
+            ..small
+        },
+    ] {
+        let (graph, _) = square_graph(16);
+        match Session::builder(graph).capacity(chip).build() {
+            Err(imp::Error::Compile(CompileError::BadCapacity(c))) => assert_eq!(c, chip),
+            other => panic!("{chip:?}: expected BadCapacity, got {other:?}"),
+        }
+    }
+    let (graph, _) = square_graph(16);
+    let one_tile = ChipCapacity { tiles: 1, ..small };
+    assert!(Session::builder(graph).capacity(one_tile).build().is_ok());
 }

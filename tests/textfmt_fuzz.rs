@@ -1,14 +1,15 @@
 //! Mutation fuzz over the `.imp` text front end: kernels derived from the
 //! shipped `examples/kernels/*.imp` files and from the rendered corpus
-//! graphs are mutated line- and token-wise, then parsed, compiled and
-//! verified. The property is robustness, not success: `parse` never
-//! panics, `compile` returns `Ok` or a `CompileError`, and `verify_kernel`
-//! never panics on what compiles.
+//! graphs are mutated line- and token-wise, then parsed, range-analysed,
+//! compiled and verified. The property is robustness, not success: `parse`
+//! and `range::analyze` never panic, `compile` returns `Ok` or a
+//! `CompileError`, and `verify_kernel` never panics on what compiles.
 //!
 //! Every panic the fuzzer has found is pinned as a fixed case.
 
 use imp_compiler::{compile, CompileOptions, OptPolicy};
-use imp_dfg::textfmt;
+use imp_dfg::{range, textfmt};
+use imp_rram::QFormat;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -72,6 +73,7 @@ const VOCAB: &[&str] = &[
 const FIXED: &[&str] = &[
     "placeholder x [8]\nrange x 0 nan\n",
     "placeholder x [64]\nconst c = nan\nadd y x c\nfetch y\n",
+    "placeholder x [64]\nrange x 0 1\nconst a = nan\nadd y x a\nfetch y\n",
     "placeholder x [64]\nexp y x\nfetch y\nrange x -inf inf\n",
     "placeholder x [64]\nexp y x\nfetch y\nrange x 0 1000\n",
     "placeholder x [64]\nsquare s x\nsqrt r s\nfetch r\nrange x 1 1e200\n",
@@ -173,11 +175,13 @@ fn mutate(text: &str, mutations: &[Mutation]) -> String {
     lines.join("\n")
 }
 
-/// Parses, compiles and verifies `text`; any panic fails the caller.
+/// Parses, range-analyses, compiles and verifies `text`; any panic fails
+/// the caller.
 fn exercise(text: &str, policy: OptPolicy) {
     let Ok(parsed) = textfmt::parse(text) else {
         return;
     };
+    let _ = range::analyze(&parsed.graph, &parsed.ranges, QFormat::Q16_16);
     let options = CompileOptions {
         policy,
         ranges: parsed.ranges,

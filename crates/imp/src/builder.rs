@@ -152,12 +152,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Records a per-instruction trace of the first instance group.
-    pub fn trace(mut self, trace: bool) -> Self {
-        self.config.trace = trace;
-        self
-    }
-
     // --- cross-cutting ----------------------------------------------------
 
     /// Installs one [`Telemetry`] handle into *both* the compiler options

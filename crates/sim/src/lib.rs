@@ -46,7 +46,7 @@ mod machine;
 
 pub use error::SimError;
 pub use fault::{FaultConfig, FaultEvent, FaultKind, FaultPolicy, FaultSite, WatchdogConfig};
-pub use machine::{Machine, Parallelism, RunReport, SimConfig, TraceEvent};
+pub use machine::{Machine, Parallelism, RunReport, SimConfig};
 
 // Transport-reliability types, re-exported so simulator users configure
 // the H-tree fault model without a direct `imp-noc` dependency.

@@ -8,7 +8,7 @@ use crate::lifetime;
 use crate::SimError;
 use imp_compiler::module::{as_cross_ib, as_output_slot, OutputLoc, RegBinding};
 use imp_compiler::perf::{self, Packing};
-use imp_compiler::schedule::{Schedule, ScheduledInst};
+use imp_compiler::schedule::Schedule;
 use imp_compiler::ParallelSpec;
 use imp_compiler::{ArrayAvailability, ChipCapacity, CompiledKernel, InputBinding};
 use imp_dfg::{NodeId, Shape, Tensor};
@@ -58,10 +58,6 @@ pub struct SimConfig {
     pub analog: AnalogSpec,
     /// Network timing parameters.
     pub noc: NocConfig,
-    /// Record a per-instruction execution trace of the first instance
-    /// group (issue cycle, IB, instruction, lane-0 result) in
-    /// [`RunReport::trace`]. Off by default: traces are large.
-    pub trace: bool,
     /// Base seed for all per-array randomness — process-variation noise
     /// and fault-population generation. Each physical array slot derives
     /// its own stream via [`crate::fault::mix_seed`], so runs are
@@ -102,7 +98,6 @@ impl SimConfig {
             capacity: ChipCapacity::small(),
             analog: AnalogSpec::prototype(),
             noc: NocConfig::default(),
-            trace: false,
             fault_seed: 0,
             faults: None,
             transport: None,
@@ -136,20 +131,6 @@ fn transport_fault_event(site: FaultSite, ev: &TransportEvent) -> FaultEvent {
         cycle: imp_noc::net_to_array_cycles(ev.net_time),
         kind: FaultKind::Transport(ev.kind),
     }
-}
-
-/// One traced instruction execution (first instance group only).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// Statically scheduled issue cycle.
-    pub cycle: u64,
-    /// Instruction block.
-    pub ib: usize,
-    /// The instruction executed.
-    pub instruction: Instruction,
-    /// Lane-0 value of the destination after execution (local writes
-    /// only; `None` for network instructions).
-    pub lane0_result: Option<i32>,
 }
 
 /// Results and measurements of one kernel execution.
@@ -189,9 +170,6 @@ pub struct RunReport {
     pub lifetime_years: f64,
     /// Instructions executed across all arrays.
     pub instructions_executed: u64,
-    /// Per-instruction trace of the first instance group, when
-    /// [`SimConfig::trace`] is set.
-    pub trace: Option<Vec<TraceEvent>>,
     /// Every fault detection recorded across all execution attempts.
     /// Empty whenever [`SimConfig::faults`] is `None`.
     pub fault_events: Vec<FaultEvent>,
@@ -228,7 +206,6 @@ struct Attempt {
     writes_per_exec: u64,
     instructions_executed: u64,
     noc: NocStats,
-    trace: Option<Vec<TraceEvent>>,
     events: Vec<FaultEvent>,
     /// Transport faults survived during the attempt (CRC corruptions
     /// delivered under Silent, drops, detours). Kept separate from
@@ -301,33 +278,10 @@ impl Machine {
         kernel: &CompiledKernel,
         inputs: &HashMap<String, Tensor>,
     ) -> Result<RunReport, SimError> {
-        check_operand_ranges(kernel)?;
-        let format = kernel.format;
+        let total_arrays = self.config.capacity.arrays();
+        let plan = RunPlan::new(kernel, inputs, total_arrays)?;
         let instances = kernel.parallel.instances();
         let num_ibs = kernel.ibs.len().max(1);
-        let total_arrays = self.config.capacity.arrays();
-        if num_ibs > total_arrays {
-            return Err(SimError::OutOfArrays {
-                needed: num_ibs,
-                available: total_arrays,
-            });
-        }
-
-        // Quantize inputs once. Finite values saturate at the format's
-        // rails; NaN and ±inf have no fixed-point meaning.
-        let mut raw_inputs: HashMap<String, (Vec<i32>, Shape)> = HashMap::new();
-        for (name, tensor) in inputs {
-            if let Some(index) = tensor.data().iter().position(|v| !v.is_finite()) {
-                let name = name.clone();
-                return Err(SimError::NonFiniteInput { name, index });
-            }
-            let raw = tensor
-                .data()
-                .iter()
-                .map(|&v| Fixed::from_f64_saturating(v, format).raw())
-                .collect();
-            raw_inputs.insert(name.clone(), (raw, tensor.shape().clone()));
-        }
 
         let tel = self.config.telemetry.clone();
         let mut run_span = tel.as_ref().map(|t| t.span("sim.run"));
@@ -356,22 +310,11 @@ impl Machine {
         let mut attempt_idx = 0u64;
         // Attempt-invariant state, hoisted out of the retry loop: the
         // per-IB array templates (LUT + register preloads over a pristine
-        // crossbar), the input staging plan, the reduction-slot count, and
-        // the per-instance output buffer. Every `(output, Row-loc element, instance)` cell
-        // is rewritten on every attempt, and `Reduced` cells are never
-        // read, so the buffer needs no clearing between attempts.
-        let templates = self.build_templates(kernel, &raw_inputs)?;
-        let staging = stage_inputs(kernel, &raw_inputs)?;
-        let n_slots = kernel
-            .outputs
-            .iter()
-            .flat_map(|o| o.locs.iter())
-            .filter_map(|loc| match loc {
-                OutputLoc::Reduced { slot } => Some(slot + 1),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0);
+        // crossbar) and the per-instance output buffer. Every `(output,
+        // Row-loc element, instance)` cell is rewritten on every attempt,
+        // and `Reduced` cells are never read, so the buffer needs no
+        // clearing between attempts.
+        let templates = self.build_templates(kernel, &plan.preloads);
         let mut out_values: Vec<Vec<f64>> = kernel
             .outputs
             .iter()
@@ -382,14 +325,13 @@ impl Machine {
             let sched = schedule_override.as_ref().unwrap_or(&kernel.schedule);
             let attempt = self.run_once(
                 kernel,
-                &staging,
+                &plan,
                 instances,
                 &usable,
                 sched,
                 attempt_idx,
                 &mut meter,
                 &templates,
-                n_slots,
                 &mut out_values,
             )?;
             instructions_executed += attempt.instructions_executed;
@@ -463,7 +405,6 @@ impl Machine {
                         kernel.module_latency(),
                     ),
                     instructions_executed,
-                    trace: attempt.trace,
                     fault_events,
                     retries,
                     retired_arrays: avail.retired_slots().collect(),
@@ -547,16 +488,16 @@ impl Machine {
     fn run_once(
         &self,
         kernel: &CompiledKernel,
-        staging: &[Vec<(usize, StagedInput)>],
+        plan: &RunPlan,
         instances: usize,
         usable: &[usize],
         sched: &Schedule,
         attempt_idx: u64,
         meter: &mut EnergyMeter,
         templates: &[ReramArray],
-        n_slots: usize,
         out_values: &mut [Vec<f64>],
     ) -> Result<Attempt, SimError> {
+        let n_slots = plan.n_slots;
         let num_ibs = kernel.ibs.len().max(1);
         // The watchdog's cycle budget doubles as a per-transfer deadline,
         // cutting off retransmit storms inside the network.
@@ -592,19 +533,17 @@ impl Machine {
 
         let ctx = EngineCtx {
             kernel,
-            staging,
+            plan,
             usable,
             sched,
             templates,
             fault_maps,
             faults_on: self.config.faults.is_some(),
-            trace_on: self.config.trace,
             instances,
             groups_per_round,
             num_ibs,
             module_latency,
             net_deadline,
-            n_slots,
             attempt_idx,
             telemetry_on: self.config.telemetry.is_some(),
             fault_seed: self.config.fault_seed,
@@ -657,7 +596,6 @@ impl Machine {
             .as_ref()
             .map(|_| vec![0.0; kernel.ibs.len().max(1)]);
         let mut reduce_acc = vec![0i32; n_slots];
-        let mut trace: Option<Vec<TraceEvent>> = None;
         let mut events: Vec<FaultEvent> = Vec::new();
         let mut transport_events: Vec<FaultEvent> = Vec::new();
         let mut noc = NocStats::default();
@@ -671,9 +609,6 @@ impl Machine {
             for (out_idx, elem, values) in outcome.harvest {
                 let base = elem * instances + group * LANES;
                 out_values[out_idx][base..base + values.len()].copy_from_slice(&values);
-            }
-            if outcome.trace.is_some() {
-                trace = outcome.trace;
             }
             events.extend(outcome.events);
             transport_events.extend(outcome.transport_events);
@@ -756,8 +691,8 @@ impl Machine {
             .iter()
             .map(|ib| (ib.input_rows.len() + ib.reg_preloads.len()) * 32)
             .sum();
-        let load_seconds = (bytes_per_group * groups_total) as f64 / EXTERNAL_IO_BYTES_PER_S;
-        let load_cycles = (load_seconds / ARRAY_CYCLE_S).ceil() as u64;
+        let load_cycles =
+            perf::load_cycles(bytes_per_group * groups_total, EXTERNAL_IO_BYTES_PER_S);
 
         // Assemble output tensors.
         let format = kernel.format;
@@ -807,7 +742,6 @@ impl Machine {
             writes_per_exec,
             instructions_executed,
             noc,
-            trace,
             events,
             transport_events,
             transport_overhead_cycles,
@@ -824,28 +758,25 @@ impl Machine {
     fn build_templates(
         &self,
         kernel: &CompiledKernel,
-        raw_inputs: &HashMap<String, (Vec<i32>, Shape)>,
-    ) -> Result<Vec<ReramArray>, SimError> {
+        preloads: &[Vec<(usize, i32)>],
+    ) -> Vec<ReramArray> {
         let mut analog = self.config.analog;
         analog.frac_bits = kernel.format.frac_bits();
-        let mut templates = Vec::with_capacity(kernel.ibs.len());
-        for ib in &kernel.ibs {
-            let mut array = ReramArray::new(analog);
-            array.set_lut(ib.lut.clone());
-            // Register preloads (broadcast across lanes; `dot` streams
-            // lane 0, per-lane values are never needed for weights).
-            for (reg, binding) in &ib.reg_preloads {
-                let raw = match binding {
-                    RegBinding::Const(raw) => *raw,
-                    RegBinding::Shared { name, flat_idx } => {
-                        shared_value(raw_inputs, name, *flat_idx)?
-                    }
-                };
-                array.write_reg(*reg as usize, [raw; LANES]);
-            }
-            templates.push(array);
-        }
-        Ok(templates)
+        kernel
+            .ibs
+            .iter()
+            .zip(preloads)
+            .map(|(ib, preloads)| {
+                let mut array = ReramArray::new(analog);
+                array.set_lut(ib.lut.clone());
+                // Register preloads (broadcast across lanes; `dot` streams
+                // lane 0, per-lane values are never needed for weights).
+                for &(reg, raw) in preloads {
+                    array.write_reg(reg, [raw; LANES]);
+                }
+                array
+            })
+            .collect()
     }
 }
 
@@ -862,8 +793,9 @@ const TRANSIENT_STREAM_SALT: u64 = 0x7261_6E51_6C69_7463;
 /// Read-only state shared by every worker during one attempt.
 struct EngineCtx<'a> {
     kernel: &'a CompiledKernel,
-    /// Per-IB input rows and their resolved sources; see [`stage_inputs`].
-    staging: &'a [Vec<(usize, StagedInput<'a>)>],
+    /// Quantized feeds, resolved input rows and the reduction-slot count;
+    /// see [`RunPlan::new`].
+    plan: &'a RunPlan,
     usable: &'a [usize],
     sched: &'a Schedule,
     templates: &'a [ReramArray],
@@ -871,13 +803,11 @@ struct EngineCtx<'a> {
     /// `group_in_round * num_ibs + ib`; empty when the fault model is off.
     fault_maps: Vec<FaultMap>,
     faults_on: bool,
-    trace_on: bool,
     instances: usize,
     groups_per_round: usize,
     num_ibs: usize,
     module_latency: u64,
     net_deadline: Option<u64>,
-    n_slots: usize,
     attempt_idx: u64,
     /// Whether telemetry is installed; workers then attribute per-IB
     /// energy into their [`GroupOutcome`].
@@ -913,7 +843,6 @@ struct GroupOutcome {
     reduce_acc: Vec<i32>,
     /// Per-instance outputs: `(output idx, elem idx, valid-lane values)`.
     harvest: Vec<(usize, usize, Vec<f64>)>,
-    trace: Option<Vec<TraceEvent>>,
     events: Vec<FaultEvent>,
     transport_events: Vec<FaultEvent>,
     noc: NocStats,
@@ -925,34 +854,22 @@ struct GroupOutcome {
     ib_energy: Option<Vec<f64>>,
 }
 
-/// Decodes a `movg` endpoint into one of the kernel's `num_ibs` IBs and
-/// a row of it, or a typed error for a hand-built kernel that names none.
-fn movg_endpoint(
-    addr: GlobalAddr,
-    num_ibs: usize,
-    entry: &ScheduledInst,
-) -> Result<(usize, usize), SimError> {
-    match as_cross_ib(addr) {
-        Some((ib, row)) if ib < num_ibs && usize::from(row) < ARRAY_ROWS => {
-            Ok((ib, usize::from(row)))
-        }
-        _ => Err(malformed(
-            entry,
-            format!("movg address {addr} names no IB row"),
-        )),
-    }
-}
-
-/// Rejects a hand-built kernel that names a row or register outside the
-/// array: a local operand, an input row, a register preload, an output
+/// Rejects a hand-built kernel that names a row, register, IB or
+/// reduction slot it does not have: a local operand, a `movg` endpoint, a
+/// `reduce_sum` target, an input row, a register preload, an output
 /// location, or a schedule entry pointing past its IB. The compiler never
 /// emits one, but [`Addr`]'s variants are public, so a kernel can bypass
-/// [`Addr::try_mem`]. Runs once per [`Machine::run`], before any group
+/// [`Addr::try_mem`]. Every instruction of every block is checked, whether
+/// scheduled or not. Runs once per [`Machine::run`], before any group
 /// executes, so no index in the group loop can leave its array.
-fn check_operand_ranges(kernel: &CompiledKernel) -> Result<(), SimError> {
+fn check_operand_ranges(kernel: &CompiledKernel, n_slots: usize) -> Result<(), SimError> {
     let in_range = |addr: Addr| match addr {
         Addr::Mem(row) => usize::from(row) < ARRAY_ROWS,
         Addr::Reg(reg) => usize::from(reg) < NUM_REGISTERS,
+    };
+    let names_ib_row = |addr: GlobalAddr| match as_cross_ib(addr) {
+        Some((ib, row)) => ib < kernel.ibs.len() && usize::from(row) < ARRAY_ROWS,
+        None => false,
     };
     let bad = |what: String| Err(SimError::MalformedKernel(what));
     for (i, ib) in kernel.ibs.iter().enumerate() {
@@ -960,6 +877,21 @@ fn check_operand_ranges(kernel: &CompiledKernel) -> Result<(), SimError> {
             let mut operands = inst.local_dst().into_iter().chain(inst.local_srcs());
             if let Some(addr) = operands.find(|&addr| !in_range(addr)) {
                 return bad(format!("ib{i}/pc{pc}: operand {addr} is out of range"));
+            }
+            match *inst {
+                Instruction::Movg { src, dst } => {
+                    if let Some(addr) = [src, dst].into_iter().find(|&a| !names_ib_row(a)) {
+                        return bad(format!("ib{i}/pc{pc}: movg address {addr} names no IB row"));
+                    }
+                }
+                Instruction::ReduceSum { dst, .. }
+                    if as_output_slot(dst).is_none_or(|slot| slot >= n_slots) =>
+                {
+                    return bad(format!(
+                        "ib{i}/pc{pc}: reduce_sum target {dst} names no reduction slot"
+                    ));
+                }
+                _ => {}
             }
         }
         if let Some((row, _)) = ib
@@ -1004,11 +936,6 @@ fn check_operand_ranges(kernel: &CompiledKernel) -> Result<(), SimError> {
     Ok(())
 }
 
-/// A [`SimError::MalformedKernel`] located at a scheduled instruction.
-fn malformed(entry: &ScheduledInst, what: String) -> SimError {
-    SimError::MalformedKernel(format!("ib{}/pc{}: {what}", entry.ib, entry.index))
-}
-
 /// Executes one instance group on `worker`, returning its complete
 /// outcome. Pure in `(ctx, group)`: worker state is fully re-initialized
 /// at entry (arrays reset from the templates; network occupancy, stats,
@@ -1031,7 +958,7 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
         (group * LANES + lane.min(valid_lanes.saturating_sub(1)))
             .min(ctx.instances.saturating_sub(1))
     });
-    for (ib_index, rows) in ctx.staging.iter().enumerate() {
+    for (ib_index, rows) in ctx.plan.rows.iter().enumerate() {
         let array = &mut worker.arrays[ib_index];
         array.reset_from_template(&ctx.templates[ib_index]);
         let slot = ctx.usable[group_in_round * num_ibs + ib_index] as u64;
@@ -1053,15 +980,13 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
             ));
         }
         for (row, input) in rows {
-            let words = lane_instances.map(|instance| input.value(instance));
-            array.write_row(*row, &words);
+            array.write_row(*row, &input.words(&ctx.plan.feeds, &lane_instances));
         }
     }
 
     let mut outcome = GroupOutcome {
-        reduce_acc: vec![0i32; ctx.n_slots],
+        reduce_acc: vec![0i32; ctx.plan.n_slots],
         harvest: Vec::new(),
-        trace: (ctx.trace_on && group == 0).then(Vec::new),
         events: Vec::new(),
         transport_events: Vec::new(),
         noc: NocStats::default(),
@@ -1074,12 +999,13 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
     let round_base_net = round * ctx.module_latency * imp_noc::NET_CYCLES_PER_ARRAY_CYCLE;
     for entry in &ctx.sched.entries {
         let inst = kernel.ibs[entry.ib].block.instructions()[entry.index];
-        let mut lane0_result = None;
         match inst {
             Instruction::Movg { src, dst } => {
-                let (src_ib, src_row) = movg_endpoint(src, arrays.len(), entry)?;
-                let (dst_ib, dst_row) = movg_endpoint(dst, arrays.len(), entry)?;
-                let value = arrays[src_ib].read_row(src_row);
+                // `check_operand_ranges` refused any endpoint that names
+                // no IB row.
+                let (src_ib, src_row) = as_cross_ib(src).expect("checked movg source");
+                let (dst_ib, dst_row) = as_cross_ib(dst).expect("checked movg destination");
+                let value = arrays[src_ib].read_row(usize::from(src_row));
                 let src_tile = tile_of(ctx, group_in_round, src_ib);
                 let dst_tile = tile_of(ctx, group_in_round, dst_ib);
                 let now = round_base_net + entry.start * imp_noc::NET_CYCLES_PER_ARRAY_CYCLE;
@@ -1104,19 +1030,16 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
                         if let Some(words) = delivery.payload {
                             let mut row = [0i32; LANES];
                             row.copy_from_slice(&words);
-                            arrays[dst_ib].write_row(dst_row, &row);
+                            arrays[dst_ib].write_row(usize::from(dst_row), &row);
                         }
                     }
                     Err(ev) => return Err(transport_error(ctx.watchdog_limit, site, ev)),
                 }
             }
             Instruction::ReduceSum { src, dst } => {
-                let Some(slot) = as_output_slot(dst).filter(|&slot| slot < ctx.n_slots) else {
-                    return Err(malformed(
-                        entry,
-                        format!("reduce_sum target {dst} names no reduction slot"),
-                    ));
-                };
+                // `check_operand_ranges` refused any target that names no
+                // reduction slot below `n_slots`.
+                let slot = as_output_slot(dst).expect("checked reduction slot");
                 let row = arrays[entry.ib].read_row(src.index());
                 for &value in row.iter().take(valid_lanes) {
                     outcome.reduce_acc[slot] = outcome.reduce_acc[slot].wrapping_add(value);
@@ -1139,21 +1062,7 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
                 if let Some(per_ib) = outcome.ib_energy.as_mut() {
                     per_ib[entry.ib] += op_j;
                 }
-                if outcome.trace.is_some() {
-                    lane0_result = local.local_dst().map(|dst| match dst {
-                        Addr::Mem(row) => arrays[entry.ib].read_word(row as usize, 0),
-                        Addr::Reg(reg) => arrays[entry.ib].read_reg(reg as usize)[0],
-                    });
-                }
             }
-        }
-        if let Some(trace_events) = outcome.trace.as_mut() {
-            trace_events.push(TraceEvent {
-                cycle: entry.start,
-                ib: entry.ib,
-                instruction: inst,
-                lane0_result,
-            });
         }
     }
     // Write-back-boundary integrity checks: residue scan over every
@@ -1273,16 +1182,17 @@ fn tile_of(ctx: &EngineCtx, group_in_round: usize, ib: usize) -> usize {
 
 /// Where one input row's lanes come from, resolved from its
 /// [`InputBinding`] once per run so the per-group staging loop indexes
-/// slices instead of looking tensors up by name.
-enum StagedInput<'a> {
-    /// Instance `i` reads `data[base + i]`.
-    Element { data: &'a [i32], base: usize },
+/// quantized feeds instead of looking tensors up by name.
+enum StagedInput {
+    /// Instance `i` reads element `base + i` of feed `feed`.
+    Element { feed: usize, base: usize },
     /// Every instance reads the same value.
     Shared(i32),
-    /// Instance `(r, c)` of the `h × w` grid reads `data[(r+dr)·w + c+dc]`,
-    /// zero beyond the boundary (SAME padding).
+    /// Instance `(r, c)` of the `h × w` grid reads element
+    /// `(r+dr)·w + c+dc` of feed `feed`, zero beyond the boundary (SAME
+    /// padding).
     Window {
-        data: &'a [i32],
+        feed: usize,
         h: usize,
         w: usize,
         dr: isize,
@@ -1290,124 +1200,192 @@ enum StagedInput<'a> {
     },
 }
 
-impl StagedInput<'_> {
-    /// The word `instance` loads. In bounds for every instance below the
-    /// kernel's instance count: [`stage_inputs`] checked the lengths.
-    fn value(&self, instance: usize) -> i32 {
+impl StagedInput {
+    /// The words the lanes load from `feeds`, lane `l` reading instance
+    /// `lane_instances[l]`. In bounds for every instance below the
+    /// kernel's instance count: [`RunPlan::new`] checked the lengths.
+    fn words(&self, feeds: &[Vec<i32>], lane_instances: &[usize; LANES]) -> [i32; LANES] {
         match *self {
-            StagedInput::Element { data, base } => data[base + instance],
-            StagedInput::Shared(value) => value,
-            StagedInput::Window { data, h, w, dr, dc } => {
-                let r = (instance / w) as isize + dr;
-                let c = (instance % w) as isize + dc;
-                if r < 0 || r >= h as isize || c < 0 || c >= w as isize {
-                    0
-                } else {
-                    data[r as usize * w + c as usize]
-                }
+            StagedInput::Element { feed, base } => {
+                let data = &feeds[feed][base..];
+                lane_instances.map(|instance| data[instance])
+            }
+            StagedInput::Shared(value) => [value; LANES],
+            StagedInput::Window { feed, h, w, dr, dc } => {
+                let data = &feeds[feed];
+                lane_instances.map(|instance| {
+                    let r = (instance / w) as isize + dr;
+                    let c = (instance % w) as isize + dc;
+                    if r < 0 || r >= h as isize || c < 0 || c >= w as isize {
+                        0
+                    } else {
+                        data[r as usize * w + c as usize]
+                    }
+                })
             }
         }
     }
 }
 
-/// Resolves every IB's `(row, InputBinding)` against the quantized
-/// inputs: the one place input names and lengths are checked, so a short
-/// or missing feed fails here with a typed error instead of inside the
-/// group loop.
-fn stage_inputs<'a>(
-    kernel: &CompiledKernel,
-    raw_inputs: &'a HashMap<String, (Vec<i32>, Shape)>,
-) -> Result<Vec<Vec<(usize, StagedInput<'a>)>>, SimError> {
-    let lookup = |name: &str| {
-        raw_inputs
-            .get(name)
-            .ok_or_else(|| SimError::MissingInput(name.to_string()))
-    };
-    let shape_error = |name: &str, expect: String, got: usize| SimError::InputShape {
-        name: name.to_string(),
-        expect,
-        got: format!("{got} elements"),
-    };
-    // Lanes past the last instance replicate an earlier one, so the
-    // highest instance any lane loads is `instances - 1` (instance 0 for
-    // an empty kernel).
-    let last_instance = kernel.parallel.instances().saturating_sub(1);
-    let mut staging = Vec::with_capacity(kernel.ibs.len());
-    for ib in &kernel.ibs {
-        let mut rows = Vec::with_capacity(ib.input_rows.len());
-        for (row, binding) in &ib.input_rows {
-            let input = match binding {
-                InputBinding::Element {
-                    name,
-                    intra_idx,
-                    intra_len,
-                } => {
-                    let (data, _) = lookup(name)?;
-                    let n = kernel.parallel.instances();
-                    let base = intra_idx * n;
-                    if base + last_instance >= data.len() {
-                        return Err(shape_error(
-                            name,
-                            format!(
-                                "{} elements ({} intra × {} instances)",
-                                intra_len * n,
-                                intra_len,
-                                n
-                            ),
-                            data.len(),
-                        ));
-                    }
-                    StagedInput::Element { data, base }
-                }
-                InputBinding::Shared { name, flat_idx } => {
-                    StagedInput::Shared(shared_value(raw_inputs, name, *flat_idx)?)
-                }
-                InputBinding::Window { name, dr, dc } => {
-                    let (data, shape) = lookup(name)?;
-                    let (h, w) = match kernel.parallel {
-                        ParallelSpec::Stencil { h, w } => (h, w),
-                        _ if shape.rank() >= 2 => (shape.dim(0), shape.dim(1)),
-                        _ => (0, 0),
-                    };
-                    if h * w == 0 || data.len() < h * w {
-                        return Err(shape_error(
-                            name,
-                            format!("a non-empty {h} × {w} grid ({} elements)", h * w),
-                            data.len(),
-                        ));
-                    }
-                    StagedInput::Window {
-                        data,
-                        h,
-                        w,
-                        dr: *dr,
-                        dc: *dc,
-                    }
-                }
-            };
-            rows.push((usize::from(*row), input));
-        }
-        staging.push(rows);
-    }
-    Ok(staging)
+/// Everything [`Machine::run`] checks and resolves before any group
+/// executes, so the group loop only executes.
+struct RunPlan {
+    /// Every supplied feed, quantized to the kernel's format.
+    feeds: Vec<Vec<i32>>,
+    /// Per IB: each input row and where its lanes come from.
+    rows: Vec<Vec<(usize, StagedInput)>>,
+    /// Per IB: each preloaded register and its word.
+    preloads: Vec<Vec<(usize, i32)>>,
+    /// Reduction slots the kernel's outputs read.
+    n_slots: usize,
 }
 
-/// Element `flat_idx` of the named input, shared by every instance.
-fn shared_value(
-    raw_inputs: &HashMap<String, (Vec<i32>, Shape)>,
-    name: &str,
-    flat_idx: usize,
-) -> Result<i32, SimError> {
-    let (data, _) = raw_inputs
-        .get(name)
-        .ok_or_else(|| SimError::MissingInput(name.to_string()))?;
-    data.get(flat_idx)
-        .copied()
-        .ok_or_else(|| SimError::InputShape {
+impl RunPlan {
+    /// The one pre-run pass: checks the kernel's references
+    /// ([`check_operand_ranges`]) and its width against the chip's
+    /// `total_arrays`, quantizes every feed (rejecting NaN and ±inf; finite
+    /// values saturate at the format's rails), then resolves the register
+    /// preloads and input rows against the feeds. This is the one place
+    /// input names and lengths are checked.
+    fn new(
+        kernel: &CompiledKernel,
+        inputs: &HashMap<String, Tensor>,
+        total_arrays: usize,
+    ) -> Result<RunPlan, SimError> {
+        let n_slots = kernel
+            .outputs
+            .iter()
+            .flat_map(|o| o.locs.iter())
+            .filter_map(|loc| match loc {
+                OutputLoc::Reduced { slot } => Some(slot + 1),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0);
+        check_operand_ranges(kernel, n_slots)?;
+        let num_ibs = kernel.ibs.len().max(1);
+        if num_ibs > total_arrays {
+            return Err(SimError::OutOfArrays {
+                needed: num_ibs,
+                available: total_arrays,
+            });
+        }
+
+        let mut index = HashMap::with_capacity(inputs.len());
+        let mut feeds = Vec::with_capacity(inputs.len());
+        for (name, tensor) in inputs {
+            let mut raw = Vec::with_capacity(tensor.data().len());
+            for (i, &v) in tensor.data().iter().enumerate() {
+                if !v.is_finite() {
+                    let name = name.clone();
+                    return Err(SimError::NonFiniteInput { name, index: i });
+                }
+                raw.push(Fixed::from_f64_saturating(v, kernel.format).raw());
+            }
+            index.insert(name.as_str(), feeds.len());
+            feeds.push(raw);
+        }
+        let lookup = |name: &str| {
+            index
+                .get(name)
+                .map(|&feed| (feed, feeds[feed].as_slice()))
+                .ok_or_else(|| SimError::MissingInput(name.to_string()))
+        };
+        let shape_error = |name: &str, expect: String, got: usize| SimError::InputShape {
             name: name.to_string(),
-            expect: format!("at least {} elements", flat_idx + 1),
-            got: format!("{} elements", data.len()),
+            expect,
+            got: format!("{got} elements"),
+        };
+        let shared = |name: &str, flat_idx: usize| {
+            let (_, data) = lookup(name)?;
+            data.get(flat_idx).copied().ok_or_else(|| {
+                shape_error(
+                    name,
+                    format!("at least {} elements", flat_idx + 1),
+                    data.len(),
+                )
+            })
+        };
+
+        let preloads = kernel
+            .ibs
+            .iter()
+            .map(|ib| {
+                ib.reg_preloads
+                    .iter()
+                    .map(|(reg, binding)| {
+                        let raw = match binding {
+                            RegBinding::Const(raw) => *raw,
+                            RegBinding::Shared { name, flat_idx } => shared(name, *flat_idx)?,
+                        };
+                        Ok((usize::from(*reg), raw))
+                    })
+                    .collect()
+            })
+            .collect::<Result<_, SimError>>()?;
+
+        // Lanes past the last instance replicate an earlier one, so the
+        // highest instance any lane loads is `instances - 1` (instance 0 for
+        // an empty kernel).
+        let n = kernel.parallel.instances();
+        let last_instance = n.saturating_sub(1);
+        let mut rows = Vec::with_capacity(kernel.ibs.len());
+        for (i, ib) in kernel.ibs.iter().enumerate() {
+            let mut ib_rows = Vec::with_capacity(ib.input_rows.len());
+            for (row, binding) in &ib.input_rows {
+                let input = match binding {
+                    InputBinding::Element {
+                        name,
+                        intra_idx,
+                        intra_len,
+                    } => {
+                        let (feed, data) = lookup(name)?;
+                        let base = intra_idx * n;
+                        if base + last_instance >= data.len() {
+                            let expect = format!(
+                                "{} elements ({intra_len} intra × {n} instances)",
+                                intra_len * n
+                            );
+                            return Err(shape_error(name, expect, data.len()));
+                        }
+                        StagedInput::Element { feed, base }
+                    }
+                    InputBinding::Shared { name, flat_idx } => {
+                        StagedInput::Shared(shared(name, *flat_idx)?)
+                    }
+                    InputBinding::Window { name, dr, dc } => {
+                        // Only a stencil kernel has a grid for the window
+                        // to slide over.
+                        let ParallelSpec::Stencil { h, w } = kernel.parallel else {
+                            return Err(SimError::MalformedKernel(format!(
+                                "ib{i}: window input {name} in a kernel with no stencil grid"
+                            )));
+                        };
+                        let (feed, data) = lookup(name)?;
+                        if h * w == 0 || data.len() < h * w {
+                            let expect = format!("a non-empty {h} × {w} grid ({} elements)", h * w);
+                            return Err(shape_error(name, expect, data.len()));
+                        }
+                        StagedInput::Window {
+                            feed,
+                            h,
+                            w,
+                            dr: *dr,
+                            dc: *dc,
+                        }
+                    }
+                };
+                ib_rows.push((usize::from(*row), input));
+            }
+            rows.push(ib_rows);
+        }
+        Ok(RunPlan {
+            feeds,
+            rows,
+            preloads,
+            n_slots,
         })
+    }
 }
 
 #[cfg(test)]
@@ -1667,43 +1645,6 @@ mod tests {
         for (i, &v) in updated.data().iter().enumerate() {
             assert!((v - (1.0 + i as f64 / 2.0)).abs() < 1e-3);
         }
-    }
-
-    #[test]
-    fn tracing_records_the_schedule() {
-        let mut g = GraphBuilder::new();
-        let x = g.placeholder("x", Shape::vector(8)).unwrap();
-        let sq = g.square(x).unwrap();
-        let one = g.scalar(1.0);
-        let y = g.add(sq, one).unwrap();
-        g.fetch(y);
-        let kernel = compile(&g.finish(), &CompileOptions::default()).unwrap();
-        let mut config = SimConfig::functional();
-        config.trace = true;
-        let mut machine = Machine::new(config);
-        let inputs = [("x".to_string(), Tensor::filled(3.0, Shape::vector(8)))]
-            .into_iter()
-            .collect();
-        let report = machine.run(&kernel, &inputs).unwrap();
-        let trace = report.trace.as_ref().expect("trace requested");
-        assert_eq!(trace.len(), kernel.stats.total_instructions);
-        // Cycles are non-decreasing within one IB and the final write is
-        // the fetched value: 3² + 1 = 10 in Q16.16.
-        let mut last = 0;
-        for event in trace {
-            assert!(event.cycle >= last || event.ib != trace[0].ib);
-            last = event.cycle;
-        }
-        let final_write = trace
-            .iter()
-            .rev()
-            .find_map(|e| e.lane0_result)
-            .expect("some local write");
-        assert_eq!(final_write, 10 << 16);
-        // Untraced runs carry no trace.
-        let mut machine = Machine::new(SimConfig::functional());
-        let report = machine.run(&kernel, &inputs).unwrap();
-        assert!(report.trace.is_none());
     }
 
     #[test]

@@ -88,7 +88,6 @@ fn assert_identical(a: &RunReport, b: &RunReport, tag: &str) {
         a.instructions_executed, b.instructions_executed,
         "{tag}: instructions"
     );
-    assert_eq!(a.trace, b.trace, "{tag}: trace");
     assert_eq!(a.fault_events, b.fault_events, "{tag}: fault events");
     assert_eq!(a.retries, b.retries, "{tag}: retries");
     assert_eq!(a.retired_arrays, b.retired_arrays, "{tag}: retired arrays");
@@ -139,7 +138,6 @@ proptest! {
         let (kernel, inputs) = build_kernel(kind, 200 * scale);
         let config = SimConfig {
             fault_seed: seed,
-            trace: true,
             ..SimConfig::functional()
         };
         check_all_parallelisms(&config, &kernel, &inputs);
@@ -209,7 +207,6 @@ fn retry_recovery_identical_across_worker_counts() {
     };
     let config = SimConfig {
         fault_seed: 7,
-        trace: true,
         faults: Some(FaultConfig::new(
             rates,
             FaultPolicy::Retry {

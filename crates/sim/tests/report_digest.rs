@@ -47,8 +47,8 @@ impl Fnv {
     }
 }
 
-/// A digest of every simulated result in `r`. Host-side telemetry and the
-/// optional instruction trace are excluded.
+/// A digest of every simulated result in `r`. Host-side telemetry is
+/// excluded.
 fn digest(r: &RunReport) -> u64 {
     let mut h = Fnv::new();
     let mut nodes: Vec<_> = r.outputs.keys().collect();

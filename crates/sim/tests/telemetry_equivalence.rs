@@ -89,7 +89,6 @@ fn assert_identical(a: &RunReport, b: &RunReport, tag: &str) {
         a.instructions_executed, b.instructions_executed,
         "{tag}: instructions"
     );
-    assert_eq!(a.trace, b.trace, "{tag}: trace");
     assert_eq!(a.fault_events, b.fault_events, "{tag}: fault events");
     assert_eq!(a.retries, b.retries, "{tag}: retries");
     assert_eq!(a.retired_arrays, b.retired_arrays, "{tag}: retired arrays");
@@ -132,7 +131,6 @@ proptest! {
         let (kernel, inputs) = build_kernel(kind, 200 * scale);
         let base = SimConfig {
             fault_seed: seed,
-            trace: true,
             faults: faulty.then(|| FaultConfig::new(
                 FaultRates {
                     transient_adc: 1e-4,

@@ -43,7 +43,6 @@ fn builder_defaults_match_default_configs_field_by_field() {
     assert_eq!(config.capacity, functional.capacity);
     assert_eq!(config.analog, functional.analog);
     assert_eq!(config.noc, functional.noc);
-    assert_eq!(config.trace, functional.trace);
     assert_eq!(config.fault_seed, functional.fault_seed);
     assert_eq!(config.faults, functional.faults);
     assert_eq!(config.transport, functional.transport);
@@ -71,7 +70,6 @@ fn builder_round_trips_every_knob_into_the_session() {
             max_cycles: 1 << 30,
             max_attempts: 9,
         })
-        .trace(true)
         .shadow_tolerance_ulps(512.0)
         .telemetry(Telemetry::new())
         .build()
@@ -92,7 +90,6 @@ fn builder_round_trips_every_knob_into_the_session() {
         TransportPolicy::AckRetransmit { max: 8, backoff: 4 }
     ));
     assert_eq!(config.watchdog.as_ref().unwrap().max_attempts, 9);
-    assert!(config.trace);
     assert!(config.telemetry.is_some());
     assert_eq!(session.shadow_config().unwrap().tolerance_ulps, 512.0);
 }

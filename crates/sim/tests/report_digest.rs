@@ -1,7 +1,8 @@
 //! `RunReport` bit-identity golden: every simulated result of a fixed
 //! matrix of runs — the eight corpus kernels × two compile policies ×
-//! six analog/fault configurations — is digested and compared against
-//! the checked-in `tests/golden/report_digest.txt`.
+//! six analog/fault configurations and four H-tree transport-fault
+//! configurations — is digested and compared against the checked-in
+//! `tests/golden/report_digest.txt`.
 //!
 //! A host-speed change to the simulator or the ReRAM substrate must leave
 //! this file byte-identical: outputs, variable updates, cycles, energy,
@@ -13,7 +14,10 @@
 
 use imp_compiler::OptPolicy;
 use imp_rram::FaultRates;
-use imp_sim::{FaultConfig, FaultPolicy, Machine, Parallelism, RunReport, SimConfig};
+use imp_sim::{
+    FaultConfig, FaultPolicy, LinkFaultRates, Machine, Parallelism, RunReport, SimConfig,
+    TransportConfig, TransportPolicy,
+};
 use std::fmt::Write as _;
 
 const GOLDEN_PATH: &str = concat!(
@@ -92,9 +96,11 @@ fn digest(r: &RunReport) -> u64 {
     h.0
 }
 
-/// The analog/fault configurations of the matrix, by name. Fault rates
-/// are light so the whole matrix stays quick in a debug build while still
-/// exercising every faulty read, scan and recovery path.
+/// The analog/fault and transport-fault configurations of the matrix, by
+/// name. Fault rates are light so the whole matrix stays quick in a debug
+/// build while still exercising every faulty read, scan and recovery
+/// path. The transport rows cover CRC failures with retransmission, a
+/// `FailFast` error, dropped messages and sibling detours.
 fn configs() -> Vec<(&'static str, SimConfig)> {
     let base = || {
         let mut config = SimConfig::functional();
@@ -105,6 +111,11 @@ fn configs() -> Vec<(&'static str, SimConfig)> {
     let faulty = |rates: FaultRates, policy: FaultPolicy| {
         let mut config = base();
         config.faults = Some(FaultConfig::new(rates, policy));
+        config
+    };
+    let transport = |rates: LinkFaultRates, policy: TransportPolicy| {
+        let mut config = base();
+        config.transport = Some(TransportConfig { rates, policy });
         config
     };
     let mut noisy = base();
@@ -145,8 +156,39 @@ fn configs() -> Vec<(&'static str, SimConfig)> {
             ),
         ),
         ("adc4_clipping", narrow),
+        (
+            "transport_flip_retransmit",
+            transport(
+                LinkFaultRates::flips(FLIP_RATE),
+                TransportPolicy::AckRetransmit {
+                    max: 8,
+                    backoff: 16,
+                },
+            ),
+        ),
+        (
+            "transport_flip_failfast",
+            transport(LinkFaultRates::flips(FLIP_RATE), TransportPolicy::FailFast),
+        ),
+        (
+            "transport_dead_silent",
+            transport(
+                LinkFaultRates::dead_links(DEAD_RATE),
+                TransportPolicy::Silent,
+            ),
+        ),
+        (
+            "transport_dead_reroute",
+            transport(
+                LinkFaultRates::dead_links(DEAD_RATE),
+                TransportPolicy::Reroute,
+            ),
+        ),
     ]
 }
+
+const FLIP_RATE: f64 = 0.02;
+const DEAD_RATE: f64 = 0.2;
 
 fn digest_lines() -> String {
     let mut out = String::new();

@@ -14,13 +14,17 @@
 //! * [`Network`] — an event-based contention model: every link tracks when
 //!   it is next free, messages serialize into flits, and delivery times
 //!   account for router pipeline, link traversal and queueing;
-//! * in-network reduction ([`Network::reduce`]) that models the adders in
-//!   the routers summing partial values as they flow toward the root;
-//! * a transport-reliability layer ([`LinkFaultMap`], [`TransportPolicy`],
-//!   [`Network::transfer`], [`Network::reduce_transfer`]) modeling flaky
-//!   and dead links, stuck routers and faulty reduction adders, with
-//!   per-message CRC detection and ack/retransmit or sibling-detour
-//!   recovery.
+//! * two ways to move data, both through one delivery loop:
+//!   [`Network::transfer`] for point-to-point `movg` traffic, and
+//!   [`Network::reduce_transfer`] for in-network reduction, which models
+//!   the adders in the routers summing partial values as they flow
+//!   toward the root;
+//! * a transport-reliability layer ([`LinkFaultMap`], [`TransportPolicy`])
+//!   modeling flaky and dead links, stuck routers and faulty reduction
+//!   adders, with per-message CRC detection and ack/retransmit or
+//!   sibling-detour recovery. A network without a fault model runs the
+//!   same loop with nothing to inject, so every message arrives on its
+//!   first attempt.
 //!
 //! Times are in **network cycles** (2 GHz); helpers convert to the 20 MHz
 //! array clock (100 network cycles per array cycle).
@@ -32,8 +36,10 @@
 //!
 //! let topo = HTreeTopology::new(4096, 8);
 //! let mut net = Network::new(topo, NocConfig::default());
-//! let delivery = net.send(0, 4095, 32, 0);
-//! assert!(delivery > 0);
+//! let payload = [7; 8];
+//! let delivery = net.transfer(0, 4095, &payload, 32, 0, None).unwrap();
+//! assert!(delivery.time > 0);
+//! assert_eq!(delivery.payload.as_deref(), Some(&payload[..]));
 //! ```
 
 #![warn(missing_docs)]

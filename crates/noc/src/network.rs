@@ -1,11 +1,18 @@
-//! Contention-aware message timing over the H-tree, with an optional
-//! transport-reliability layer (CRC detection + recovery policies).
+//! Contention-aware message delivery over the H-tree.
+//!
+//! Unicasts and reductions share one delivery loop: dead links on the
+//! path resolve per the [`TransportPolicy`], then each attempt reserves
+//! link occupancy, samples bit flips, and checks the per-message CRC at
+//! the destination until an attempt arrives clean or the policy gives up.
+//! Without a fault model nothing is dead and nothing flips, so the first
+//! attempt delivers.
 
 use crate::topology::{HTreeTopology, LinkId};
 use crate::transport::{
     crc32, Delivery, LinkFaultMap, TransportEvent, TransportFaultKind, TransportPolicy,
     REROUTE_RETRANSMIT_MAX,
 };
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 
 /// Network timing parameters.
@@ -96,10 +103,12 @@ pub struct Network {
     config: NocConfig,
     link_free: HashMap<LinkId, u64>,
     stats: NocStats,
-    transport: Option<TransportState>,
+    transport: TransportState,
 }
 
-/// Reliability-layer state attached to a [`Network`].
+/// The fault model every message is delivered through. A network without
+/// an attached model holds a clean map: no link is dead and no traversal
+/// flips, so every message is delivered on its first attempt.
 #[derive(Debug, Clone)]
 struct TransportState {
     map: LinkFaultMap,
@@ -109,37 +118,42 @@ struct TransportState {
     next_msg: u64,
 }
 
+/// A path's links after dead-link resolution plus its detour count, or
+/// `None` when the message was dropped.
+type Resolved<'r> = Option<(Cow<'r, [LinkId]>, u64)>;
+
+/// What one message travels over.
+#[derive(Debug, Clone, Copy)]
+enum Path<'a> {
+    /// A point-to-point route from `src` to `dst`.
+    Unicast { src: usize, dst: usize },
+    /// The reduction tree over `tiles`, whose sum is delivered to `dst`.
+    Reduce { tiles: &'a [usize], dst: usize },
+}
+
 impl Network {
-    /// Creates an idle network.
+    /// Creates an idle network without a fault model.
     pub fn new(topology: HTreeTopology, config: NocConfig) -> Self {
         Network {
             topology,
             config,
             link_free: HashMap::new(),
             stats: NocStats::default(),
-            transport: None,
+            transport: TransportState {
+                map: LinkFaultMap::clean(),
+                policy: TransportPolicy::Silent,
+                next_msg: 0,
+            },
         }
     }
 
-    /// Attaches a transport fault model. Without this call (the default),
-    /// [`Network::transfer`] and [`Network::reduce_transfer`] behave
-    /// exactly like the loss-free [`Network::send`] / [`Network::reduce`].
+    /// Attaches a transport fault model and its recovery policy.
     pub fn set_transport(&mut self, map: LinkFaultMap, policy: TransportPolicy) {
-        self.transport = Some(TransportState {
+        self.transport = TransportState {
             map,
             policy,
             next_msg: 0,
-        });
-    }
-
-    /// The active transport policy, if a fault model is attached.
-    pub fn transport_policy(&self) -> Option<TransportPolicy> {
-        self.transport.as_ref().map(|t| t.policy)
-    }
-
-    /// The attached fault map, if any.
-    pub fn fault_map(&self) -> Option<&LinkFaultMap> {
-        self.transport.as_ref().map(|t| &t.map)
+        };
     }
 
     /// The topology.
@@ -170,35 +184,223 @@ impl Network {
     /// attempt, link)`, so giving every instance group a disjoint,
     /// group-derived id base makes fault draws independent of the order
     /// in which groups execute — the property the parallel engine needs
-    /// for bit-identical results. No-op without an attached fault model.
+    /// for bit-identical results. Without a fault model nothing samples
+    /// the id.
     pub fn set_next_msg_id(&mut self, id: u64) {
-        if let Some(st) = &mut self.transport {
-            st.next_msg = id;
+        self.transport.next_msg = id;
+    }
+
+    /// Sends `payload` from tile `src` to tile `dst`, injecting at `now`
+    /// (network cycles).
+    ///
+    /// `bytes` is the modeled wire size (it may exceed `payload` — e.g.
+    /// headers). A same-tile transfer costs one router traversal through
+    /// the local router (the intra-tile path) and never meets a fault.
+    /// Each attempt walks the route, and the destination re-checks the
+    /// per-message CRC over what arrived; recovery follows the attached
+    /// [`TransportPolicy`]. `deadline` bounds retransmission storms
+    /// (network cycles).
+    pub fn transfer(
+        &mut self,
+        src: usize,
+        dst: usize,
+        payload: &[i32],
+        bytes: usize,
+        now: u64,
+        deadline: Option<u64>,
+    ) -> Result<Delivery, TransportEvent> {
+        self.deliver(Path::Unicast { src, dst }, payload, bytes, now, deadline)
+    }
+
+    /// In-network reduction of `payload` (the already-summed partials; the
+    /// fabric is modeled as computing the same sums) over `tiles`,
+    /// delivered to `dst_tile`. Each participating value is `bytes` wide.
+    ///
+    /// Values flow up the smallest covering subtree; each router sums its
+    /// children's partial values with its shift-and-add unit, so the link
+    /// traffic per level stays one value per subtree instead of one per
+    /// tile. An empty `tiles` list is a no-op delivered at `now`.
+    ///
+    /// CRC failures on the tree's links recover like
+    /// [`Network::transfer`]'s. Bad reduction adders corrupt the delivered
+    /// sums **without** any CRC event — the adder recomputes the checksum
+    /// after merging, so only end-to-end validation catches it.
+    pub fn reduce_transfer(
+        &mut self,
+        tiles: &[usize],
+        dst_tile: usize,
+        payload: &[i32],
+        bytes: usize,
+        now: u64,
+        deadline: Option<u64>,
+    ) -> Result<Delivery, TransportEvent> {
+        if tiles.is_empty() {
+            return Ok(Delivery {
+                time: now,
+                payload: Some(payload.to_vec()),
+                events: Vec::new(),
+            });
         }
+        let path = Path::Reduce {
+            tiles,
+            dst: dst_tile,
+        };
+        self.deliver(path, payload, bytes, now, deadline)
     }
 
     fn flits(&self, bytes: usize) -> u64 {
         (bytes.max(1)).div_ceil(self.config.flit_bytes) as u64
     }
 
-    /// Sends `bytes` from tile `src` to tile `dst`, injecting at time `now`
-    /// (network cycles). Returns the delivery completion time.
-    ///
-    /// A same-tile transfer costs one router traversal through the local
-    /// router (the intra-tile path).
-    pub fn send(&mut self, src: usize, dst: usize, bytes: usize, now: u64) -> u64 {
-        let flits = self.flits(bytes);
+    fn count_message(&mut self, bytes: usize) {
         self.stats.messages += 1;
         self.stats.bytes += bytes as u64;
-        let route = self.topology.route(src, dst);
+    }
+
+    /// The one delivery loop: resolves dead links per policy, then
+    /// attempts the path until an attempt arrives clean or the policy
+    /// gives up.
+    fn deliver(
+        &mut self,
+        path: Path<'_>,
+        payload: &[i32],
+        bytes: usize,
+        now: u64,
+        deadline: Option<u64>,
+    ) -> Result<Delivery, TransportEvent> {
+        let flits = self.flits(bytes);
+        self.count_message(bytes);
+        let (src, dst, links) = match path {
+            Path::Unicast { src, dst } => (src, dst, self.topology.route(src, dst)),
+            Path::Reduce { tiles, dst } => (tiles[0], dst, self.topology.reduction_links(tiles)),
+        };
+        // A same-tile unicast never leaves its tile router and takes no
+        // message id; every other message, a one-tile reduction included,
+        // takes one.
+        let msg = match path {
+            Path::Unicast { .. } if links.is_empty() => 0,
+            _ => {
+                self.transport.next_msg += 1;
+                self.transport.next_msg - 1
+            }
+        };
+        let mut events = Vec::new();
+        let Some((eff, detours)) =
+            self.resolve_dead_links(&links, flits, src, dst, now, deadline, &mut events)?
+        else {
+            // A dropped unicast never arrives; a dropped reduction still
+            // runs on its tree for timing, but the sum is lost.
+            let time = match path {
+                Path::Unicast { .. } => now,
+                Path::Reduce { tiles, dst } => self.reduce_time(tiles, dst, &links, bytes, now),
+            };
+            return Ok(Delivery {
+                time,
+                payload: None,
+                events,
+            });
+        };
+        let hop = self.config.router_latency + self.config.link_latency;
+        let lateral = detours * hop;
+        let serialization = eff.len() as u64 * hop + flits;
+        let mut start = now;
+        let mut attempt = 0u32;
+        loop {
+            attempt += 1;
+            let time = match path {
+                Path::Unicast { .. } => self.unicast_time(&eff, flits, start),
+                // The tree is timed over its own links; a detour adds
+                // only its lateral hops.
+                Path::Reduce { tiles, dst } => self.reduce_time(tiles, dst, &links, bytes, start),
+            } + lateral;
+            let map = &self.transport.map;
+            let mut flipped = eff
+                .iter()
+                .copied()
+                .filter(|&l| map.flips_message(msg, attempt, l));
+            let first_fault = flipped.next();
+            // One deterministic bit flip per faulty link.
+            let mut data = payload.to_vec();
+            for k in 0..first_fault.map_or(0, |_| 1 + flipped.count()) {
+                map.corrupt_payload(&mut data, msg, (u64::from(attempt) << 8) | k as u64);
+            }
+            // The destination recomputes the CRC over what crossed the
+            // wires. On a reduction tree two flips can hit the same bit
+            // and cancel, so only a unicast asserts the mismatch.
+            if first_fault.is_none() {
+                debug_assert_eq!(crc32(&data), crc32(payload));
+            } else if let Path::Unicast { .. } = path {
+                debug_assert_ne!(crc32(&data), crc32(payload));
+            }
+            if let Path::Reduce { .. } = path {
+                self.apply_bad_adders(&mut data, &eff, msg);
+            }
+            let Some(link) = first_fault else {
+                return Ok(Delivery {
+                    time,
+                    payload: Some(data),
+                    events,
+                });
+            };
+            self.stats.crc_failures += 1;
+            let event = TransportEvent {
+                kind: TransportFaultKind::CrcMismatch { link },
+                src,
+                dst,
+                net_time: time,
+            };
+            let (max, backoff) = match self.transport.policy {
+                TransportPolicy::Silent => {
+                    events.push(event);
+                    return Ok(Delivery {
+                        time,
+                        payload: Some(data),
+                        events,
+                    });
+                }
+                TransportPolicy::FailFast => return Err(event),
+                TransportPolicy::AckRetransmit { max, backoff } => (max, backoff),
+                TransportPolicy::Reroute => (REROUTE_RETRANSMIT_MAX, 0),
+            };
+            if attempt > max {
+                return Err(TransportEvent {
+                    kind: TransportFaultKind::RetransmitExhausted { attempts: attempt },
+                    src,
+                    dst,
+                    net_time: time,
+                });
+            }
+            // Charge the deterministic recovery cost of the failed attempt
+            // (re-serialization + backoff) so degradation curves stay
+            // monotone in the injected rate regardless of contention noise.
+            self.stats.retransmissions += 1;
+            self.stats.retransmit_cycles = self
+                .stats
+                .retransmit_cycles
+                .saturating_add(serialization + backoff);
+            start = time + backoff;
+            if deadline.is_some_and(|dl| start > dl) {
+                return Err(TransportEvent {
+                    kind: TransportFaultKind::DeadlineExceeded {
+                        spent_net_cycles: start - now,
+                    },
+                    src,
+                    dst,
+                    net_time: start,
+                });
+            }
+        }
+    }
+
+    /// Times one unicast attempt over `route`; an empty route is the
+    /// local path through the tile router. Returns the tail arrival time.
+    fn unicast_time(&mut self, route: &[LinkId], flits: u64, now: u64) -> u64 {
         if route.is_empty() {
-            // Local delivery through the tile router.
             self.stats.router_traversals += 1;
             return now + self.config.router_latency + flits;
         }
-        let head_time = self.traverse(&route, flits, now);
         // Tail flit arrives `flits` cycles after the head.
-        head_time + flits
+        self.traverse(route, flits, now) + flits
     }
 
     /// Walks the head flit across `route`, reserving link occupancy and
@@ -220,30 +422,17 @@ impl Network {
         head_time
     }
 
-    /// Performs an in-network reduction over `tiles`, delivering the result
-    /// to `dst_tile`. Each participating value is `bytes` wide. Returns the
-    /// completion time.
-    ///
-    /// Values flow up the smallest covering subtree; each router sums its
-    /// children's partial values with its shift-and-add unit, so the link
-    /// traffic per level stays one value per subtree instead of one per
-    /// tile.
-    pub fn reduce(&mut self, tiles: &[usize], dst_tile: usize, bytes: usize, now: u64) -> u64 {
-        if tiles.is_empty() {
-            return now;
-        }
-        let t = self.reduce_timing(tiles, dst_tile, bytes, now);
-        self.stats.messages += 1;
-        self.stats.bytes += bytes as u64;
-        t
-    }
-
-    /// The timing/occupancy core of [`Network::reduce`], without the
-    /// per-reduction message/byte accounting (so retransmission attempts
-    /// can replay it without inflating the message count).
-    fn reduce_timing(&mut self, tiles: &[usize], dst_tile: usize, bytes: usize, now: u64) -> u64 {
+    /// Times one reduction attempt over the tree `links` of `tiles` and
+    /// the delivery of its sum to `dst_tile`. Returns the completion time.
+    fn reduce_time(
+        &mut self,
+        tiles: &[usize],
+        dst_tile: usize,
+        links: &[LinkId],
+        bytes: usize,
+        now: u64,
+    ) -> u64 {
         let flits = self.flits(bytes);
-        let links = self.topology.reduction_links(tiles);
         let top_level = tiles.iter().skip(1).fold(0u8, |acc, &t| {
             acc.max(self.topology.common_ancestor_level(tiles[0], t))
         });
@@ -254,7 +443,7 @@ impl Network {
         let up_time = now + u64::from(top_level) * per_hop + flits;
         // Occupancy: every participating link carries one value.
         let mut busiest = up_time;
-        for link in &links {
+        for link in links {
             let free = self.link_free.get(link).copied().unwrap_or(0);
             let start = now.max(free);
             self.stats.contention_cycles += start - now;
@@ -269,79 +458,29 @@ impl Network {
         // Deliver the reduced value from the subtree root down to dst.
         let root_ancestor = self.topology.ancestor(tiles[0], top_level);
         let dst_ancestor = self.topology.ancestor(dst_tile, top_level);
-        let down = if root_ancestor == dst_ancestor {
-            let mut t = busiest;
-            for level in (0..top_level).rev() {
-                let link = LinkId {
-                    level,
-                    node: self.topology.ancestor(dst_tile, level),
-                    up: false,
-                };
-                let free = self.link_free.get(&link).copied().unwrap_or(0);
-                let start = t.max(free);
-                let done = start + self.config.router_latency + self.config.link_latency + flits;
-                self.link_free.insert(link, done);
-                self.stats.router_traversals += 1;
-                t = start + self.config.router_latency + self.config.link_latency;
-            }
-            t + flits
-        } else {
-            // Destination outside the reduction subtree: a full send from
-            // a representative tile at the subtree root.
-            self.send(tiles[0], dst_tile, bytes, busiest)
-        };
-        down
-    }
-}
-
-/// Transport-reliability layer: payload-carrying transfers with CRC
-/// detection and per-policy recovery. With no fault model attached these
-/// reduce byte-for-byte and cycle-for-cycle to [`Network::send`] /
-/// [`Network::reduce`].
-impl Network {
-    fn link_dead(&self, link: LinkId) -> bool {
-        self.transport
-            .as_ref()
-            .is_some_and(|t| t.map.link_dead(link))
-    }
-
-    fn flipped_links(&self, route: &[LinkId], msg: u64, attempt: u32) -> Vec<LinkId> {
-        match &self.transport {
-            Some(t) => route
-                .iter()
-                .copied()
-                .filter(|&l| t.map.flips_message(msg, attempt, l))
-                .collect(),
-            None => Vec::new(),
+        if root_ancestor != dst_ancestor {
+            // Destination outside the reduction subtree: a fault-free
+            // unicast, counted as its own message, from a representative
+            // tile at the subtree root.
+            self.count_message(bytes);
+            let route = self.topology.route(tiles[0], dst_tile);
+            return self.unicast_time(&route, flits, busiest);
         }
-    }
-
-    fn next_msg_id(&mut self) -> (TransportPolicy, u64) {
-        let st = self.transport.as_mut().expect("transport attached");
-        let id = st.next_msg;
-        st.next_msg += 1;
-        (st.policy, id)
-    }
-
-    /// Applies one deterministic bit flip per faulty link to `data`.
-    fn corrupt(&self, data: &mut [i32], msg: u64, attempt: u32, faults: &[LinkId]) {
-        if let Some(t) = &self.transport {
-            for (k, _) in faults.iter().enumerate() {
-                t.map
-                    .corrupt_payload(data, msg, (u64::from(attempt) << 8) | k as u64);
-            }
+        let mut t = busiest;
+        for level in (0..top_level).rev() {
+            let link = LinkId {
+                level,
+                node: self.topology.ancestor(dst_tile, level),
+                up: false,
+            };
+            let free = self.link_free.get(&link).copied().unwrap_or(0);
+            let start = t.max(free);
+            let done = start + self.config.router_latency + self.config.link_latency + flits;
+            self.link_free.insert(link, done);
+            self.stats.router_traversals += 1;
+            t = start + self.config.router_latency + self.config.link_latency;
         }
-    }
-
-    /// Charges the deterministic recovery cost of one failed attempt
-    /// (re-serialization + backoff) so degradation curves stay monotone in
-    /// the injected rate regardless of contention noise.
-    fn charge_retry(&mut self, serialization: u64, backoff: u64) {
-        self.stats.retransmissions += 1;
-        self.stats.retransmit_cycles = self
-            .stats
-            .retransmit_cycles
-            .saturating_add(serialization + backoff);
+        t + flits
     }
 
     /// A route over a dead link under AckRetransmit can never succeed:
@@ -393,29 +532,31 @@ impl Network {
     }
 
     /// Resolves dead links on `route` per the active policy. On success
-    /// returns the effective route plus the number of sibling detours
-    /// taken; `Ok(None)` means the message was silently dropped (events
-    /// already pushed); `Err` is fatal.
+    /// returns the effective route (borrowed when no link is dead) plus
+    /// the number of sibling detours taken; `Ok(None)` means the message
+    /// was silently dropped (events already pushed); `Err` is fatal.
     #[allow(clippy::too_many_arguments)]
-    fn resolve_dead_links(
+    fn resolve_dead_links<'r>(
         &mut self,
-        route: &[LinkId],
-        policy: TransportPolicy,
+        route: &'r [LinkId],
         flits: u64,
         src: usize,
         dst: usize,
         now: u64,
         deadline: Option<u64>,
         events: &mut Vec<TransportEvent>,
-    ) -> Result<Option<(Vec<LinkId>, u64)>, TransportEvent> {
-        let mut eff = Vec::with_capacity(route.len());
+    ) -> Result<Resolved<'r>, TransportEvent> {
+        let Some(first_dead) = route.iter().position(|&l| self.transport.map.link_dead(l)) else {
+            return Ok(Some((Cow::Borrowed(route), 0)));
+        };
+        let mut eff = route[..first_dead].to_vec();
         let mut detours = 0u64;
-        for &link in route {
-            if !self.link_dead(link) {
+        for &link in &route[first_dead..] {
+            if !self.transport.map.link_dead(link) {
                 eff.push(link);
                 continue;
             }
-            match policy {
+            match self.transport.policy {
                 TransportPolicy::Silent => {
                     self.stats.dropped_messages += 1;
                     events.push(TransportEvent {
@@ -454,7 +595,7 @@ impl Network {
                         node: link.node ^ 1,
                         up: link.up,
                     };
-                    if self.link_dead(sibling) {
+                    if self.transport.map.link_dead(sibling) {
                         return Err(TransportEvent {
                             kind: TransportFaultKind::DeadLink { link },
                             src,
@@ -467,294 +608,32 @@ impl Network {
                 }
             }
         }
-        if detours > 0 {
-            self.stats.rerouted_messages += 1;
-            self.stats.retransmit_cycles = self
-                .stats
-                .retransmit_cycles
-                .saturating_add(detours * (self.config.router_latency + self.config.link_latency));
-        }
-        Ok(Some((eff, detours)))
-    }
-
-    /// The CRC retransmission budget for a policy (`None` = no retries).
-    fn retry_budget(policy: TransportPolicy) -> Option<(u32, u64)> {
-        match policy {
-            TransportPolicy::AckRetransmit { max, backoff } => Some((max, backoff)),
-            TransportPolicy::Reroute => Some((REROUTE_RETRANSMIT_MAX, 0)),
-            _ => None,
-        }
-    }
-
-    /// Sends `payload` from tile `src` to tile `dst` through the fault
-    /// model, injecting at `now` (network cycles).
-    ///
-    /// Each attempt computes the source CRC, walks the route (corrupting
-    /// per the fault map), and re-checks the CRC at the destination;
-    /// recovery follows the attached [`TransportPolicy`]. `bytes` is the
-    /// modeled wire size (it may exceed `payload` — e.g. headers), keeping
-    /// timing identical to [`Network::send`] for the same byte count.
-    /// `deadline` bounds retransmission storms (network cycles).
-    ///
-    /// Without an attached fault model this is exactly `send` plus a
-    /// payload copy.
-    pub fn transfer(
-        &mut self,
-        src: usize,
-        dst: usize,
-        payload: &[i32],
-        bytes: usize,
-        now: u64,
-        deadline: Option<u64>,
-    ) -> Result<Delivery, TransportEvent> {
-        if self.transport.is_none() {
-            let time = self.send(src, dst, bytes, now);
-            return Ok(Delivery {
-                time,
-                payload: Some(payload.to_vec()),
-                events: Vec::new(),
-            });
-        }
-        let flits = self.flits(bytes);
-        self.stats.messages += 1;
-        self.stats.bytes += bytes as u64;
-        let route = self.topology.route(src, dst);
-        if route.is_empty() {
-            // Local delivery never leaves the tile router: no links, no
-            // transport faults.
-            self.stats.router_traversals += 1;
-            return Ok(Delivery {
-                time: now + self.config.router_latency + flits,
-                payload: Some(payload.to_vec()),
-                events: Vec::new(),
-            });
-        }
-        let (policy, msg) = self.next_msg_id();
-        let mut events = Vec::new();
-        let Some((eff_route, detours)) =
-            self.resolve_dead_links(&route, policy, flits, src, dst, now, deadline, &mut events)?
-        else {
-            return Ok(Delivery {
-                time: now,
-                payload: None,
-                events,
-            });
-        };
-        let lateral = detours * (self.config.router_latency + self.config.link_latency);
-        let serialization = eff_route.len() as u64
-            * (self.config.router_latency + self.config.link_latency)
-            + flits;
-        let source_crc = crc32(payload);
-        let mut start = now;
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let time = self.traverse(&eff_route, flits, start) + flits + lateral;
-            let faults = self.flipped_links(&eff_route, msg, attempt);
-            if faults.is_empty() {
-                debug_assert_eq!(crc32(payload), source_crc);
-                return Ok(Delivery {
-                    time,
-                    payload: Some(payload.to_vec()),
-                    events,
-                });
-            }
-            // The destination recomputes the CRC over what arrived.
-            let mut data = payload.to_vec();
-            self.corrupt(&mut data, msg, attempt, &faults);
-            debug_assert_ne!(crc32(&data), source_crc);
-            self.stats.crc_failures += 1;
-            let event = TransportEvent {
-                kind: TransportFaultKind::CrcMismatch { link: faults[0] },
-                src,
-                dst,
-                net_time: time,
-            };
-            match Self::retry_budget(policy) {
-                None if policy == TransportPolicy::Silent => {
-                    events.push(event);
-                    return Ok(Delivery {
-                        time,
-                        payload: Some(data),
-                        events,
-                    });
-                }
-                None => return Err(event),
-                Some((max, backoff)) => {
-                    if attempt > max {
-                        return Err(TransportEvent {
-                            kind: TransportFaultKind::RetransmitExhausted { attempts: attempt },
-                            src,
-                            dst,
-                            net_time: time,
-                        });
-                    }
-                    self.charge_retry(serialization, backoff);
-                    start = time + backoff;
-                    if let Some(dl) = deadline {
-                        if start > dl {
-                            return Err(TransportEvent {
-                                kind: TransportFaultKind::DeadlineExceeded {
-                                    spent_net_cycles: start - now,
-                                },
-                                src,
-                                dst,
-                                net_time: start,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// In-network reduction of `payload` (the already-summed partials for
-    /// timing purposes; the fabric is modeled as computing the same sums)
-    /// over `tiles`, delivered to `dst_tile`, through the fault model.
-    ///
-    /// CRC failures on the reduction tree's links recover per policy, like
-    /// [`Network::transfer`]. Bad reduction adders corrupt the delivered
-    /// sums **without** any CRC event — the adder recomputes the checksum
-    /// after merging, so only end-to-end validation catches it.
-    pub fn reduce_transfer(
-        &mut self,
-        tiles: &[usize],
-        dst_tile: usize,
-        payload: &[i32],
-        bytes: usize,
-        now: u64,
-        deadline: Option<u64>,
-    ) -> Result<Delivery, TransportEvent> {
-        if self.transport.is_none() || tiles.is_empty() {
-            let time = self.reduce(tiles, dst_tile, bytes, now);
-            return Ok(Delivery {
-                time,
-                payload: Some(payload.to_vec()),
-                events: Vec::new(),
-            });
-        }
-        let flits = self.flits(bytes);
-        self.stats.messages += 1;
-        self.stats.bytes += bytes as u64;
-        let links = self.topology.reduction_links(tiles);
-        let (policy, msg) = self.next_msg_id();
-        let src = tiles[0];
-        let mut events = Vec::new();
-        if links.is_empty() {
-            // Single participating tile: plain unicast of its value.
-            let delivered = self.reduce_timing(tiles, dst_tile, bytes, now);
-            return Ok(Delivery {
-                time: delivered,
-                payload: Some(payload.to_vec()),
-                events,
-            });
-        }
-        let Some((eff_links, detours)) = self.resolve_dead_links(
-            &links,
-            policy,
-            flits,
-            src,
-            dst_tile,
-            now,
-            deadline,
-            &mut events,
-        )?
-        else {
-            // Dropped: the reduction still runs on the surviving subtree
-            // for timing, but the delivered sum is lost.
-            let time = self.reduce_timing(tiles, dst_tile, bytes, now);
-            return Ok(Delivery {
-                time,
-                payload: None,
-                events,
-            });
-        };
-        let lateral = detours * (self.config.router_latency + self.config.link_latency);
-        let serialization = eff_links.len() as u64
-            * (self.config.router_latency + self.config.link_latency)
-            + flits;
-        let mut start = now;
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let time = self.reduce_timing(tiles, dst_tile, bytes, start) + lateral;
-            let faults = self.flipped_links(&eff_links, msg, attempt);
-            if faults.is_empty() {
-                let mut data = payload.to_vec();
-                self.apply_bad_adders(&mut data, &eff_links, msg);
-                return Ok(Delivery {
-                    time,
-                    payload: Some(data),
-                    events,
-                });
-            }
-            self.stats.crc_failures += 1;
-            let event = TransportEvent {
-                kind: TransportFaultKind::CrcMismatch { link: faults[0] },
-                src,
-                dst: dst_tile,
-                net_time: time,
-            };
-            match Self::retry_budget(policy) {
-                None if policy == TransportPolicy::Silent => {
-                    let mut data = payload.to_vec();
-                    self.corrupt(&mut data, msg, attempt, &faults);
-                    self.apply_bad_adders(&mut data, &eff_links, msg);
-                    events.push(event);
-                    return Ok(Delivery {
-                        time,
-                        payload: Some(data),
-                        events,
-                    });
-                }
-                None => return Err(event),
-                Some((max, backoff)) => {
-                    if attempt > max {
-                        return Err(TransportEvent {
-                            kind: TransportFaultKind::RetransmitExhausted { attempts: attempt },
-                            src,
-                            dst: dst_tile,
-                            net_time: time,
-                        });
-                    }
-                    self.charge_retry(serialization, backoff);
-                    start = time + backoff;
-                    if let Some(dl) = deadline {
-                        if start > dl {
-                            return Err(TransportEvent {
-                                kind: TransportFaultKind::DeadlineExceeded {
-                                    spent_net_cycles: start - now,
-                                },
-                                src,
-                                dst: dst_tile,
-                                net_time: start,
-                            });
-                        }
-                    }
-                }
-            }
-        }
+        // A dead link under Reroute is the only way past the loop.
+        self.stats.rerouted_messages += 1;
+        self.stats.retransmit_cycles = self
+            .stats
+            .retransmit_cycles
+            .saturating_add(detours * (self.config.router_latency + self.config.link_latency));
+        Ok(Some((Cow::Owned(eff), detours)))
     }
 
     /// Silently corrupts `data` once per bad reduction adder on the
     /// merge path (the routers one level above each up-link).
     fn apply_bad_adders(&self, data: &mut [i32], links: &[LinkId], msg: u64) {
-        let Some(t) = &self.transport else { return };
-        let mut merge_routers: BTreeSet<(u8, u32)> = BTreeSet::new();
+        let map = &self.transport.map;
         let radix = self.topology.radix() as u32;
-        for link in links {
-            if link.up {
-                merge_routers.insert((link.level + 1, link.node / radix));
-            }
-        }
-        for (level, node) in merge_routers {
-            if t.map.adder_corrupts(level, node) {
-                t.map.corrupt_payload(
-                    data,
-                    msg,
-                    0x5add_0000 ^ ((u64::from(level) << 32) | u64::from(node)),
-                );
-            }
+        let bad: BTreeSet<(u8, u32)> = links
+            .iter()
+            .filter(|link| link.up)
+            .map(|link| (link.level + 1, link.node / radix))
+            .filter(|&(level, node)| map.adder_corrupts(level, node))
+            .collect();
+        for (level, node) in bad {
+            map.corrupt_payload(
+                data,
+                msg,
+                0x5add_0000 ^ ((u64::from(level) << 32) | u64::from(node)),
+            );
         }
     }
 }
@@ -767,43 +646,55 @@ mod tests {
         Network::new(HTreeTopology::new(64, 8), NocConfig::default())
     }
 
+    fn send(n: &mut Network, src: usize, dst: usize, bytes: usize, now: u64) -> u64 {
+        n.transfer(src, dst, &[0; 8], bytes, now, None)
+            .unwrap()
+            .time
+    }
+
+    fn reduce(n: &mut Network, tiles: &[usize], dst: usize, bytes: usize, now: u64) -> u64 {
+        n.reduce_transfer(tiles, dst, &[0; 8], bytes, now, None)
+            .unwrap()
+            .time
+    }
+
     #[test]
     fn local_send_is_cheap() {
         let mut n = net();
-        let t = n.send(3, 3, 16, 0);
+        let t = send(&mut n, 3, 3, 16, 0);
         assert_eq!(t, 2 + 1); // router latency + 1 flit
     }
 
     #[test]
     fn farther_is_slower() {
         let mut n = net();
-        let near = n.send(0, 1, 16, 0);
+        let near = send(&mut n, 0, 1, 16, 0);
         n.reset();
-        let far = n.send(0, 63, 16, 0);
+        let far = send(&mut n, 0, 63, 16, 0);
         assert!(far > near, "far {far} should exceed near {near}");
     }
 
     #[test]
     fn bigger_messages_serialize() {
         let mut n = net();
-        let small = n.send(0, 1, 16, 0);
+        let small = send(&mut n, 0, 1, 16, 0);
         n.reset();
-        let big = n.send(0, 1, 160, 0);
+        let big = send(&mut n, 0, 1, 160, 0);
         assert_eq!(big - small, 9); // 10 flits vs 1 flit
     }
 
     #[test]
     fn contention_queues() {
         let mut n = net();
-        let first = n.send(0, 7, 64, 0);
+        let first = send(&mut n, 0, 7, 64, 0);
         // Second message over the same links at the same time must queue.
-        let second = n.send(0, 7, 64, 0);
+        let second = send(&mut n, 0, 7, 64, 0);
         assert!(second > first);
         assert!(n.stats().contention_cycles > 0);
         // Disjoint route suffers no queueing.
         let mut n2 = net();
-        let a = n2.send(0, 7, 64, 0);
-        let b = n2.send(8, 15, 64, 0);
+        let a = send(&mut n2, 0, 7, 64, 0);
+        let b = send(&mut n2, 8, 15, 64, 0);
         assert_eq!(a, b);
         assert_eq!(n2.stats().contention_cycles, 0);
     }
@@ -811,9 +702,9 @@ mod tests {
     #[test]
     fn reduction_scales_with_depth() {
         let mut n = net();
-        let shallow = n.reduce(&[0, 1, 2, 3], 0, 32, 0);
+        let shallow = reduce(&mut n, &[0, 1, 2, 3], 0, 32, 0);
         n.reset();
-        let deep = n.reduce(&[0, 8, 16, 56], 0, 32, 0);
+        let deep = reduce(&mut n, &[0, 8, 16, 56], 0, 32, 0);
         assert!(deep > shallow);
         assert!(n.stats().reduction_adds > 0);
     }
@@ -824,11 +715,11 @@ mod tests {
         // time is not a bottleneck (§7.3).
         let tiles: Vec<usize> = (0..32).collect();
         let mut n = net();
-        let reduce_done = n.reduce(&tiles, 0, 32, 0);
+        let reduce_done = reduce(&mut n, &tiles, 0, 32, 0);
         let mut n2 = net();
         let mut serial_done = 0;
         for &t in &tiles {
-            serial_done = serial_done.max(n2.send(t, 0, 32, 0));
+            serial_done = serial_done.max(send(&mut n2, t, 0, 32, 0));
         }
         assert!(reduce_done <= serial_done);
     }
@@ -838,21 +729,21 @@ mod tests {
         let mut n = net();
         // Reduction over tiles 0..8 (subtree of leaf router 0), delivered
         // to tile 63 outside the subtree.
-        let t = n.reduce(&[0, 1, 2, 3, 4, 5, 6, 7], 63, 32, 0);
+        let t = reduce(&mut n, &[0, 1, 2, 3, 4, 5, 6, 7], 63, 32, 0);
         assert!(t > 0);
     }
 
     #[test]
     fn empty_reduce_is_noop() {
         let mut n = net();
-        assert_eq!(n.reduce(&[], 0, 32, 7), 7);
+        assert_eq!(reduce(&mut n, &[], 0, 32, 7), 7);
     }
 
     #[test]
     fn stats_accumulate() {
         let mut n = net();
-        n.send(0, 9, 32, 0);
-        n.send(1, 2, 16, 5);
+        send(&mut n, 0, 9, 32, 0);
+        send(&mut n, 1, 2, 16, 5);
         let stats = n.stats();
         assert_eq!(stats.messages, 2);
         assert_eq!(stats.bytes, 48);

@@ -1,11 +1,12 @@
 //! Transport-level reliability: link/router/adder fault maps, per-message
 //! CRC, and recovery policies.
 //!
-//! The baseline [`crate::Network`] is a perfect, loss-free timing layer.
-//! Real in-memory fabrics fail at the transport too: wires flip bits,
-//! links and routers die outright, and the in-router reduction adders can
-//! produce silently wrong sums. This module models those failure modes
-//! deterministically so a whole-chip simulation stays reproducible:
+//! Without an attached fault map, [`crate::Network`] is a perfect,
+//! loss-free fabric. Real in-memory fabrics fail at the transport too:
+//! wires flip bits, links and routers die outright, and the in-router
+//! reduction adders can produce silently wrong sums. This module models
+//! those failure modes deterministically so a whole-chip simulation stays
+//! reproducible:
 //!
 //! * [`LinkFaultRates`] — the injection knobs (per-traversal flip
 //!   probability, dead links, stuck routers, bad reduction adders);
@@ -228,11 +229,6 @@ impl LinkFaultMap {
     /// Number of stuck routers.
     pub fn stuck_router_count(&self) -> usize {
         self.stuck_routers.len()
-    }
-
-    /// Number of corrupting reduction adders.
-    pub fn bad_adder_count(&self) -> usize {
-        self.bad_adders.len()
     }
 
     /// Whether the physical link under `link` is dead (direction-agnostic).

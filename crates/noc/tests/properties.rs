@@ -8,6 +8,13 @@ fn net() -> Network {
     Network::new(HTreeTopology::chip(), NocConfig::default())
 }
 
+/// Delivery time of a `bytes`-wide unicast on a fault-free fabric.
+fn send(n: &mut Network, src: usize, dst: usize, bytes: usize, now: u64) -> u64 {
+    n.transfer(src, dst, &[0; 8], bytes, now, None)
+        .expect("a fault-free fabric delivers")
+        .time
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -19,7 +26,7 @@ proptest! {
         now in 0u64..10_000,
     ) {
         let mut n = net();
-        let t = n.send(src, dst, bytes, now);
+        let t = send(&mut n, src, dst, bytes, now);
         prop_assert!(t > now);
     }
 
@@ -30,9 +37,9 @@ proptest! {
         let topo = HTreeTopology::chip();
         let near_dst = (a / 8) * 8 + (a + 1) % 8; // same leaf router
         let mut n1 = net();
-        let near = n1.send(a, near_dst, 64, 0);
+        let near = send(&mut n1, a, near_dst, 64, 0);
         let mut n2 = net();
-        let far = n2.send(a, b, 64, 0);
+        let far = send(&mut n2, a, b, 64, 0);
         if topo.hops(a, b) > topo.hops(a, near_dst) {
             prop_assert!(far >= near);
         }
@@ -48,7 +55,7 @@ proptest! {
         let mut n = net();
         let mut last = 0;
         for _ in 0..k {
-            let t = n.send(src, dst, 64, 0);
+            let t = send(&mut n, src, dst, 64, 0);
             prop_assert!(t >= last);
             last = t;
         }
@@ -62,12 +69,15 @@ proptest! {
         let tiles: Vec<usize> = seed_tiles.into_iter().collect();
         let dst = tiles[0];
         let mut reducing = net();
-        let reduce_done = reducing.reduce(&tiles, dst, 32, 0);
+        let reduce_done = reducing
+            .reduce_transfer(&tiles, dst, &[0; 8], 32, 0, None)
+            .expect("a fault-free fabric delivers")
+            .time;
         let mut serial = net();
         let mut serial_done = 0;
         for &t in &tiles {
             if t != dst {
-                serial_done = serial_done.max(serial.send(t, dst, 32, 0));
+                serial_done = serial_done.max(send(&mut serial, t, dst, 32, 0));
             }
         }
         // In-network adders merge flows, so tree reduction is never worse

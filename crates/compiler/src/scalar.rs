@@ -434,7 +434,7 @@ impl Builder<'_> {
                 let var = self.values[&node.inputs()[0]].clone();
                 let value = self.values[&node.inputs()[1]].clone();
                 let scalars = self.zip_elementwise(&var, &value, |b, x, y| {
-                    let range = add_ranges(b.range[x.0], b.range[y.0]);
+                    let range = b.range[x.0].zip(b.range[y.0]).map(|(x, y)| x.add(y));
                     let class = b.combine_class(&[x, y]);
                     b.push(SOp::AddN(vec![x, y]), class, range)
                 })?;
@@ -576,24 +576,28 @@ impl Builder<'_> {
         self.check_not_reduced(&a.scalars, op.name())?;
         self.check_not_reduced(&b.scalars, op.name())?;
         let scalars = self.zip_elementwise(&a, &b, |builder, x, y| {
-            let (xr, yr) = (builder.range[x.0], builder.range[y.0]);
+            let ranges = builder.range[x.0].zip(builder.range[y.0]);
             let class = builder.combine_class(&[x, y]);
             match op {
-                BinaryOp::Add => builder.push(SOp::AddN(vec![x, y]), class, add_ranges(xr, yr)),
+                BinaryOp::Add => {
+                    builder.push(SOp::AddN(vec![x, y]), class, ranges.map(|(x, y)| x.add(y)))
+                }
                 BinaryOp::Sub => builder.push(
                     SOp::SubN {
                         plus: vec![x],
                         minus: vec![y],
                     },
                     class,
-                    sub_ranges(xr, yr),
+                    ranges.map(|(x, y)| x.sub(y)),
                 ),
-                BinaryOp::Mul => builder.push(SOp::Mul(x, y), class, mul_ranges(xr, yr)),
+                BinaryOp::Mul => builder.push(SOp::Mul(x, y), class, ranges.map(|(x, y)| x.mul(y))),
                 BinaryOp::Div | BinaryOp::RealDiv => {
-                    builder.push(SOp::Div(x, y), class, div_ranges(xr, yr))
+                    let range = ranges.and_then(|(x, y)| x.div(y).ok());
+                    builder.push(SOp::Div(x, y), class, range)
                 }
                 BinaryOp::FloorDiv => {
-                    let q = builder.push(SOp::Div(x, y), class, div_ranges(xr, yr));
+                    let range = ranges.and_then(|(x, y)| x.div(y).ok());
+                    let q = builder.push(SOp::Div(x, y), class, range);
                     let qr = builder.range[q.0];
                     builder.push(
                         SOp::FloorQ(q),
@@ -628,7 +632,9 @@ impl Builder<'_> {
         let scalars: Vec<ScalarId> = (0..k)
             .map(|i| {
                 let (c, x, y) = (pick(&cond, i), pick(&a, i), pick(&b, i));
-                let range = union_ranges(self.range[x.0], self.range[y.0]);
+                let range = self.range[x.0]
+                    .zip(self.range[y.0])
+                    .map(|(x, y)| x.union(y));
                 let class = self.combine_class(&[c, x, y]);
                 self.push(
                     SOp::Select {
@@ -716,7 +722,9 @@ impl Builder<'_> {
         let mut acc = scalars[group[0]];
         for &idx in &group[1..] {
             let x = scalars[idx];
-            let range = add_ranges(self.range[acc.0], self.range[x.0]);
+            let range = self.range[acc.0]
+                .zip(self.range[x.0])
+                .map(|(a, x)| a.add(x));
             let class = self.combine_class(&[acc, x]);
             acc = self.push(SOp::AddN(vec![acc, x]), class, range);
         }
@@ -732,7 +740,9 @@ impl Builder<'_> {
             let x = scalars[idx];
             let class = self.combine_class(&[best, x]);
             let cond = self.push(SOp::Less(x, best), class, Some(Interval::new(0.0, 1.0)));
-            let range = union_ranges(self.range[x.0], self.range[best.0]);
+            let range = self.range[x.0]
+                .zip(self.range[best.0])
+                .map(|(x, b)| x.union(b));
             best = self.push(
                 SOp::Select {
                     cond,
@@ -789,7 +799,8 @@ impl Builder<'_> {
     fn dot_shared(&mut self, xs: &[ScalarId], ws: &[ScalarId]) -> ScalarId {
         let mut range: Option<Interval> = Some(Interval::point(0.0));
         for (&x, &w) in xs.iter().zip(ws) {
-            range = add_ranges(range, mul_ranges(self.range[x.0], self.range[w.0]));
+            let product = self.range[x.0].zip(self.range[w.0]).map(|(x, w)| x.mul(w));
+            range = range.zip(product).map(|(r, p)| r.add(p));
         }
         self.push(
             SOp::DotShared {
@@ -845,7 +856,7 @@ impl Builder<'_> {
                     .iter()
                     .zip(&b.scalars)
                     .map(|(&x, &y)| {
-                        let range = mul_ranges(self.range[x.0], self.range[y.0]);
+                        let range = self.range[x.0].zip(self.range[y.0]).map(|(x, y)| x.mul(y));
                         self.push(SOp::Mul(x, y), VClass::Parallel, range)
                     })
                     .collect();
@@ -1023,49 +1034,6 @@ fn intra_axis_groups(intra: &Shape, axis: usize) -> Vec<Vec<usize>> {
             (0..axis_len).map(|k| base + k * strides[axis]).collect()
         })
         .collect()
-}
-
-fn add_ranges(a: Option<Interval>, b: Option<Interval>) -> Option<Interval> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(Interval::new(x.lo + y.lo, x.hi + y.hi)),
-        _ => None,
-    }
-}
-
-fn sub_ranges(a: Option<Interval>, b: Option<Interval>) -> Option<Interval> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(Interval::new(x.lo - y.hi, x.hi - y.lo)),
-        _ => None,
-    }
-}
-
-fn mul_ranges(a: Option<Interval>, b: Option<Interval>) -> Option<Interval> {
-    match (a, b) {
-        (Some(x), Some(y)) => {
-            let c = [x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi];
-            Some(Interval::new(
-                c.iter().copied().fold(f64::INFINITY, f64::min),
-                c.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            ))
-        }
-        _ => None,
-    }
-}
-
-fn div_ranges(a: Option<Interval>, b: Option<Interval>) -> Option<Interval> {
-    match (a, b) {
-        (Some(x), Some(y)) if y.lo > 0.0 || y.hi < 0.0 => {
-            mul_ranges(Some(x), Some(Interval::new(1.0 / y.hi, 1.0 / y.lo)))
-        }
-        _ => None,
-    }
-}
-
-fn union_ranges(a: Option<Interval>, b: Option<Interval>) -> Option<Interval> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(Interval::new(x.lo.min(y.lo), x.hi.max(y.hi))),
-        _ => None,
-    }
 }
 
 #[cfg(test)]

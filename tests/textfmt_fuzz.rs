@@ -84,6 +84,8 @@ const FIXED: &[&str] = &[
     "placeholder x [4, 64]\nconst i [1] -3\ngather g x i\nfetch g\n",
     "placeholder v [8,1024]\nsquare sq v\nsum per_dim sq axis=1\nsum total per_dim axis=0\n\
      fetch per_dim\nfetch total\n",
+    "placeholder x [64]\nexp a x\nexp b x\nsub y a b\nfetch y\nrange x 1000 1001\n",
+    "placeholder x [64]\nexp a x\nconst z = 0.0\nmul y a z\nfetch y\nrange x 1000 1001\n",
 ];
 
 const POLICIES: [OptPolicy; 3] = [

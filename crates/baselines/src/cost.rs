@@ -45,13 +45,6 @@ pub struct KernelCost {
     pub bytes_out: f64,
 }
 
-impl KernelCost {
-    /// Total operations per instance.
-    pub fn total_ops(&self) -> f64 {
-        self.ops.values().sum()
-    }
-}
-
 /// Counts per-instance work in `graph`, assuming the last axis of each
 /// tensor is the data-parallel dimension (a grid for conv kernels).
 pub fn analyze(graph: &Graph) -> KernelCost {

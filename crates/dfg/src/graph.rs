@@ -87,28 +87,6 @@ impl Graph {
         self.output_names.get(idx)?.as_deref()
     }
 
-    /// Every fetched output matching `name`: an output's explicit
-    /// [`GraphBuilder::fetch_as`] name wins; otherwise a fetched
-    /// `Placeholder`/`Variable` node answers to its declared name.
-    /// Callers map an empty result to "unknown output" and a multi-hit
-    /// result to "ambiguous name".
-    pub fn outputs_named(&self, name: &str) -> Vec<NodeId> {
-        self.outputs
-            .iter()
-            .enumerate()
-            .filter(|&(idx, &id)| {
-                match self.output_names.get(idx).and_then(|n| n.as_deref()) {
-                    Some(explicit) => explicit == name,
-                    None => matches!(
-                        self.nodes.get(id.0).map(Node::op),
-                        Some(Op::Placeholder { name: n } | Op::Variable { name: n, .. }) if n == name
-                    ),
-                }
-            })
-            .map(|(_, &id)| id)
-            .collect()
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()

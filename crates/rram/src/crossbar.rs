@@ -59,11 +59,6 @@ impl Crossbar {
         self.faults.as_deref()
     }
 
-    /// Removes any installed fault population, restoring clean reads.
-    pub fn clear_faults(&mut self) {
-        self.faults = None;
-    }
-
     /// Restores the crossbar to the all-zero freshly-constructed state by
     /// zeroing only the rows that have been written, and drops any
     /// installed fault map. Reuses the existing allocations — this is the

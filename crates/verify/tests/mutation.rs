@@ -5,7 +5,7 @@
 //! the corresponding rule id.
 
 use imp_compiler::module::vaddr;
-use imp_compiler::{ArrayAvailability, CompiledKernel, OptPolicy};
+use imp_compiler::{ArrayAvailability, CompiledKernel, OptPolicy, ParallelSpec};
 use imp_isa::{Addr, GlobalAddr, Instruction, InstructionBlock};
 use imp_verify::{verify_kernel, verify_with, Severity};
 
@@ -120,6 +120,45 @@ fn isa02_malformed_global_address() {
         "got {rules:?}:\n{}",
         report.render()
     );
+}
+
+#[test]
+fn isa02_movg_source_row_past_the_array() {
+    let mut k = kernel("kmeans");
+    let (ib, pc) = find_inst(&k, |i| matches!(i, Instruction::Movg { .. }));
+    let Instruction::Movg { src, dst } = k.ibs[ib].block.instructions()[pc] else {
+        unreachable!()
+    };
+    let src = GlobalAddr { row: 200, ..src };
+    replace_inst(&mut k, ib, pc, Instruction::Movg { src, dst });
+    let report = verify_kernel(&k);
+    assert_eq!(error_rules(&report), vec!["ISA02"], "{}", report.render());
+}
+
+#[test]
+fn isa02_movg_to_an_output_slot() {
+    let mut k = kernel("kmeans");
+    let (ib, pc) = find_inst(&k, |i| matches!(i, Instruction::Movg { .. }));
+    let Instruction::Movg { src, .. } = k.ibs[ib].block.instructions()[pc] else {
+        unreachable!()
+    };
+    let dst = vaddr::output_slot(0);
+    replace_inst(&mut k, ib, pc, Instruction::Movg { src, dst });
+    let report = verify_kernel(&k);
+    assert_eq!(error_rules(&report), vec!["ISA02"], "{}", report.render());
+}
+
+#[test]
+fn isa03_window_input_in_a_vector_kernel() {
+    let w = imp_workloads::workload("hotspot").expect("known workload");
+    let mut k = w.compile(64, OptPolicy::MaxDlp).expect("workload compiles");
+    let ParallelSpec::Stencil { h, w } = k.parallel else {
+        panic!("hotspot is a stencil kernel")
+    };
+    // Same instance count, but no grid for the window to slide over.
+    k.parallel = ParallelSpec::Vector { n: h * w };
+    let report = verify_kernel(&k);
+    assert_eq!(error_rules(&report), vec!["ISA03"], "{}", report.render());
 }
 
 #[test]

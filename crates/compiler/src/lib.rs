@@ -243,7 +243,7 @@ pub fn compile(graph: &Graph, options: &CompileOptions) -> Result<CompiledKernel
         let scanned = schedule
             .placements
             .iter()
-            .map(|p| p.cluster * 8 + p.array + 1)
+            .map(|p| p.slot() + 1)
             .max()
             .unwrap_or(0);
         t.counter_add("compile.place.slots_scanned", scanned as u64);

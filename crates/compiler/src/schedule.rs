@@ -25,6 +25,21 @@ pub struct Placement {
     pub array: usize,
 }
 
+impl Placement {
+    /// The flat physical slot, `cluster * 8 + array`.
+    pub fn slot(self) -> usize {
+        self.cluster * 8 + self.array
+    }
+
+    /// The placement on flat physical slot `slot`.
+    pub fn from_slot(slot: usize) -> Self {
+        Placement {
+            cluster: slot / 8,
+            array: slot % 8,
+        }
+    }
+}
+
 /// Which physical arrays the scheduler may place IBs on: a chip-wide
 /// array count minus a retired set.
 ///
@@ -175,10 +190,7 @@ pub fn place(num_ibs: usize, avail: &ArrayAvailability) -> Result<Vec<Placement>
     Ok(avail
         .usable_slots()
         .take(num_ibs)
-        .map(|slot| Placement {
-            cluster: slot / 8,
-            array: slot % 8,
-        })
+        .map(Placement::from_slot)
         .collect())
 }
 

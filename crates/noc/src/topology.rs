@@ -12,7 +12,7 @@ use std::fmt;
 /// to its parent at `level + 1`. Level 0 nodes are tiles.
 ///
 /// A physical H-tree link is bidirectional; the contention model tracks
-/// up and down directions separately via [`LinkId::direction`].
+/// up and down directions separately, by [`LinkId::up`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LinkId {
     /// Tree level of the child endpoint (0 = tile).
@@ -21,17 +21,6 @@ pub struct LinkId {
     pub node: u32,
     /// `true` for the upward direction (child → parent).
     pub up: bool,
-}
-
-impl LinkId {
-    /// Human-readable direction.
-    pub fn direction(&self) -> &'static str {
-        if self.up {
-            "up"
-        } else {
-            "down"
-        }
-    }
 }
 
 impl fmt::Display for LinkId {

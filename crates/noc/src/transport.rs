@@ -207,11 +207,6 @@ impl LinkFaultMap {
         }
     }
 
-    /// The rates this map was sampled at.
-    pub fn rates(&self) -> &LinkFaultRates {
-        &self.rates
-    }
-
     /// True when the map can never produce a fault.
     pub fn is_clean(&self) -> bool {
         self.dead_links.is_empty()
@@ -315,17 +310,6 @@ pub struct TransportConfig {
     pub rates: LinkFaultRates,
     /// Recovery policy.
     pub policy: TransportPolicy,
-}
-
-impl TransportConfig {
-    /// A configuration that injects nothing and silently delivers — the
-    /// zero-cost default shape.
-    pub fn none() -> Self {
-        TransportConfig {
-            rates: LinkFaultRates::none(),
-            policy: TransportPolicy::Silent,
-        }
-    }
 }
 
 /// What went wrong (or was survived) during one transfer.

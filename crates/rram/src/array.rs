@@ -108,15 +108,9 @@ impl ReramArray {
         self.crossbar.install_faults(map.clone());
     }
 
-    /// Re-arms the transient-glitch stream for recovery attempt
-    /// `attempt`: permanent faults persist across retries, transients are
-    /// drawn fresh. Also clears the sticky detection flag.
-    pub fn rearm_transients(&mut self, attempt: u64) {
-        self.rearm_transients_stream(attempt.wrapping_mul(0x2545_F491_4F6C_DD1D));
-    }
-
-    /// Re-arms the transient-glitch stream from an arbitrary caller-mixed
-    /// stream id. The simulator derives the id from `(seed, slot, group,
+    /// Re-arms the transient-glitch stream from a caller-mixed stream id:
+    /// permanent faults persist across retries, transients are drawn
+    /// fresh. The simulator derives the id from `(seed, slot, group,
     /// attempt)` so every (array, instance group, recovery attempt) draws
     /// an independent stream — transients then cannot depend on the order
     /// in which groups execute, which is what lets the parallel engine
@@ -1222,7 +1216,7 @@ mod tests {
         let run = |attempt: u64| {
             let mut a = array();
             a.install_faults(&map);
-            a.rearm_transients(attempt);
+            a.rearm_transients_stream(attempt);
             a.write_row_broadcast(0, 1000);
             a.write_row_broadcast(1, 2345);
             a.execute_local(&Instruction::Add {
@@ -1349,42 +1343,6 @@ mod tests {
         assert!(pooled.crossbar().fault_map().is_none());
         assert!(!pooled.adc_fault_detected());
         assert_eq!(pooled.lut(), fresh.lut());
-    }
-
-    #[test]
-    fn rearm_stream_generalizes_attempt_rearm() {
-        use crate::fault::{FaultMap, FaultRates};
-        let map = FaultMap::generate(
-            5,
-            &FaultRates {
-                transient_adc: 0.3,
-                ..FaultRates::none()
-            },
-        );
-        let run = |rearm: &dyn Fn(&mut ReramArray)| {
-            let mut a = array();
-            a.install_faults(&map);
-            rearm(&mut a);
-            a.write_row_broadcast(0, 1000);
-            a.write_row_broadcast(1, 2345);
-            a.execute_local(&Instruction::Add {
-                mask: RowMask::from_rows([0, 1]),
-                dst: Addr::mem(2),
-            })
-            .unwrap();
-            a.read_row(2)
-        };
-        // rearm_transients(attempt) is the stream variant at the legacy
-        // attempt-derived stream id.
-        assert_eq!(
-            run(&|a| a.rearm_transients(3)),
-            run(&|a| a.rearm_transients_stream(3u64.wrapping_mul(0x2545_F491_4F6C_DD1D)))
-        );
-        // Distinct streams draw distinct transients.
-        assert_ne!(
-            run(&|a| a.rearm_transients_stream(1)),
-            run(&|a| a.rearm_transients_stream(2))
-        );
     }
 
     /// Runs `inst` on fresh arrays with the fast path on and off and

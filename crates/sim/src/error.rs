@@ -59,9 +59,11 @@ pub enum SimError {
     /// policy's reschedule produced (a session verifies its initial kernel
     /// when it is built). Carries the full report.
     Verify(imp_verify::VerifyReport),
-    /// A hand-built kernel the engine cannot execute: an instruction names
-    /// an IB, row or reduction slot the kernel lacks (what the verifier's
-    /// `ISA02` rejects), or the remap policy cannot reschedule it.
+    /// A hand-built kernel the engine cannot execute: the verifier's
+    /// structural pass ([`imp_verify::verify_structure`], rules
+    /// `ISA01`–`ISA03` and `SCH04`) reports an error, and the message
+    /// names the first one's rule id and location; or the remap policy
+    /// cannot reschedule the kernel.
     MalformedKernel(String),
 }
 

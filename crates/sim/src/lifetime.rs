@@ -34,12 +34,6 @@ pub fn lifetime_years(writes_per_exec: u64, module_latency: u64) -> f64 {
     seconds / SECONDS_PER_YEAR
 }
 
-/// Write intensity: leveled per-row writes per second of kernel
-/// execution.
-pub fn write_intensity(writes_per_exec: u64, module_latency: u64) -> f64 {
-    writes_per_exec as f64 / ARRAY_ROWS as f64 / (module_latency.max(1) as f64 * ARRAY_CYCLE_S)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,13 +66,5 @@ mod tests {
             (1.0..=500.0).contains(&years),
             "lifetime {years} years is outside the paper's magnitude band"
         );
-    }
-
-    #[test]
-    fn intensity_definition() {
-        // 128 writes per 200 cycles at 50 ns/cycle, leveled over 128
-        // rows = 1 write / 10 µs = 1e5 per-row writes/s.
-        let w = write_intensity(128, 200);
-        assert!((w - 1.0e5).abs() / 1.0e5 < 1e-9);
     }
 }

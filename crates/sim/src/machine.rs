@@ -12,7 +12,7 @@ use imp_compiler::schedule::Schedule;
 use imp_compiler::ParallelSpec;
 use imp_compiler::{ArrayAvailability, ChipCapacity, CompiledKernel, InputBinding};
 use imp_dfg::{NodeId, Shape, Tensor};
-use imp_isa::{Addr, GlobalAddr, Instruction, ARRAY_ROWS, LANES, NUM_REGISTERS};
+use imp_isa::{Instruction, LANES};
 use imp_noc::{
     HTreeTopology, LinkFaultMap, Network, NocConfig, NocStats, TransportConfig, TransportEvent,
     TransportFaultKind,
@@ -854,88 +854,6 @@ struct GroupOutcome {
     ib_energy: Option<Vec<f64>>,
 }
 
-/// Rejects a hand-built kernel that names a row, register, IB or
-/// reduction slot it does not have: a local operand, a `movg` endpoint, a
-/// `reduce_sum` target, an input row, a register preload, an output
-/// location, or a schedule entry pointing past its IB. The compiler never
-/// emits one, but [`Addr`]'s variants are public, so a kernel can bypass
-/// [`Addr::try_mem`]. Every instruction of every block is checked, whether
-/// scheduled or not. Runs once per [`Machine::run`], before any group
-/// executes, so no index in the group loop can leave its array.
-fn check_operand_ranges(kernel: &CompiledKernel, n_slots: usize) -> Result<(), SimError> {
-    let in_range = |addr: Addr| match addr {
-        Addr::Mem(row) => usize::from(row) < ARRAY_ROWS,
-        Addr::Reg(reg) => usize::from(reg) < NUM_REGISTERS,
-    };
-    let names_ib_row = |addr: GlobalAddr| match as_cross_ib(addr) {
-        Some((ib, row)) => ib < kernel.ibs.len() && usize::from(row) < ARRAY_ROWS,
-        None => false,
-    };
-    let bad = |what: String| Err(SimError::MalformedKernel(what));
-    for (i, ib) in kernel.ibs.iter().enumerate() {
-        for (pc, inst) in ib.block.instructions().iter().enumerate() {
-            let mut operands = inst.local_dst().into_iter().chain(inst.local_srcs());
-            if let Some(addr) = operands.find(|&addr| !in_range(addr)) {
-                return bad(format!("ib{i}/pc{pc}: operand {addr} is out of range"));
-            }
-            match *inst {
-                Instruction::Movg { src, dst } => {
-                    if let Some(addr) = [src, dst].into_iter().find(|&a| !names_ib_row(a)) {
-                        return bad(format!("ib{i}/pc{pc}: movg address {addr} names no IB row"));
-                    }
-                }
-                Instruction::ReduceSum { dst, .. }
-                    if as_output_slot(dst).is_none_or(|slot| slot >= n_slots) =>
-                {
-                    return bad(format!(
-                        "ib{i}/pc{pc}: reduce_sum target {dst} names no reduction slot"
-                    ));
-                }
-                _ => {}
-            }
-        }
-        if let Some((row, _)) = ib
-            .input_rows
-            .iter()
-            .find(|(row, _)| !in_range(Addr::Mem(*row)))
-        {
-            return bad(format!("ib{i}: input row m{row} is out of range"));
-        }
-        if let Some((reg, _)) = ib
-            .reg_preloads
-            .iter()
-            .find(|(reg, _)| !in_range(Addr::Reg(*reg)))
-        {
-            return bad(format!("ib{i}: register preload r{reg} is out of range"));
-        }
-    }
-    for output in &kernel.outputs {
-        for loc in &output.locs {
-            if let OutputLoc::Row { ib, row } = *loc {
-                if ib >= kernel.ibs.len() || !in_range(Addr::Mem(row)) {
-                    return bad(format!(
-                        "output {:?}: ib{ib}/m{row} names no IB row",
-                        output.node
-                    ));
-                }
-            }
-        }
-    }
-    for entry in &kernel.schedule.entries {
-        let ib = kernel.ibs.get(entry.ib);
-        if ib
-            .and_then(|ib| ib.block.instructions().get(entry.index))
-            .is_none()
-        {
-            return bad(format!(
-                "ib{}/pc{}: scheduled instruction does not exist",
-                entry.ib, entry.index
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Executes one instance group on `worker`, returning its complete
 /// outcome. Pure in `(ctx, group)`: worker state is fully re-initialized
 /// at entry (arrays reset from the templates; network occupancy, stats,
@@ -1001,10 +919,8 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
         let inst = kernel.ibs[entry.ib].block.instructions()[entry.index];
         match inst {
             Instruction::Movg { src, dst } => {
-                // `check_operand_ranges` refused any endpoint that names
-                // no IB row.
-                let (src_ib, src_row) = as_cross_ib(src).expect("checked movg source");
-                let (dst_ib, dst_row) = as_cross_ib(dst).expect("checked movg destination");
+                let (src_ib, src_row) = as_cross_ib(src).expect("ISA02 checked movg sources");
+                let (dst_ib, dst_row) = as_cross_ib(dst).expect("ISA02 checked movg destinations");
                 let value = arrays[src_ib].read_row(usize::from(src_row));
                 let src_tile = tile_of(ctx, group_in_round, src_ib);
                 let dst_tile = tile_of(ctx, group_in_round, dst_ib);
@@ -1037,9 +953,9 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
                 }
             }
             Instruction::ReduceSum { src, dst } => {
-                // `check_operand_ranges` refused any target that names no
-                // reduction slot below `n_slots`.
-                let slot = as_output_slot(dst).expect("checked reduction slot");
+                // ISA02 admits only a slot some output reads, so below
+                // `n_slots`.
+                let slot = as_output_slot(dst).expect("ISA02 checked reduction slots");
                 let row = arrays[entry.ib].read_row(src.index());
                 for &value in row.iter().take(valid_lanes) {
                     outcome.reduce_acc[slot] = outcome.reduce_acc[slot].wrapping_add(value);
@@ -1241,12 +1157,12 @@ struct RunPlan {
 }
 
 impl RunPlan {
-    /// The one pre-run pass: checks the kernel's references
-    /// ([`check_operand_ranges`]) and its width against the chip's
-    /// `total_arrays`, quantizes every feed (rejecting NaN and ±inf; finite
-    /// values saturate at the format's rails), then resolves the register
-    /// preloads and input rows against the feeds. This is the one place
-    /// input names and lengths are checked.
+    /// The one pre-run pass: checks the kernel's structure (the verifier's
+    /// [`verify_structure`](imp_verify::verify_structure)) and its width
+    /// against the chip's `total_arrays`, quantizes every feed (rejecting
+    /// NaN and ±inf; finite values saturate at the format's rails), then
+    /// resolves the register preloads and input rows against the feeds.
+    /// This is the one place input names and lengths are checked.
     fn new(
         kernel: &CompiledKernel,
         inputs: &HashMap<String, Tensor>,
@@ -1262,7 +1178,16 @@ impl RunPlan {
             })
             .max()
             .unwrap_or(0);
-        check_operand_ranges(kernel, n_slots)?;
+        let structure = imp_verify::verify_structure(kernel, &kernel.schedule);
+        // The first error in (ib, pc, rule) order.
+        if let Some(d) = structure.diagnostics.first() {
+            return Err(SimError::MalformedKernel(format!(
+                "{} at {}: {}",
+                d.rule,
+                d.location(),
+                d.message
+            )));
+        }
         let num_ibs = kernel.ibs.len().max(1);
         if num_ibs > total_arrays {
             return Err(SimError::OutOfArrays {
@@ -1329,8 +1254,14 @@ impl RunPlan {
         // an empty kernel).
         let n = kernel.parallel.instances();
         let last_instance = n.saturating_sub(1);
+        // ISA03 admits window inputs only in a stencil kernel, whose grid
+        // they slide over.
+        let (h, w) = match kernel.parallel {
+            ParallelSpec::Stencil { h, w } => (h, w),
+            ParallelSpec::None | ParallelSpec::Vector { .. } => (0, 0),
+        };
         let mut rows = Vec::with_capacity(kernel.ibs.len());
-        for (i, ib) in kernel.ibs.iter().enumerate() {
+        for ib in &kernel.ibs {
             let mut ib_rows = Vec::with_capacity(ib.input_rows.len());
             for (row, binding) in &ib.input_rows {
                 let input = match binding {
@@ -1354,13 +1285,6 @@ impl RunPlan {
                         StagedInput::Shared(shared(name, *flat_idx)?)
                     }
                     InputBinding::Window { name, dr, dc } => {
-                        // Only a stencil kernel has a grid for the window
-                        // to slide over.
-                        let ParallelSpec::Stencil { h, w } = kernel.parallel else {
-                            return Err(SimError::MalformedKernel(format!(
-                                "ib{i}: window input {name} in a kernel with no stencil grid"
-                            )));
-                        };
                         let (feed, data) = lookup(name)?;
                         if h * w == 0 || data.len() < h * w {
                             let expect = format!("a non-empty {h} × {w} grid ({} elements)", h * w);

@@ -285,8 +285,11 @@ fn unscheduled_malformed_instruction() -> Case {
     (kernel, inputs)
 }
 
+/// A named way to build a case.
+type Named = (&'static str, fn() -> Case);
+
 /// Every mutation in this file.
-const MUTATIONS: &[(&str, fn() -> Case)] = &[
+const MUTATIONS: &[Named] = &[
     ("movg_to_a_missing_ib", movg_to_a_missing_ib),
     (
         "movg_from_a_row_past_the_array",
@@ -355,7 +358,7 @@ fn unmutated_kernels_run() {
 #[test]
 fn simulator_and_verifier_agree_on_every_mutation() {
     const STRUCTURAL: [&str; 4] = ["ISA01", "ISA02", "ISA03", "SCH04"];
-    let unmutated: [(&str, fn() -> Case); 2] = [("kmeans", kmeans), ("reduction", reduction)];
+    let unmutated: [Named; 2] = [("kmeans", kmeans), ("reduction", reduction)];
     for &(name, case) in MUTATIONS.iter().chain(&unmutated) {
         let case = case();
         let report = imp_verify::verify_kernel(&case.0);

@@ -23,15 +23,13 @@ pub(crate) fn check(kernel: &CompiledKernel, out: &mut Vec<Diagnostic>) {
     for (p, ib) in kernel.ibs.iter().enumerate() {
         for (m, inst) in ib.block.instructions().iter().enumerate() {
             if let Instruction::Movg { dst, .. } = inst {
-                if let Some((consumer, row)) = vaddr::as_cross_ib(*dst) {
-                    if consumer < num_ibs && consumer != p {
-                        arrivals[consumer].push(Arrival {
-                            producer: p,
-                            movg_idx: m,
-                            row,
-                        });
-                    }
-                }
+                let (consumer, row) =
+                    vaddr::as_cross_ib(*dst).expect("ISA02 checked movg destinations");
+                arrivals[consumer].push(Arrival {
+                    producer: p,
+                    movg_idx: m,
+                    row,
+                });
             }
         }
     }
@@ -95,19 +93,13 @@ fn check_ib(kernel: &CompiledKernel, i: usize, arrivals: &[Arrival], out: &mut V
     let mut row_def = [false; ARRAY_ROWS];
     let mut reg_def = [false; NUM_REGISTERS];
     for (row, _) in &ib.input_rows {
-        if usize::from(*row) < ARRAY_ROWS {
-            row_def[usize::from(*row)] = true;
-        }
+        row_def[usize::from(*row)] = true;
     }
     for a in arrivals {
-        if usize::from(a.row) < ARRAY_ROWS {
-            row_def[usize::from(a.row)] = true;
-        }
+        row_def[usize::from(a.row)] = true;
     }
     for (reg, _) in &ib.reg_preloads {
-        if usize::from(*reg) < NUM_REGISTERS {
-            reg_def[usize::from(*reg)] = true;
-        }
+        reg_def[usize::from(*reg)] = true;
     }
 
     // Rows other parts of the system read after the block finishes.
@@ -139,11 +131,8 @@ fn check_ib(kernel: &CompiledKernel, i: usize, arrivals: &[Arrival], out: &mut V
 
         let mut reads: Vec<Addr> = inst.local_srcs();
         if let Instruction::Movg { src, .. } = inst {
-            if let Some((src_ib, row)) = vaddr::as_cross_ib(*src) {
-                if src_ib == i {
-                    reads.push(Addr::Mem(row));
-                }
-            }
+            let (_, row) = vaddr::as_cross_ib(*src).expect("ISA02 checked movg sources");
+            reads.push(Addr::Mem(row));
         }
         if let Instruction::Movs { dst, lane_mask, .. } = inst {
             if *lane_mask == LaneMask::DYNAMIC {
@@ -157,18 +146,11 @@ fn check_ib(kernel: &CompiledKernel, i: usize, arrivals: &[Arrival], out: &mut V
         for addr in &reads {
             let idx = addr.index();
             let defined = if addr.is_mem() {
-                idx < ARRAY_ROWS && row_def[idx]
+                row_def[idx]
             } else {
-                idx < NUM_REGISTERS && reg_def[idx]
+                reg_def[idx]
             };
-            // Out-of-range operands are ISA01's finding, not DF01's.
-            let in_range = idx
-                < if addr.is_mem() {
-                    ARRAY_ROWS
-                } else {
-                    NUM_REGISTERS
-                };
-            if in_range && !defined {
+            if !defined {
                 out.push(Diagnostic {
                     rule: "DF01",
                     severity: Severity::Error,
@@ -179,7 +161,7 @@ fn check_ib(kernel: &CompiledKernel, i: usize, arrivals: &[Arrival], out: &mut V
                     help: "every operand must be produced earlier in program order, preloaded, or movg-delivered".into(),
                 });
             }
-            if addr.is_mem() && idx < ARRAY_ROWS {
+            if addr.is_mem() {
                 if let Some(&(arrival, satisfied)) = pending_arrival.get(&(idx as u8)) {
                     if !satisfied {
                         out.push(Diagnostic {
@@ -202,11 +184,11 @@ fn check_ib(kernel: &CompiledKernel, i: usize, arrivals: &[Arrival], out: &mut V
 
         if let Some(dst) = inst.local_dst() {
             let idx = dst.index();
-            if dst.is_mem() && idx < ARRAY_ROWS {
+            if dst.is_mem() {
                 row_def[idx] = true;
                 // A local write retires the row's arrival identity.
                 pending_arrival.remove(&(idx as u8));
-            } else if dst.is_reg() && idx < NUM_REGISTERS {
+            } else {
                 reg_def[idx] = true;
             }
             if let Some(old_pc) = pending_write.insert(dst, pc) {

@@ -14,8 +14,8 @@
 //! | id | severity | invariant |
 //! |---|---|---|
 //! | `ISA01` | error | every local operand address is in range (rows < 128, registers < 128) |
-//! | `ISA02` | error | every global address is well formed: `movg` src names a row of its own IB, dst a placed IB or an output slot; `reduce_sum` targets a declared reduction slot |
-//! | `ISA03` | error | layout fits the array: peak rows/registers ≤ 128, input rows and register preloads in range and unaliased, output rows in range |
+//! | `ISA02` | error | every global address is well formed: `movg` src names a row below 128 of its own IB, dst a row below 128 of a different, existing IB; `reduce_sum` targets a slot some output declares `Reduced` |
+//! | `ISA03` | error | layout fits the array: peak rows/registers ≤ 128, input rows in range and unaliased, window inputs only in a `ParallelSpec::Stencil` kernel, register preloads and output rows in range |
 //! | `ISA04` | warning | a `lut` instruction reads a programmed (non-zero) table |
 //! | `DF01` | error | def-before-use: every row/register read is written earlier in program order, preloaded, or delivered by an incoming `movg` |
 //! | `DF02` | warning | no dead writes: every written slot is read before being overwritten, or is live-out |
@@ -27,18 +27,26 @@
 //! | `SCH04` | error | the timetable covers every instruction of every IB exactly once |
 //! | `OVF01` | warning | interval analysis extended through lowering proves no intermediate value leaves the kernel's fixed-point format |
 //!
+//! `ISA01`–`ISA03` and `SCH04` form the structural pass, the one
+//! definition of a kernel that can execute: the simulator refuses exactly
+//! the kernels it reports. Every other rule assumes that structure, so
+//! DF, SCH01–SCH03 and OVF01 run only when the structural pass finds
+//! nothing.
+//!
 //! Entry points: [`verify_kernel`] for a freshly compiled kernel (checks
 //! against its own schedule), [`verify_with`] for a re-scheduled kernel,
-//! and [`VerifyLevel::check`], the level-aware gate that session
-//! construction and the runtime's fault-remap path both go through.
+//! [`verify_structure`] for the structural pass alone (what `Machine::run`
+//! calls before every run), and [`VerifyLevel::check`], the level-aware
+//! gate that session construction and the runtime's fault-remap path both
+//! go through.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 mod dataflow;
-mod isa_rules;
 mod overflow;
 mod sched;
+mod structure;
 
 use imp_compiler::schedule::Schedule;
 use imp_compiler::{ArrayAvailability, CompiledKernel};
@@ -139,8 +147,8 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    /// Compact single-line location prefix (`ib2/pc14` style).
-    fn location(&self) -> String {
+    /// Compact single-line location (`ib2/pc14` style).
+    pub fn location(&self) -> String {
         match (self.ib, self.pc) {
             (Some(ib), Some(pc)) => format!("ib{ib}/pc{pc}"),
             (Some(ib), None) => format!("ib{ib}"),
@@ -177,6 +185,11 @@ pub struct VerifyReport {
 }
 
 impl VerifyReport {
+    fn sorted(mut diagnostics: Vec<Diagnostic>) -> VerifyReport {
+        diagnostics.sort_by_key(|d| (d.ib, d.pc, d.rule, d.severity));
+        VerifyReport { diagnostics }
+    }
+
     /// Whether no diagnostic of any severity was produced.
     pub fn is_clean(&self) -> bool {
         self.diagnostics.is_empty()
@@ -259,7 +272,7 @@ pub fn verify_kernel(kernel: &CompiledKernel) -> VerifyReport {
         .schedule
         .placements
         .iter()
-        .map(|p| p.cluster * 8 + p.array + 1)
+        .map(|p| p.slot() + 1)
         .max()
         .unwrap_or(0);
     let avail = ArrayAvailability::all(max_slot.max(kernel.ibs.len()));
@@ -275,12 +288,24 @@ pub fn verify_with(
     avail: &ArrayAvailability,
 ) -> VerifyReport {
     let mut diagnostics = Vec::new();
-    isa_rules::check(kernel, &mut diagnostics);
-    dataflow::check(kernel, &mut diagnostics);
-    sched::check(kernel, schedule, avail, &mut diagnostics);
-    overflow::check(kernel, &mut diagnostics);
-    diagnostics.sort_by_key(|d| (d.ib, d.pc, d.rule, d.severity));
-    VerifyReport { diagnostics }
+    structure::check(kernel, schedule, &mut diagnostics);
+    if diagnostics.is_empty() {
+        dataflow::check(kernel, &mut diagnostics);
+        sched::check(kernel, schedule, avail, &mut diagnostics);
+        overflow::check(kernel, &mut diagnostics);
+    }
+    structure::check_lut_tables(kernel, &mut diagnostics);
+    VerifyReport::sorted(diagnostics)
+}
+
+/// The structural pass alone: `ISA01`–`ISA03` over `kernel` and `SCH04`
+/// over `schedule`, everything that decides whether the kernel can
+/// execute. `Machine::run` calls it on every run and records nothing; it
+/// allocates nothing for a clean kernel.
+pub fn verify_structure(kernel: &CompiledKernel, schedule: &Schedule) -> VerifyReport {
+    let mut diagnostics = Vec::new();
+    structure::check(kernel, schedule, &mut diagnostics);
+    VerifyReport::sorted(diagnostics)
 }
 
 /// Looks up the DFG node an instruction descends from, through the

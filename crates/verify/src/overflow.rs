@@ -39,22 +39,20 @@ pub(crate) fn check(kernel: &CompiledKernel, out: &mut Vec<Diagnostic>) {
     };
 
     // Ranges delivered into each IB by movg, keyed by destination row.
-    let num_ibs = kernel.ibs.len();
-    let mut arrival_range: Vec<HashMap<u8, Option<Interval>>> = vec![HashMap::new(); num_ibs];
+    let mut arrival_range: Vec<HashMap<u8, Option<Interval>>> =
+        vec![HashMap::new(); kernel.ibs.len()];
     for ib in &kernel.ibs {
         for (m, inst) in ib.block.instructions().iter().enumerate() {
             if let Instruction::Movg { dst, .. } = inst {
-                if let Some((consumer, row)) = vaddr::as_cross_ib(*dst) {
-                    if consumer < num_ibs {
-                        let range = ib
-                            .provenance
-                            .get(m)
-                            .copied()
-                            .flatten()
-                            .and_then(|s| module.range.get(s.0).copied().flatten());
-                        arrival_range[consumer].insert(row, range);
-                    }
-                }
+                let (consumer, row) =
+                    vaddr::as_cross_ib(*dst).expect("ISA02 checked movg destinations");
+                let range = ib
+                    .provenance
+                    .get(m)
+                    .copied()
+                    .flatten()
+                    .and_then(|s| module.range.get(s.0).copied().flatten());
+                arrival_range[consumer].insert(row, range);
             }
         }
     }

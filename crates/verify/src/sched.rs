@@ -1,4 +1,4 @@
-//! Schedule legality: rules `SCH01`–`SCH04`.
+//! Schedule legality: rules `SCH01`–`SCH03` (`SCH04` is structural).
 
 use crate::{origin_node, Diagnostic, Severity};
 use imp_compiler::schedule::{occupancy, transfer_latency, Schedule};
@@ -11,32 +11,11 @@ pub(crate) fn check(
     avail: &ArrayAvailability,
     out: &mut Vec<Diagnostic>,
 ) {
-    let num_ibs = kernel.ibs.len();
-
-    // SCH04 (structure): one placement per IB.
-    if schedule.placements.len() != num_ibs {
-        out.push(Diagnostic {
-            rule: "SCH04",
-            severity: Severity::Error,
-            ib: None,
-            pc: None,
-            node: None,
-            message: format!(
-                "schedule places {} IBs but the kernel has {num_ibs}",
-                schedule.placements.len()
-            ),
-            help: "re-run placement over every instruction block".into(),
-        });
-        // Timing checks below index placements by IB; bail out rather
-        // than cascade out-of-bounds findings.
-        return;
-    }
-
     // SCH01: placements pairwise disjoint; SCH02: placements on live,
     // existing arrays.
     let mut by_slot: HashMap<usize, usize> = HashMap::new();
     for (i, p) in schedule.placements.iter().enumerate() {
-        let slot = p.cluster * 8 + p.array;
+        let slot = p.slot();
         if let Some(prev) = by_slot.insert(slot, i) {
             out.push(Diagnostic {
                 rule: "SCH01",
@@ -69,62 +48,18 @@ pub(crate) fn check(
         }
     }
 
-    // SCH04 (coverage): the timetable schedules every instruction of
-    // every IB exactly once.
-    let mut seen: HashMap<(usize, usize), usize> = HashMap::new();
-    for e in &schedule.entries {
-        *seen.entry((e.ib, e.index)).or_insert(0) += 1;
-    }
-    for (i, ib) in kernel.ibs.iter().enumerate() {
-        for pc in 0..ib.block.len() {
-            match seen.get(&(i, pc)).copied().unwrap_or(0) {
-                1 => {}
-                0 => out.push(Diagnostic {
-                    rule: "SCH04",
-                    severity: Severity::Error,
-                    ib: Some(i),
-                    pc: Some(pc),
-                    node: origin_node(kernel, i, pc),
-                    message: "instruction is missing from the timetable".into(),
-                    help: "every instruction must have exactly one schedule entry".into(),
-                }),
-                n => out.push(Diagnostic {
-                    rule: "SCH04",
-                    severity: Severity::Error,
-                    ib: Some(i),
-                    pc: Some(pc),
-                    node: origin_node(kernel, i, pc),
-                    message: format!("instruction is scheduled {n} times"),
-                    help: "every instruction must have exactly one schedule entry".into(),
-                }),
-            }
-        }
-    }
-    for (&(i, pc), _) in seen
-        .iter()
-        .filter(|(&(i, pc), _)| i >= num_ibs || pc >= kernel.ibs[i].block.len())
-    {
-        out.push(Diagnostic {
-            rule: "SCH04",
-            severity: Severity::Error,
-            ib: Some(i),
-            pc: Some(pc),
-            node: None,
-            message: "timetable entry does not correspond to any instruction".into(),
-            help: "drop stale entries when editing the schedule".into(),
-        });
-    }
-
     // SCH03: issue times honour program order, producer completion plus
-    // network transfer, and per-instruction occupancy.
-    let mut end_of: HashMap<(usize, usize), u64> = HashMap::new();
+    // network transfer, and per-instruction occupancy. The structural pass
+    // proved every instruction has exactly one entry.
+    let mut end_of: Vec<Vec<u64>> = kernel
+        .ibs
+        .iter()
+        .map(|ib| vec![0; ib.block.len()])
+        .collect();
     for e in &schedule.entries {
-        end_of.insert((e.ib, e.index), e.end);
+        end_of[e.ib][e.index] = e.end;
     }
     for e in &schedule.entries {
-        if e.ib >= num_ibs || e.index >= kernel.ibs[e.ib].block.len() {
-            continue; // already reported by SCH04
-        }
         let inst = &kernel.ibs[e.ib].block.instructions()[e.index];
         let occ = occupancy(inst, schedule.pipelining);
         if e.end != e.start + occ {
@@ -141,30 +76,25 @@ pub(crate) fn check(
                 help: "recompute the entry's end from occupancy()".into(),
             });
         }
-        if e.index > 0 {
-            if let Some(&prev_end) = end_of.get(&(e.ib, e.index - 1)) {
-                if e.start < prev_end {
-                    out.push(Diagnostic {
-                        rule: "SCH03",
-                        severity: Severity::Error,
-                        ib: Some(e.ib),
-                        pc: Some(e.index),
-                        node: origin_node(kernel, e.ib, e.index),
-                        message: format!(
-                            "starts at cycle {} before the previous instruction of the block completes at {prev_end}",
-                            e.start
-                        ),
-                        help: "arrays execute their block in order; later instructions cannot overtake".into(),
-                    });
-                }
-            }
+        let prev_end = e.index.checked_sub(1).map_or(0, |prev| end_of[e.ib][prev]);
+        if e.start < prev_end {
+            out.push(Diagnostic {
+                rule: "SCH03",
+                severity: Severity::Error,
+                ib: Some(e.ib),
+                pc: Some(e.index),
+                node: origin_node(kernel, e.ib, e.index),
+                message: format!(
+                    "starts at cycle {} before the previous instruction of the block completes at {prev_end}",
+                    e.start
+                ),
+                help: "arrays execute their block in order; later instructions cannot overtake".into(),
+            });
         }
         for &(p, pidx) in kernel.ibs[e.ib].deps.get(e.index).into_iter().flatten() {
-            if p >= num_ibs {
-                continue; // DF03's finding
-            }
-            let Some(&producer_end) = end_of.get(&(p, pidx)) else {
-                continue; // SCH04's finding
+            // A dependence on no instruction is DF03's finding.
+            let Some(&producer_end) = end_of.get(p).and_then(|ends| ends.get(pidx)) else {
+                continue;
             };
             let lat = transfer_latency(schedule.placements[p], schedule.placements[e.ib]);
             if e.start < producer_end + lat {

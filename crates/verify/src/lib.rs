@@ -185,6 +185,7 @@ pub struct VerifyReport {
 }
 
 impl VerifyReport {
+    /// A report of `diagnostics` in (ib, pc, rule, severity) order.
     fn sorted(mut diagnostics: Vec<Diagnostic>) -> VerifyReport {
         diagnostics.sort_by_key(|d| (d.ib, d.pc, d.rule, d.severity));
         VerifyReport { diagnostics }

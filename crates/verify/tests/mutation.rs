@@ -5,9 +5,10 @@
 //! the corresponding rule id.
 
 use imp_compiler::module::vaddr;
+use imp_compiler::schedule::{Placement, ScheduledInst};
 use imp_compiler::{ArrayAvailability, CompiledKernel, OptPolicy, ParallelSpec};
 use imp_isa::{Addr, GlobalAddr, Instruction, InstructionBlock};
-use imp_verify::{verify_kernel, verify_with, Severity};
+use imp_verify::{verify_kernel, verify_structure, verify_with, Severity};
 
 fn kernel(name: &str) -> CompiledKernel {
     imp_workloads::workload(name)
@@ -326,6 +327,44 @@ fn sch04_missing_entry() {
         "got {rules:?}:\n{}",
         report.render()
     );
+}
+
+/// More IBs than the coverage check keeps cursors for in one pass over
+/// the timetable: a complete timetable is clean, and a gap or a repeat in
+/// a late IB is still found.
+#[test]
+fn sch04_coverage_beyond_64_ibs() {
+    let w = imp_workloads::workload("hotspot").expect("known workload");
+    let mut k = w.compile(64, OptPolicy::MaxDlp).expect("workload compiles");
+    assert_eq!(k.ibs.len(), 1);
+    let (num_ibs, len) = (130, k.ibs[0].block.len());
+    k.ibs = vec![k.ibs[0].clone(); num_ibs];
+    k.schedule.placements = (0..num_ibs).map(Placement::from_slot).collect();
+    let entry = |ib, index| ScheduledInst {
+        ib,
+        index,
+        start: 0,
+        end: 0,
+    };
+    k.schedule.entries = (0..num_ibs)
+        .flat_map(|ib| (0..len).map(move |index| entry(ib, index)))
+        .collect();
+    let report = verify_structure(&k, &k.schedule);
+    assert!(report.is_clean(), "{}", report.render());
+
+    let mut gap = k.schedule.clone();
+    gap.entries.retain(|e| (e.ib, e.index) != (129, 3));
+    let mut repeat = k.schedule.clone();
+    repeat.entries.push(entry(100, 0));
+    for (schedule, (ib, pc)) in [(gap, (129, 3)), (repeat, (100, 0))] {
+        let report = verify_structure(&k, &schedule);
+        let found: Vec<_> = report
+            .diagnostics
+            .iter()
+            .map(|d| (d.rule, d.ib, d.pc))
+            .collect();
+        assert_eq!(found, vec![("SCH04", Some(ib), Some(pc))]);
+    }
 }
 
 #[test]

@@ -1,8 +1,7 @@
 //! Native Rust reference implementations of the Table 3 kernels.
 //!
 //! These are independent of the DFG formulations in `imp-workloads`:
-//! comparing them against the graph interpreter cross-checks both, and
-//! Criterion benches over them provide a host-execution anchor.
+//! comparing them against the graph interpreter cross-checks both.
 
 /// Black–Scholes European call price (Abramowitz–Stegun CNDF, as in the
 /// PARSEC kernel).

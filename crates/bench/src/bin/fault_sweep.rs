@@ -38,7 +38,7 @@ fn tiny_chip() -> ChipCapacity {
     }
 }
 
-fn config(faults: Option<FaultConfig>) -> SimConfig {
+fn config(faults: FaultConfig) -> SimConfig {
     let mut config = SimConfig::functional();
     config.capacity = tiny_chip();
     config.fault_seed = SEED;
@@ -87,7 +87,7 @@ fn main() {
     let (kernel, inputs, y) = build();
 
     // Golden: the fault model disabled entirely.
-    let golden_report = Machine::new(config(None))
+    let golden_report = Machine::new(config(FaultConfig::default()))
         .run(&kernel, &inputs)
         .expect("golden run");
     let golden = golden_report.outputs[&y].clone();
@@ -110,14 +110,14 @@ fn main() {
     for &rate in &[0.0f64, 1e-7, 1e-6, 3e-6, 1e-5, 1e-4] {
         let rates = FaultRates::cells(rate);
 
-        let silent = Machine::new(config(Some(FaultConfig::new(rates, FaultPolicy::Silent))))
+        let silent = Machine::new(config(FaultConfig::new(rates, FaultPolicy::Silent)))
             .run(&kernel, &inputs)
             .expect("silent runs always complete");
         let silent_err = mean_err(&silent, &golden, y);
         emit("fault_sweep", "silent_mean_err", rate, silent_err);
         emit_json("fault_sweep", "silent_cells", rate, &silent, silent_err);
 
-        let failfast = Machine::new(config(Some(FaultConfig::new(rates, FaultPolicy::FailFast))))
+        let failfast = Machine::new(config(FaultConfig::new(rates, FaultPolicy::FailFast)))
             .run(&kernel, &inputs);
         let failfast_label = match &failfast {
             Ok(report) => {
@@ -144,7 +144,7 @@ fn main() {
             f64::from(u8::from(failfast.is_ok())),
         );
 
-        let remap = Machine::new(config(Some(FaultConfig::new(rates, FaultPolicy::Remap))))
+        let remap = Machine::new(config(FaultConfig::new(rates, FaultPolicy::Remap)))
             .run(&kernel, &inputs)
             .expect("remap must complete at ≤5% faulty arrays");
         let remap_err = mean_err(&remap, &golden, y);
@@ -185,13 +185,13 @@ fn main() {
             transient_adc: rate,
             ..FaultRates::none()
         };
-        let retry = Machine::new(config(Some(FaultConfig::new(
+        let retry = Machine::new(config(FaultConfig::new(
             rates,
             FaultPolicy::Retry {
                 max: 100,
                 backoff_cycles: 16,
             },
-        ))))
+        )))
         .run(&kernel, &inputs)
         .expect("retry converges under transient faults");
         let err = mean_err(&retry, &golden, y);

@@ -39,7 +39,7 @@ const SEED: u64 = 2026;
 fn config(rates: LinkFaultRates, policy: TransportPolicy) -> SimConfig {
     SimConfig {
         fault_seed: SEED,
-        transport: Some(TransportConfig { rates, policy }),
+        transport: TransportConfig { rates, policy },
         ..SimConfig::functional()
     }
 }
@@ -244,7 +244,7 @@ fn main() {
     // Part 3: watchdog. Unbounded retransmission over a heavily dead
     // fabric is a livelock; the cycle budget converts it into a timeout.
     let storm = SimConfig {
-        watchdog: Some(WatchdogConfig::new(200_000, u32::MAX)),
+        watchdog: WatchdogConfig::new(200_000, u32::MAX),
         ..config(
             LinkFaultRates::dead_links(0.5),
             TransportPolicy::AckRetransmit {

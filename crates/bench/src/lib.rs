@@ -2,7 +2,7 @@
 //!
 //! One binary per table and figure of the paper's evaluation (§6–7), each
 //! printing both a human-readable table and machine-readable
-//! `name,series,x,y` rows, plus Criterion benches over the engine itself.
+//! `name,series,x,y` rows.
 //!
 //! | binary | reproduces |
 //! |---|---|

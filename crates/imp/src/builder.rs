@@ -9,9 +9,7 @@ use imp_compiler::{
 use imp_dfg::range::Interval;
 use imp_dfg::Graph;
 use imp_rram::QFormat;
-use imp_sim::{
-    FaultConfig, FaultPolicy, Parallelism, SimConfig, Telemetry, TransportConfig, WatchdogConfig,
-};
+use imp_sim::{FaultConfig, Parallelism, SimConfig, Telemetry, TransportConfig, WatchdogConfig};
 use imp_verify::VerifyLevel;
 
 /// The one constructor for [`Session`], started with [`Session::builder`].
@@ -118,19 +116,9 @@ impl SessionBuilder {
         self
     }
 
-    /// Installs the array-level fault model.
+    /// Sets the array-level fault rates and recovery policy.
     pub fn faults(mut self, faults: FaultConfig) -> Self {
-        self.config.faults = Some(faults);
-        self
-    }
-
-    /// Sets the fault recovery policy, enabling the fault model at its
-    /// default (clean) rates if it was not already installed.
-    pub fn fault_policy(mut self, policy: FaultPolicy) -> Self {
-        self.config
-            .faults
-            .get_or_insert_with(FaultConfig::default)
-            .policy = policy;
+        self.config.faults = faults;
         self
     }
 
@@ -140,15 +128,15 @@ impl SessionBuilder {
         self
     }
 
-    /// Installs the transport-level (H-tree) fault model.
+    /// Sets the transport-level (H-tree) fault rates and recovery policy.
     pub fn transport(mut self, transport: TransportConfig) -> Self {
-        self.config.transport = Some(transport);
+        self.config.transport = transport;
         self
     }
 
-    /// Installs the execution watchdog.
+    /// Sets the execution watchdog's cycle and attempt budgets.
     pub fn watchdog(mut self, watchdog: WatchdogConfig) -> Self {
-        self.config.watchdog = Some(watchdog);
+        self.config.watchdog = watchdog;
         self
     }
 
@@ -176,12 +164,6 @@ impl SessionBuilder {
     pub fn shadow(mut self, shadow: ShadowConfig) -> Self {
         self.shadow = Some(shadow);
         self
-    }
-
-    /// Shorthand for [`shadow`](Self::shadow) with only the ULP tolerance
-    /// changed from the default.
-    pub fn shadow_tolerance_ulps(self, tolerance_ulps: f64) -> Self {
-        self.shadow(ShadowConfig::with_tolerance_ulps(tolerance_ulps))
     }
 
     /// Uses the §5.2 runtime code selection: compile under every

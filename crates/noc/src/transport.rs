@@ -268,10 +268,11 @@ impl LinkFaultMap {
 
 /// What the transport does when a message CRC check fails or its route
 /// crosses a dead link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportPolicy {
     /// No detection: corrupted payloads are delivered, messages over dead
     /// links are dropped. Events are still counted for observability.
+    #[default]
     Silent,
     /// First CRC failure or dead link aborts the transfer with an error.
     FailFast,
@@ -303,8 +304,10 @@ impl fmt::Display for TransportPolicy {
     }
 }
 
-/// Transport fault model configuration: rates plus recovery policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Transport fault model configuration: rates plus recovery policy. The
+/// default, [`LinkFaultRates::none`] under [`TransportPolicy::Silent`],
+/// injects nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TransportConfig {
     /// Fault injection rates.
     pub rates: LinkFaultRates,

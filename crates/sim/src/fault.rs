@@ -138,7 +138,9 @@ pub enum FaultPolicy {
     Remap,
 }
 
-/// Fault-injection configuration for a simulation run.
+/// Fault-injection configuration for a simulation run. The default,
+/// [`FaultRates::none`] under [`FaultPolicy::Silent`], injects nothing;
+/// so does any policy over [`FaultRates::none`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultConfig {
     /// Physical fault population parameters, applied per array with a

@@ -24,9 +24,15 @@
 //! let y = g.square(x).unwrap();
 //! g.fetch(y);
 //! let graph = g.finish();
-//! let kernel = compile(&graph, &CompileOptions::default()).unwrap();
+//! // Compile for the chip the machine simulates.
+//! let config = SimConfig::functional();
+//! let options = CompileOptions {
+//!     capacity: config.capacity,
+//!     ..CompileOptions::default()
+//! };
+//! let kernel = compile(&graph, &options).unwrap();
 //!
-//! let mut machine = Machine::new(SimConfig::functional());
+//! let mut machine = Machine::new(config);
 //! let data = Tensor::from_fn(Shape::vector(16), |i| i as f64);
 //! let report = machine
 //!     .run(&kernel, &[("x".to_string(), data)].into_iter().collect())

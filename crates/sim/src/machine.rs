@@ -17,7 +17,7 @@ use imp_noc::{
     HTreeTopology, LinkFaultMap, Network, NocConfig, NocStats, TransportConfig, TransportEvent,
     TransportFaultKind,
 };
-use imp_rram::{AnalogSpec, FaultMap, Fixed, ReramArray, ARRAY_CYCLE_S};
+use imp_rram::{AnalogSpec, FaultMap, FaultRates, Fixed, ReramArray, ARRAY_CYCLE_S};
 use std::collections::HashMap;
 
 /// How [`Machine::run`] spreads instance groups over host threads.
@@ -63,17 +63,19 @@ pub struct SimConfig {
     /// its own stream via [`crate::fault::mix_seed`], so runs are
     /// deterministic in (seed, slot) regardless of group scheduling.
     pub fault_seed: u64,
-    /// Fault injection and recovery policy. `None` (the default)
-    /// disables the fault model entirely: no fault maps are generated
-    /// and execution is bit-identical to a fault-free chip.
-    pub faults: Option<FaultConfig>,
-    /// Transport-level (H-tree) fault injection and recovery. `None`
-    /// (the default) keeps the loss-free network; transfers are then
-    /// bit- and cycle-identical to a perfect fabric. The link fault map
-    /// is seeded from [`SimConfig::fault_seed`].
-    pub transport: Option<TransportConfig>,
-    /// Execution watchdog. `None` (the default) never times out.
-    pub watchdog: Option<WatchdogConfig>,
+    /// Fault injection and recovery policy. At [`FaultRates::none`] (the
+    /// default) the fault model is off whatever the policy: no fault maps
+    /// are generated, no attempt can detect a fault, and execution is
+    /// bit-identical to a fault-free chip.
+    pub faults: FaultConfig,
+    /// Transport-level (H-tree) fault injection and recovery, its link
+    /// fault map seeded from [`SimConfig::fault_seed`]. At
+    /// [`LinkFaultRates::none`](imp_noc::LinkFaultRates::none) (the
+    /// default) the map is clean under any policy, and transfers are bit-
+    /// and cycle-identical to a perfect fabric.
+    pub transport: TransportConfig,
+    /// Execution watchdog. The default never times out.
+    pub watchdog: WatchdogConfig,
     /// Host-thread scheduling of instance groups. Never changes results
     /// (see [`Parallelism`]); [`Parallelism::Auto`] by default.
     pub parallelism: Parallelism,
@@ -99,9 +101,9 @@ impl SimConfig {
             analog: AnalogSpec::prototype(),
             noc: NocConfig::default(),
             fault_seed: 0,
-            faults: None,
-            transport: None,
-            watchdog: None,
+            faults: FaultConfig::default(),
+            transport: TransportConfig::default(),
+            watchdog: WatchdogConfig::default(),
             parallelism: Parallelism::Auto,
             telemetry: None,
             verify: imp_verify::VerifyLevel::Warn,
@@ -171,7 +173,8 @@ pub struct RunReport {
     /// Instructions executed across all arrays.
     pub instructions_executed: u64,
     /// Every fault detection recorded across all execution attempts.
-    /// Empty whenever [`SimConfig::faults`] is `None`.
+    /// Empty whenever [`SimConfig::faults`] and [`SimConfig::transport`]
+    /// inject nothing (their default rates).
     pub fault_events: Vec<FaultEvent>,
     /// Extra execution attempts the recovery policy spent (retry
     /// re-executions and remap reschedules).
@@ -183,8 +186,8 @@ pub struct RunReport {
     pub fault_overhead_cycles: u64,
     /// Array cycles the accepted attempt spent on transport recovery
     /// (retransmission serialization, backoff, detour hops). Included in
-    /// [`RunReport::cycles`]; zero whenever [`SimConfig::transport`] is
-    /// `None` or the fault map is clean.
+    /// [`RunReport::cycles`]; zero whenever the link fault map of
+    /// [`SimConfig::transport`] is clean.
     pub transport_overhead_cycles: u64,
     /// Telemetry snapshot taken at the end of this run (run counters,
     /// per-IB execution profiles, parallel-engine statistics), when
@@ -198,8 +201,8 @@ pub struct RunReport {
 /// Everything one execution attempt produces; the recovery loop in
 /// [`Machine::run`] decides whether to keep it or pay for another.
 struct Attempt {
-    outputs: HashMap<NodeId, Tensor>,
-    variable_updates: HashMap<String, Tensor>,
+    /// The delivered reduction sums, one per slot.
+    reduce_acc: Vec<i32>,
     rounds: u64,
     cycles: u64,
     load_cycles: u64,
@@ -242,11 +245,9 @@ impl Machine {
     pub fn new(config: SimConfig) -> Self {
         let topology = HTreeTopology::new(config.capacity.tiles, 8);
         let mut network = Network::new(topology, config.noc);
-        if let Some(transport) = &config.transport {
-            let seed = mix_seed(config.fault_seed, TRANSPORT_SEED_SALT);
-            let map = LinkFaultMap::generate(seed, &transport.rates, network.topology());
-            network.set_transport(map, transport.policy);
-        }
+        let seed = mix_seed(config.fault_seed, TRANSPORT_SEED_SALT);
+        let map = LinkFaultMap::generate(seed, &config.transport.rates, network.topology());
+        network.set_transport(map, config.transport.policy);
         Machine {
             config,
             network,
@@ -262,8 +263,8 @@ impl Machine {
     /// Executes `kernel` over `inputs` (placeholder *and* variable
     /// tensors, keyed by name).
     ///
-    /// When [`SimConfig::faults`] is set, each attempt ends with the
-    /// per-array integrity checks; detections are handled per the
+    /// When [`SimConfig::faults`] injects faults, each attempt ends with
+    /// the per-array integrity checks; detections are handled per the
     /// configured [`FaultPolicy`] — recorded, fatal, retried, or
     /// remapped around — and every event lands in
     /// [`RunReport::fault_events`].
@@ -293,11 +294,8 @@ impl Machine {
             None => Vec::new(),
         };
 
-        let policy = self
-            .config
-            .faults
-            .as_ref()
-            .map_or(FaultPolicy::Silent, |c| c.policy);
+        let policy = self.config.faults.policy;
+        let watchdog = self.config.watchdog;
         let mut avail = ArrayAvailability::all(total_arrays);
         let mut schedule_override: Option<Schedule> = None;
         // Energy accumulates across attempts: failed executions still
@@ -347,18 +345,18 @@ impl Machine {
             // (prior failed attempts plus this one), whatever the attempt's
             // outcome — a "successful" run that blew the budget inside a
             // retransmit storm still times out.
-            if let Some(watchdog) = &self.config.watchdog {
-                let spent = fault_overhead_cycles + attempt.cycles;
-                if spent > watchdog.max_cycles {
-                    return Err(SimError::Timeout {
-                        limit_cycles: watchdog.max_cycles,
-                        spent_cycles: spent,
-                    });
-                }
+            let spent = fault_overhead_cycles + attempt.cycles;
+            if spent > watchdog.max_cycles {
+                return Err(SimError::Timeout {
+                    limit_cycles: watchdog.max_cycles,
+                    spent_cycles: spent,
+                });
             }
 
             if attempt.events.is_empty() || matches!(policy, FaultPolicy::Silent) {
                 // This attempt's outputs stand.
+                let (outputs, variable_updates) =
+                    assemble_outputs(kernel, &attempt.reduce_acc, out_values);
                 let cycles = attempt.cycles + fault_overhead_cycles;
                 let seconds = cycles as f64 * ARRAY_CYCLE_S;
                 let energy = meter.breakdown();
@@ -388,8 +386,8 @@ impl Machine {
                     t.snapshot()
                 });
                 return Ok(RunReport {
-                    outputs: attempt.outputs,
-                    variable_updates: attempt.variable_updates,
+                    outputs,
+                    variable_updates,
                     instances,
                     rounds: attempt.rounds,
                     cycles,
@@ -460,13 +458,11 @@ impl Machine {
             }
             // Watchdog progress ceiling: the policy wants another attempt;
             // refuse if the attempt budget is exhausted.
-            if let Some(watchdog) = &self.config.watchdog {
-                if attempt_idx + 1 >= u64::from(watchdog.max_attempts) {
-                    return Err(SimError::Timeout {
-                        limit_cycles: watchdog.max_cycles,
-                        spent_cycles: fault_overhead_cycles,
-                    });
-                }
+            if attempt_idx + 1 >= u64::from(watchdog.max_attempts) {
+                return Err(SimError::Timeout {
+                    limit_cycles: watchdog.max_cycles,
+                    spent_cycles: fault_overhead_cycles,
+                });
             }
             retries += 1;
             attempt_idx += 1;
@@ -501,10 +497,8 @@ impl Machine {
         let num_ibs = kernel.ibs.len().max(1);
         // The watchdog's cycle budget doubles as a per-transfer deadline,
         // cutting off retransmit storms inside the network.
-        let net_deadline = self.config.watchdog.as_ref().map(|w| {
-            w.max_cycles
-                .saturating_mul(imp_noc::NET_CYCLES_PER_ARRAY_CYCLE)
-        });
+        let watchdog_limit = self.config.watchdog.max_cycles;
+        let net_deadline = Some(watchdog_limit.saturating_mul(imp_noc::NET_CYCLES_PER_ARRAY_CYCLE));
         let Packing {
             groups: groups_total,
             groups_per_round,
@@ -515,20 +509,24 @@ impl Machine {
         // Per-(round-local slot) fault populations, generated once per
         // attempt: a fault map is a property of the *physical array*
         // (seeded by its slot alone), so every group mapped onto the
-        // same slot sees the same population.
-        let fault_maps: Vec<FaultMap> = match &self.config.faults {
-            Some(cfg) => (0..groups_per_round * num_ibs)
+        // same slot sees the same population. Rates that inject nothing
+        // take the fault-free path, whatever the recovery policy.
+        let rates = &self.config.faults.rates;
+        let faults_on = *rates != FaultRates::none();
+        let fault_maps: Vec<FaultMap> = if faults_on {
+            (0..groups_per_round * num_ibs)
                 .map(|i| {
                     FaultMap::generate(
                         mix_seed(
                             self.config.fault_seed ^ 0xFA17_FA17_FA17_FA17,
                             usable[i] as u64,
                         ),
-                        &cfg.rates,
+                        rates,
                     )
                 })
-                .collect(),
-            None => Vec::new(),
+                .collect()
+        } else {
+            Vec::new()
         };
 
         let ctx = EngineCtx {
@@ -538,7 +536,7 @@ impl Machine {
             sched,
             templates,
             fault_maps,
-            faults_on: self.config.faults.is_some(),
+            faults_on,
             instances,
             groups_per_round,
             num_ibs,
@@ -550,36 +548,29 @@ impl Machine {
             arrays_per_tile: self.config.capacity.clusters_per_tile
                 * self.config.capacity.arrays_per_cluster,
             tiles: self.config.capacity.tiles,
-            watchdog_limit: self.config.watchdog.as_ref().map_or(0, |w| w.max_cycles),
+            watchdog_limit,
             network_proto: &self.network,
             power: &self.power,
         };
 
+        // Contiguous shards keep each worker's groups cache-friendly; the
+        // merge below re-serializes in ascending group order. The calling
+        // thread runs shard 0, so a single worker spawns nothing.
         let workers = self.config.parallelism.workers().min(groups_total).max(1);
+        let chunk = groups_total.div_ceil(workers).max(1);
         let mut results: Vec<Option<Result<GroupOutcome, SimError>>> =
             (0..groups_total).map(|_| None).collect();
-        if workers == 1 {
-            let mut worker = Worker::new(&ctx);
-            for (group, slot) in results.iter_mut().enumerate() {
-                *slot = Some(run_group(&ctx, &mut worker, group));
+        rayon::scope(|s| {
+            let mut shards = results.chunks_mut(chunk).enumerate();
+            let first = shards.next();
+            for (w, shard) in shards {
+                let ctx = &ctx;
+                s.spawn(move |_| run_shard(ctx, w * chunk, shard));
             }
-        } else {
-            // Contiguous shards keep each worker's groups cache-friendly;
-            // the merge below re-serializes in ascending group order.
-            let chunk = groups_total.div_ceil(workers);
-            rayon::scope(|s| {
-                for (w, shard) in results.chunks_mut(chunk).enumerate() {
-                    let ctx = &ctx;
-                    s.spawn(move |_| {
-                        let mut worker = Worker::new(ctx);
-                        for (i, slot) in shard.iter_mut().enumerate() {
-                            let group = w * chunk + i;
-                            *slot = Some(run_group(ctx, &mut worker, group));
-                        }
-                    });
-                }
-            });
-        }
+            if let Some((_, shard)) = first {
+                run_shard(&ctx, 0, shard);
+            }
+        });
 
         // Deterministic merge in ascending group order: wrapping adds for
         // the reduction slots, fixed-order float accumulation for energy,
@@ -601,8 +592,8 @@ impl Machine {
         let mut noc = NocStats::default();
         let mut writes_per_exec = 0u64;
         let mut instructions_executed = 0u64;
-        for (group, slot) in results.into_iter().enumerate() {
-            let outcome = slot.expect("every group executed")?;
+        for (group, slot) in results.iter_mut().enumerate() {
+            let outcome = slot.take().expect("every group executed")?;
             for (acc, &part) in reduce_acc.iter_mut().zip(&outcome.reduce_acc) {
                 *acc = acc.wrapping_add(part);
             }
@@ -625,20 +616,11 @@ impl Machine {
         if let (Some(t), Some(t0)) = (&self.config.telemetry, merge_start) {
             let merge_nanos = t0.elapsed().as_nanos();
             t.record_nanos("sim.engine.merge", merge_nanos);
-            let groups_per_worker = if workers == 1 {
-                vec![groups_total]
-            } else {
-                let chunk = groups_total.div_ceil(workers);
-                (0..workers)
-                    .map(|w| groups_total.saturating_sub(w * chunk).min(chunk))
-                    .filter(|&g| g > 0)
-                    .collect()
-            };
             t.set_engine(imp_telemetry::EngineStats {
                 workers,
                 groups: groups_total,
                 rounds,
-                groups_per_worker,
+                groups_per_worker: results.chunks(chunk).map(<[_]>::len).collect(),
                 attempts: attempt_idx + 1,
                 merge_nanos,
             });
@@ -694,48 +676,8 @@ impl Machine {
         let load_cycles =
             perf::load_cycles(bytes_per_group * groups_total, EXTERNAL_IO_BYTES_PER_S);
 
-        // Assemble output tensors.
-        let format = kernel.format;
-        let mut outputs = HashMap::new();
-        let mut variable_updates = HashMap::new();
-        for (out_idx, output) in kernel.outputs.iter().enumerate() {
-            let k = output.locs.len();
-            let tensor = if output
-                .locs
-                .iter()
-                .any(|l| matches!(l, OutputLoc::Reduced { .. }))
-            {
-                let data: Vec<f64> = output
-                    .locs
-                    .iter()
-                    .map(|loc| match loc {
-                        OutputLoc::Reduced { slot } => {
-                            Fixed::from_raw(reduce_acc[*slot], format).to_f64()
-                        }
-                        OutputLoc::Row { .. } => 0.0,
-                    })
-                    .collect();
-                Tensor::from_vec(data, Shape::vector(k)).expect("reduced output shape")
-            } else {
-                let data = out_values[out_idx].clone();
-                let shape = match kernel.parallel {
-                    ParallelSpec::Stencil { h, w } if k == 1 => Shape::matrix(h, w),
-                    ParallelSpec::Vector { n } if k == 1 => Shape::vector(n),
-                    ParallelSpec::Vector { n } => Shape::matrix(k, n),
-                    ParallelSpec::None => Shape::vector(k),
-                    ParallelSpec::Stencil { h, w } => Shape::new(vec![k, h, w]),
-                };
-                Tensor::from_vec(data, shape).expect("output shape")
-            };
-            if let Some(name) = &output.assign_to {
-                variable_updates.insert(name.clone(), tensor.clone());
-            }
-            outputs.insert(output.node, tensor);
-        }
-
         Ok(Attempt {
-            outputs,
-            variable_updates,
+            reduce_acc,
             rounds,
             cycles,
             load_cycles,
@@ -800,8 +742,11 @@ struct EngineCtx<'a> {
     sched: &'a Schedule,
     templates: &'a [ReramArray],
     /// Per-(round-local slot) fault maps, indexed
-    /// `group_in_round * num_ibs + ib`; empty when the fault model is off.
+    /// `group_in_round * num_ibs + ib`; empty unless `faults_on`.
     fault_maps: Vec<FaultMap>,
+    /// Whether [`SimConfig::faults`]' rates inject anything. Without
+    /// them groups install no fault map and skip the integrity checks,
+    /// whatever the recovery policy.
     faults_on: bool,
     instances: usize,
     groups_per_round: usize,
@@ -1034,6 +979,65 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
         .unwrap_or(0);
     outcome.noc = worker.network.stats();
     Ok(outcome)
+}
+
+/// Runs one worker shard: groups `first_group..` into `shard`'s slots, in
+/// order, on one pooled [`Worker`].
+fn run_shard(
+    ctx: &EngineCtx,
+    first_group: usize,
+    shard: &mut [Option<Result<GroupOutcome, SimError>>],
+) {
+    let mut worker = Worker::new(ctx);
+    for (i, slot) in shard.iter_mut().enumerate() {
+        *slot = Some(run_group(ctx, &mut worker, first_group + i));
+    }
+}
+
+/// Builds the accepted attempt's output tensors and variable write-backs:
+/// reduced outputs from the delivered sums, per-instance outputs by moving
+/// their buffers out of `out_values`.
+fn assemble_outputs(
+    kernel: &CompiledKernel,
+    reduce_acc: &[i32],
+    out_values: Vec<Vec<f64>>,
+) -> (HashMap<NodeId, Tensor>, HashMap<String, Tensor>) {
+    let mut outputs = HashMap::new();
+    let mut variable_updates = HashMap::new();
+    for (output, data) in kernel.outputs.iter().zip(out_values) {
+        let k = output.locs.len();
+        let tensor = if output
+            .locs
+            .iter()
+            .any(|l| matches!(l, OutputLoc::Reduced { .. }))
+        {
+            let data: Vec<f64> = output
+                .locs
+                .iter()
+                .map(|loc| match loc {
+                    OutputLoc::Reduced { slot } => {
+                        Fixed::from_raw(reduce_acc[*slot], kernel.format).to_f64()
+                    }
+                    OutputLoc::Row { .. } => 0.0,
+                })
+                .collect();
+            Tensor::from_vec(data, Shape::vector(k)).expect("reduced output shape")
+        } else {
+            let shape = match kernel.parallel {
+                ParallelSpec::Stencil { h, w } if k == 1 => Shape::matrix(h, w),
+                ParallelSpec::Vector { n } if k == 1 => Shape::vector(n),
+                ParallelSpec::Vector { n } => Shape::matrix(k, n),
+                ParallelSpec::None => Shape::vector(k),
+                ParallelSpec::Stencil { h, w } => Shape::new(vec![k, h, w]),
+            };
+            Tensor::from_vec(data, shape).expect("output shape")
+        };
+        if let Some(name) = &output.assign_to {
+            variable_updates.insert(name.clone(), tensor.clone());
+        }
+        outputs.insert(output.node, tensor);
+    }
+    (outputs, variable_updates)
 }
 
 /// Derives per-IB execution profiles from the static schedule: each

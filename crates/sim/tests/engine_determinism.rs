@@ -161,7 +161,7 @@ proptest! {
         };
         let config = SimConfig {
             fault_seed: seed,
-            faults: Some(FaultConfig::new(rates, FaultPolicy::Silent)),
+            faults: FaultConfig::new(rates, FaultPolicy::Silent),
             ..SimConfig::functional()
         };
         check_all_parallelisms(&config, &kernel, &inputs);
@@ -185,10 +185,10 @@ proptest! {
         };
         let config = SimConfig {
             fault_seed: seed,
-            transport: Some(TransportConfig {
+            transport: TransportConfig {
                 rates: LinkFaultRates::flips(0.05),
                 policy,
-            }),
+            },
             ..SimConfig::functional()
         };
         check_all_parallelisms(&config, &kernel, &inputs);
@@ -207,13 +207,13 @@ fn retry_recovery_identical_across_worker_counts() {
     };
     let config = SimConfig {
         fault_seed: 7,
-        faults: Some(FaultConfig::new(
+        faults: FaultConfig::new(
             rates,
             FaultPolicy::Retry {
                 max: 50,
                 backoff_cycles: 8,
             },
-        )),
+        ),
         ..SimConfig::functional()
     };
     check_all_parallelisms(&config, &kernel, &inputs);

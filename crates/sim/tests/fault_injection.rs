@@ -150,7 +150,7 @@ fn faulty_config(seed: u64, rates: FaultRates, policy: FaultPolicy) -> SimConfig
     let mut config = SimConfig::functional();
     config.capacity = one_tile();
     config.fault_seed = seed;
-    config.faults = Some(FaultConfig::new(rates, policy));
+    config.faults = FaultConfig::new(rates, policy);
     config
 }
 

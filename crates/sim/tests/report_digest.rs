@@ -110,12 +110,12 @@ fn configs() -> Vec<(&'static str, SimConfig)> {
     };
     let faulty = |rates: FaultRates, policy: FaultPolicy| {
         let mut config = base();
-        config.faults = Some(FaultConfig::new(rates, policy));
+        config.faults = FaultConfig::new(rates, policy);
         config
     };
     let transport = |rates: LinkFaultRates, policy: TransportPolicy| {
         let mut config = base();
-        config.transport = Some(TransportConfig { rates, policy });
+        config.transport = TransportConfig { rates, policy };
         config
     };
     let mut noisy = base();

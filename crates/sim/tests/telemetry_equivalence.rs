@@ -131,14 +131,18 @@ proptest! {
         let (kernel, inputs) = build_kernel(kind, 200 * scale);
         let base = SimConfig {
             fault_seed: seed,
-            faults: faulty.then(|| FaultConfig::new(
-                FaultRates {
-                    transient_adc: 1e-4,
-                    adc_offset: 0.05,
-                    ..FaultRates::cells(1e-4)
-                },
-                FaultPolicy::Silent,
-            )),
+            faults: if faulty {
+                FaultConfig::new(
+                    FaultRates {
+                        transient_adc: 1e-4,
+                        adc_offset: 0.05,
+                        ..FaultRates::cells(1e-4)
+                    },
+                    FaultPolicy::Silent,
+                )
+            } else {
+                FaultConfig::default()
+            },
             ..SimConfig::functional()
         };
         let off = Machine::new(base.clone()).run(&kernel, &inputs).expect("off run");

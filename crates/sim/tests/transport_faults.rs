@@ -41,11 +41,10 @@ fn reduction_kernel(n: usize) -> (CompiledKernel, HashMap<String, Tensor>, NodeI
     (kernel, inputs, s)
 }
 
-fn config_with(transport: Option<TransportConfig>, watchdog: Option<WatchdogConfig>) -> SimConfig {
+fn config_with(transport: TransportConfig) -> SimConfig {
     SimConfig {
         fault_seed: SEED,
         transport,
-        watchdog,
         ..SimConfig::functional()
     }
 }
@@ -53,7 +52,7 @@ fn config_with(transport: Option<TransportConfig>, watchdog: Option<WatchdogConf
 #[test]
 fn clean_transport_is_bit_and_cycle_identical() {
     let (kernel, inputs, s) = reduction_kernel(4000);
-    let baseline = Machine::new(config_with(None, None))
+    let baseline = Machine::new(config_with(TransportConfig::default()))
         .run(&kernel, &inputs)
         .unwrap();
     for policy in [
@@ -69,7 +68,7 @@ fn clean_transport_is_bit_and_cycle_identical() {
             rates: LinkFaultRates::none(),
             policy,
         };
-        let report = Machine::new(config_with(Some(transport), None))
+        let report = Machine::new(config_with(transport))
             .run(&kernel, &inputs)
             .unwrap();
         assert_eq!(
@@ -92,16 +91,13 @@ proptest! {
     #[test]
     fn zero_rate_transport_never_perturbs_runs(seed in 0u64..1000, scale in 1usize..5) {
         let (kernel, inputs, s) = reduction_kernel(600 * scale);
-        let mut plain = config_with(None, None);
+        let mut plain = config_with(TransportConfig::default());
         plain.fault_seed = seed;
         let baseline = Machine::new(plain).run(&kernel, &inputs).unwrap();
-        let mut faulted = config_with(
-            Some(TransportConfig {
-                rates: LinkFaultRates::none(),
-                policy: TransportPolicy::AckRetransmit { max: 8, backoff: 16 },
-            }),
-            None,
-        );
+        let mut faulted = config_with(TransportConfig {
+            rates: LinkFaultRates::none(),
+            policy: TransportPolicy::AckRetransmit { max: 8, backoff: 16 },
+        });
         faulted.fault_seed = seed;
         let report = Machine::new(faulted).run(&kernel, &inputs).unwrap();
         prop_assert_eq!(&report.outputs[&s], &baseline.outputs[&s]);
@@ -117,7 +113,7 @@ fn silent_policy_records_crc_detections_without_recovery() {
         rates: LinkFaultRates::flips(0.2),
         policy: TransportPolicy::Silent,
     };
-    let report = Machine::new(config_with(Some(transport), None))
+    let report = Machine::new(config_with(transport))
         .run(&kernel, &inputs)
         .unwrap();
     assert!(
@@ -135,7 +131,7 @@ fn silent_policy_records_crc_detections_without_recovery() {
 #[test]
 fn ack_retransmit_restores_golden_outputs_at_a_cycle_cost() {
     let (kernel, inputs, s) = reduction_kernel(4000);
-    let baseline = Machine::new(config_with(None, None))
+    let baseline = Machine::new(config_with(TransportConfig::default()))
         .run(&kernel, &inputs)
         .unwrap();
     let transport = TransportConfig {
@@ -145,7 +141,7 @@ fn ack_retransmit_restores_golden_outputs_at_a_cycle_cost() {
             backoff: 8,
         },
     };
-    let report = Machine::new(config_with(Some(transport), None))
+    let report = Machine::new(config_with(transport))
         .run(&kernel, &inputs)
         .unwrap();
     assert_eq!(
@@ -177,7 +173,7 @@ fn fail_fast_surfaces_a_structured_transport_fault() {
         rates: LinkFaultRates::flips(0.2),
         policy: TransportPolicy::FailFast,
     };
-    let err = Machine::new(config_with(Some(transport), None))
+    let err = Machine::new(config_with(transport))
         .run(&kernel, &inputs)
         .unwrap_err();
     match err {
@@ -207,9 +203,12 @@ fn watchdog_converts_a_retransmit_storm_into_timeout() {
         },
     };
     let watchdog = WatchdogConfig::new(200_000, u32::MAX);
-    let err = Machine::new(config_with(Some(transport), Some(watchdog)))
-        .run(&kernel, &inputs)
-        .unwrap_err();
+    let err = Machine::new(SimConfig {
+        watchdog,
+        ..config_with(transport)
+    })
+    .run(&kernel, &inputs)
+    .unwrap_err();
     match err {
         SimError::Timeout { limit_cycles, .. } => assert_eq!(limit_cycles, 200_000),
         other => panic!("expected SimError::Timeout, got {other}"),
@@ -221,8 +220,9 @@ fn watchdog_attempt_ceiling_stops_an_unproductive_retry_loop() {
     let (kernel, inputs, _) = reduction_kernel(256);
     // Permanent cell faults re-detect identically on every retry: the
     // policy alone would burn all 1,000 attempts before erroring.
-    let mut config = config_with(None, Some(WatchdogConfig::new(u64::MAX, 3)));
-    config.faults = Some(FaultConfig::new(
+    let mut config = config_with(TransportConfig::default());
+    config.watchdog = WatchdogConfig::new(u64::MAX, 3);
+    config.faults = FaultConfig::new(
         FaultRates {
             stuck_at_max: 2e-4,
             ..FaultRates::none()
@@ -231,7 +231,7 @@ fn watchdog_attempt_ceiling_stops_an_unproductive_retry_loop() {
             max: 1000,
             backoff_cycles: 0,
         },
-    ));
+    );
     let err = Machine::new(config).run(&kernel, &inputs).unwrap_err();
     assert!(
         matches!(err, SimError::Timeout { .. }),
@@ -269,20 +269,17 @@ fn movg_transfers_recover_on_a_multi_tile_chip() {
     .into_iter()
     .collect();
 
-    let mut plain = config_with(None, None);
+    let mut plain = config_with(TransportConfig::default());
     plain.capacity = capacity;
     let baseline = Machine::new(plain).run(&kernel, &inputs).unwrap();
 
-    let mut faulted = config_with(
-        Some(TransportConfig {
-            rates: LinkFaultRates::flips(0.05),
-            policy: TransportPolicy::AckRetransmit {
-                max: 64,
-                backoff: 4,
-            },
-        }),
-        None,
-    );
+    let mut faulted = config_with(TransportConfig {
+        rates: LinkFaultRates::flips(0.05),
+        policy: TransportPolicy::AckRetransmit {
+            max: 64,
+            backoff: 4,
+        },
+    });
     faulted.capacity = capacity;
     let report = Machine::new(faulted).run(&kernel, &inputs).unwrap();
     assert_eq!(

@@ -5,7 +5,7 @@
 //! resolve (and refuse) correctly.
 
 use imp::prelude::*;
-use imp::{ChipCapacity, CompileError, LinkFaultRates, RunReport, WatchdogConfig};
+use imp::{ChipCapacity, CompileError, FaultRates, LinkFaultRates, RunReport, WatchdogConfig};
 
 fn square_graph(n: usize) -> (imp::Graph, NodeId) {
     let mut g = GraphBuilder::new();
@@ -57,10 +57,13 @@ fn builder_round_trips_every_knob_into_the_session() {
     let (graph, _) = square_graph(16);
     let session = Session::builder(graph)
         .parallelism(Parallelism::Threads(3))
-        .fault_policy(FaultPolicy::Retry {
-            max: 5,
-            backoff_cycles: 16,
-        })
+        .faults(FaultConfig::new(
+            FaultRates::none(),
+            FaultPolicy::Retry {
+                max: 5,
+                backoff_cycles: 16,
+            },
+        ))
         .fault_seed(42)
         .transport(TransportConfig {
             rates: LinkFaultRates::flips(0.0),
@@ -70,7 +73,7 @@ fn builder_round_trips_every_knob_into_the_session() {
             max_cycles: 1 << 30,
             max_attempts: 9,
         })
-        .shadow_tolerance_ulps(512.0)
+        .shadow(ShadowConfig::with_tolerance_ulps(512.0))
         .telemetry(Telemetry::new())
         .build()
         .unwrap();
@@ -78,7 +81,7 @@ fn builder_round_trips_every_knob_into_the_session() {
     let config = session.sim_config();
     assert_eq!(config.parallelism, Parallelism::Threads(3));
     assert_eq!(
-        config.faults.as_ref().unwrap().policy,
+        config.faults.policy,
         FaultPolicy::Retry {
             max: 5,
             backoff_cycles: 16
@@ -86,10 +89,10 @@ fn builder_round_trips_every_knob_into_the_session() {
     );
     assert_eq!(config.fault_seed, 42);
     assert!(matches!(
-        config.transport.as_ref().unwrap().policy,
+        config.transport.policy,
         TransportPolicy::AckRetransmit { max: 8, backoff: 4 }
     ));
-    assert_eq!(config.watchdog.as_ref().unwrap().max_attempts, 9);
+    assert_eq!(config.watchdog.max_attempts, 9);
     assert!(config.telemetry.is_some());
     assert_eq!(session.shadow_config().unwrap().tolerance_ulps, 512.0);
 }
@@ -203,7 +206,7 @@ fn shadow_divergence_source_is_the_report() {
     use std::error::Error as _;
     let (graph, _) = square_graph(8);
     let mut session = Session::builder(graph)
-        .shadow_tolerance_ulps(-1.0) // every rounding error "diverges"
+        .shadow(ShadowConfig::with_tolerance_ulps(-1.0)) // every rounding error "diverges"
         .build()
         .unwrap();
     let err = session

@@ -25,6 +25,11 @@ pub enum CompileError {
     /// tile count that is a positive power of 8, every tile needs at least
     /// one cluster and every cluster at least one array.
     BadCapacity(crate::ChipCapacity),
+    /// The fixed-point format has more fraction bits than the chip
+    /// supports ([`QFormat::MAX_FRAC_BITS`](imp_rram::QFormat::MAX_FRAC_BITS),
+    /// 30): lowering materializes 1.0 and shifts words by the fraction
+    /// width, neither of which a wider format can do.
+    BadFormat(imp_rram::QFormat),
     /// The module needs more array rows than a 128-row array provides,
     /// even after liveness-based reuse.
     OutOfRows {
@@ -72,6 +77,12 @@ impl fmt::Display for CompileError {
                 "invalid chip capacity: {} tiles × {} clusters × {} arrays \
                  (tiles must be a positive power of 8, the other counts positive)",
                 c.tiles, c.clusters_per_tile, c.arrays_per_cluster
+            ),
+            CompileError::BadFormat(format) => write!(
+                f,
+                "invalid fixed-point format: {} fraction bits (at most {} are supported)",
+                format.frac_bits(),
+                imp_rram::QFormat::MAX_FRAC_BITS
             ),
             CompileError::OutOfRows { ib, needed } => {
                 write!(

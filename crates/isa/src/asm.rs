@@ -32,7 +32,12 @@ pub fn assemble(name: impl Into<String>, text: &str) -> Result<InstructionBlock,
         if line.is_empty() {
             continue;
         }
-        block.push(parse_line(line).map_err(|message| IsaError::Parse {
+        let inst = parse_line(line).and_then(|inst| {
+            inst.check_immediates()
+                .map(|()| inst)
+                .map_err(|e| e.to_string())
+        });
+        block.push(inst.map_err(|message| IsaError::Parse {
             line: line_no,
             message,
         })?);
@@ -98,10 +103,9 @@ fn parse_line(line: &str) -> Result<Instruction, String> {
             expect(3)?;
             let src = parse_addr(operands[0])?;
             let dst = parse_addr(operands[1])?;
-            let amount = parse_imm_u32(operands[2])? as u8;
-            if u32::from(amount) >= crate::WORD_BITS as u32 {
-                return Err(format!("shift amount {amount} out of range"));
-            }
+            let amount = parse_imm_u32(operands[2])?;
+            let amount = u8::try_from(amount)
+                .map_err(|_| format!("shift amount {amount} exceeds word width 32"))?;
             Ok(if opcode == Opcode::ShiftL {
                 Instruction::ShiftL { src, dst, amount }
             } else {
@@ -317,6 +321,10 @@ mod tests {
         assert!(assemble("t", "mov m128 m0").is_err());
         assert!(assemble("t", "add {200} m0").is_err());
         assert!(assemble("t", "shiftl m0 m1 #32").is_err());
+        // An amount past a byte must not wrap into range (256 → 0).
+        assert!(assemble("t", "shiftr m0 m1 #256").is_err());
+        assert!(assemble("t", "shiftl m0 m1 #287").is_err());
+        assert!(assemble("t", "shiftl m0 m1 #31").is_ok());
         assert!(assemble("t", "movs m0 m1 %0x100").is_err());
         assert!(assemble("t", "movg g5000.0.0 g0.0.0").is_err());
     }

@@ -90,8 +90,9 @@ impl Instruction {
     /// of concatenated instructions can be decoded in sequence.
     ///
     /// # Errors
-    /// Returns [`IsaError::UnknownOpcode`] for an unassigned opcode byte and
-    /// [`IsaError::TruncatedInstruction`] if `bytes` is too short.
+    /// Returns [`IsaError::UnknownOpcode`] for an unassigned opcode byte,
+    /// [`IsaError::TruncatedInstruction`] if `bytes` is too short, and
+    /// [`Instruction::check_immediates`]' error for an illegal immediate.
     pub fn decode(bytes: &[u8]) -> Result<(Instruction, usize), IsaError> {
         let mut cursor = Cursor { bytes, pos: 0 };
         let opcode = Opcode::from_byte(cursor.u8()?)?;
@@ -156,6 +157,7 @@ impl Instruction {
                 dst: cursor.global_addr()?,
             },
         };
+        inst.check_immediates()?;
         Ok((inst, cursor.pos))
     }
 
@@ -347,6 +349,33 @@ mod tests {
         for cut in 0..bytes.len() {
             let result = Instruction::decode(&bytes[..cut]);
             assert!(result.is_err(), "decode of {cut}-byte prefix should fail");
+        }
+    }
+
+    #[test]
+    fn shift_of_a_word_or_more_fails() {
+        for amount in [32u8, 33, 255] {
+            for inst in [
+                Instruction::ShiftL {
+                    src: Addr::mem(0),
+                    dst: Addr::mem(1),
+                    amount,
+                },
+                Instruction::ShiftR {
+                    src: Addr::reg(0),
+                    dst: Addr::mem(1),
+                    amount,
+                },
+            ] {
+                assert_eq!(
+                    Instruction::decode(&inst.encode()),
+                    Err(IsaError::ShiftTooLarge(amount))
+                );
+                assert_eq!(
+                    inst.check_immediates(),
+                    Err(IsaError::ShiftTooLarge(amount))
+                );
+            }
         }
     }
 

@@ -1,6 +1,6 @@
 //! Typed instructions and their latencies (Table 1 of the paper).
 
-use crate::{Addr, GlobalAddr, Imm, LaneMask, Opcode, RowMask};
+use crate::{Addr, GlobalAddr, Imm, IsaError, LaneMask, Opcode, RowMask};
 use std::fmt;
 
 /// Latency of an instruction in array clock cycles.
@@ -204,6 +204,25 @@ impl Instruction {
             Opcode::Movi => Latency::Fixed(1),
             Opcode::Lut => Latency::Fixed(4),
             Opcode::Movg | Opcode::ReduceSum => Latency::Variable,
+        }
+    }
+
+    /// Checks the immediates no operand type bounds: a `shiftl`/`shiftr`
+    /// amount must be below the 32-bit word width. This is the one
+    /// legality rule for immediates; [`assemble`](crate::assemble),
+    /// [`Instruction::decode`] and the verifier's structural pass all
+    /// apply it.
+    ///
+    /// # Errors
+    /// [`IsaError::ShiftTooLarge`] for a shift of 32 bits or more.
+    pub fn check_immediates(&self) -> Result<(), IsaError> {
+        match *self {
+            Instruction::ShiftL { amount, .. } | Instruction::ShiftR { amount, .. }
+                if usize::from(amount) >= crate::WORD_BITS =>
+            {
+                Err(IsaError::ShiftTooLarge(amount))
+            }
+            _ => Ok(()),
         }
     }
 

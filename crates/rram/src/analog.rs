@@ -2,6 +2,7 @@
 //! bound imposed by ADC resolution, and per-operation activity traces for
 //! the energy model.
 
+use crate::digits::{ColumnSums, DIGITS_PER_WORD};
 use crate::RramError;
 
 /// Analog periphery configuration of one array.
@@ -119,6 +120,86 @@ impl Default for AnalogSpec {
     }
 }
 
+/// The word-line DAC vectors of a `dot`, analysed for the fault-free fast
+/// path: which of them can drive its largest bit-line partial.
+///
+/// Chunk `c` of the streamed multiplicands drives every selected row's
+/// word-line with the same vector `(chunk_c(m₀), chunk_c(m₁), …)`.
+/// Sign-extended high chunks repeat, so few vectors are distinct, and
+/// since cells are non-negative a vector that another bounds field by
+/// field cannot hold the largest partial. What is kept is one chunk per
+/// distinct, non-zero, non-dominated vector, as a 16-bit set. It is a pure
+/// function of the multiplicands, so a caller that knows them before the
+/// `dot` runs may analyse them once and replay the result
+/// ([`ReramArray::execute_dot_analysed`](crate::ReramArray::execute_dot_analysed)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DacVectors {
+    /// Bit `c` is set when chunk `c`'s vector is kept.
+    chunks: u16,
+}
+
+impl DacVectors {
+    /// The most pairs the fast path takes: a pair adds at most 3 to a
+    /// column's weight, so a packed column sum holds
+    /// `ColumnSums::MAX_WEIGHT / 3` of them (and their vectors fit a
+    /// `u64`).
+    pub const MAX_PAIRS: usize = ColumnSums::MAX_WEIGHT as usize / 3;
+
+    /// Analyses the DAC vectors streamed for `scalars`, the multiplicands
+    /// of a `dot`'s row/register pairs in pair order. `None` when there
+    /// are more than [`DacVectors::MAX_PAIRS`] pairs; the `dot` then takes
+    /// the ordered loop.
+    pub fn analyse(scalars: impl IntoIterator<Item = i32>) -> Option<DacVectors> {
+        // Chunk c's vector packs chunk c of every pair's scalar, 2 bits
+        // per pair.
+        let mut vectors = [0u64; DIGITS_PER_WORD];
+        for (pair, m) in scalars.into_iter().enumerate() {
+            if pair == Self::MAX_PAIRS {
+                return None;
+            }
+            for (chunk, vector) in vectors.iter_mut().enumerate() {
+                *vector |= u64::from(Self::level(m, chunk)) << (2 * pair);
+            }
+        }
+        // Whether some 2-bit field of `a` exceeds the same field of `b`:
+        // its high bit does, or the high bits tie and its low bit does.
+        const LOW: u64 = 0x5555_5555_5555_5555;
+        let exceeds = |a: u64, b: u64| {
+            let (a_hi, a_lo, b_hi, b_lo) = (a >> 1 & LOW, a & LOW, b >> 1 & LOW, b & LOW);
+            (a_hi & !b_hi) | (!(a_hi ^ b_hi) & a_lo & !b_lo) != 0
+        };
+        // A vector is kept at its first chunk when no other vector bounds
+        // it field by field (a zero vector bounds only itself).
+        let mut chunks = 0;
+        for (chunk, &vector) in vectors.iter().enumerate() {
+            if vector != 0
+                && !vectors[..chunk].contains(&vector)
+                && vectors
+                    .iter()
+                    .all(|&other| other == vector || exceeds(vector, other))
+            {
+                chunks |= 1 << chunk;
+            }
+        }
+        Some(DacVectors { chunks })
+    }
+
+    /// The chunks whose vectors are kept, ascending.
+    pub(crate) fn chunks(self) -> impl Iterator<Item = usize> {
+        let mut rest = self.chunks;
+        std::iter::from_fn(move || {
+            let chunk = rest.trailing_zeros() as usize;
+            rest &= rest.wrapping_sub(1);
+            (chunk < DIGITS_PER_WORD).then_some(chunk)
+        })
+    }
+
+    /// The word-line DAC level chunk `chunk` of multiplicand `m` drives.
+    pub(crate) fn level(m: i32, chunk: usize) -> u32 {
+        (m as u32 >> (2 * chunk)) & 0b11
+    }
+}
+
 /// Activity trace of one executed instruction, consumed by the energy and
 /// performance models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -143,6 +224,7 @@ pub struct OpTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn prototype_matches_paper() {
@@ -191,5 +273,39 @@ mod tests {
         };
         assert_eq!(spec.convert(100).unwrap(), 31);
         assert_eq!(spec.convert(-100).unwrap(), -31);
+    }
+
+    proptest! {
+        #[test]
+        fn kept_dac_vectors_hold_every_chunks_largest_partial(
+            scalars in prop::collection::vec(any::<i32>(), 0..8),
+            thin in any::<i32>(),
+            digits in prop::collection::vec(0u32..4, 8),
+        ) {
+            // For any column of cell digits, the largest chunk partial
+            // Σ level(mₚ, c)·dₚ over the kept chunks is the largest over all
+            // sixteen. Thinned scalars repeat and dominate more often.
+            for scalars in [scalars.clone(), scalars.iter().map(|&m| m & thin).collect()] {
+                let dac = DacVectors::analyse(scalars.iter().copied()).expect("few pairs");
+                let partial = |chunk: usize| -> u32 {
+                    scalars
+                        .iter()
+                        .zip(&digits)
+                        .map(|(&m, &d)| DacVectors::level(m, chunk) * d)
+                        .sum()
+                };
+                let all = (0..DIGITS_PER_WORD).map(partial).max().unwrap_or(0);
+                let kept = dac.chunks().map(partial).max().unwrap_or(0);
+                prop_assert_eq!(kept, all);
+                // Kept chunks drive distinct vectors.
+                let kept_vectors: Vec<Vec<u32>> = dac
+                    .chunks()
+                    .map(|c| scalars.iter().map(|&m| DacVectors::level(m, c)).collect())
+                    .collect();
+                for (i, v) in kept_vectors.iter().enumerate() {
+                    prop_assert!(!kept_vectors[..i].contains(v));
+                }
+            }
+        }
     }
 }

@@ -1,14 +1,14 @@
 //! One ReRAM processing unit: a crossbar plus its periphery, executing
 //! array-local ISA instructions.
 
-use crate::analog::{AnalogSpec, OpTrace};
+use crate::analog::{AnalogSpec, DacVectors, OpTrace};
 use crate::crossbar::Crossbar;
 use crate::digits::{self, DIGITS_PER_WORD};
 use crate::fault::FaultMap;
 use crate::lut::Lut;
 use crate::regfile::RegisterFile;
 use crate::RramError;
-use imp_isa::{Addr, Instruction, Latency, RowMask, LANES};
+use imp_isa::{Addr, Imm, Instruction, Latency, RowMask, LANES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -289,6 +289,56 @@ impl ReramArray {
     /// * [`RramError::AdcOverrange`] if an n-ary operation exceeds the ADC
     ///   range and the spec is strict.
     pub fn execute_local(&mut self, inst: &Instruction) -> Result<OpTrace, RramError> {
+        self.execute(inst, None)
+    }
+
+    /// Executes `dot`, like [`ReramArray::execute_local`], with its DAC
+    /// vectors analysed ahead of time: `dac` must be
+    /// [`DacVectors::analyse`] over the lane-0 values its `reg_mask`
+    /// registers hold now, paired in order with the `mask` rows. The
+    /// result, trace, error and state are then exactly those of
+    /// `execute_local`; the fault-free fast path only skips re-deriving the
+    /// vectors. Any other instruction executes as `execute_local` would.
+    ///
+    /// # Errors
+    /// As [`ReramArray::execute_local`].
+    pub fn execute_dot_analysed(
+        &mut self,
+        inst: &Instruction,
+        dac: DacVectors,
+    ) -> Result<OpTrace, RramError> {
+        self.execute(inst, Some(dac))
+    }
+
+    /// Broadcasts `word` to every lane of `dst`, which is all `movi` does
+    /// to the array; [`ReramArray::movi_trace`] is its activity.
+    pub fn store(&mut self, dst: Addr, word: i32) {
+        self.write_addr(dst, [word; LANES]);
+    }
+
+    /// The activity trace of a `movi` into `dst`. No data affects it, so a
+    /// caller replaying `movi` through [`ReramArray::store`] may compute it
+    /// once.
+    pub fn movi_trace(dst: Addr) -> OpTrace {
+        let movi = Instruction::Movi {
+            dst,
+            imm: Imm::default(),
+        };
+        OpTrace {
+            cycles: movi.latency().cycles().expect("movi has a fixed latency"),
+            row_writes: u32::from(dst.is_mem()),
+            regfile_accesses: u32::from(dst.is_reg()),
+            ..OpTrace::default()
+        }
+    }
+
+    /// The body of [`ReramArray::execute_local`]; a `dot` with `dac` skips
+    /// analysing its DAC vectors on the fast path.
+    fn execute(
+        &mut self,
+        inst: &Instruction,
+        dac: Option<DacVectors>,
+    ) -> Result<OpTrace, RramError> {
         let cycles = match inst.latency() {
             Latency::Fixed(cycles) => cycles,
             Latency::Variable => {
@@ -317,7 +367,7 @@ impl ReramArray {
                 reg_mask,
                 dst,
             } => {
-                let value = self.in_situ_dot(mask, reg_mask, &mut trace)?;
+                let value = self.in_situ_dot(mask, reg_mask, dac, &mut trace)?;
                 trace.regfile_accesses += reg_mask.count() as u32;
                 self.finish_write(dst, value, &mut trace);
             }
@@ -373,8 +423,8 @@ impl ReramArray {
                 }
             }
             Instruction::Movi { dst, imm } => {
-                let value = [imm.as_i32(); LANES];
-                self.finish_write(dst, value, &mut trace);
+                self.store(dst, imm.as_i32());
+                return Ok(Self::movi_trace(dst));
             }
             Instruction::Lut { src, dst } => {
                 let value = self.read_for_periphery(src, &mut trace);
@@ -534,14 +584,25 @@ impl ReramArray {
     /// The fault-free fast path is tried first; the ordered general loop
     /// runs when it is disabled, when a fault or noise model is active, or
     /// when some partial leaves the ADC range.
+    ///
+    /// `dac` is the streamed multiplicands' [`DacVectors`] when the caller
+    /// analysed them ahead of time; the fast path derives them otherwise.
     fn in_situ_dot(
         &mut self,
         rows: RowMask,
         regs: RowMask,
+        dac: Option<DacVectors>,
         trace: &mut OpTrace,
     ) -> Result<[i32; LANES], RramError> {
         if self.fast_path_enabled && self.fault_free() {
-            if let Some(out) = self.in_situ_dot_fast(rows, regs, trace) {
+            let dac = dac.or_else(|| {
+                DacVectors::analyse(
+                    rows.rows()
+                        .zip(regs.rows())
+                        .map(|(_, reg)| self.regfile.read_lane(reg, 0)),
+                )
+            });
+            if let Some(out) = dac.and_then(|dac| self.in_situ_dot_fast(rows, regs, dac, trace)) {
                 return Ok(out);
             }
         }
@@ -611,65 +672,28 @@ impl ReramArray {
         Ok(out)
     }
 
-    /// Fault-free fast path of [`ReramArray::in_situ_dot`]. Chunk `c`
-    /// drives every selected row's word-line with the same DAC vector
-    /// `(chunk_c(m₀), chunk_c(m₁), …)`, so the largest partial is the
-    /// maximum, over the distinct non-zero vectors, of the column-wise
-    /// weighted sum over all 128 bit-lines, accumulated from the stored
-    /// words as packed [`ColumnSums`](digits::ColumnSums) that skip the
-    /// rows a vector does not drive. Sign-extended high chunks repeat, so
-    /// few vectors are distinct, and since cells are non-negative a vector
-    /// that another bounds field by field cannot hold the maximum and is
-    /// skipped. When the maximum fits the ADC, no conversion can fail and
-    /// the value is the wide MAC. Returns `None`, touching nothing, when
-    /// some partial is out of range or a vector's total weight exceeds
-    /// what a packed sum holds; the caller then re-runs the ordered loop,
-    /// which reports the same first error.
+    /// Fault-free fast path of [`ReramArray::in_situ_dot`]. The largest
+    /// partial is the maximum, over the DAC vectors `dac` keeps, of the
+    /// column-wise weighted sum over all 128 bit-lines, accumulated from
+    /// the stored words as packed [`ColumnSums`](digits::ColumnSums) that
+    /// skip the rows a vector does not drive. When the maximum fits the
+    /// ADC, no conversion can fail and the value is the wide MAC. Returns
+    /// `None`, touching nothing, when some partial is out of range; the
+    /// caller then re-runs the ordered loop, which reports the same first
+    /// error.
     fn in_situ_dot_fast(
         &self,
         rows: RowMask,
         regs: RowMask,
+        dac: DacVectors,
         trace: &mut OpTrace,
     ) -> Option<[i32; LANES]> {
-        let n_pairs = rows.count().min(regs.count());
-        // A pair adds at most 3 to a column's weight, so a packed sum holds
-        // `MAX_WEIGHT / 3` pairs — and their DAC vectors fit a `u64`.
-        if 3 * n_pairs > digits::ColumnSums::MAX_WEIGHT as usize {
-            return None;
-        }
-        let pairs = || rows.rows().zip(regs.rows());
-        let scalar = |reg: usize| self.regfile.read_lane(reg, 0);
-        // Chunk c's DAC vector packs chunk c of every pair's scalar, 2 bits
-        // per pair.
-        let mut vectors = [0u64; DIGITS_PER_WORD];
-        for (pair, (_, reg)) in pairs().enumerate() {
-            let m = scalar(reg) as u32;
-            for (chunk, vector) in vectors.iter_mut().enumerate() {
-                *vector |= u64::from((m >> (2 * chunk)) & 0b11) << (2 * pair);
-            }
-        }
-        let dac = |vector: u64, pair: usize| (vector >> (2 * pair)) & 0b11;
-        let mut distinct = [0u64; DIGITS_PER_WORD];
-        let mut n_distinct = 0;
-        for &vector in &vectors {
-            if vector != 0 && !distinct[..n_distinct].contains(&vector) {
-                distinct[n_distinct] = vector;
-                n_distinct += 1;
-            }
-        }
-        let distinct = &distinct[..n_distinct];
         let limit = self.spec.adc_max();
         let mut max_partial: i64 = 0;
-        for (i, &vector) in distinct.iter().enumerate() {
-            let dominated = distinct.iter().enumerate().any(|(j, &other)| {
-                j != i && (0..n_pairs).all(|pair| dac(vector, pair) <= dac(other, pair))
-            });
-            if dominated {
-                continue;
-            }
+        for chunk in dac.chunks() {
             let mut sums = digits::ColumnSums::new();
-            for (pair, (row, _)) in pairs().enumerate() {
-                let weight = dac(vector, pair) as u32;
+            for (row, reg) in rows.rows().zip(regs.rows()) {
+                let weight = DacVectors::level(self.regfile.read_lane(reg, 0), chunk);
                 if weight != 0 {
                     sums.add(self.crossbar.programmed_words(row), weight);
                 }
@@ -685,8 +709,8 @@ impl ReramArray {
             }
         }
         let mut acc = [0i64; LANES];
-        for (row, reg) in pairs() {
-            let m = i64::from(scalar(reg));
+        for (row, reg) in rows.rows().zip(regs.rows()) {
+            let m = i64::from(self.regfile.read_lane(reg, 0));
             for (acc, &word) in acc.iter_mut().zip(self.crossbar.programmed_words(row)) {
                 *acc = acc.wrapping_add(i64::from(word).wrapping_mul(m));
             }
@@ -1631,6 +1655,57 @@ mod tests {
                 },
                 spec,
             );
+        }
+
+        #[test]
+        fn analysed_dot_equivalent(
+            rows in prop::collection::vec(any::<i32>(), 1..6),
+            weights in prop::collection::vec(any::<i32>(), 6),
+            adc_bits in 3u8..10,
+            strict in any::<bool>(),
+            shift in 0u32..24,
+            q16 in any::<bool>(),
+        ) {
+            // `dot` with its DAC vectors analysed ahead of time ≡ the
+            // `dot` `execute_local` runs: value, trace, error and state.
+            // Narrow strict ADCs and wide operands overrange, so the
+            // ordered fallback runs too; shifted-down operands stay in
+            // range.
+            let base = if q16 { AnalogSpec::prototype() } else { AnalogSpec::integer() };
+            let spec = AnalogSpec { adc_bits, strict_adc: strict, ..base };
+            let k = rows.len();
+            let scalars: Vec<i32> = weights.iter().take(k).map(|&w| w >> shift).collect();
+            let setup = |a: &mut ReramArray| {
+                for (i, &v) in rows.iter().enumerate() {
+                    a.write_row(i, &std::array::from_fn(|lane| (v >> shift) ^ lane as i32));
+                }
+                for (i, &x) in scalars.iter().enumerate() {
+                    // Only lane 0 is streamed; the others must not matter.
+                    a.write_reg(i, std::array::from_fn(|lane| x.wrapping_add(lane as i32)));
+                }
+            };
+            let dot = Instruction::Dot {
+                mask: (0..k).collect(),
+                reg_mask: (0..k).collect(),
+                dst: Addr::mem(100),
+            };
+            let dac = DacVectors::analyse(scalars.iter().copied()).expect("few pairs");
+            let mut local = ReramArray::new(spec);
+            let mut analysed = ReramArray::new(spec);
+            setup(&mut local);
+            setup(&mut analysed);
+            let expect = local.execute_local(&dot);
+            let got = analysed.execute_dot_analysed(&dot, dac);
+            prop_assert_eq!(format!("{got:?}"), format!("{expect:?}"));
+            prop_assert_eq!(analysed.read_row(100), local.read_row(100));
+        }
+
+        #[test]
+        fn dac_analysis_declines_past_max_pairs(extra in 1usize..4, m in any::<i32>()) {
+            let fits = std::iter::repeat_n(m, DacVectors::MAX_PAIRS);
+            prop_assert!(DacVectors::analyse(fits).is_some());
+            let over = std::iter::repeat_n(m, DacVectors::MAX_PAIRS + extra);
+            prop_assert!(DacVectors::analyse(over).is_none());
         }
 
         #[test]

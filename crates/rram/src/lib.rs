@@ -58,7 +58,7 @@ mod fixed;
 mod lut;
 mod regfile;
 
-pub use analog::{AnalogSpec, OpTrace};
+pub use analog::{AnalogSpec, DacVectors, OpTrace};
 pub use array::ReramArray;
 pub use crossbar::Crossbar;
 pub use error::RramError;

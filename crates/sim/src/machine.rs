@@ -12,12 +12,14 @@ use imp_compiler::schedule::Schedule;
 use imp_compiler::ParallelSpec;
 use imp_compiler::{ArrayAvailability, ChipCapacity, CompiledKernel, InputBinding};
 use imp_dfg::{NodeId, Shape, Tensor};
-use imp_isa::{Instruction, LANES};
+use imp_isa::{Addr, Instruction, LANES, NUM_REGISTERS};
 use imp_noc::{
     HTreeTopology, LinkFaultMap, Network, NocConfig, NocStats, TransportConfig, TransportEvent,
     TransportFaultKind,
 };
-use imp_rram::{AnalogSpec, FaultMap, FaultRates, Fixed, ReramArray, ARRAY_CYCLE_S};
+use imp_rram::{
+    AnalogSpec, DacVectors, FaultMap, FaultRates, Fixed, OpTrace, ReramArray, ARRAY_CYCLE_S,
+};
 use std::collections::HashMap;
 
 /// How [`Machine::run`] spreads instance groups over host threads.
@@ -297,7 +299,8 @@ impl Machine {
         let policy = self.config.faults.policy;
         let watchdog = self.config.watchdog;
         let mut avail = ArrayAvailability::all(total_arrays);
-        let mut schedule_override: Option<Schedule> = None;
+        // A remapped schedule and the tape lowered from it.
+        let mut schedule_override: Option<(Schedule, Vec<Step>)> = None;
         // Energy accumulates across attempts: failed executions still
         // burned their joules.
         let mut meter = EnergyMeter::new();
@@ -320,13 +323,17 @@ impl Machine {
             .collect();
         loop {
             let usable: Vec<usize> = avail.usable_slots().collect();
-            let sched = schedule_override.as_ref().unwrap_or(&kernel.schedule);
+            let (sched, tape) = match &schedule_override {
+                Some((sched, tape)) => (sched, tape.as_slice()),
+                None => (&kernel.schedule, plan.tape.as_slice()),
+            };
             let attempt = self.run_once(
                 kernel,
                 &plan,
                 instances,
                 &usable,
                 sched,
+                tape,
                 attempt_idx,
                 &mut meter,
                 &templates,
@@ -453,7 +460,8 @@ impl Machine {
                         .verify
                         .check(kernel, &resched, &avail, tel.as_ref())
                         .map_err(SimError::Verify)?;
-                    schedule_override = Some(resched);
+                    let tape = lower_tape(kernel, &resched, &plan.preloads);
+                    schedule_override = Some((resched, tape));
                 }
             }
             // Watchdog progress ceiling: the policy wants another attempt;
@@ -470,7 +478,8 @@ impl Machine {
     }
 
     /// One complete execution attempt over the given usable arrays and
-    /// schedule, with fault detection but no recovery decisions.
+    /// schedule (`tape` is the schedule lowered by [`lower_tape`]), with
+    /// fault detection but no recovery decisions.
     ///
     /// This is the parallel engine's top half: it builds the shared
     /// read-only [`EngineCtx`], shards the instance groups over worker
@@ -488,6 +497,7 @@ impl Machine {
         instances: usize,
         usable: &[usize],
         sched: &Schedule,
+        tape: &[Step],
         attempt_idx: u64,
         meter: &mut EnergyMeter,
         templates: &[ReramArray],
@@ -533,7 +543,7 @@ impl Machine {
             kernel,
             plan,
             usable,
-            sched,
+            tape,
             templates,
             fault_maps,
             faults_on,
@@ -739,7 +749,8 @@ struct EngineCtx<'a> {
     /// see [`RunPlan::new`].
     plan: &'a RunPlan,
     usable: &'a [usize],
-    sched: &'a Schedule,
+    /// The attempt's schedule, lowered to resolved steps.
+    tape: &'a [Step],
     templates: &'a [ReramArray],
     /// Per-(round-local slot) fault maps, indexed
     /// `group_in_round * num_ibs + ib`; empty unless `faults_on`.
@@ -855,27 +866,30 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
         noc: NocStats::default(),
         meter: EnergyMeter::new(),
         wear: 0,
-        instructions: ctx.sched.entries.len() as u64,
+        instructions: ctx.tape.len() as u64,
         ib_energy: ctx.telemetry_on.then(|| vec![0.0f64; ctx.num_ibs]),
     };
     let arrays = &mut worker.arrays;
     let round_base_net = round * ctx.module_latency * imp_noc::NET_CYCLES_PER_ARRAY_CYCLE;
-    for entry in &ctx.sched.entries {
-        let inst = kernel.ibs[entry.ib].block.instructions()[entry.index];
-        match inst {
-            Instruction::Movg { src, dst } => {
-                let (src_ib, src_row) = as_cross_ib(src).expect("ISA02 checked movg sources");
-                let (dst_ib, dst_row) = as_cross_ib(dst).expect("ISA02 checked movg destinations");
-                let value = arrays[src_ib].read_row(usize::from(src_row));
+    for step in ctx.tape {
+        let (ib, trace) = match *step {
+            Step::Movg {
+                src_ib,
+                src_row,
+                dst_ib,
+                dst_row,
+                send_net,
+            } => {
+                let value = arrays[src_ib].read_row(src_row);
                 let src_tile = tile_of(ctx, group_in_round, src_ib);
                 let dst_tile = tile_of(ctx, group_in_round, dst_ib);
-                let now = round_base_net + entry.start * imp_noc::NET_CYCLES_PER_ARRAY_CYCLE;
                 let site = FaultSite {
                     round,
                     group,
                     ib: dst_ib,
                     physical_slot: ctx.usable[group_in_round * num_ibs + dst_ib],
                 };
+                let now = round_base_net + send_net;
                 match worker
                     .network
                     .transfer(src_tile, dst_tile, &value, 32, now, ctx.net_deadline)
@@ -891,39 +905,49 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
                         if let Some(words) = delivery.payload {
                             let mut row = [0i32; LANES];
                             row.copy_from_slice(&words);
-                            arrays[dst_ib].write_row(usize::from(dst_row), &row);
+                            arrays[dst_ib].write_row(dst_row, &row);
                         }
                     }
                     Err(ev) => return Err(transport_error(ctx.watchdog_limit, site, ev)),
                 }
+                continue;
             }
-            Instruction::ReduceSum { src, dst } => {
-                // ISA02 admits only a slot some output reads, so below
-                // `n_slots`.
-                let slot = as_output_slot(dst).expect("ISA02 checked reduction slots");
-                let row = arrays[entry.ib].read_row(src.index());
+            Step::Reduce { ib, src_row, slot } => {
+                let row = arrays[ib].read_row(src_row);
                 for &value in row.iter().take(valid_lanes) {
                     outcome.reduce_acc[slot] = outcome.reduce_acc[slot].wrapping_add(value);
                 }
+                continue;
             }
-            ref local => {
-                let op_trace =
-                    arrays[entry.ib]
-                        .execute_local(local)
-                        .map_err(|source| SimError::Array {
-                            site: Some(FaultSite {
-                                round,
-                                group,
-                                ib: entry.ib,
-                                physical_slot: ctx.usable[group_in_round * num_ibs + entry.ib],
-                            }),
-                            source,
-                        })?;
-                let op_j = outcome.meter.record_op(&op_trace, ctx.power);
-                if let Some(per_ib) = outcome.ib_energy.as_mut() {
-                    per_ib[entry.ib] += op_j;
-                }
+            Step::Store {
+                ib,
+                dst,
+                word,
+                trace,
+            } => {
+                arrays[ib].store(dst, word);
+                (ib, trace)
             }
+            Step::Local { ib, ref inst, dac } => {
+                let executed = match dac {
+                    Some(dac) => arrays[ib].execute_dot_analysed(inst, dac),
+                    None => arrays[ib].execute_local(inst),
+                };
+                let trace = executed.map_err(|source| SimError::Array {
+                    site: Some(FaultSite {
+                        round,
+                        group,
+                        ib,
+                        physical_slot: ctx.usable[group_in_round * num_ibs + ib],
+                    }),
+                    source,
+                })?;
+                (ib, trace)
+            }
+        };
+        let op_j = outcome.meter.record_op(&trace, ctx.power);
+        if let Some(per_ib) = outcome.ib_energy.as_mut() {
+            per_ib[ib] += op_j;
         }
     }
     // Write-back-boundary integrity checks: residue scan over every
@@ -1158,6 +1182,8 @@ struct RunPlan {
     preloads: Vec<Vec<(usize, i32)>>,
     /// Reduction slots the kernel's outputs read.
     n_slots: usize,
+    /// The kernel's own schedule, lowered by [`lower_tape`].
+    tape: Vec<Step>,
 }
 
 impl RunPlan {
@@ -1202,6 +1228,7 @@ impl RunPlan {
 
         let mut index = HashMap::with_capacity(inputs.len());
         let mut feeds = Vec::with_capacity(inputs.len());
+        let scale = kernel.format.scale();
         for (name, tensor) in inputs {
             let mut raw = Vec::with_capacity(tensor.data().len());
             for (i, &v) in tensor.data().iter().enumerate() {
@@ -1209,7 +1236,7 @@ impl RunPlan {
                     let name = name.clone();
                     return Err(SimError::NonFiniteInput { name, index: i });
                 }
-                raw.push(Fixed::from_f64_saturating(v, kernel.format).raw());
+                raw.push(Fixed::from_scaled_saturating(v * scale, kernel.format).raw());
             }
             index.insert(name.as_str(), feeds.len());
             feeds.push(raw);
@@ -1236,7 +1263,7 @@ impl RunPlan {
             })
         };
 
-        let preloads = kernel
+        let preloads: Vec<Vec<(usize, i32)>> = kernel
             .ibs
             .iter()
             .map(|ib| {
@@ -1307,13 +1334,142 @@ impl RunPlan {
             }
             rows.push(ib_rows);
         }
+        let tape = lower_tape(kernel, &kernel.schedule, &preloads);
         Ok(RunPlan {
             feeds,
             rows,
             preloads,
             n_slots,
+            tape,
         })
     }
+}
+
+/// One step of the execution tape: a scheduled instruction decoded once
+/// per run, with its array, operands and network endpoints resolved, so
+/// the group loop only executes.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// An array-local instruction of IB `ib`. A `dot` whose streamed
+    /// multiplicands were known when the tape was lowered carries their
+    /// analysed DAC vectors.
+    Local {
+        ib: usize,
+        inst: Instruction,
+        dac: Option<DacVectors>,
+    },
+    /// A `movi`: `word` stored to every lane of `dst` in IB `ib`, charged
+    /// its data-independent `trace`.
+    Store {
+        ib: usize,
+        dst: Addr,
+        word: i32,
+        trace: OpTrace,
+    },
+    /// A `movg`: row `src_row` of IB `src_ib` sent to row `dst_row` of IB
+    /// `dst_ib`, `send_net` network cycles into the round.
+    Movg {
+        src_ib: usize,
+        src_row: usize,
+        dst_ib: usize,
+        dst_row: usize,
+        send_net: u64,
+    },
+    /// A `reduce_sum`: the valid lanes of row `src_row` of IB `ib` added
+    /// into reduction slot `slot`.
+    Reduce {
+        ib: usize,
+        src_row: usize,
+        slot: usize,
+    },
+}
+
+/// Lowers `sched` over `kernel`, a pair
+/// [`verify_structure`](imp_verify::verify_structure) accepts, into its
+/// execution tape in schedule order.
+///
+/// Lowering follows, per IB, the registers whose lane 0 holds a value
+/// known before any group runs: a preload (`preloads`, resolved by
+/// [`RunPlan::new`]) or a `movi` makes a register known, and any other
+/// write to it makes it unknown. A `dot` whose multiplicand registers are
+/// all known then carries their [`DacVectors`], analysed here once
+/// instead of in every group. Lanes other than 0 never matter: `dot`
+/// streams lane 0 alone.
+fn lower_tape(
+    kernel: &CompiledKernel,
+    sched: &Schedule,
+    preloads: &[Vec<(usize, i32)>],
+) -> Vec<Step> {
+    let mut known: Vec<[Option<i32>; NUM_REGISTERS]> = preloads
+        .iter()
+        .map(|preloads| {
+            let mut regs = [None; NUM_REGISTERS];
+            for &(reg, raw) in preloads {
+                regs[reg] = Some(raw);
+            }
+            regs
+        })
+        .collect();
+    let mut tape = Vec::with_capacity(sched.entries.len());
+    for entry in &sched.entries {
+        let ib = entry.ib;
+        let regs = &mut known[ib];
+        let inst = kernel.ibs[ib].block.instructions()[entry.index];
+        tape.push(match inst {
+            Instruction::Movg { src, dst } => {
+                let (_, src_row) = as_cross_ib(src).expect("ISA02 checked movg sources");
+                let (dst_ib, dst_row) = as_cross_ib(dst).expect("ISA02 checked movg destinations");
+                Step::Movg {
+                    src_ib: ib,
+                    src_row: usize::from(src_row),
+                    dst_ib,
+                    dst_row: usize::from(dst_row),
+                    send_net: entry.start * imp_noc::NET_CYCLES_PER_ARRAY_CYCLE,
+                }
+            }
+            // ISA02 admits only a slot some output reads, so below
+            // `n_slots`.
+            Instruction::ReduceSum { src, dst } => Step::Reduce {
+                ib,
+                src_row: src.index(),
+                slot: as_output_slot(dst).expect("ISA02 checked reduction slots"),
+            },
+            Instruction::Movi { dst, imm } => {
+                let word = imm.as_i32();
+                if let Addr::Reg(reg) = dst {
+                    regs[usize::from(reg)] = Some(word);
+                }
+                Step::Store {
+                    ib,
+                    dst,
+                    word,
+                    trace: ReramArray::movi_trace(dst),
+                }
+            }
+            local => {
+                let dac = match local {
+                    Instruction::Dot { mask, reg_mask, .. } => {
+                        let scalars = || mask.rows().zip(reg_mask.rows()).map(|(_, reg)| regs[reg]);
+                        if scalars().all(|m| m.is_some()) {
+                            DacVectors::analyse(scalars().map(Option::unwrap_or_default))
+                        } else {
+                            None
+                        }
+                    }
+                    _ => None,
+                };
+                if let Some(Addr::Reg(reg)) = local.local_dst() {
+                    regs[usize::from(reg)] = None;
+                }
+                Step::Local {
+                    ib,
+                    inst: local,
+                    dac,
+                }
+            }
+        });
+    }
+    tape
 }
 
 #[cfg(test)]
@@ -1359,6 +1515,29 @@ mod tests {
         [(name.to_string(), Tensor::from_vec(data, shape).unwrap())]
             .into_iter()
             .collect()
+    }
+
+    /// Compiled kernels load `dot` multiplicands with `movi` or preloads,
+    /// so lowering analyses the DAC vectors of every corpus `dot` once per
+    /// run instead of once per group.
+    #[test]
+    fn every_corpus_dot_is_analysed_when_lowered() {
+        let mut dots = 0;
+        for w in imp_workloads::all_workloads() {
+            for (policy, n) in [(OptPolicy::MaxDlp, 2048), (OptPolicy::MaxIlp, 64)] {
+                let kernel = w.compile(n, policy).unwrap();
+                let plan = RunPlan::new(&kernel, &w.inputs(n, 1), 64 * 64).unwrap();
+                for step in &plan.tape {
+                    if let Step::Local { inst, dac, .. } = step {
+                        if matches!(inst, Instruction::Dot { .. }) {
+                            assert!(dac.is_some(), "{} {policy:?}: {inst}", w.name);
+                            dots += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(dots > 0, "the corpus has dots");
     }
 
     #[test]

@@ -4,16 +4,18 @@
 //! names an IB, row, register or reduction slot the kernel does not have;
 //! a `movg` leaves some other IB or stays in its own; a `reduce_sum`
 //! feeds a slot no output declares; two input bindings load one row; a
-//! window input has no stencil grid; or the schedule misses, repeats or
-//! invents an instruction. `Machine::run` refuses them before any
-//! instance group executes, through the verifier's structural pass
-//! (rules `ISA01`–`ISA03` and `SCH04`), so the simulator and a `Deny`
-//! build agree on which kernels can execute.
+//! window input has no stencil grid; the schedule misses, repeats or
+//! invents an instruction; a shift moves a word by 32 bits or more; or
+//! the fixed-point format has more than 30 fraction bits. `Machine::run`
+//! refuses them before any instance group executes, through the
+//! verifier's structural pass (rules `ISA01`–`ISA03` and `SCH04`), so the
+//! simulator and a `Deny` build agree on which kernels can execute.
 
 use imp_compiler::module::{vaddr, OutputLoc, RegBinding};
 use imp_compiler::{CompileOptions, CompiledKernel, OptPolicy, ParallelSpec};
 use imp_dfg::{GraphBuilder, Shape, Tensor};
 use imp_isa::{Addr, GlobalAddr, Instruction, InstructionBlock};
+use imp_rram::QFormat;
 use imp_sim::{Machine, SimConfig, SimError};
 use std::collections::HashMap;
 
@@ -285,6 +287,25 @@ fn unscheduled_malformed_instruction() -> Case {
     (kernel, inputs)
 }
 
+fn shift_of_a_word_or_more() -> Case {
+    let (mut kernel, inputs) = kmeans();
+    mutate_first(&mut kernel, |_, inst| match inst {
+        Instruction::Mov { src, dst } => Some(Instruction::ShiftR {
+            src,
+            dst,
+            amount: 32,
+        }),
+        _ => None,
+    });
+    (kernel, inputs)
+}
+
+fn format_past_thirty_fraction_bits() -> Case {
+    let (mut kernel, inputs) = kmeans();
+    kernel.format = QFormat(31);
+    (kernel, inputs)
+}
+
 /// A named way to build a case.
 type Named = (&'static str, fn() -> Case);
 
@@ -332,6 +353,11 @@ const MUTATIONS: &[Named] = &[
     (
         "unscheduled_malformed_instruction",
         unscheduled_malformed_instruction,
+    ),
+    ("shift_of_a_word_or_more", shift_of_a_word_or_more),
+    (
+        "format_past_thirty_fraction_bits",
+        format_past_thirty_fraction_bits,
     ),
 ];
 
@@ -468,4 +494,14 @@ fn window_input_in_a_non_stencil_kernel_is_a_typed_error() {
 #[test]
 fn unscheduled_malformed_instruction_is_a_typed_error() {
     assert_malformed(unscheduled_malformed_instruction(), "ISA02");
+}
+
+#[test]
+fn shift_of_a_word_or_more_is_a_typed_error() {
+    assert_malformed(shift_of_a_word_or_more(), "ISA01");
+}
+
+#[test]
+fn format_past_thirty_fraction_bits_is_a_typed_error() {
+    assert_malformed(format_past_thirty_fraction_bits(), "ISA03");
 }

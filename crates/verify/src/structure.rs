@@ -11,9 +11,11 @@ use imp_compiler::module::{vaddr, InputBinding, OutputLoc};
 use imp_compiler::schedule::{Schedule, ScheduledInst};
 use imp_compiler::{CompiledKernel, ParallelSpec};
 use imp_isa::{Instruction, ARRAY_ROWS, NUM_REGISTERS};
+use imp_rram::QFormat;
 
 /// Runs the structural rules over `kernel` and its timetable `schedule`.
 pub(crate) fn check(kernel: &CompiledKernel, schedule: &Schedule, out: &mut Vec<Diagnostic>) {
+    check_format(kernel, out);
     for (i, ib) in kernel.ibs.iter().enumerate() {
         check_layout(kernel, i, out);
         for (pc, inst) in ib.block.instructions().iter().enumerate() {
@@ -122,6 +124,17 @@ fn check_instruction(
         }
     }
 
+    if let Err(e) = inst.check_immediates() {
+        out.push(inst_error(
+            kernel,
+            i,
+            pc,
+            "ISA01",
+            e.to_string(),
+            "shift amounts must be below the 32-bit word width",
+        ));
+    }
+
     let num_ibs = kernel.ibs.len();
     let isa02 = |message: String, help: &str| inst_error(kernel, i, pc, "ISA02", message, help);
     match *inst {
@@ -178,6 +191,25 @@ fn check_instruction(
             )),
         },
         _ => {}
+    }
+}
+
+/// `ISA03`: the kernel's fixed-point format is one the chip supports.
+fn check_format(kernel: &CompiledKernel, out: &mut Vec<Diagnostic>) {
+    if !kernel.format.is_supported() {
+        out.push(Diagnostic {
+            rule: "ISA03",
+            severity: Severity::Error,
+            ib: None,
+            pc: None,
+            node: None,
+            message: format!(
+                "the kernel's fixed-point format has {} fraction bits; at most {} are supported",
+                kernel.format.frac_bits(),
+                QFormat::MAX_FRAC_BITS
+            ),
+            help: "compile at a format with 0..=30 fraction bits".into(),
+        });
     }
 }
 

@@ -97,6 +97,30 @@ fn isa01_out_of_range_operand() {
 }
 
 #[test]
+fn isa01_shift_of_a_word_or_more() {
+    for amount in [32u8, 200] {
+        let mut k = kernel("blackscholes");
+        let (ib, pc) = find_inst(&k, |i| {
+            matches!(i, Instruction::ShiftL { .. } | Instruction::ShiftR { .. })
+        });
+        let inst = match k.ibs[ib].block.instructions()[pc] {
+            Instruction::ShiftL { src, dst, .. } => Instruction::ShiftL { src, dst, amount },
+            Instruction::ShiftR { src, dst, .. } => Instruction::ShiftR { src, dst, amount },
+            _ => unreachable!(),
+        };
+        replace_inst(&mut k, ib, pc, inst);
+        let report = verify_kernel(&k);
+        let found: Vec<_> = report.errors().map(|d| (d.rule, d.ib, d.pc)).collect();
+        assert_eq!(
+            found,
+            vec![("ISA01", Some(ib), Some(pc))],
+            "{}",
+            report.render()
+        );
+    }
+}
+
+#[test]
 fn isa02_malformed_global_address() {
     let mut k = kernel("kmeans");
     let (ib, pc) = find_inst(&k, |i| matches!(i, Instruction::Movg { .. }));
@@ -195,6 +219,16 @@ fn verify_level_check_gates_by_level() {
     assert!(error_rules(&report).contains(&"ISA02"));
     assert!(check(VerifyLevel::Deny, Some(&telemetry)).is_err());
     assert_eq!(telemetry.snapshot().counters["verify.runs"], 2);
+}
+
+#[test]
+fn isa03_format_past_thirty_fraction_bits() {
+    let mut k = kernel("blackscholes");
+    k.format = imp_rram::QFormat(31);
+    let report = verify_kernel(&k);
+    assert_eq!(error_rules(&report), vec!["ISA03"], "{}", report.render());
+    k.format = imp_rram::QFormat(30);
+    assert!(verify_structure(&k, &k.schedule).is_clean());
 }
 
 #[test]

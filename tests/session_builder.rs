@@ -325,3 +325,35 @@ fn invalid_chip_is_a_compile_error() {
     let one_tile = ChipCapacity { tiles: 1, ..small };
     assert!(Session::builder(graph).capacity(one_tile).build().is_ok());
 }
+
+/// A fixed-point format with more than 30 fraction bits is a typed
+/// compile error, never a compile-time panic (a sigmoid's LUT seeding
+/// shifted by the fraction width) or a meaningless `Ok`.
+#[test]
+fn invalid_format_is_a_compile_error() {
+    let sigmoid_graph = || {
+        let mut g = GraphBuilder::new();
+        let x = g.placeholder("x", Shape::vector(16)).unwrap();
+        let y = g.sigmoid(x).unwrap();
+        g.fetch_as("y", y);
+        g.finish()
+    };
+    for format in [QFormat(31), QFormat(32), QFormat(40), QFormat(255)] {
+        let (square, _) = square_graph(16);
+        let builders = [
+            Session::builder(square),
+            Session::builder(sigmoid_graph()).range("x", Interval::new(-4.0, 4.0)),
+        ];
+        for builder in builders {
+            match builder.format(format).build() {
+                Err(imp::Error::Compile(CompileError::BadFormat(f))) => assert_eq!(f, format),
+                other => panic!("{format:?}: expected BadFormat, got {other:?}"),
+            }
+        }
+    }
+    let (graph, _) = square_graph(16);
+    let mut session = Session::builder(graph).format(QFormat(30)).build().unwrap();
+    let x = Tensor::filled(0.5, Shape::vector(16));
+    let out = session.run(&[("x", x)]).unwrap();
+    assert_eq!(out.by_name("y").unwrap().data(), &[0.25; 16]);
+}

@@ -19,6 +19,11 @@
 //! The assertions at the bottom are the acceptance criteria: remap stays
 //! within golden tolerance with monotone runtime, and fail-fast never
 //! returns silently corrupted data.
+//!
+//! The output is deterministic and CI diffs it against
+//! `tests/golden/fault_sweep.txt`. After a change that means to move a
+//! number, regenerate that file with
+//! `cargo run --release -p imp-bench --bin fault_sweep > tests/golden/fault_sweep.txt`.
 
 use imp_bench::{emit, emit_json, header};
 use imp_compiler::{compile, ChipCapacity, CompileOptions, OptPolicy};

@@ -11,6 +11,11 @@ use crate::RramError;
 use imp_isa::{Addr, Imm, Instruction, Latency, RowMask, LANES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
+
+/// Salt separating an armed array's transient-glitch stream from its
+/// fault map's generation stream.
+const TRANSIENT_SALT: u64 = 0xADC0_FA17_ADC0_FA17;
 
 /// One memory array / processing unit (Figure 1(b) of the paper).
 ///
@@ -35,17 +40,12 @@ pub struct ReramArray {
     /// Seeded source of process-variation noise (only consulted when
     /// `spec.noise_prob > 0`).
     fault_rng: StdRng,
-    /// Permanent ADC conversion offset, in LSBs, from an installed fault
-    /// map (0 = calibrated converter).
-    adc_offset: i64,
-    /// Per-conversion transient ADC glitch probability from an installed
-    /// fault map.
-    transient_prob: f64,
-    /// Transient-glitch stream (re-armed per recovery attempt so a retry
-    /// draws fresh transients).
+    /// Transient-glitch stream, seeded by [`ReramArray::arm_faults`] and
+    /// drawn only while the crossbar holds a fault map (whose ADC offset
+    /// and glitch probability the conversions read).
     transient_rng: StdRng,
     /// Sticky detection flag: the duplicated conversion on the checksum
-    /// column disagreed at least once since the last (re)arm.
+    /// column disagreed at least once since the array was armed.
     adc_fault_seen: bool,
     /// Whether the fault-free fast path may be taken (test hook; the fast
     /// path is semantically identical and on by default).
@@ -62,8 +62,6 @@ impl ReramArray {
             spec,
             dynamic_mask: 0,
             fault_rng: StdRng::seed_from_u64(0),
-            adc_offset: 0,
-            transient_prob: 0.0,
             transient_rng: StdRng::seed_from_u64(0),
             adc_fault_seen: false,
             fast_path_enabled: true,
@@ -79,16 +77,12 @@ impl ReramArray {
     }
 
     /// True when no fault or noise model can affect this array's
-    /// conversions: no analog noise, no installed fault map, and a
-    /// calibrated ADC. Under this precondition every `adc_noise` /
-    /// `adc_fault_err` call returns 0 without consuming RNG state, and
-    /// every crossbar read senses exactly the programmed digits — the
-    /// invariants the fast paths rely on.
+    /// conversions: no analog noise and no fault map. Under this
+    /// precondition every `sense_partial` call returns its ideal partial
+    /// without consuming RNG state, and every crossbar read senses exactly
+    /// the programmed digits — the invariants the fast paths rely on.
     fn fault_free(&self) -> bool {
-        self.spec.noise_prob <= 0.0
-            && self.adc_offset == 0
-            && self.transient_prob <= 0.0
-            && self.crossbar.fault_map().is_none()
+        self.spec.noise_prob <= 0.0 && self.crossbar.fault_map().is_none()
     }
 
     /// Reseeds the process-variation noise source (for reproducible fault
@@ -97,38 +91,29 @@ impl ReramArray {
         self.fault_rng = StdRng::seed_from_u64(seed);
     }
 
-    /// Installs a fault population on this array: cell/line faults go to
-    /// the crossbar, ADC faults to the conversion periphery. Clears the
-    /// sticky ADC-fault flag.
-    pub fn install_faults(&mut self, map: &FaultMap) {
-        self.adc_offset = map.adc_offset();
-        self.transient_prob = map.transient_adc();
-        self.transient_rng = StdRng::seed_from_u64(map.seed() ^ 0xADC0_FA17_ADC0_FA17);
+    /// Arms this array with the fault population `map`, shared with every
+    /// array on the same physical slot: the crossbar senses its cell and
+    /// line faults, the conversions its ADC offset and transient glitches.
+    /// The glitch stream is seeded from the map's seed and a caller-mixed
+    /// `stream` id. The simulator derives the id from `(seed, slot, group,
+    /// attempt)`, so every (array, instance group, recovery attempt)
+    /// draws an independent stream: permanent faults persist across
+    /// retries while transients are drawn fresh, and they cannot depend on
+    /// the order in which groups execute, which is what lets the parallel
+    /// engine reproduce serial results bit for bit. Clears the sticky
+    /// detection flag.
+    pub fn arm_faults(&mut self, map: Arc<FaultMap>, stream: u64) {
+        self.transient_rng = StdRng::seed_from_u64(map.seed() ^ TRANSIENT_SALT ^ stream);
         self.adc_fault_seen = false;
-        self.crossbar.install_faults(map.clone());
-    }
-
-    /// Re-arms the transient-glitch stream from a caller-mixed stream id:
-    /// permanent faults persist across retries, transients are drawn
-    /// fresh. The simulator derives the id from `(seed, slot, group,
-    /// attempt)` so every (array, instance group, recovery attempt) draws
-    /// an independent stream — transients then cannot depend on the order
-    /// in which groups execute, which is what lets the parallel engine
-    /// reproduce serial results bit for bit. Clears the sticky detection
-    /// flag.
-    pub fn rearm_transients_stream(&mut self, stream: u64) {
-        let base = self.crossbar.fault_map().map(|m| m.seed()).unwrap_or(0);
-        self.transient_rng = StdRng::seed_from_u64(base ^ 0xADC0_FA17_ADC0_FA17 ^ stream);
-        self.adc_fault_seen = false;
+        self.crossbar.install_faults(map);
     }
 
     /// Resets this pooled array to the state of `template` (which must
     /// have a pristine, never-written crossbar), reusing every allocation:
     /// dirtied crossbar rows are zeroed in place, the register file and
-    /// dynamic mask are copied back, any installed fault map is dropped,
-    /// and the ADC periphery is restored to the template's calibration.
-    /// After this call the array is indistinguishable from
-    /// `template.clone()`.
+    /// dynamic mask are copied back, and any fault map is dropped with its
+    /// transient stream and detection flag. After this call the array is
+    /// indistinguishable from `template.clone()`.
     pub fn reset_from_template(&mut self, template: &ReramArray) {
         self.crossbar.reset_dirty();
         self.regfile.clone_from(&template.regfile);
@@ -138,54 +123,60 @@ impl ReramArray {
         self.spec = template.spec;
         self.dynamic_mask = template.dynamic_mask;
         self.fault_rng = template.fault_rng.clone();
-        self.adc_offset = template.adc_offset;
-        self.transient_prob = template.transient_prob;
         self.transient_rng = template.transient_rng.clone();
         self.adc_fault_seen = false;
         self.fast_path_enabled = template.fast_path_enabled;
     }
 
     /// Whether the periphery latched an ADC fault (a conversion whose
-    /// duplicate on the checksum column disagreed) since the last
-    /// (re)arm.
+    /// duplicate on the checksum column disagreed) since the array was
+    /// armed.
     pub fn adc_fault_detected(&self) -> bool {
         self.adc_fault_seen
     }
 
-    /// One ADC conversion's variation error: ±1 LSB with probability
-    /// `spec.noise_prob`.
-    fn adc_noise(&mut self) -> i64 {
-        if self.spec.noise_prob <= 0.0 {
-            return 0;
-        }
-        if self.fault_rng.gen::<f64>() < self.spec.noise_prob {
-            if self.fault_rng.gen::<bool>() {
-                1
-            } else {
-                -1
-            }
-        } else {
-            0
-        }
+    /// The ADC faults of the installed map: its permanent offset in LSBs
+    /// and its per-conversion transient glitch probability, `(0, 0.0)`
+    /// without a map. The ordered loops read them once per op and pass
+    /// them to [`ReramArray::sense_partial`], so they are loop-invariant
+    /// there (a read through the shared map per conversion is not).
+    fn adc_faults(&self) -> (i64, f64) {
+        self.crossbar
+            .fault_map()
+            .map_or((0, 0.0), |map| (map.adc_offset(), map.transient_adc()))
     }
 
-    /// One ADC conversion's *fault* error: the permanent offset plus a
-    /// possible transient glitch. Any nonzero error latches the sticky
-    /// detection flag (the duplicated checksum-column conversion
-    /// disagrees). Zero-cost when no ADC faults are installed.
-    fn adc_fault_err(&mut self) -> i64 {
-        let mut err = self.adc_offset;
-        if self.transient_prob > 0.0 && self.transient_rng.gen::<f64>() < self.transient_prob {
-            err += if self.transient_rng.gen::<bool>() {
+    /// One ADC conversion of the ideal partial `base` on the ordered
+    /// path, under the ADC faults `(offset, transient)` of
+    /// [`ReramArray::adc_faults`]. The variation noise (±1 LSB with
+    /// probability `spec.noise_prob`) is drawn first, then the fault
+    /// error: the permanent offset plus a possible transient ±1 LSB
+    /// glitch. A fault error latches the sticky detection flag (the
+    /// duplicated checksum-column conversion disagrees), and as a faulty
+    /// converter still emits an in-range code, only such a conversion is
+    /// clamped. The strict range check is the caller's. Always inlined:
+    /// a call per conversion made the ordered `mul` ≈1.6× slower.
+    #[inline(always)]
+    fn sense_partial(&mut self, base: i64, (offset, transient): (i64, f64)) -> i64 {
+        let mut sensed = base;
+        let noise = self.spec.noise_prob;
+        if noise > 0.0 && self.fault_rng.gen::<f64>() < noise {
+            sensed += if self.fault_rng.gen::<bool>() { 1 } else { -1 };
+        }
+        let mut fault = offset;
+        if transient > 0.0 && self.transient_rng.gen::<f64>() < transient {
+            fault += if self.transient_rng.gen::<bool>() {
                 1
             } else {
                 -1
             };
         }
-        if err != 0 {
-            self.adc_fault_seen = true;
+        if fault == 0 {
+            return sensed;
         }
-        err
+        self.adc_fault_seen = true;
+        let limit = self.spec.adc_max();
+        (sensed + fault).clamp(-limit, limit)
     }
 
     /// The analog configuration.
@@ -482,6 +473,7 @@ impl ReramArray {
         trace: &mut OpTrace,
     ) -> Result<[i32; LANES], RramError> {
         trace.crossbar_active = true;
+        let adc = self.adc_faults();
         let mut max_abs_partial: i64 = 0;
         let mut out = [0i32; LANES];
         for (lane, out_word) in out.iter_mut().enumerate() {
@@ -494,13 +486,7 @@ impl ReramArray {
                 for words in minus_rows {
                     sum -= i64::from(digits::digit(words[lane], digit_pos));
                 }
-                sum += self.adc_noise();
-                let fault = self.adc_fault_err();
-                if fault != 0 {
-                    // A faulty converter still emits an in-range code.
-                    let limit = self.spec.adc_max();
-                    sum = (sum + fault).clamp(-limit, limit);
-                }
+                let sum = self.sense_partial(sum, adc);
                 max_abs_partial = max_abs_partial.max(sum.abs());
                 *partial = self.spec.convert(sum)?;
             }
@@ -626,6 +612,7 @@ impl ReramArray {
         trace: &mut OpTrace,
     ) -> Result<[i32; LANES], RramError> {
         trace.crossbar_active = true;
+        let adc = self.adc_faults();
         let mut max_partial: i64 = 0;
         let mut out = [0i32; LANES];
         for (lane, out_word) in out.iter_mut().enumerate() {
@@ -641,15 +628,8 @@ impl ReramArray {
                         let m_chunk = i64::from(digits::digit(m, chunk));
                         base += cell * m_chunk;
                     }
-                    let mut err = self.adc_noise();
-                    let fault = self.adc_fault_err();
-                    if fault != 0 {
-                        // A faulty converter still emits an in-range code;
-                        // the effective error is whatever survives clamping.
-                        let limit = self.spec.adc_max();
-                        err = (base + err + fault).clamp(-limit, limit) - base;
-                    }
-                    let partial = base + err;
+                    let partial = self.sense_partial(base, adc);
+                    let err = partial - base;
                     let weight_shift = 2 * (digit_pos + chunk);
                     if err != 0 && weight_shift < 62 {
                         noise_acc = noise_acc.wrapping_add(err << weight_shift);
@@ -760,6 +740,7 @@ impl ReramArray {
         if b.is_reg() {
             trace.regfile_accesses += 1;
         }
+        let adc = self.adc_faults();
         let mut max_partial: i64 = 0;
         let mut out = [0i32; LANES];
         for (lane, out_word) in out.iter_mut().enumerate() {
@@ -771,15 +752,8 @@ impl ReramArray {
             for (i, &da) in a_digits.iter().enumerate() {
                 for (j, &db) in b_digits.iter().enumerate() {
                     let base = i64::from(da) * i64::from(db);
-                    let mut err = self.adc_noise();
-                    let fault = self.adc_fault_err();
-                    if fault != 0 {
-                        // Faulty converters emit in-range codes; keep the
-                        // effective error consistent with the clamp.
-                        let limit = self.spec.adc_max();
-                        err = (base + err + fault).clamp(-limit, limit) - base;
-                    }
-                    let partial = base + err;
+                    let partial = self.sense_partial(base, adc);
+                    let err = partial - base;
                     let weight_shift = 2 * (i + j);
                     if err != 0 && weight_shift < 62 {
                         noise_acc = noise_acc.wrapping_add(err << weight_shift);
@@ -1207,7 +1181,7 @@ mod tests {
             },
         );
         assert_ne!(map.adc_offset(), 0);
-        a.install_faults(&map);
+        a.arm_faults(Arc::new(map), 0);
         assert!(!a.adc_fault_detected());
         a.write_row_broadcast(0, 100);
         a.write_row_broadcast(1, 200);
@@ -1230,17 +1204,16 @@ mod tests {
     #[test]
     fn transient_glitches_rearm_per_attempt() {
         use crate::fault::{FaultMap, FaultRates};
-        let map = FaultMap::generate(
+        let map = Arc::new(FaultMap::generate(
             5,
             &FaultRates {
                 transient_adc: 0.3,
                 ..FaultRates::none()
             },
-        );
+        ));
         let run = |attempt: u64| {
             let mut a = array();
-            a.install_faults(&map);
-            a.rearm_transients_stream(attempt);
+            a.arm_faults(Arc::clone(&map), attempt);
             a.write_row_broadcast(0, 1000);
             a.write_row_broadcast(1, 2345);
             a.execute_local(&Instruction::Add {
@@ -1267,13 +1240,16 @@ mod tests {
     fn stuck_source_row_corrupts_in_situ_math() {
         use crate::fault::{FaultMap, FaultRates};
         let mut a = array();
-        a.install_faults(&FaultMap::generate(
-            2,
-            &FaultRates {
-                stuck_at_max: 0.05,
-                ..FaultRates::none()
-            },
-        ));
+        a.arm_faults(
+            Arc::new(FaultMap::generate(
+                2,
+                &FaultRates {
+                    stuck_at_max: 0.05,
+                    ..FaultRates::none()
+                },
+            )),
+            0,
+        );
         a.write_row_broadcast(0, 0);
         a.write_row_broadcast(1, 0);
         a.execute_local(&Instruction::Add {
@@ -1341,15 +1317,18 @@ mod tests {
         pooled.write_reg(imp_isa::MASK_REGISTER, [1; LANES]);
         {
             use crate::fault::{FaultMap, FaultRates};
-            pooled.install_faults(&FaultMap::generate(
-                4,
-                &FaultRates {
-                    stuck_at_max: 0.05,
-                    adc_offset: 1.0,
-                    transient_adc: 0.2,
-                    ..FaultRates::none()
-                },
-            ));
+            pooled.arm_faults(
+                Arc::new(FaultMap::generate(
+                    4,
+                    &FaultRates {
+                        stuck_at_max: 0.05,
+                        adc_offset: 1.0,
+                        transient_adc: 0.2,
+                        ..FaultRates::none()
+                    },
+                )),
+                0,
+            );
         }
         pooled.reset_from_template(&template);
 

@@ -11,6 +11,7 @@
 use crate::digits::{self, DIGITS_PER_WORD};
 use crate::fault::FaultMap;
 use imp_isa::{ARRAY_COLS, ARRAY_ROWS, LANES};
+use std::sync::Arc;
 
 /// One ReRAM crossbar: 128 word-lines × 128 bit-lines of 2-bit cells.
 ///
@@ -20,12 +21,13 @@ use imp_isa::{ARRAY_COLS, ARRAY_ROWS, LANES};
 ///
 /// The crossbar tracks per-row write counts for the §7.5 lifetime study.
 ///
-/// A [`FaultMap`] may be installed to model broken cells and lines: writes
-/// then record the *intended* words (a stuck cell physically ignores
-/// programming pulses), reads return what the faulty bit-lines actually
-/// sense, digit by digit, and [`Crossbar::integrity_scan`] performs the
-/// spare-checksum-row residue check described in [`crate::fault`]. Without
-/// a fault map a read returns the stored words.
+/// A shared [`FaultMap`] may be installed to model broken cells and
+/// lines: writes then record the *intended* words (a stuck cell
+/// physically ignores programming pulses), reads return what the faulty
+/// bit-lines actually sense, digit by digit, and
+/// [`Crossbar::integrity_scan`] performs the spare-checksum-row residue
+/// check described in [`crate::fault`]. Without a fault map a read
+/// returns the stored words.
 #[derive(Debug, Clone)]
 pub struct Crossbar {
     /// `words[row][lane]` is the *programmed* word. With a fault map
@@ -33,9 +35,9 @@ pub struct Crossbar {
     words: Vec<[i32; LANES]>,
     /// Writes performed to each row since construction.
     writes: Vec<u64>,
-    /// Installed fault population, if any (boxed: the clean path pays one
-    /// pointer test, no allocation).
-    faults: Option<Box<FaultMap>>,
+    /// Installed fault population, if any, shared with every array on the
+    /// same physical slot (the clean path pays one pointer test).
+    faults: Option<Arc<FaultMap>>,
 }
 
 impl Crossbar {
@@ -50,8 +52,8 @@ impl Crossbar {
 
     /// Installs a fault population. Reads from here on return what the
     /// broken array senses; the programmed contents are untouched.
-    pub fn install_faults(&mut self, map: FaultMap) {
-        self.faults = Some(Box::new(map));
+    pub fn install_faults(&mut self, map: Arc<FaultMap>) {
+        self.faults = Some(map);
     }
 
     /// The installed fault map, if any.
@@ -190,12 +192,6 @@ impl Crossbar {
     pub fn total_writes(&self) -> u64 {
         self.writes.iter().sum()
     }
-
-    /// The most-written row's write count — the wear-leveling figure of
-    /// merit used by the lifetime model.
-    pub fn max_row_writes(&self) -> u64 {
-        self.writes.iter().copied().max().unwrap_or(0)
-    }
 }
 
 impl Default for Crossbar {
@@ -263,7 +259,6 @@ mod tests {
             xb.write_row(1, &[0; LANES]);
         }
         xb.write_row(2, &[0; LANES]);
-        assert_eq!(xb.max_row_writes(), 5);
         assert_eq!(xb.total_writes(), 6);
     }
 
@@ -273,7 +268,7 @@ mod tests {
         let mut xb = Crossbar::new();
         xb.write_row(3, &[1, -2, 3, -4, 5, -6, 7, -8]);
         let plain = xb.read_row(3);
-        xb.install_faults(FaultMap::generate(11, &FaultRates::none()));
+        xb.install_faults(Arc::new(FaultMap::generate(11, &FaultRates::none())));
         assert_eq!(xb.read_row(3), plain);
         assert!(xb.integrity_scan().is_empty());
     }
@@ -282,13 +277,13 @@ mod tests {
     fn stuck_cells_corrupt_reads_and_fail_the_scan() {
         use crate::fault::{FaultMap, FaultRates};
         let mut xb = Crossbar::new();
-        xb.install_faults(FaultMap::generate(
+        xb.install_faults(Arc::new(FaultMap::generate(
             11,
             &FaultRates {
                 stuck_at_max: 0.02,
                 ..FaultRates::none()
             },
-        ));
+        )));
         // All-zero programmed data: any stuck-at-max cell shows.
         let corrupted = (0..ARRAY_ROWS).any(|r| xb.read_row(r) != [0; LANES]);
         assert!(corrupted, "2% stuck-at-max cells must corrupt some word");
@@ -303,13 +298,13 @@ mod tests {
         // stuck-at-0 over all-zero data.
         use crate::fault::{FaultMap, FaultRates};
         let mut xb = Crossbar::new();
-        xb.install_faults(FaultMap::generate(
+        xb.install_faults(Arc::new(FaultMap::generate(
             5,
             &FaultRates {
                 stuck_at_zero: 0.05,
                 ..FaultRates::none()
             },
-        ));
+        )));
         assert!(xb.integrity_scan().is_empty());
         for r in 0..ARRAY_ROWS {
             assert_eq!(xb.read_row(r), [0; LANES]);
@@ -320,13 +315,13 @@ mod tests {
     fn endurance_death_via_write_counters() {
         use crate::fault::{FaultMap, FaultRates};
         let mut xb = Crossbar::new();
-        xb.install_faults(FaultMap::generate(
+        xb.install_faults(Arc::new(FaultMap::generate(
             1,
             &FaultRates {
                 endurance_limit: Some(3),
                 ..FaultRates::none()
             },
-        ));
+        )));
         for _ in 0..3 {
             xb.write_row(7, &[42; LANES]);
         }
@@ -346,7 +341,7 @@ mod tests {
         let mut xb = Crossbar::new();
         xb.write_row(3, &[1, -2, 3, -4, 5, -6, 7, -8]);
         xb.write_word(100, 2, 77);
-        xb.install_faults(FaultMap::generate(9, &FaultRates::none()));
+        xb.install_faults(Arc::new(FaultMap::generate(9, &FaultRates::none())));
         xb.reset_dirty();
         for row in 0..ARRAY_ROWS {
             assert_eq!(xb.read_row(row), [0; LANES]);
@@ -398,7 +393,7 @@ mod tests {
                     ..FaultRates::none()
                 },
             );
-            xb.install_faults(map.clone());
+            xb.install_faults(Arc::new(map.clone()));
             // Reference: sense every digit of the programmed word through
             // the map, then recombine.
             let sensed = |row: usize, lane: usize| -> [u8; DIGITS_PER_WORD] {

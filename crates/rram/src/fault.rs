@@ -174,9 +174,10 @@ impl FaultMap {
         }
     }
 
-    /// `true` when the map contains no fault of any kind — installing it
-    /// is then behaviourally a no-op (transient probability 0 and no
-    /// endurance limit included).
+    /// `true` when the map contains no fault of any kind (transient
+    /// probability 0 and no endurance limit included). Installing it
+    /// would change nothing, so the simulator keeps no clean map: a
+    /// fault-free array is one without a map.
     pub fn is_clean(&self) -> bool {
         self.adc_offset == 0
             && self.transient_adc == 0.0
@@ -211,11 +212,6 @@ impl FaultMap {
     /// Per-conversion transient ADC glitch probability.
     pub fn transient_adc(&self) -> f64 {
         self.transient_adc
-    }
-
-    /// Row write-endurance limit, if wear-out is modeled.
-    pub fn endurance_limit(&self) -> Option<u64> {
-        self.endurance_limit
     }
 
     /// The generation seed.

@@ -30,7 +30,13 @@
 //! write-back stage, so only *recovery* — repeated or rescheduled
 //! attempts — costs time and energy.
 //!
+//! "No fault" is one value per array: no map. A slot keeps its generated
+//! population only when it holds a fault ([`FaultMap::is_clean`] is
+//! false), shared by every group on the slot. Only arrays armed with a
+//! map take the ordered conversion loops and run the two checks.
+//!
 //! [`Crossbar::integrity_scan`]: imp_rram::Crossbar::integrity_scan
+//! [`FaultMap::is_clean`]: imp_rram::FaultMap::is_clean
 //! [`SimError::Faults`]: crate::SimError::Faults
 //! [`RunReport::fault_overhead_cycles`]: crate::RunReport::fault_overhead_cycles
 

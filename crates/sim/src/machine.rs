@@ -21,6 +21,7 @@ use imp_rram::{
     AnalogSpec, DacVectors, FaultMap, FaultRates, Fixed, OpTrace, ReramArray, ARRAY_CYCLE_S,
 };
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// How [`Machine::run`] spreads instance groups over host threads.
 ///
@@ -519,25 +520,25 @@ impl Machine {
         // Per-(round-local slot) fault populations, generated once per
         // attempt: a fault map is a property of the *physical array*
         // (seeded by its slot alone), so every group mapped onto the
-        // same slot sees the same population. Rates that inject nothing
-        // take the fault-free path, whatever the recovery policy.
+        // same slot shares the one population. A slot whose map holds no
+        // fault keeps none, and its arrays take the fault-free path,
+        // whatever the recovery policy; rates that inject nothing
+        // generate no map at all.
         let rates = &self.config.faults.rates;
-        let faults_on = *rates != FaultRates::none();
-        let fault_maps: Vec<FaultMap> = if faults_on {
-            (0..groups_per_round * num_ibs)
-                .map(|i| {
-                    FaultMap::generate(
-                        mix_seed(
-                            self.config.fault_seed ^ 0xFA17_FA17_FA17_FA17,
-                            usable[i] as u64,
-                        ),
-                        rates,
-                    )
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let injects = *rates != FaultRates::none();
+        let fault_maps: Vec<Option<Arc<FaultMap>>> = (0..groups_per_round * num_ibs)
+            .map(|i| {
+                if !injects {
+                    return None;
+                }
+                let seed = mix_seed(
+                    self.config.fault_seed ^ 0xFA17_FA17_FA17_FA17,
+                    usable[i] as u64,
+                );
+                let map = FaultMap::generate(seed, rates);
+                (!map.is_clean()).then(|| Arc::new(map))
+            })
+            .collect();
 
         let ctx = EngineCtx {
             kernel,
@@ -546,7 +547,6 @@ impl Machine {
             tape,
             templates,
             fault_maps,
-            faults_on,
             instances,
             groups_per_round,
             num_ibs,
@@ -753,12 +753,9 @@ struct EngineCtx<'a> {
     tape: &'a [Step],
     templates: &'a [ReramArray],
     /// Per-(round-local slot) fault maps, indexed
-    /// `group_in_round * num_ibs + ib`; empty unless `faults_on`.
-    fault_maps: Vec<FaultMap>,
-    /// Whether [`SimConfig::faults`]' rates inject anything. Without
-    /// them groups install no fault map and skip the integrity checks,
-    /// whatever the recovery policy.
-    faults_on: bool,
+    /// `group_in_round * num_ibs + ib`; `None` where the slot holds no
+    /// fault. Only arrays with a map are armed and checked.
+    fault_maps: Vec<Option<Arc<FaultMap>>>,
     instances: usize,
     groups_per_round: usize,
     num_ibs: usize,
@@ -835,7 +832,8 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
     for (ib_index, rows) in ctx.plan.rows.iter().enumerate() {
         let array = &mut worker.arrays[ib_index];
         array.reset_from_template(&ctx.templates[ib_index]);
-        let slot = ctx.usable[group_in_round * num_ibs + ib_index] as u64;
+        let slot_index = group_in_round * num_ibs + ib_index;
+        let slot = ctx.usable[slot_index] as u64;
         // Deterministic, order-independent noise stream per
         // (physical array, group, attempt).
         array.set_fault_seed(mix_seed4(
@@ -844,14 +842,10 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
             group as u64,
             ctx.attempt_idx,
         ));
-        if ctx.faults_on {
-            array.install_faults(&ctx.fault_maps[group_in_round * num_ibs + ib_index]);
-            array.rearm_transients_stream(mix_seed4(
-                ctx.fault_seed ^ TRANSIENT_STREAM_SALT,
-                slot,
-                group as u64,
-                ctx.attempt_idx,
-            ));
+        if let Some(map) = &ctx.fault_maps[slot_index] {
+            let salted = ctx.fault_seed ^ TRANSIENT_STREAM_SALT;
+            let stream = mix_seed4(salted, slot, group as u64, ctx.attempt_idx);
+            array.arm_faults(Arc::clone(map), stream);
         }
         for (row, input) in rows {
             array.write_row(*row, &input.words(&ctx.plan.feeds, &lane_instances));
@@ -950,36 +944,38 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
             per_ib[ib] += op_j;
         }
     }
-    // Write-back-boundary integrity checks: residue scan over every
-    // crossbar, plus the latched ADC duplicate-conversion disagreement
-    // flag. Free in cycles (overlapped with the write-back stage, see
-    // [`crate::fault`]); only recovery costs time.
-    if ctx.faults_on {
-        let detect_cycle = (round + 1) * ctx.module_latency;
-        for (ib, array) in arrays.iter().enumerate() {
-            let site = FaultSite {
-                round,
-                group,
-                ib,
-                physical_slot: ctx.usable[group_in_round * num_ibs + ib],
-            };
-            let corrupted = array.crossbar().integrity_scan();
-            if !corrupted.is_empty() {
-                outcome.events.push(FaultEvent {
-                    site,
-                    cycle: detect_cycle,
-                    kind: FaultKind::Cell {
-                        corrupted_columns: corrupted,
-                    },
-                });
-            }
-            if array.adc_fault_detected() {
-                outcome.events.push(FaultEvent {
-                    site,
-                    cycle: detect_cycle,
-                    kind: FaultKind::Adc,
-                });
-            }
+    // Write-back-boundary integrity checks on every armed array: residue
+    // scan over its crossbar, plus the latched ADC duplicate-conversion
+    // disagreement flag. Free in cycles (overlapped with the write-back
+    // stage, see [`crate::fault`]); only recovery costs time.
+    let detect_cycle = (round + 1) * ctx.module_latency;
+    let armed = arrays
+        .iter()
+        .enumerate()
+        .filter(|(_, a)| a.crossbar().fault_map().is_some());
+    for (ib, array) in armed {
+        let site = FaultSite {
+            round,
+            group,
+            ib,
+            physical_slot: ctx.usable[group_in_round * num_ibs + ib],
+        };
+        let corrupted = array.crossbar().integrity_scan();
+        if !corrupted.is_empty() {
+            outcome.events.push(FaultEvent {
+                site,
+                cycle: detect_cycle,
+                kind: FaultKind::Cell {
+                    corrupted_columns: corrupted,
+                },
+            });
+        }
+        if array.adc_fault_detected() {
+            outcome.events.push(FaultEvent {
+                site,
+                cycle: detect_cycle,
+                kind: FaultKind::Adc,
+            });
         }
     }
     // Harvest per-instance outputs.

@@ -3,8 +3,9 @@
 //! rules are typed errors from `Machine::run`, never panics. An operand
 //! names an IB, row, register or reduction slot the kernel does not have;
 //! a `movg` leaves some other IB or stays in its own; a `reduce_sum`
-//! feeds a slot no output declares; two input bindings load one row; a
-//! window input has no stencil grid; the schedule misses, repeats or
+//! feeds a slot no output declares; two input bindings load one row; an
+//! output mixes reduction slots with per-instance rows; a window input
+//! has no stencil grid; the schedule misses, repeats or
 //! invents an instruction; a shift moves a word by 32 bits or more; or
 //! the fixed-point format has more than 30 fraction bits. `Machine::run`
 //! refuses them before any instance group executes, through the
@@ -236,6 +237,19 @@ fn output_from_a_missing_ib() -> Case {
     (kernel, inputs)
 }
 
+/// A 16-instance `square` whose output gains one reduction slot beside
+/// its per-instance rows.
+fn output_mixing_reduced_and_row_locs() -> Case {
+    let mut g = GraphBuilder::new();
+    let x = g.placeholder("x", Shape::vector(16)).unwrap();
+    let y = g.square(x).unwrap();
+    g.fetch(y);
+    let mut kernel = imp_compiler::compile(&g.finish(), &CompileOptions::default()).unwrap();
+    kernel.outputs[0].locs.push(OutputLoc::Reduced { slot: 0 });
+    let x = Tensor::filled(1.5, Shape::vector(16));
+    (kernel, HashMap::from([("x".to_string(), x)]))
+}
+
 fn schedule_entry_past_its_block() -> Case {
     let (mut kernel, inputs) = kmeans();
     let len = kernel.ibs[0].block.instructions().len();
@@ -337,6 +351,10 @@ const MUTATIONS: &[Named] = &[
     ),
     ("output_row_past_the_array", output_row_past_the_array),
     ("output_from_a_missing_ib", output_from_a_missing_ib),
+    (
+        "output_mixing_reduced_and_row_locs",
+        output_mixing_reduced_and_row_locs,
+    ),
     (
         "schedule_entry_past_its_block",
         schedule_entry_past_its_block,
@@ -469,6 +487,11 @@ fn output_row_past_the_array_is_a_typed_error() {
 #[test]
 fn output_from_a_missing_ib_is_a_typed_error() {
     assert_malformed(output_from_a_missing_ib(), "ISA03");
+}
+
+#[test]
+fn output_mixing_reduced_and_row_locs_is_a_typed_error() {
+    assert_malformed(output_mixing_reduced_and_row_locs(), "ISA03");
 }
 
 #[test]

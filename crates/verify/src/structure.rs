@@ -292,9 +292,29 @@ fn check_layout(kernel: &CompiledKernel, i: usize, out: &mut Vec<Diagnostic>) {
 }
 
 /// `ISA03`: every per-instance output names an existing IB and an
-/// in-range row.
+/// in-range row, and no output mixes reduced and per-instance locations.
 fn check_outputs(kernel: &CompiledKernel, out: &mut Vec<Diagnostic>) {
     for output in &kernel.outputs {
+        let reduced = output
+            .locs
+            .iter()
+            .filter(|loc| matches!(loc, OutputLoc::Reduced { .. }))
+            .count();
+        if reduced != 0 && reduced != output.locs.len() {
+            let rows = output.locs.len() - reduced;
+            out.push(Diagnostic {
+                rule: "ISA03",
+                severity: Severity::Error,
+                ib: None,
+                pc: None,
+                node: Some(output.node),
+                message: format!(
+                    "output of {:?} mixes {reduced} reduced and {rows} per-instance locations",
+                    output.node
+                ),
+                help: "an output is either all reduction slots or all per-instance rows".into(),
+            });
+        }
         for loc in &output.locs {
             if let OutputLoc::Row { ib, row } = *loc {
                 if ib >= kernel.ibs.len() || usize::from(row) >= ARRAY_ROWS {

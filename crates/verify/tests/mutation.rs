@@ -232,6 +232,16 @@ fn isa03_format_past_thirty_fraction_bits() {
 }
 
 #[test]
+fn isa03_output_mixing_reduced_and_row_locs() {
+    let mut k = kernel("blackscholes");
+    k.outputs[0]
+        .locs
+        .push(imp_compiler::module::OutputLoc::Reduced { slot: 0 });
+    let report = verify_kernel(&k);
+    assert_eq!(error_rules(&report), vec!["ISA03"], "{}", report.render());
+}
+
+#[test]
 fn isa03_row_pressure() {
     let mut k = kernel("blackscholes");
     k.ibs[0].peak_rows = 131;

@@ -1,6 +1,6 @@
 //! `RunReport` bit-identity golden: every simulated result of a fixed
 //! matrix of runs — the eight corpus kernels × two compile policies ×
-//! six analog/fault configurations and four H-tree transport-fault
+//! seven analog/fault configurations and four H-tree transport-fault
 //! configurations — is digested and compared against the checked-in
 //! `tests/golden/report_digest.txt`.
 //!
@@ -148,6 +148,20 @@ fn configs() -> Vec<(&'static str, SimConfig)> {
             faulty(
                 FaultRates {
                     adc_offset: 0.05,
+                    dead_col: 2e-3,
+                    endurance_limit: Some(6),
+                    ..FaultRates::none()
+                },
+                FaultPolicy::Silent,
+            ),
+        ),
+        (
+            "silent_cells_deadlines_endurance",
+            faulty(
+                FaultRates {
+                    stuck_at_zero: 1e-3,
+                    stuck_at_max: 1e-3,
+                    dead_row: 2e-3,
                     dead_col: 2e-3,
                     endurance_limit: Some(6),
                     ..FaultRates::none()

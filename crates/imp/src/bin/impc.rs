@@ -17,21 +17,31 @@ use imp::compiler::perf;
 use imp::{Error, OptPolicy, QFormat, Session, Tensor, VerifyLevel};
 use std::process::ExitCode;
 
+const USAGE: &str =
+    "usage: impc <kernel.imp> [--policy dlp|ilp|util] [--disasm] [--run] [--rangecheck]";
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(path) = args.iter().find(|a| !a.starts_with("--")) else {
-        eprintln!(
-            "usage: impc <kernel.imp> [--policy dlp|ilp|util] [--disasm] [--run] [--rangecheck]"
-        );
+    let mut args = std::env::args().skip(1);
+    let (mut path, mut policy_name) = (None, None);
+    let (mut disasm, mut run, mut range_only) = (false, false, false);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--policy" => policy_name = args.next(),
+            "--disasm" => disasm = true,
+            "--run" => run = true,
+            "--rangecheck" => range_only = true,
+            _ if path.is_none() && !arg.starts_with("--") => path = Some(arg),
+            _ => {
+                eprintln!("impc: unknown argument `{arg}`\n{USAGE}");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+    let Some(path) = path else {
+        eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let policy = match args
-        .iter()
-        .position(|a| a == "--policy")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
+    let policy = match policy_name.as_deref() {
         Some("dlp") => OptPolicy::MaxDlp,
         Some("ilp") => OptPolicy::MaxIlp,
         Some("util") | None => OptPolicy::MaxArrayUtil,
@@ -41,7 +51,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let text = match std::fs::read_to_string(path) {
+    let text = match std::fs::read_to_string(&path) {
         Ok(text) => text,
         Err(err) => {
             eprintln!("impc: cannot read `{path}`: {err}");
@@ -56,7 +66,7 @@ fn main() -> ExitCode {
         }
     };
 
-    if flag("--rangecheck") {
+    if range_only {
         return rangecheck(&parsed);
     }
 
@@ -98,11 +108,11 @@ fn main() -> ExitCode {
         chip.tiles
     );
 
-    if flag("--disasm") {
+    if disasm {
         println!("\n{}", kernel.disassemble());
     }
 
-    if flag("--run") {
+    if run {
         let mut inputs: Vec<(&str, Tensor)> = Vec::new();
         for node in parsed.graph.nodes() {
             if let imp_dfg::Op::Placeholder { name } = node.op() {
@@ -116,7 +126,10 @@ fn main() -> ExitCode {
                 println!("\nexecuted with range-midpoint inputs:");
                 println!("  cycles  : {}", report.cycles);
                 println!("  energy  : {:.3} µJ", report.energy.total_j() * 1e6);
-                for (&node, tensor) in &report.outputs {
+                for &node in parsed.graph.outputs() {
+                    let Some(tensor) = report.outputs.get(&node) else {
+                        continue;
+                    };
                     let name = parsed
                         .names
                         .iter()

@@ -120,8 +120,8 @@ impl Default for AnalogSpec {
     }
 }
 
-/// The word-line DAC vectors of a `dot`, analysed for the fault-free fast
-/// path: which of them can drive its largest bit-line partial.
+/// The word-line DAC vectors of a `dot`, analysed for the exact-conversion
+/// fast path: which of them can drive its largest bit-line partial.
 ///
 /// Chunk `c` of the streamed multiplicands drives every selected row's
 /// word-line with the same vector `(chunk_c(m₀), chunk_c(m₁), …)`.

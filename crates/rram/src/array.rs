@@ -47,8 +47,8 @@ pub struct ReramArray {
     /// Sticky detection flag: the duplicated conversion on the checksum
     /// column disagreed at least once since the array was armed.
     adc_fault_seen: bool,
-    /// Whether the fault-free fast path may be taken (test hook; the fast
-    /// path is semantically identical and on by default).
+    /// Whether the exact-conversion fast path may be taken (test hook; the
+    /// fast path is semantically identical and on by default).
     fast_path_enabled: bool,
 }
 
@@ -68,7 +68,7 @@ impl ReramArray {
         }
     }
 
-    /// Enables or disables the fault-free fast path (see
+    /// Enables or disables the exact-conversion fast path (see
     /// [`ReramArray::execute_local`]). The fast path is bit-identical to
     /// the general path; this hook exists so the equivalence property test
     /// can compare the two.
@@ -76,13 +76,12 @@ impl ReramArray {
         self.fast_path_enabled = enabled;
     }
 
-    /// True when no fault or noise model can affect this array's
-    /// conversions: no analog noise and no fault map. Under this
-    /// precondition every `sense_partial` call returns its ideal partial
-    /// without consuming RNG state, and every crossbar read senses exactly
-    /// the programmed digits — the invariants the fast paths rely on.
-    fn fault_free(&self) -> bool {
-        self.spec.noise_prob <= 0.0 && self.crossbar.fault_map().is_none()
+    /// True when every conversion is exact: no analog noise and no ADC
+    /// offset or glitch. Then `sense_partial` returns its ideal partial
+    /// without drawing or latching, so an op is a function of the sensed
+    /// rows it reads, whatever cell and line faults shaped them.
+    fn exact_conversions(&self) -> bool {
+        self.spec.noise_prob <= 0.0 && self.adc_faults() == (0, 0.0)
     }
 
     /// Reseeds the process-variation noise source (for reproducible fault
@@ -201,7 +200,7 @@ impl ReramArray {
 
     /// Reads one word (no timing effect; host-side access).
     pub fn read_word(&self, row: usize, lane: usize) -> i32 {
-        self.crossbar.read_word(row, lane)
+        self.crossbar.read_row(row)[lane]
     }
 
     /// Reads a whole row (host-side access).
@@ -288,8 +287,9 @@ impl ReramArray {
     /// [`DacVectors::analyse`] over the lane-0 values its `reg_mask`
     /// registers hold now, paired in order with the `mask` rows. The
     /// result, trace, error and state are then exactly those of
-    /// `execute_local`; the fault-free fast path only skips re-deriving the
-    /// vectors. Any other instruction executes as `execute_local` would.
+    /// `execute_local`; the exact-conversion fast path only skips
+    /// re-deriving the vectors. Any other instruction executes as
+    /// `execute_local` would.
     ///
     /// # Errors
     /// As [`ReramArray::execute_local`].
@@ -437,16 +437,16 @@ impl ReramArray {
     /// word-lines). Each partial is validated against the ADC range, then
     /// the shift-and-add periphery recombines them modulo 2³².
     ///
-    /// The fault-free fast path is tried first; the ordered general loop
-    /// runs when it is disabled, when a fault or noise model is active, or
-    /// when some partial leaves the ADC range.
+    /// The exact-conversion fast path is tried first; the ordered general
+    /// loop runs when it is disabled, when analog noise or an ADC fault is
+    /// active, or when some partial leaves the ADC range.
     fn in_situ_add(
         &mut self,
         plus: RowMask,
         minus: RowMask,
         trace: &mut OpTrace,
     ) -> Result<[i32; LANES], RramError> {
-        if self.fast_path_enabled && self.fault_free() {
+        if self.fast_path_enabled && self.exact_conversions() {
             if let Some(out) = self.in_situ_add_fast(plus, minus, trace) {
                 return Ok(out);
             }
@@ -497,11 +497,11 @@ impl ReramArray {
         Ok(out)
     }
 
-    /// Fault-free fast path of [`ReramArray::in_situ_add`]. By §2.3 the
-    /// shift-and-add recombination of the column sums is the wrapping sum
-    /// of the plus words minus the minus words, so that is the value. The
-    /// exact column sums are still needed for the over-range test and
-    /// `adc_bits_used`; they accumulate from the stored words as packed
+    /// Exact-conversion fast path of [`ReramArray::in_situ_add`]. By §2.3
+    /// the shift-and-add recombination of the column sums is the wrapping
+    /// sum of the plus words minus the minus words, so that is the value.
+    /// The exact column sums are still needed for the over-range test and
+    /// `adc_bits_used`; they accumulate from the sensed words as packed
     /// [`ColumnSums`](digits::ColumnSums), one per sign. When every
     /// partial fits the ADC, no conversion clips or fails. Returns `None`,
     /// touching nothing, when some partial is out of range or a sign has
@@ -520,21 +520,19 @@ impl ReramArray {
         }
         let mut out = [0i32; LANES];
         let mut plus_sums = digits::ColumnSums::new();
-        for row in plus.rows() {
-            let words = self.crossbar.programmed_words(row);
+        self.crossbar.for_each_read(plus, |words| {
             for (acc, &word) in out.iter_mut().zip(words) {
                 *acc = acc.wrapping_add(word);
             }
             plus_sums.add(words, 1);
-        }
+        });
         let mut minus_sums = digits::ColumnSums::new();
-        for row in minus.rows() {
-            let words = self.crossbar.programmed_words(row);
+        self.crossbar.for_each_read(minus, |words| {
             for (acc, &word) in out.iter_mut().zip(words) {
                 *acc = acc.wrapping_sub(word);
             }
             minus_sums.add(words, 1);
-        }
+        });
         let (plus_cols, minus_cols) = (plus_sums.columns(), minus_sums.columns());
         let max_abs = plus_cols
             .as_flattened()
@@ -567,9 +565,9 @@ impl ReramArray {
     /// wide product with two's-complement sign correction and selects the
     /// window aligned to the fixed-point format.
     ///
-    /// The fault-free fast path is tried first; the ordered general loop
-    /// runs when it is disabled, when a fault or noise model is active, or
-    /// when some partial leaves the ADC range.
+    /// The exact-conversion fast path is tried first; the ordered general
+    /// loop runs when it is disabled, when analog noise or an ADC fault is
+    /// active, or when some partial leaves the ADC range.
     ///
     /// `dac` is the streamed multiplicands' [`DacVectors`] when the caller
     /// analysed them ahead of time; the fast path derives them otherwise.
@@ -580,7 +578,7 @@ impl ReramArray {
         dac: Option<DacVectors>,
         trace: &mut OpTrace,
     ) -> Result<[i32; LANES], RramError> {
-        if self.fast_path_enabled && self.fault_free() {
+        if self.fast_path_enabled && self.exact_conversions() {
             let dac = dac.or_else(|| {
                 DacVectors::analyse(
                     rows.rows()
@@ -652,10 +650,10 @@ impl ReramArray {
         Ok(out)
     }
 
-    /// Fault-free fast path of [`ReramArray::in_situ_dot`]. The largest
-    /// partial is the maximum, over the DAC vectors `dac` keeps, of the
-    /// column-wise weighted sum over all 128 bit-lines, accumulated from
-    /// the stored words as packed [`ColumnSums`](digits::ColumnSums) that
+    /// Exact-conversion fast path of [`ReramArray::in_situ_dot`]. The
+    /// largest partial is the maximum, over the DAC vectors `dac` keeps, of
+    /// the column-wise weighted sum over all 128 bit-lines, accumulated
+    /// from the sensed words as packed [`ColumnSums`](digits::ColumnSums) that
     /// skip the rows a vector does not drive. When the maximum fits the
     /// ADC, no conversion can fail and the value is the wide MAC. Returns
     /// `None`, touching nothing, when some partial is out of range; the
@@ -675,7 +673,7 @@ impl ReramArray {
             for (row, reg) in rows.rows().zip(regs.rows()) {
                 let weight = DacVectors::level(self.regfile.read_lane(reg, 0), chunk);
                 if weight != 0 {
-                    sums.add(self.crossbar.programmed_words(row), weight);
+                    sums.add(&self.crossbar.read_row(row), weight);
                 }
             }
             let vector_max = sums
@@ -691,7 +689,7 @@ impl ReramArray {
         let mut acc = [0i64; LANES];
         for (row, reg) in rows.rows().zip(regs.rows()) {
             let m = i64::from(self.regfile.read_lane(reg, 0));
-            for (acc, &word) in acc.iter_mut().zip(self.crossbar.programmed_words(row)) {
+            for (acc, &word) in acc.iter_mut().zip(&self.crossbar.read_row(row)) {
                 *acc = acc.wrapping_add(i64::from(word).wrapping_mul(m));
             }
         }
@@ -705,16 +703,16 @@ impl ReramArray {
     /// operand `b` streamed 2 bits per cycle through the *bit-line* DACs
     /// (the new capability this architecture adds over ISAAC, §2.2).
     ///
-    /// The fault-free fast path is tried first; the ordered general loop
-    /// runs when it is disabled, when a fault or noise model is active, or
-    /// when some partial leaves the ADC range.
+    /// The exact-conversion fast path is tried first; the ordered general
+    /// loop runs when it is disabled, when analog noise or an ADC fault is
+    /// active, or when some partial leaves the ADC range.
     fn in_situ_mul(
         &mut self,
         a: Addr,
         b: Addr,
         trace: &mut OpTrace,
     ) -> Result<[i32; LANES], RramError> {
-        if self.fast_path_enabled && self.fault_free() {
+        if self.fast_path_enabled && self.exact_conversions() {
             if let Some(out) = self.in_situ_mul_fast(a, b, trace) {
                 return Ok(out);
             }
@@ -772,7 +770,7 @@ impl ReramArray {
         Ok(out)
     }
 
-    /// Fault-free fast path of [`ReramArray::in_situ_mul`]: a lane's
+    /// Exact-conversion fast path of [`ReramArray::in_situ_mul`]: a lane's
     /// partials are the products `digit(a)·chunk(b)`, so its largest is
     /// `max_digit(a)·max_digit(b)`. When that fits the ADC for every
     /// lane, no conversion can fail and the value is the wide product.
@@ -1355,14 +1353,23 @@ mod tests {
         inst: &Instruction,
         spec: AnalogSpec,
     ) {
+        assert_fast_slow_runs_equivalent(setup, spec, &|a| a.execute_local(inst));
+    }
+
+    /// Runs `run` on fresh arrays prepared by `setup`, with the fast path
+    /// on and off, and checks outputs, traces, errors, post-state and both
+    /// fault checks agree exactly.
+    fn assert_fast_slow_runs_equivalent(
+        setup: &dyn Fn(&mut ReramArray),
+        spec: AnalogSpec,
+        run: &dyn Fn(&mut ReramArray) -> Result<OpTrace, RramError>,
+    ) {
         let mut fast = ReramArray::new(spec);
         let mut slow = ReramArray::new(spec);
         slow.set_fast_path_enabled(false);
         setup(&mut fast);
         setup(&mut slow);
-        let rf = fast.execute_local(inst);
-        let rs = slow.execute_local(inst);
-        match (rf, rs) {
+        match (run(&mut fast), run(&mut slow)) {
             (Ok(tf), Ok(ts)) => {
                 assert_eq!(tf, ts, "traces must match");
                 for row in 0..imp_isa::ARRAY_ROWS {
@@ -1374,6 +1381,41 @@ mod tests {
             }
             (Err(ef), Err(es)) => assert_eq!(format!("{ef:?}"), format!("{es:?}")),
             (rf, rs) => panic!("fast {rf:?} disagrees with slow {rs:?}"),
+        }
+        assert_eq!(
+            fast.crossbar().integrity_scan(),
+            slow.crossbar().integrity_scan()
+        );
+        assert_eq!(fast.adc_fault_detected(), slow.adc_fault_detected());
+    }
+
+    /// Arms `a` with a random map of stuck cells, dead rows and columns
+    /// and an endurance limit of `endurance` writes, plus a permanent ADC
+    /// offset when `adc_offset` (which pins `a` to the ordered loops),
+    /// then writes `rows[i]` into row `i`, `i % 3 + 1` times so that some
+    /// rows wear out.
+    fn arm_and_write(
+        a: &mut ReramArray,
+        map_seed: u64,
+        endurance: u64,
+        adc_offset: bool,
+        rows: &[[i32; LANES]],
+    ) {
+        use crate::fault::FaultRates;
+        let rates = FaultRates {
+            stuck_at_zero: 0.02,
+            stuck_at_max: 0.02,
+            dead_row: 0.05,
+            dead_col: 0.03,
+            adc_offset: if adc_offset { 1.0 } else { 0.0 },
+            endurance_limit: Some(endurance),
+            ..FaultRates::none()
+        };
+        a.arm_faults(Arc::new(FaultMap::generate(map_seed, &rates)), map_seed);
+        for (row, words) in rows.iter().enumerate() {
+            for _ in 0..=row % 3 {
+                a.write_row(row, words);
+            }
         }
     }
 
@@ -1685,6 +1727,107 @@ mod tests {
             prop_assert!(DacVectors::analyse(fits).is_some());
             let over = std::iter::repeat_n(m, DacVectors::MAX_PAIRS + extra);
             prop_assert!(DacVectors::analyse(over).is_none());
+        }
+
+        #[test]
+        fn armed_add_sub_equivalent(
+            values in prop::collection::vec(any::<i32>(), 2..10),
+            minus in 0usize..4,
+            thin in any::<i32>(),
+            map_seed in any::<u64>(),
+            endurance in 1u64..4,
+            adc_offset in any::<bool>(),
+            adc_bits in 3u8..7,
+            strict in any::<bool>(),
+        ) {
+            // Cell, line and wear faults take the fast path on the sensed
+            // rows; narrow ADCs overrange into the ordered fallback, and
+            // thinned words keep some sums in range.
+            let spec = AnalogSpec { adc_bits, strict_adc: strict, ..AnalogSpec::integer() };
+            let minus = minus.min(values.len() - 1);
+            let plus = values.len() - minus;
+            let inst = if minus == 0 {
+                Instruction::Add { mask: (0..plus).collect(), dst: Addr::mem(100) }
+            } else {
+                Instruction::Sub {
+                    minuend: (0..plus).collect(),
+                    subtrahend: (plus..plus + minus).collect(),
+                    dst: Addr::mem(100),
+                }
+            };
+            for vals in [values.clone(), values.iter().map(|&v| v & thin).collect()] {
+                let rows: Vec<[i32; LANES]> = vals
+                    .iter()
+                    .map(|&v| std::array::from_fn(|lane| v.rotate_left(lane as u32)))
+                    .collect();
+                assert_fast_slow_equivalent(
+                    &|a| arm_and_write(a, map_seed, endurance, adc_offset, &rows),
+                    &inst,
+                    spec,
+                );
+            }
+        }
+
+        #[test]
+        fn armed_mul_equivalent(
+            x in any::<i32>(),
+            y in any::<i32>(),
+            map_seed in any::<u64>(),
+            endurance in 1u64..4,
+            adc_offset in any::<bool>(),
+            narrow in any::<bool>(),
+            strict in any::<bool>(),
+            b_reg in any::<bool>(),
+        ) {
+            // Operand `a` is always a (sensed) row; `b` a row or a register.
+            let spec = if narrow { narrow_adc(strict) } else { AnalogSpec::prototype() };
+            let b = if b_reg { Addr::reg(2) } else { Addr::mem(1) };
+            let rows = [[x; LANES], [y, y, 0, 1, 2, y, -1, y & 0xAAAA_AAAAu32 as i32]];
+            assert_fast_slow_equivalent(
+                &|a| {
+                    arm_and_write(a, map_seed, endurance, adc_offset, &rows);
+                    a.write_reg(2, rows[1]);
+                },
+                &Instruction::Mul { a: Addr::mem(0), b, dst: Addr::mem(2) },
+                spec,
+            );
+        }
+
+        #[test]
+        fn armed_dot_equivalent(
+            rows in prop::collection::vec(any::<i32>(), 1..8),
+            weights in prop::collection::vec(any::<i32>(), 8),
+            shift in 0u32..24,
+            map_seed in any::<u64>(),
+            endurance in 1u64..4,
+            adc_offset in any::<bool>(),
+            adc_bits in 3u8..10,
+            strict in any::<bool>(),
+        ) {
+            // `dot` through `execute_local` and with its DAC vectors
+            // analysed ahead of time; narrow strict ADCs and wide
+            // operands overrange, shifted-down operands stay in range.
+            let spec = AnalogSpec { adc_bits, strict_adc: strict, ..AnalogSpec::prototype() };
+            let k = rows.len();
+            let words: Vec<[i32; LANES]> = rows
+                .iter()
+                .map(|&v| std::array::from_fn(|lane| (v >> shift) ^ lane as i32))
+                .collect();
+            let scalars: Vec<i32> = weights.iter().take(k).map(|&w| w >> shift).collect();
+            let setup = |a: &mut ReramArray| {
+                arm_and_write(a, map_seed, endurance, adc_offset, &words);
+                for (i, &x) in scalars.iter().enumerate() {
+                    a.write_reg(i, [x; LANES]);
+                }
+            };
+            let dot = Instruction::Dot {
+                mask: (0..k).collect(),
+                reg_mask: (0..k).collect(),
+                dst: Addr::mem(100),
+            };
+            assert_fast_slow_equivalent(&setup, &dot, spec);
+            let dac = DacVectors::analyse(scalars.iter().copied()).expect("few pairs");
+            assert_fast_slow_runs_equivalent(&setup, spec, &|a| a.execute_dot_analysed(&dot, dac));
         }
 
         #[test]

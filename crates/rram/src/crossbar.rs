@@ -5,12 +5,13 @@
 //! two's-complement bit pattern, so a row of eight 32-bit words already is
 //! its 128 cell levels: cell `(row, col)` is bits `2·(col % 16)` and
 //! `2·(col % 16) + 1` of word `col / 16`. The crossbar stores only the
-//! programmed words and derives a cell's digit where the analog model
-//! senses it.
+//! programmed words; a read senses them whole, applying cell and line
+//! faults as word masks, and the analog model derives digits from what
+//! it read.
 
 use crate::digits::{self, DIGITS_PER_WORD};
 use crate::fault::FaultMap;
-use imp_isa::{ARRAY_COLS, ARRAY_ROWS, LANES};
+use imp_isa::{RowMask, ARRAY_COLS, ARRAY_ROWS, LANES};
 use std::sync::Arc;
 
 /// One ReRAM crossbar: 128 word-lines × 128 bit-lines of 2-bit cells.
@@ -23,11 +24,11 @@ use std::sync::Arc;
 ///
 /// A shared [`FaultMap`] may be installed to model broken cells and
 /// lines: writes then record the *intended* words (a stuck cell
-/// physically ignores programming pulses), reads return what the faulty
-/// bit-lines actually sense, digit by digit, and
-/// [`Crossbar::integrity_scan`] performs the spare-checksum-row residue
-/// check described in [`crate::fault`]. Without a fault map a read
-/// returns the stored words.
+/// physically ignores programming pulses), [`Crossbar::read_row`] returns
+/// what the faulty bit-lines sense, a row at a time through the map's
+/// word masks, and [`Crossbar::integrity_scan`] performs the
+/// spare-checksum-row residue check described in [`crate::fault`].
+/// Without a fault map a read returns the stored words.
 #[derive(Debug, Clone)]
 pub struct Crossbar {
     /// `words[row][lane]` is the *programmed* word. With a fault map
@@ -77,48 +78,30 @@ impl Crossbar {
         self.faults = None;
     }
 
-    /// Direct view of the *programmed* words of `row`, bypassing fault
-    /// sensing. Only equivalent to [`Crossbar::read_row`] when no fault
-    /// map is installed — the fault-free fast path's precondition.
-    pub fn programmed_words(&self, row: usize) -> &[i32; LANES] {
-        &self.words[row]
-    }
-
-    /// Reads the 2-bit digit at (`row`, `col`) as the bit-line senses it
-    /// (faults applied).
-    ///
-    /// # Panics
-    /// Panics if `row` or `col` is out of range.
-    pub fn digit(&self, row: usize, col: usize) -> u8 {
-        let stored = digits::digit(
-            self.words[row][col / DIGITS_PER_WORD],
-            col % DIGITS_PER_WORD,
-        );
-        match &self.faults {
-            None => stored,
-            Some(map) => map.effective_digit(row, col, stored, self.writes[row]),
+    /// Reads all eight lanes of `row` as its bit-lines sense them: the
+    /// programmed words, or [`FaultMap::sense`] of them when a fault map
+    /// is installed. [`Crossbar::for_each_read`] is the same read over a
+    /// row mask; nothing else reads the programmed words.
+    #[inline]
+    pub fn read_row(&self, row: usize) -> [i32; LANES] {
+        match self.faults.as_deref() {
+            None => self.words[row],
+            Some(map) => map.sense(row, &self.words[row], self.writes[row]),
         }
     }
 
-    /// Reads the word stored in `lane` of `row`: the programmed word when
-    /// no fault map is installed, otherwise the digits the faulty
-    /// bit-lines sense.
-    ///
-    /// # Panics
-    /// Panics if `row >= ARRAY_ROWS` or `lane >= LANES`.
-    pub fn read_word(&self, row: usize, lane: usize) -> i32 {
-        let word = self.words[row][lane];
-        let Some(map) = self.faults.as_deref() else {
-            return word;
-        };
-        let base = lane * DIGITS_PER_WORD;
-        let mut bits: u32 = 0;
-        for digit_pos in 0..DIGITS_PER_WORD {
-            let stored = digits::digit(word, digit_pos);
-            let sensed = map.effective_digit(row, base + digit_pos, stored, self.writes[row]);
-            bits |= u32::from(sensed) << (2 * digit_pos);
+    /// Calls `f` with each row of `rows`, in ascending order, as
+    /// [`Crossbar::read_row`] reads it. The fault-map test is made once
+    /// per call, not once per row, which keeps the clean `add`/`sub` fast
+    /// path as fast as a direct word read.
+    #[inline]
+    pub fn for_each_read(&self, rows: RowMask, mut f: impl FnMut(&[i32; LANES])) {
+        match self.faults.as_deref() {
+            None => rows.rows().for_each(|row| f(&self.words[row])),
+            Some(map) => rows
+                .rows()
+                .for_each(|row| f(&map.sense(row, &self.words[row], self.writes[row]))),
         }
-        bits as i32
     }
 
     /// The spare-checksum-row integrity check: per column, the residue
@@ -127,42 +110,27 @@ impl Crossbar {
     /// accumulated into the spare row). Returns the mismatching columns —
     /// empty means no detectable corruption. Corruptions that cancel
     /// mod 4 within a column alias to "clean"; that is inherent to
-    /// residue checks.
+    /// residue checks. Both residues accumulate a word at a time, sixteen
+    /// columns per digit-wise add.
     ///
     /// Without a fault map the scan is trivially clean and free.
     pub fn integrity_scan(&self) -> Vec<usize> {
         let Some(map) = self.faults.as_deref() else {
             return Vec::new();
         };
-        let mut intended = [0u32; ARRAY_COLS];
-        let mut sensed = [0u32; ARRAY_COLS];
+        let mut intended = [0u32; LANES];
+        let mut sensed = [0u32; LANES];
         for (row, words) in self.words.iter().enumerate() {
-            for col in 0..ARRAY_COLS {
-                let stored = digits::digit(words[col / DIGITS_PER_WORD], col % DIGITS_PER_WORD);
-                intended[col] += u32::from(stored);
-                sensed[col] += u32::from(map.effective_digit(row, col, stored, self.writes[row]));
+            let read = map.sense(row, words, self.writes[row]);
+            for lane in 0..LANES {
+                intended[lane] = digits::add_mod4(intended[lane], words[lane] as u32);
+                sensed[lane] = digits::add_mod4(sensed[lane], read[lane] as u32);
             }
         }
+        let diff: [i32; LANES] = std::array::from_fn(|l| (intended[l] ^ sensed[l]) as i32);
         (0..ARRAY_COLS)
-            .filter(|&col| intended[col] % 4 != sensed[col] % 4)
+            .filter(|&col| digits::digit(diff[col / DIGITS_PER_WORD], col % DIGITS_PER_WORD) != 0)
             .collect()
-    }
-
-    /// Reads all eight lanes of `row`.
-    pub fn read_row(&self, row: usize) -> [i32; LANES] {
-        if self.faults.is_none() {
-            return self.words[row];
-        }
-        std::array::from_fn(|lane| self.read_word(row, lane))
-    }
-
-    /// Writes one word to `lane` of `row`, counting a row write.
-    ///
-    /// # Panics
-    /// Panics if `row` or `lane` is out of range.
-    pub fn write_word(&mut self, row: usize, lane: usize, word: i32) {
-        self.words[row][lane] = word;
-        self.writes[row] += 1;
     }
 
     /// Writes all eight lanes of `row` as a single row write.
@@ -217,11 +185,11 @@ mod tests {
     #[test]
     fn word_roundtrip() {
         let mut xb = Crossbar::new();
-        xb.write_word(5, 3, -123_456);
-        assert_eq!(xb.read_word(5, 3), -123_456);
+        xb.write_row_masked(5, &[-123_456; LANES], 1 << 3);
+        assert_eq!(xb.read_row(5)[3], -123_456);
         // Neighbouring lanes untouched.
-        assert_eq!(xb.read_word(5, 2), 0);
-        assert_eq!(xb.read_word(5, 4), 0);
+        assert_eq!(xb.read_row(5)[2], 0);
+        assert_eq!(xb.read_row(5)[4], 0);
     }
 
     #[test]
@@ -245,10 +213,9 @@ mod tests {
     #[test]
     fn digits_are_two_bit() {
         let mut xb = Crossbar::new();
-        xb.write_word(0, 0, i32::MIN);
-        xb.write_word(0, 7, i32::MAX);
-        for col in 0..ARRAY_COLS {
-            assert!(xb.digit(0, col) < 4);
+        xb.write_row(0, &[i32::MIN, 0, 0, 0, 0, 0, 0, i32::MAX]);
+        for word in xb.read_row(0) {
+            assert!(digits::word_to_digits(word).iter().all(|&d| d < 4));
         }
     }
 
@@ -340,7 +307,7 @@ mod tests {
         use crate::fault::{FaultMap, FaultRates};
         let mut xb = Crossbar::new();
         xb.write_row(3, &[1, -2, 3, -4, 5, -6, 7, -8]);
-        xb.write_word(100, 2, 77);
+        xb.write_row_masked(100, &[77; LANES], 1 << 2);
         xb.install_faults(Arc::new(FaultMap::generate(9, &FaultRates::none())));
         xb.reset_dirty();
         for row in 0..ARRAY_ROWS {
@@ -361,13 +328,16 @@ mod tests {
 
         #[test]
         fn clean_digits_are_the_word_digits(seed in any::<u64>()) {
-            let xb = random_crossbar(seed, 40);
-            for row in 0..ARRAY_ROWS {
+            // A clean read returns the last words programmed per lane, so
+            // every cell senses its programmed digit.
+            let (xb, programmed) = random_crossbar(seed, 40);
+            for (row, words) in programmed.iter().enumerate() {
+                let read = xb.read_row(row);
                 for col in 0..ARRAY_COLS {
-                    let word = xb.read_word(row, col / DIGITS_PER_WORD);
+                    let lane = col / DIGITS_PER_WORD;
                     prop_assert_eq!(
-                        xb.digit(row, col),
-                        digits::word_to_digits(word)[col % DIGITS_PER_WORD]
+                        digits::digit(read[lane], col % DIGITS_PER_WORD),
+                        digits::word_to_digits(words[lane])[col % DIGITS_PER_WORD]
                     );
                 }
             }
@@ -379,8 +349,7 @@ mod tests {
             map_seed in any::<u64>(),
             endurance in 1u64..4,
         ) {
-            let programmed = random_crossbar(seed, 60);
-            let mut xb = programmed.clone();
+            let (mut xb, programmed) = random_crossbar(seed, 60);
             use crate::fault::FaultRates;
             let map = FaultMap::generate(
                 map_seed,
@@ -394,31 +363,28 @@ mod tests {
                 },
             );
             xb.install_faults(Arc::new(map.clone()));
-            // Reference: sense every digit of the programmed word through
-            // the map, then recombine.
-            let sensed = |row: usize, lane: usize| -> [u8; DIGITS_PER_WORD] {
-                let stored = digits::word_to_digits(programmed.read_word(row, lane));
-                std::array::from_fn(|i| {
-                    let col = lane * DIGITS_PER_WORD + i;
-                    map.effective_digit(row, col, stored[i], xb.row_writes(row))
-                })
-            };
+            // Reference: classify each cell from the map alone. At the
+            // row's write count, a cell that reads the same digit from
+            // all-zero and all-ones rows is faulty with that digit; any
+            // other cell reads its programmed digit. Recompute every read
+            // and both column residues digit by digit from that.
             let mut intended = [0u32; ARRAY_COLS];
             let mut read_back = [0u32; ARRAY_COLS];
-            for row in 0..ARRAY_ROWS {
+            for (row, words) in programmed.iter().enumerate() {
+                let writes = xb.row_writes(row);
+                let zeros = map.sense(row, &[0; LANES], writes);
+                let ones = map.sense(row, &[-1; LANES], writes);
                 for lane in 0..LANES {
-                    let digits_sensed = sensed(row, lane);
-                    prop_assert_eq!(
-                        xb.read_word(row, lane),
-                        digits::digits_to_word(&digits_sensed)
-                    );
-                    let stored = digits::word_to_digits(programmed.read_word(row, lane));
+                    let stored = digits::word_to_digits(words[lane]);
+                    let (z, o) = (digits::word_to_digits(zeros[lane]), digits::word_to_digits(ones[lane]));
+                    let sensed: [u8; DIGITS_PER_WORD] =
+                        std::array::from_fn(|i| if z[i] == o[i] { z[i] } else { stored[i] });
+                    prop_assert_eq!(xb.read_row(row)[lane], digits::digits_to_word(&sensed));
                     for i in 0..DIGITS_PER_WORD {
                         intended[lane * DIGITS_PER_WORD + i] += u32::from(stored[i]);
-                        read_back[lane * DIGITS_PER_WORD + i] += u32::from(digits_sensed[i]);
+                        read_back[lane * DIGITS_PER_WORD + i] += u32::from(sensed[i]);
                     }
                 }
-                prop_assert_eq!(xb.read_row(row), std::array::from_fn(|l| xb.read_word(row, l)));
             }
             let expect: Vec<usize> = (0..ARRAY_COLS)
                 .filter(|&col| intended[col] % 4 != read_back[col] % 4)
@@ -433,7 +399,7 @@ mod tests {
             row in 0usize..ARRAY_ROWS,
             lane_mask in any::<u8>(),
         ) {
-            let mut xb = random_crossbar(seed, 30);
+            let (mut xb, _) = random_crossbar(seed, 30);
             let before = xb.read_row(row);
             let writes = xb.row_writes(row);
             xb.write_row_masked(row, &words, lane_mask);
@@ -450,22 +416,32 @@ mod tests {
         }
     }
 
-    /// A crossbar with `writes` random row, word and masked writes (rows
-    /// may be written more than once, for endurance wear-out).
-    fn random_crossbar(seed: u64, writes: usize) -> Crossbar {
+    /// A crossbar with `writes` random row and masked writes (rows may be
+    /// written more than once, for endurance wear-out), and the words it
+    /// was programmed with, tracked lane by lane.
+    fn random_crossbar(seed: u64, writes: usize) -> (Crossbar, Vec<[i32; LANES]>) {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
         let mut xb = Crossbar::new();
+        let mut programmed = vec![[0; LANES]; ARRAY_ROWS];
         for _ in 0..writes {
             let row = rng.gen_range(0..ARRAY_ROWS);
             let words: [i32; LANES] = std::array::from_fn(|_| rng.gen::<u32>() as i32);
-            match rng.gen_range(0..3) {
-                0 => xb.write_row(row, &words),
-                1 => xb.write_word(row, rng.gen_range(0..LANES), words[0]),
-                _ => xb.write_row_masked(row, &words, rng.gen::<u32>() as u8),
+            let lane_mask = match rng.gen_range(0..3) {
+                0 => u8::MAX,
+                1 => 1 << rng.gen_range(0..LANES),
+                _ => rng.gen::<u32>() as u8,
+            };
+            if lane_mask == u8::MAX {
+                xb.write_row(row, &words);
+            } else {
+                xb.write_row_masked(row, &words, lane_mask);
+            }
+            for lane in (0..LANES).filter(|lane| (lane_mask >> lane) & 1 == 1) {
+                programmed[row][lane] = words[lane];
             }
         }
-        xb
+        (xb, programmed)
     }
 }

@@ -65,6 +65,14 @@ impl ColumnSums {
     }
 }
 
+/// The digit-wise sum mod 4 of the base-4 digits of `a` and `b`, with no
+/// carry from one digit into the next: `a ^ b` adds each digit's bits
+/// mod 2, and the carry out of its low bit lands in its own high bit.
+#[inline]
+pub(crate) fn add_mod4(a: u32, b: u32) -> u32 {
+    a ^ b ^ ((a & b & 0x5555_5555) << 1)
+}
+
 /// Splits a word (as its two's-complement bit pattern) into base-4 digits,
 /// least significant first. Every digit is in `0..4`.
 pub fn word_to_digits(word: i32) -> [u8; DIGITS_PER_WORD] {
@@ -188,6 +196,14 @@ mod tests {
                         prop_assert_eq!(got, reference[lane][4 * j + k]);
                     }
                 }
+            }
+        }
+
+        #[test]
+        fn add_mod4_adds_each_digit_mod_4(a in any::<i32>(), b in any::<i32>()) {
+            let sum = word_to_digits(add_mod4(a as u32, b as u32) as i32);
+            for ((s, x), y) in sum.into_iter().zip(word_to_digits(a)).zip(word_to_digits(b)) {
+                prop_assert_eq!(s, (x + y) % 4);
             }
         }
 

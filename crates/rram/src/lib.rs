@@ -11,8 +11,8 @@
 //!   equivalent to two's complement (§2.3);
 //! * [`Crossbar`] — a 128×128 array of 2-bit cells with per-row wear
 //!   tracking (§7.5 lifetime study). It stores each row's eight programmed
-//!   words, which by §2.3 already are its 128 cell levels, and derives a
-//!   cell's digit only where the model senses it;
+//!   words, which by §2.3 already are its 128 cell levels, and reads a
+//!   row as words, applying cell and line faults as word masks;
 //! * [`AnalogSpec`] — DAC/ADC resolutions and the bound they place on n-ary
 //!   operand counts (§5.2 node merging is limited by ADC resolution);
 //! * [`fault`] — the structured fault model (stuck cells, dead lines, ADC

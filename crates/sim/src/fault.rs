@@ -33,7 +33,10 @@
 //! "No fault" is one value per array: no map. A slot keeps its generated
 //! population only when it holds a fault ([`FaultMap::is_clean`] is
 //! false), shared by every group on the slot. Only arrays armed with a
-//! map take the ordered conversion loops and run the two checks.
+//! map run the two checks, and only those whose map holds an ADC offset
+//! or transient glitches take the ordered conversion loops: stuck cells,
+//! dead lines and wear are sensed as word masks on every read, and an
+//! array with only those keeps the fast paths.
 //!
 //! [`Crossbar::integrity_scan`]: imp_rram::Crossbar::integrity_scan
 //! [`FaultMap::is_clean`]: imp_rram::FaultMap::is_clean

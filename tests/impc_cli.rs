@@ -85,3 +85,31 @@ fn usage_without_arguments() {
     assert!(!ok);
     assert!(stderr.contains("usage:"), "{stderr}");
 }
+
+#[test]
+fn policy_value_before_the_path_is_not_the_path() {
+    let (stdout, stderr, ok) = impc(&["--policy", "ilp", &kernel_path("l2norm.imp")]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(stdout.contains("instruction blocks"), "{stdout}");
+}
+
+#[test]
+fn unknown_flags_are_rejected_with_usage() {
+    let (stdout, stderr, ok) = impc(&[&kernel_path("saxpy.imp"), "--disasmm"]);
+    assert!(!ok, "{stdout}");
+    assert!(stderr.contains("unknown argument `--disasmm`"), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+}
+
+#[test]
+fn run_prints_outputs_in_fetch_order() {
+    // l2norm fetches `per_dim`, then `total`; a hash-ordered listing
+    // swaps them in about half of all runs.
+    for _ in 0..8 {
+        let (stdout, stderr, ok) = impc(&[&kernel_path("l2norm.imp"), "--run"]);
+        assert!(ok, "stderr: {stderr}");
+        let per_dim = stdout.find("  per_dim = ").expect("per_dim printed");
+        let total = stdout.find("  total = ").expect("total printed");
+        assert!(per_dim < total, "{stdout}");
+    }
+}

@@ -5,9 +5,9 @@
 //! against the checked-in `tests/golden/kernel_digest.txt`.
 //!
 //! A host-speed change to the compiler must leave this file
-//! byte-identical: encoded instructions, cross-IB deps, input rows,
-//! register preloads, LUT contents, provenance, peak occupancy, the
-//! schedule, outputs, format and parallel spec are all in the digest.
+//! byte-identical: encoded instructions, cross-IB deps, input rows, LUT
+//! contents, provenance, peak occupancy, the schedule, outputs, format and
+//! parallel spec are all in the digest.
 //! Compiles that fail digest the error instead.
 //!
 //! To regenerate after an *intentional* compiler change:
@@ -65,7 +65,6 @@ fn digest(kernel: &CompiledKernel) -> u64 {
         h.bytes(&ib.block.encode());
         h.debug(&ib.deps);
         h.debug(&ib.input_rows);
-        h.debug(&ib.reg_preloads);
         h.debug(&ib.lut.kind());
         let entries: Vec<u8> = (0..LUT_ENTRIES).map(|i| ib.lut.entry(i)).collect();
         h.bytes(&entries);

@@ -48,9 +48,7 @@ pub mod scalar;
 pub mod schedule;
 
 pub use error::CompileError;
-pub use module::{
-    CompiledIb, CompiledKernel, InputBinding, InstructionMix, ModuleOutput, RegBinding,
-};
+pub use module::{CompiledIb, CompiledKernel, InputBinding, InstructionMix, ModuleOutput};
 pub use perf::{ChipCapacity, PerfEstimate};
 pub use scalar::{ParallelSpec, ScalarModule};
 pub use schedule::{reschedule, ArrayAvailability};
@@ -73,8 +71,6 @@ pub enum OptPolicy {
     /// expected input size ([`CompileOptions::expected_instances`]).
     #[default]
     MaxArrayUtil,
-    /// A fixed IB budget per module.
-    Fixed(usize),
 }
 
 /// Per-input value ranges, used to parameterize LUT-seeded lowering and

@@ -10,7 +10,7 @@
 //! so modules fit the 128-row arrays.
 
 use crate::luts::{self, LutAllocator, SeedTable, TableFn};
-use crate::module::{vaddr, InputBinding, ModuleOutput, OutputLoc, RegBinding};
+use crate::module::{vaddr, InputBinding, ModuleOutput, OutputLoc};
 use crate::partition::Partition;
 use crate::scalar::{SOp, ScalarId, ScalarModule, VClass};
 use crate::{CompileError, CompileOptions};
@@ -30,8 +30,6 @@ pub struct LoweredIb {
     pub deps: Vec<Vec<(usize, usize)>>,
     /// Rows filled from input tensors at load time.
     pub input_rows: Vec<(u8, InputBinding)>,
-    /// Register preloads.
-    pub reg_preloads: Vec<(u8, RegBinding)>,
     /// LUT contents.
     pub lut: Lut,
     /// Peak simultaneous row occupancy.
@@ -173,7 +171,6 @@ struct IbState {
     pinned: HashSet<ScalarId>,
     const_rows: HashMap<u64, u8>,
     input_rows: Vec<(u8, InputBinding)>,
-    reg_preloads: Vec<(u8, RegBinding)>,
     lut_alloc: LutAllocator,
     /// Deps collected while preparing the current op's operands.
     pending_deps: Vec<(usize, usize)>,
@@ -198,7 +195,6 @@ impl IbState {
             pinned: HashSet::new(),
             const_rows: HashMap::new(),
             input_rows: Vec::new(),
-            reg_preloads: Vec::new(),
             lut_alloc: LutAllocator::new(),
             pending_deps: Vec::new(),
             current: None,
@@ -356,7 +352,6 @@ pub fn lower(
             instructions: state.instructions,
             deps: state.deps,
             input_rows: state.input_rows,
-            reg_preloads: state.reg_preloads,
             lut: state.lut_alloc.render(format.frac_bits()),
             peak_rows: state.rows.peak,
             peak_regs: state.regs.peak,

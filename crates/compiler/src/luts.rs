@@ -198,12 +198,6 @@ pub fn reciprocal_scale(range: Interval) -> i32 {
     (255.0 / max_seed).log2().floor() as i32
 }
 
-/// Output scale for an rsqrt table.
-pub fn rsqrt_scale(range: Interval) -> i32 {
-    let max_seed = 1.0 / range.lo.max(1e-9).sqrt();
-    (255.0 / max_seed).log2().floor() as i32
-}
-
 /// Output scale for an exp table.
 ///
 /// # Errors
@@ -338,8 +332,6 @@ mod tests {
         let r = Interval::new(0.25, 4.0);
         let s = reciprocal_scale(r);
         assert!((1.0 / 0.25) * (2.0f64).powi(s) <= 255.0);
-        let s = rsqrt_scale(r);
-        assert!((1.0 / 0.5) * (2.0f64).powi(s) <= 255.0);
         let s = exp_scale(Interval::new(-1.0, 3.0)).unwrap();
         assert!(3.0f64.exp() * (2.0f64).powi(s) <= 255.0);
     }

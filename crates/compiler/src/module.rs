@@ -42,20 +42,6 @@ pub enum InputBinding {
     },
 }
 
-/// How a register is preloaded before execution.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RegBinding {
-    /// A fixed-point constant (raw word).
-    Const(i32),
-    /// A shared input element, quantized at load time.
-    Shared {
-        /// Placeholder / variable name.
-        name: String,
-        /// Flat element index.
-        flat_idx: usize,
-    },
-}
-
 /// One compiled instruction block and its data layout.
 #[derive(Debug, Clone)]
 pub struct CompiledIb {
@@ -63,8 +49,6 @@ pub struct CompiledIb {
     pub block: InstructionBlock,
     /// Rows the runtime must fill from input tensors before execution.
     pub input_rows: Vec<(u8, InputBinding)>,
-    /// Register preloads.
-    pub reg_preloads: Vec<(u8, RegBinding)>,
     /// LUT contents for this IB's arrays.
     pub lut: Lut,
     /// Peak simultaneous row occupancy (≤ 128).
@@ -199,7 +183,7 @@ impl CompiledKernel {
     }
 
     /// A human-readable listing of the whole kernel: per-IB assembly plus
-    /// layout annotations (input rows, register preloads, LUT tables).
+    /// layout annotations (input rows, peak occupancy).
     pub fn disassemble(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -218,9 +202,6 @@ impl CompiledKernel {
             );
             for (row, binding) in &ib.input_rows {
                 let _ = writeln!(out, ";   load m{row} ← {binding:?}");
-            }
-            for (reg, binding) in &ib.reg_preloads {
-                let _ = writeln!(out, ";   load r{reg} ← {binding:?}");
             }
             let _ = writeln!(
                 out,
@@ -295,7 +276,6 @@ pub fn assemble_kernel(
         ibs.push(CompiledIb {
             block: InstructionBlock::from_instructions(ib.name, ib.instructions),
             input_rows: ib.input_rows,
-            reg_preloads: ib.reg_preloads,
             lut: ib.lut,
             peak_rows: ib.peak_rows,
             peak_regs: ib.peak_regs,

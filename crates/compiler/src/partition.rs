@@ -108,7 +108,6 @@ pub fn choose_ib_count(module: &ScalarModule, options: &CompileOptions) -> usize
     match options.policy {
         OptPolicy::MaxDlp => 1,
         OptPolicy::MaxIlp => ilp_width,
-        OptPolicy::Fixed(n) => n.max(1),
         OptPolicy::MaxArrayUtil => {
             // Use as many IBs as keep every array busy without forcing
             // extra rounds: the most that still pack into one round.
@@ -290,15 +289,5 @@ mod tests {
                 assert!(!part.crosses(op, id));
             }
         }
-    }
-
-    #[test]
-    fn fixed_policy_respected() {
-        let module = wide_module();
-        let options = CompileOptions {
-            policy: OptPolicy::Fixed(3),
-            ..Default::default()
-        };
-        assert_eq!(choose_ib_count(&module, &options), 3);
     }
 }

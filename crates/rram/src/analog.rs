@@ -2,27 +2,25 @@
 //! bound imposed by ADC resolution, and per-operation activity traces for
 //! the energy model.
 
-use crate::digits::{ColumnSums, DIGITS_PER_WORD};
+use crate::digits::{ColumnSums, CELL_BITS, DAC_BITS, DIGITS_PER_WORD};
 use crate::RramError;
 
 /// Analog periphery configuration of one array.
 ///
-/// The prototype chip uses 2-bit cells, 2-bit DACs and 5-bit ADCs (§2.1);
-/// ADC resolution bounds how many rows an n-ary `add`/`dot` may activate at
+/// The prototype chip uses 2-bit cells, 2-bit DACs and 5-bit ADCs (§2.1).
+/// Cell and DAC resolution are fixed ([`CELL_BITS`], [`DAC_BITS`]); ADC
+/// resolution bounds how many rows an n-ary `add`/`dot` may activate at
 /// once, which in turn bounds the compiler's node-merging pass (§5.2) and
 /// sets ADC energy (ADCs dominate chip power, §7.3).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalogSpec {
-    /// Bits per resistive cell (resistance levels = 2^cell_bits).
-    pub cell_bits: u8,
-    /// DAC resolution in bits (must equal `cell_bits` for signed
-    /// multiplication to be closed under 4's complement, §2.3).
-    pub dac_bits: u8,
     /// ADC resolution in bits.
     pub adc_bits: u8,
-    /// If `true`, an operation whose worst-case per-bit-line partial sum
-    /// exceeds the ADC range fails with [`RramError::AdcOverrange`];
-    /// if `false` the partial sums saturate (physical clipping).
+    /// If `true`, an operation with a bit-line partial sum past the ADC
+    /// range fails with [`RramError::AdcOverrange`]. If `false`, it
+    /// completes and reports the ADC bits it needed: `add` and `sub`
+    /// saturate each partial at the range (physical clipping), while
+    /// `dot` and `mul` return the exact product.
     pub strict_adc: bool,
     /// Fraction bits of the chip-wide fixed-point format: `mul`/`dot`
     /// results are the wide product arithmetic-shifted right by this
@@ -41,8 +39,6 @@ impl AnalogSpec {
     /// analog noise.
     pub fn prototype() -> Self {
         AnalogSpec {
-            cell_bits: 2,
-            dac_bits: 2,
             adc_bits: 5,
             strict_adc: true,
             frac_bits: 16,
@@ -60,7 +56,7 @@ impl AnalogSpec {
 
     /// Largest value one cell can store.
     pub fn max_digit(&self) -> i64 {
-        (1i64 << self.cell_bits) - 1
+        (1i64 << CELL_BITS) - 1
     }
 
     /// Largest partial sum the ADC can convert without clipping.
@@ -79,7 +75,7 @@ impl AnalogSpec {
     /// partial sum is `n · max_digit · max_dac`, with the multiplicand
     /// streamed at DAC resolution.
     pub fn max_dot_operands(&self) -> usize {
-        let per_row = self.max_digit() * ((1i64 << self.dac_bits) - 1);
+        let per_row = self.max_digit() * ((1i64 << DAC_BITS) - 1);
         (self.adc_max() / per_row).max(1) as usize
     }
 
@@ -229,8 +225,8 @@ mod tests {
     #[test]
     fn prototype_matches_paper() {
         let spec = AnalogSpec::prototype();
-        assert_eq!(spec.cell_bits, 2);
-        assert_eq!(spec.dac_bits, 2);
+        assert_eq!(CELL_BITS, 2);
+        assert_eq!(DAC_BITS, 2);
         assert_eq!(spec.adc_bits, 5);
         assert_eq!(spec.max_digit(), 3);
         assert_eq!(spec.adc_max(), 31);

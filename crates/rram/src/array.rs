@@ -107,24 +107,19 @@ impl ReramArray {
         self.crossbar.install_faults(map);
     }
 
-    /// Resets this pooled array to the state of `template` (which must
-    /// have a pristine, never-written crossbar), reusing every allocation:
-    /// dirtied crossbar rows are zeroed in place, the register file and
-    /// dynamic mask are copied back, and any fault map is dropped with its
-    /// transient stream and detection flag. After this call the array is
-    /// indistinguishable from `template.clone()`.
-    pub fn reset_from_template(&mut self, template: &ReramArray) {
+    /// Resets this pooled array to a blank one, reusing every allocation:
+    /// dirtied crossbar rows and the registers are zeroed in place, the
+    /// dynamic mask and detection flag cleared, both random streams
+    /// reseeded and any fault map dropped. The analog spec, the LUT and the
+    /// fast-path setting stay, so after this call the array equals
+    /// [`ReramArray::new`] of its spec with its LUT set.
+    pub fn reset(&mut self) {
         self.crossbar.reset_dirty();
-        self.regfile.clone_from(&template.regfile);
-        if self.lut != template.lut {
-            self.lut = template.lut.clone();
-        }
-        self.spec = template.spec;
-        self.dynamic_mask = template.dynamic_mask;
-        self.fault_rng = template.fault_rng.clone();
-        self.transient_rng = template.transient_rng.clone();
+        self.regfile.clear();
+        self.dynamic_mask = 0;
+        self.fault_rng = StdRng::seed_from_u64(0);
+        self.transient_rng = StdRng::seed_from_u64(0);
         self.adc_fault_seen = false;
-        self.fast_path_enabled = template.fast_path_enabled;
     }
 
     /// Whether the periphery latched an ADC fault (a conversion whose
@@ -807,7 +802,7 @@ impl ReramArray {
             Addr::Mem(_) => {
                 trace.crossbar_active = true;
                 trace.adc_conversions += (LANES * DIGITS_PER_WORD) as u32;
-                trace.adc_bits_used = trace.adc_bits_used.max(self.spec.cell_bits);
+                trace.adc_bits_used = trace.adc_bits_used.max(digits::CELL_BITS);
             }
             Addr::Reg(_) => trace.regfile_accesses += 1,
         }
@@ -1301,14 +1296,13 @@ mod tests {
     }
 
     #[test]
-    fn reset_from_template_matches_fresh_clone() {
-        let mut template = array();
-        template.set_lut(Lut::from_fn(LutKind::Custom, |i| (i % 251) as u8));
-        template.write_reg(1, [7; LANES]);
-        template.set_fault_seed(99);
-
-        let mut pooled = template.clone();
+    fn reset_matches_a_fresh_array_with_the_same_lut() {
+        let lut = Lut::from_fn(LutKind::Custom, |i| (i % 251) as u8);
+        let mut pooled = array();
+        pooled.set_lut(lut.clone());
         // Dirty the pooled array thoroughly.
+        pooled.set_fault_seed(99);
+        pooled.write_reg(1, [7; LANES]);
         pooled.write_row(0, &[1, 2, 3, 4, 5, 6, 7, 8]);
         pooled.write_row(90, &[-1; LANES]);
         pooled.write_reg(2, [3; LANES]);
@@ -1328,19 +1322,25 @@ mod tests {
                 0,
             );
         }
-        pooled.reset_from_template(&template);
+        pooled.reset();
 
-        // Behaviourally identical to a fresh clone: same reads, same regs,
-        // same noise stream, no faults, no wear.
-        let fresh = template.clone();
+        // Behaviourally identical to a fresh array: same reads, same regs,
+        // same random streams, no faults, no wear.
+        let mut fresh = array();
+        fresh.set_lut(lut);
         for row in [0usize, 1, 90, 127] {
             assert_eq!(pooled.read_row(row), fresh.read_row(row));
             assert_eq!(pooled.crossbar().row_writes(row), 0);
         }
-        for reg in 0..4 {
+        for reg in (0..4).chain([imp_isa::MASK_REGISTER]) {
             assert_eq!(pooled.read_reg(reg), fresh.read_reg(reg));
         }
         assert_eq!(pooled.dynamic_mask(), fresh.dynamic_mask());
+        assert_eq!(pooled.fault_rng.gen::<u64>(), fresh.fault_rng.gen::<u64>());
+        assert_eq!(
+            pooled.transient_rng.gen::<u64>(),
+            fresh.transient_rng.gen::<u64>()
+        );
         assert!(pooled.crossbar().fault_map().is_none());
         assert!(!pooled.adc_fault_detected());
         assert_eq!(pooled.lut(), fresh.lut());

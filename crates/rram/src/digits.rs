@@ -14,6 +14,15 @@ use imp_isa::LANES;
 /// Number of base-4 digits in a 32-bit word.
 pub const DIGITS_PER_WORD: usize = 16;
 
+/// Bits per resistive cell, the ISA's [`imp_isa::CELL_BITS`]: one cell
+/// holds one base-4 digit, which this codec and the fault masks assume.
+pub const CELL_BITS: u8 = imp_isa::CELL_BITS as u8;
+
+/// DAC resolution in bits. It equals [`CELL_BITS`], so signed
+/// multiplication is closed under 4's complement (§2.3), and a `dot`
+/// streams one base-4 chunk of its multiplicand per step.
+pub const DAC_BITS: u8 = CELL_BITS;
+
 /// Radix of a digit (2-bit cells → 4 resistance levels).
 pub const RADIX: u32 = 4;
 

@@ -20,6 +20,11 @@ impl RegisterFile {
         }
     }
 
+    /// Zeroes every register.
+    pub(crate) fn clear(&mut self) {
+        self.regs.fill([0; LANES]);
+    }
+
     /// Reads register `reg`.
     ///
     /// # Panics

@@ -6,7 +6,7 @@ use crate::fault::{
 };
 use crate::lifetime;
 use crate::SimError;
-use imp_compiler::module::{as_cross_ib, as_output_slot, OutputLoc, RegBinding};
+use imp_compiler::module::{as_cross_ib, as_output_slot, OutputLoc};
 use imp_compiler::perf::{self, Packing};
 use imp_compiler::schedule::Schedule;
 use imp_compiler::ParallelSpec;
@@ -59,8 +59,6 @@ pub struct SimConfig {
     pub capacity: ChipCapacity,
     /// Analog periphery of every array.
     pub analog: AnalogSpec,
-    /// Network timing parameters.
-    pub noc: NocConfig,
     /// Base seed for all per-array randomness — process-variation noise
     /// and fault-population generation. Each physical array slot derives
     /// its own stream via [`crate::fault::mix_seed`], so runs are
@@ -102,7 +100,6 @@ impl SimConfig {
         SimConfig {
             capacity: ChipCapacity::small(),
             analog: AnalogSpec::prototype(),
-            noc: NocConfig::default(),
             fault_seed: 0,
             faults: FaultConfig::default(),
             transport: TransportConfig::default(),
@@ -238,7 +235,8 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Creates a machine.
+    /// Creates a machine whose H-tree runs at [`NocConfig::default`]
+    /// timing.
     ///
     /// # Panics
     /// Panics if `config.capacity.tiles` is not a positive power of 8 (the
@@ -247,7 +245,7 @@ impl Machine {
     /// so a session built through the builder never reaches this panic.
     pub fn new(config: SimConfig) -> Self {
         let topology = HTreeTopology::new(config.capacity.tiles, 8);
-        let mut network = Network::new(topology, config.noc);
+        let mut network = Network::new(topology, NocConfig::default());
         let seed = mix_seed(config.fault_seed, TRANSPORT_SEED_SALT);
         let map = LinkFaultMap::generate(seed, &config.transport.rates, network.topology());
         network.set_transport(map, config.transport.policy);
@@ -310,13 +308,10 @@ impl Machine {
         let mut fault_events: Vec<FaultEvent> = Vec::new();
         let mut instructions_executed = 0u64;
         let mut attempt_idx = 0u64;
-        // Attempt-invariant state, hoisted out of the retry loop: the
-        // per-IB array templates (LUT + register preloads over a pristine
-        // crossbar) and the per-instance output buffer. Every `(output,
-        // Row-loc element, instance)` cell is rewritten on every attempt,
-        // and `Reduced` cells are never read, so the buffer needs no
-        // clearing between attempts.
-        let templates = self.build_templates(kernel, &plan.preloads);
+        // The per-instance output buffer, hoisted out of the retry loop.
+        // Every `(output, Row-loc element, instance)` cell is rewritten on
+        // every attempt, and `Reduced` cells are never read, so the buffer
+        // needs no clearing between attempts.
         let mut out_values: Vec<Vec<f64>> = kernel
             .outputs
             .iter()
@@ -337,7 +332,6 @@ impl Machine {
                 tape,
                 attempt_idx,
                 &mut meter,
-                &templates,
                 &mut out_values,
             )?;
             instructions_executed += attempt.instructions_executed;
@@ -461,7 +455,7 @@ impl Machine {
                         .verify
                         .check(kernel, &resched, &avail, tel.as_ref())
                         .map_err(SimError::Verify)?;
-                    let tape = lower_tape(kernel, &resched, &plan.preloads);
+                    let tape = lower_tape(kernel, &resched);
                     schedule_override = Some((resched, tape));
                 }
             }
@@ -501,7 +495,6 @@ impl Machine {
         tape: &[Step],
         attempt_idx: u64,
         meter: &mut EnergyMeter,
-        templates: &[ReramArray],
         out_values: &mut [Vec<f64>],
     ) -> Result<Attempt, SimError> {
         let n_slots = plan.n_slots;
@@ -540,12 +533,14 @@ impl Machine {
             })
             .collect();
 
+        let mut analog = self.config.analog;
+        analog.frac_bits = kernel.format.frac_bits();
         let ctx = EngineCtx {
             kernel,
+            analog,
             plan,
             usable,
             tape,
-            templates,
             fault_maps,
             instances,
             groups_per_round,
@@ -676,13 +671,9 @@ impl Machine {
 
         let transport_overhead_cycles = imp_noc::net_to_array_cycles(noc.retransmit_cycles);
         let cycles = rounds * module_latency + reduce_tail_cycles + transport_overhead_cycles;
-        // Accelerator-mode loading estimate: every group's input rows and
-        // register preloads stream in through the external I/O port.
-        let bytes_per_group: usize = kernel
-            .ibs
-            .iter()
-            .map(|ib| (ib.input_rows.len() + ib.reg_preloads.len()) * 32)
-            .sum();
+        // Accelerator-mode loading estimate: every group's input rows
+        // stream in through the external I/O port.
+        let bytes_per_group: usize = kernel.ibs.iter().map(|ib| ib.input_rows.len() * 32).sum();
         let load_cycles =
             perf::load_cycles(bytes_per_group * groups_total, EXTERNAL_IO_BYTES_PER_S);
 
@@ -700,36 +691,6 @@ impl Machine {
             ib_energy,
         })
     }
-
-    /// Builds the per-IB immutable template arrays for this kernel: the
-    /// analog spec at the kernel's fixed-point format, the LUT contents,
-    /// and the register preloads — all group-independent — over a
-    /// pristine crossbar. Workers clone these once, then
-    /// [`ReramArray::reset_from_template`] restores pooled arrays between
-    /// groups instead of rebuilding them.
-    fn build_templates(
-        &self,
-        kernel: &CompiledKernel,
-        preloads: &[Vec<(usize, i32)>],
-    ) -> Vec<ReramArray> {
-        let mut analog = self.config.analog;
-        analog.frac_bits = kernel.format.frac_bits();
-        kernel
-            .ibs
-            .iter()
-            .zip(preloads)
-            .map(|(ib, preloads)| {
-                let mut array = ReramArray::new(analog);
-                array.set_lut(ib.lut.clone());
-                // Register preloads (broadcast across lanes; `dot` streams
-                // lane 0, per-lane values are never needed for weights).
-                for &(reg, raw) in preloads {
-                    array.write_reg(reg, [raw; LANES]);
-                }
-                array
-            })
-            .collect()
-    }
 }
 
 /// Message-id band assigned to each instance group; the final in-network
@@ -745,13 +706,14 @@ const TRANSIENT_STREAM_SALT: u64 = 0x7261_6E51_6C69_7463;
 /// Read-only state shared by every worker during one attempt.
 struct EngineCtx<'a> {
     kernel: &'a CompiledKernel,
+    /// Every array's analog spec, at the kernel's fixed-point format.
+    analog: AnalogSpec,
     /// Quantized feeds, resolved input rows and the reduction-slot count;
     /// see [`RunPlan::new`].
     plan: &'a RunPlan,
     usable: &'a [usize],
     /// The attempt's schedule, lowered to resolved steps.
     tape: &'a [Step],
-    templates: &'a [ReramArray],
     /// Per-(round-local slot) fault maps, indexed
     /// `group_in_round * num_ibs + ib`; `None` where the slot holds no
     /// fault. Only arrays with a map are armed and checked.
@@ -781,9 +743,21 @@ struct Worker {
 }
 
 impl Worker {
+    /// One blank array per IB, at the kernel's fixed-point format and
+    /// holding the IB's LUT.
     fn new(ctx: &EngineCtx) -> Self {
+        let arrays = ctx
+            .kernel
+            .ibs
+            .iter()
+            .map(|ib| {
+                let mut array = ReramArray::new(ctx.analog);
+                array.set_lut(ib.lut.clone());
+                array
+            })
+            .collect();
         Worker {
-            arrays: ctx.templates.to_vec(),
+            arrays,
             network: ctx.network_proto.clone(),
         }
     }
@@ -809,7 +783,7 @@ struct GroupOutcome {
 
 /// Executes one instance group on `worker`, returning its complete
 /// outcome. Pure in `(ctx, group)`: worker state is fully re-initialized
-/// at entry (arrays reset from the templates; network occupancy, stats,
+/// at entry (arrays reset to blank; network occupancy, stats,
 /// and message-id band reset), so the result cannot depend on what the
 /// worker ran before — the keystone of serial/parallel equivalence.
 fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<GroupOutcome, SimError> {
@@ -831,7 +805,7 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
     });
     for (ib_index, rows) in ctx.plan.rows.iter().enumerate() {
         let array = &mut worker.arrays[ib_index];
-        array.reset_from_template(&ctx.templates[ib_index]);
+        array.reset();
         let slot_index = group_in_round * num_ibs + ib_index;
         let slot = ctx.usable[slot_index] as u64;
         // Deterministic, order-independent noise stream per
@@ -1174,8 +1148,6 @@ struct RunPlan {
     feeds: Vec<Vec<i32>>,
     /// Per IB: each input row and where its lanes come from.
     rows: Vec<Vec<(usize, StagedInput)>>,
-    /// Per IB: each preloaded register and its word.
-    preloads: Vec<Vec<(usize, i32)>>,
     /// Reduction slots the kernel's outputs read.
     n_slots: usize,
     /// The kernel's own schedule, lowered by [`lower_tape`].
@@ -1187,8 +1159,8 @@ impl RunPlan {
     /// [`verify_structure`](imp_verify::verify_structure)) and its width
     /// against the chip's `total_arrays`, quantizes every feed (rejecting
     /// NaN and ±inf; finite values saturate at the format's rails), then
-    /// resolves the register preloads and input rows against the feeds.
-    /// This is the one place input names and lengths are checked.
+    /// resolves the input rows against the feeds. This is the one place
+    /// input names and lengths are checked.
     fn new(
         kernel: &CompiledKernel,
         inputs: &HashMap<String, Tensor>,
@@ -1259,23 +1231,6 @@ impl RunPlan {
             })
         };
 
-        let preloads: Vec<Vec<(usize, i32)>> = kernel
-            .ibs
-            .iter()
-            .map(|ib| {
-                ib.reg_preloads
-                    .iter()
-                    .map(|(reg, binding)| {
-                        let raw = match binding {
-                            RegBinding::Const(raw) => *raw,
-                            RegBinding::Shared { name, flat_idx } => shared(name, *flat_idx)?,
-                        };
-                        Ok((usize::from(*reg), raw))
-                    })
-                    .collect()
-            })
-            .collect::<Result<_, SimError>>()?;
-
         // Lanes past the last instance replicate an earlier one, so the
         // highest instance any lane loads is `instances - 1` (instance 0 for
         // an empty kernel).
@@ -1330,11 +1285,10 @@ impl RunPlan {
             }
             rows.push(ib_rows);
         }
-        let tape = lower_tape(kernel, &kernel.schedule, &preloads);
+        let tape = lower_tape(kernel, &kernel.schedule);
         Ok(RunPlan {
             feeds,
             rows,
-            preloads,
             n_slots,
             tape,
         })
@@ -1385,27 +1339,13 @@ enum Step {
 /// execution tape in schedule order.
 ///
 /// Lowering follows, per IB, the registers whose lane 0 holds a value
-/// known before any group runs: a preload (`preloads`, resolved by
-/// [`RunPlan::new`]) or a `movi` makes a register known, and any other
-/// write to it makes it unknown. A `dot` whose multiplicand registers are
-/// all known then carries their [`DacVectors`], analysed here once
-/// instead of in every group. Lanes other than 0 never matter: `dot`
-/// streams lane 0 alone.
-fn lower_tape(
-    kernel: &CompiledKernel,
-    sched: &Schedule,
-    preloads: &[Vec<(usize, i32)>],
-) -> Vec<Step> {
-    let mut known: Vec<[Option<i32>; NUM_REGISTERS]> = preloads
-        .iter()
-        .map(|preloads| {
-            let mut regs = [None; NUM_REGISTERS];
-            for &(reg, raw) in preloads {
-                regs[reg] = Some(raw);
-            }
-            regs
-        })
-        .collect();
+/// known before any group runs: only a `movi` makes a register known, and
+/// any other write to it makes it unknown. A `dot` whose multiplicand
+/// registers are all known then carries their [`DacVectors`], analysed
+/// here once instead of in every group. Lanes other than 0 never matter:
+/// `dot` streams lane 0 alone.
+fn lower_tape(kernel: &CompiledKernel, sched: &Schedule) -> Vec<Step> {
+    let mut known = vec![[None::<i32>; NUM_REGISTERS]; kernel.ibs.len()];
     let mut tape = Vec::with_capacity(sched.entries.len());
     for entry in &sched.entries {
         let ib = entry.ib;
@@ -1513,7 +1453,7 @@ mod tests {
             .collect()
     }
 
-    /// Compiled kernels load `dot` multiplicands with `movi` or preloads,
+    /// Compiled kernels load `dot` multiplicands with `movi`,
     /// so lowering analyses the DAC vectors of every corpus `dot` once per
     /// run instead of once per group.
     #[test]

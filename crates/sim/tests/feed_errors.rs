@@ -1,9 +1,9 @@
-//! Missing, short and non-finite feeds are typed errors from
-//! `Machine::run` for every way a kernel reads a feed: a per-instance
-//! `Element` row, a stencil `Window` grid, a `Shared` input row and a
-//! `Shared` register preload. Each error names the feed at fault.
+//! Missing and short feeds are typed errors from `Machine::run` for every
+//! way a kernel reads a feed: a per-instance `Element` row, a stencil
+//! `Window` grid and a `Shared` input row. Each error names the feed at
+//! fault.
 
-use imp_compiler::module::{InputBinding, RegBinding};
+use imp_compiler::module::InputBinding;
 use imp_compiler::{compile, CompileOptions, CompiledKernel};
 use imp_dfg::{GraphBuilder, Shape, Tensor};
 use imp_sim::{Machine, SimConfig, SimError};
@@ -95,29 +95,8 @@ fn shared_row() -> Case {
     }
 }
 
-/// `x²` with a register preloaded from element 3 of `w`. The compiler
-/// loads `dot` weights from shared rows with `mov`, so only a hand-built
-/// kernel reads a feed through a `Shared` register preload.
-fn preload() -> Case {
-    let mut case = element();
-    case.kernel.ibs[0].reg_preloads.push((
-        0,
-        RegBinding::Shared {
-            name: "w".to_string(),
-            flat_idx: 3,
-        },
-    ));
-    let w = Tensor::from_vec(vec![0.5, -1.0, 2.0, 0.25], Shape::vector(4)).unwrap();
-    case.inputs.insert("w".to_string(), w);
-    Case {
-        what: "register preload",
-        feed: "w",
-        ..case
-    }
-}
-
 fn cases() -> Vec<Case> {
-    vec![element(), window(), shared_row(), preload()]
+    vec![element(), window(), shared_row()]
 }
 
 fn run(kernel: &CompiledKernel, inputs: &HashMap<String, Tensor>) -> Result<(), SimError> {
@@ -161,20 +140,5 @@ fn a_short_feed_is_named_for_every_binding_kind() {
                 case.what
             ),
         }
-    }
-}
-
-#[test]
-fn a_nan_read_only_by_a_register_preload_is_non_finite() {
-    let mut case = preload();
-    let mut weights = case.inputs[case.feed].data().to_vec();
-    weights[3] = f64::NAN;
-    let weights = Tensor::from_vec(weights, Shape::vector(4)).unwrap();
-    case.inputs.insert(case.feed.to_string(), weights);
-    match run(&case.kernel, &case.inputs) {
-        Err(SimError::NonFiniteInput { name, index }) => {
-            assert_eq!((name.as_str(), index), ("w", 3));
-        }
-        other => panic!("expected a non-finite-input error, got {other:?}"),
     }
 }

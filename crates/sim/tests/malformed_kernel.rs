@@ -1,6 +1,5 @@
 //! Hand-built kernels whose instructions (scheduled or not), input rows,
-//! register preloads, outputs or schedule break the ISA's structural
-//! rules are typed errors from `Machine::run`, never panics. An operand
+//! outputs or schedule break the ISA's structural rules are typed errors from `Machine::run`, never panics. An operand
 //! names an IB, row, register or reduction slot the kernel does not have;
 //! a `movg` leaves some other IB or stays in its own; a `reduce_sum`
 //! feeds a slot no output declares; two input bindings load one row; an
@@ -12,7 +11,7 @@
 //! verifier's structural pass (rules `ISA01`–`ISA03` and `SCH04`), so the
 //! simulator and a `Deny` build agree on which kernels can execute.
 
-use imp_compiler::module::{vaddr, OutputLoc, RegBinding};
+use imp_compiler::module::{vaddr, OutputLoc};
 use imp_compiler::{CompileOptions, CompiledKernel, OptPolicy, ParallelSpec};
 use imp_dfg::{GraphBuilder, Shape, Tensor};
 use imp_isa::{Addr, GlobalAddr, Instruction, InstructionBlock};
@@ -215,12 +214,6 @@ fn two_inputs_loading_one_row() -> Case {
     (kernel, inputs)
 }
 
-fn register_preload_past_the_file() -> Case {
-    let (mut kernel, inputs) = kmeans();
-    kernel.ibs[0].reg_preloads.push((200, RegBinding::Const(0)));
-    (kernel, inputs)
-}
-
 fn output_row_past_the_array() -> Case {
     let (mut kernel, inputs) = kmeans();
     let OutputLoc::Row { row, .. } = first_row_output(&mut kernel) else {
@@ -345,10 +338,6 @@ const MUTATIONS: &[Named] = &[
     ),
     ("input_row_past_the_array", input_row_past_the_array),
     ("two_inputs_loading_one_row", two_inputs_loading_one_row),
-    (
-        "register_preload_past_the_file",
-        register_preload_past_the_file,
-    ),
     ("output_row_past_the_array", output_row_past_the_array),
     ("output_from_a_missing_ib", output_from_a_missing_ib),
     (
@@ -472,11 +461,6 @@ fn input_row_past_the_array_is_a_typed_error() {
 #[test]
 fn two_inputs_loading_one_row_is_a_typed_error() {
     assert_malformed(two_inputs_loading_one_row(), "ISA03");
-}
-
-#[test]
-fn register_preload_past_the_file_is_a_typed_error() {
-    assert_malformed(register_preload_past_the_file(), "ISA03");
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! The execution tape analyses a `dot`'s DAC vectors once per run only
 //! when lowering knows every multiplicand: a register last written by a
-//! preload or a `movi`. A register a data-dependent `mov` overwrote must
+//! `movi`. A register a data-dependent `mov` overwrote must
 //! never be folded, since its value differs from group to group.
 //!
 //! The kernels here are hand-built over a compiled `y = a + b` layout

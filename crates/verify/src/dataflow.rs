@@ -88,8 +88,9 @@ fn check_ib(kernel: &CompiledKernel, i: usize, arrivals: &[Arrival], out: &mut V
         .map(|(&row, list)| (row, (list[0], false)))
         .collect();
 
-    // DF01 seeds: runtime-filled input rows, movg-delivered rows and
-    // register preloads are defined before the first instruction issues.
+    // DF01 seeds: runtime-filled input rows and movg-delivered rows are
+    // defined before the first instruction issues; every register starts
+    // undefined.
     let mut row_def = [false; ARRAY_ROWS];
     let mut reg_def = [false; NUM_REGISTERS];
     for (row, _) in &ib.input_rows {
@@ -97,9 +98,6 @@ fn check_ib(kernel: &CompiledKernel, i: usize, arrivals: &[Arrival], out: &mut V
     }
     for a in arrivals {
         row_def[usize::from(a.row)] = true;
-    }
-    for (reg, _) in &ib.reg_preloads {
-        reg_def[usize::from(*reg)] = true;
     }
 
     // Rows other parts of the system read after the block finishes.
@@ -158,7 +156,7 @@ fn check_ib(kernel: &CompiledKernel, i: usize, arrivals: &[Arrival], out: &mut V
                     pc: Some(pc),
                     node: origin_node(kernel, i, pc),
                     message: format!("{inst} reads {addr}, which is never written before this point"),
-                    help: "every operand must be produced earlier in program order, preloaded, or movg-delivered".into(),
+                    help: "every operand must be produced earlier in program order, filled from an input, or movg-delivered".into(),
                 });
             }
             if addr.is_mem() {

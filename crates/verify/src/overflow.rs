@@ -11,7 +11,7 @@
 //! the dfg analysis certified for the sequence's result.
 
 use crate::{origin_node, Diagnostic, Severity};
-use imp_compiler::module::{vaddr, InputBinding, RegBinding};
+use imp_compiler::module::{vaddr, InputBinding};
 use imp_compiler::scalar::{SOp, ScalarId};
 use imp_compiler::CompiledKernel;
 use imp_dfg::range::Interval;
@@ -30,13 +30,6 @@ pub(crate) fn check(kernel: &CompiledKernel, out: &mut Vec<Diagnostic>) {
             binding_range.insert(binding, module.range[idx]);
         }
     }
-    let shared_range = |name: &str, flat_idx: usize| -> Option<Interval> {
-        let key = InputBinding::Shared {
-            name: name.to_string(),
-            flat_idx,
-        };
-        binding_range.get(&key).copied().flatten()
-    };
 
     // Ranges delivered into each IB by movg, keyed by destination row.
     let mut arrival_range: Vec<HashMap<u8, Option<Interval>>> =
@@ -70,15 +63,6 @@ pub(crate) fn check(kernel: &CompiledKernel, out: &mut Vec<Diagnostic>) {
         for (&row, &range) in &arrival_range[i] {
             if let Some(r) = range {
                 env.insert(Addr::Mem(row), r);
-            }
-        }
-        for (reg, binding) in &ib.reg_preloads {
-            let r = match binding {
-                RegBinding::Const(raw) => Some(Interval::point(f64::from(*raw) / scale)),
-                RegBinding::Shared { name, flat_idx } => shared_range(name, *flat_idx),
-            };
-            if let Some(r) = r {
-                env.insert(Addr::Reg(*reg), r);
             }
         }
 

@@ -215,7 +215,7 @@ fn check_format(kernel: &CompiledKernel, out: &mut Vec<Diagnostic>) {
 
 /// Layout legality for one IB (`ISA03`): resource pressure within the
 /// array, input rows in range, unaliased and (for windows) over a stencil
-/// grid, and register preloads in range.
+/// grid.
 fn check_layout(kernel: &CompiledKernel, i: usize, out: &mut Vec<Diagnostic>) {
     let ib = &kernel.ibs[i];
     if ib.peak_rows > ARRAY_ROWS {
@@ -277,16 +277,6 @@ fn check_layout(kernel: &CompiledKernel, i: usize, out: &mut Vec<Diagnostic>) {
                     "window inputs slide over the grid of a ParallelSpec::Stencil kernel",
                 ));
             }
-        }
-    }
-    for (reg, binding) in &ib.reg_preloads {
-        if usize::from(*reg) >= NUM_REGISTERS {
-            out.push(ib_error(
-                i,
-                "ISA03",
-                format!("register preload {binding:?} targets out-of-range register {reg}"),
-                format!("registers must be below {NUM_REGISTERS}"),
-            ));
         }
     }
 }

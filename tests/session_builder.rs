@@ -42,7 +42,6 @@ fn builder_defaults_match_default_configs_field_by_field() {
     let functional = SimConfig::functional();
     assert_eq!(config.capacity, functional.capacity);
     assert_eq!(config.analog, functional.analog);
-    assert_eq!(config.noc, functional.noc);
     assert_eq!(config.fault_seed, functional.fault_seed);
     assert_eq!(config.faults, functional.faults);
     assert_eq!(config.transport, functional.transport);

@@ -441,13 +441,12 @@ impl Session {
     /// simulator localized them), or — with shadow validation enabled —
     /// divergence from the golden interpreter.
     pub fn run(&mut self, feeds: &[(&str, Tensor)]) -> Result<SessionOutputs, Error> {
-        let mut inputs: HashMap<String, Tensor> = self.variables.clone();
-        for (name, tensor) in feeds {
-            inputs.insert((*name).to_string(), tensor.clone());
-        }
+        // Variables first: a feed of the same name overrides one.
+        let variables = self.variables.iter().map(|(name, t)| (name.as_str(), t));
+        let inputs = variables.chain(feeds.iter().map(|(name, t)| (*name, t)));
         let report = self
             .machine
-            .run(&self.kernel, &inputs)
+            .run_inputs(&self.kernel, inputs)
             .map_err(|e| self.annotate_sim_error(e))?;
         let shadow = match self.shadow {
             Some(config) => {

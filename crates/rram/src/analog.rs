@@ -4,6 +4,7 @@
 
 use crate::digits::{ColumnSums, CELL_BITS, DAC_BITS, DIGITS_PER_WORD};
 use crate::RramError;
+use imp_isa::{Addr, Instruction, Latency, LANES};
 
 /// Analog periphery configuration of one array.
 ///
@@ -126,8 +127,8 @@ impl Default for AnalogSpec {
 /// field cannot hold the largest partial. What is kept is one chunk per
 /// distinct, non-zero, non-dominated vector, as a 16-bit set. It is a pure
 /// function of the multiplicands, so a caller that knows them before the
-/// `dot` runs may analyse them once and replay the result
-/// ([`ReramArray::execute_dot_analysed`](crate::ReramArray::execute_dot_analysed)).
+/// `dot` runs may analyse them once and replay the result in every
+/// [`MicroOp::Dot`](crate::MicroOp::Dot) it executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DacVectors {
     /// Bit `c` is set when chunk `c`'s vector is kept.
@@ -198,6 +199,10 @@ impl DacVectors {
 
 /// Activity trace of one executed instruction, consumed by the energy and
 /// performance models.
+///
+/// [`OpTrace::of`] is the one definition of an op's activity: every field
+/// but [`OpTrace::adc_bits_used`] is fixed by the instruction alone, so a
+/// caller running one instruction over many arrays may cost them once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OpTrace {
     /// Cycles the instruction occupied the array pipeline.
@@ -215,6 +220,55 @@ pub struct OpTrace {
     pub regfile_accesses: u32,
     /// LUT reads performed.
     pub lut_reads: u32,
+}
+
+impl OpTrace {
+    /// The activity of `inst` on one array, with `adc_bits_used` 0.
+    ///
+    /// `add`/`sub` convert each bit-line once, `dot`/`mul` once per
+    /// streamed 2-bit chunk; a periphery op (`mov`, `movs`, `shiftl`,
+    /// `shiftr`, `mask`, `lut`) converts like an `add` of one row when its
+    /// source is a memory row. Exactly the converting ops activate the
+    /// crossbar. Each register operand and register destination is one
+    /// register-file access, a memory destination one row write, and `lut`
+    /// reads the LUT once per lane. `movg` and `reduce_sum` occupy the
+    /// network, so their array activity is empty.
+    pub fn of(inst: &Instruction) -> OpTrace {
+        let Latency::Fixed(cycles) = inst.latency() else {
+            return OpTrace::default();
+        };
+        let bit_lines = (LANES * DIGITS_PER_WORD) as u32;
+        let streamed = bit_lines * DIGITS_PER_WORD as u32;
+        let (adc_conversions, reg_reads) = match *inst {
+            Instruction::Add { .. } | Instruction::Sub { .. } => (bit_lines, 0),
+            Instruction::Dot { reg_mask, .. } => (streamed, reg_mask.count() as u32),
+            Instruction::Mul { a, b, .. } => {
+                (streamed, u32::from(a.is_reg()) + u32::from(b.is_reg()))
+            }
+            Instruction::ShiftL { src, .. }
+            | Instruction::ShiftR { src, .. }
+            | Instruction::Mask { src, .. }
+            | Instruction::Mov { src, .. }
+            | Instruction::Movs { src, .. }
+            | Instruction::Lut { src, .. } => {
+                (bit_lines * u32::from(src.is_mem()), u32::from(src.is_reg()))
+            }
+            Instruction::Movi { .. } | Instruction::Movg { .. } | Instruction::ReduceSum { .. } => {
+                (0, 0)
+            }
+        };
+        let dst = inst.local_dst();
+        OpTrace {
+            cycles,
+            adc_conversions,
+            adc_bits_used: 0,
+            // Exactly the ops that convert read through the crossbar.
+            crossbar_active: adc_conversions > 0,
+            row_writes: u32::from(dst.is_some_and(Addr::is_mem)),
+            regfile_accesses: reg_reads + u32::from(dst.is_some_and(Addr::is_reg)),
+            lut_reads: LANES as u32 * u32::from(matches!(inst, Instruction::Lut { .. })),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -142,12 +142,7 @@ impl Crossbar {
 
     /// Writes selected lanes of `row` (selective move), a single row write.
     pub fn write_row_masked(&mut self, row: usize, words: &[i32; LANES], lane_mask: u8) {
-        let stored = &mut self.words[row];
-        for (lane, &word) in words.iter().enumerate() {
-            if (lane_mask >> lane) & 1 == 1 {
-                stored[lane] = word;
-            }
-        }
+        self.words[row] = crate::select_lanes(&self.words[row], words, lane_mask);
         self.writes[row] += 1;
     }
 

@@ -46,9 +46,11 @@ impl QFormat {
         f64::from_bits((1023 + u64::from(self.0)) << 52)
     }
 
-    /// Smallest representable increment.
+    /// Smallest representable increment: `2^-frac_bits`.
     pub fn epsilon(self) -> f64 {
-        (2.0f64).powi(-i32::from(self.0))
+        // The exponent field alone, as in `scale`: exact for every `u8`
+        // (2^-255 is still a normal `f64`), and cheaper than `powi`.
+        f64::from_bits((1023 - u64::from(self.0)) << 52)
     }
 
     /// Largest representable value.
@@ -281,6 +283,26 @@ mod tests {
         assert_eq!(Fixed::from_f64(0.5, q).unwrap().to_f64(), 0.5);
         assert!(Fixed::from_f64(40000.0, q).is_err());
         assert!(Fixed::from_f64(f64::NAN, q).is_err());
+    }
+
+    #[test]
+    fn epsilon_and_scale_are_the_exact_powers_of_two() {
+        // Every supported format (0..=30 fraction bits) and every other
+        // `u8` a hand-built `QFormat` may hold.
+        for frac_bits in 0..=u8::MAX {
+            let format = QFormat(frac_bits);
+            let exp = i32::from(frac_bits);
+            assert_eq!(
+                format.epsilon().to_bits(),
+                2f64.powi(-exp).to_bits(),
+                "{frac_bits}"
+            );
+            assert_eq!(
+                format.scale().to_bits(),
+                2f64.powi(exp).to_bits(),
+                "{frac_bits}"
+            );
+        }
     }
 
     /// The rounding `from_f64_saturating` had before it went branchless:

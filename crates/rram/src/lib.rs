@@ -59,13 +59,24 @@ mod lut;
 mod regfile;
 
 pub use analog::{AnalogSpec, DacVectors, OpTrace};
-pub use array::ReramArray;
+pub use array::{MicroOp, ReramArray};
 pub use crossbar::Crossbar;
 pub use error::RramError;
 pub use fault::{FaultMap, FaultRates};
 pub use fixed::{Fixed, QFormat};
 pub use lut::{Lut, LutKind};
 pub use regfile::RegisterFile;
+
+use imp_isa::LANES;
+
+/// The words of `new` in the lanes `lane_mask` selects and of `old`
+/// elsewhere, without a branch per lane: a selective (`movs`) write.
+pub(crate) fn select_lanes(old: &[i32; LANES], new: &[i32; LANES], lane_mask: u8) -> [i32; LANES] {
+    std::array::from_fn(|lane| {
+        let take = -i32::from((lane_mask >> lane) & 1);
+        (new[lane] & take) | (old[lane] & !take)
+    })
+}
 
 /// Clock frequency of the ReRAM arrays, in hertz (the paper runs the memory
 /// at 20 MHz while the network runs at 2 GHz).

@@ -48,11 +48,7 @@ impl RegisterFile {
 
     /// Writes selected lanes of register `reg`.
     pub fn write_masked(&mut self, reg: usize, value: [i32; LANES], lane_mask: u8) {
-        for (lane, &word) in value.iter().enumerate() {
-            if (lane_mask >> lane) & 1 == 1 {
-                self.regs[reg][lane] = word;
-            }
-        }
+        self.regs[reg] = crate::select_lanes(&self.regs[reg], &value, lane_mask);
     }
 }
 

@@ -224,6 +224,60 @@ pub const ROW_WRITE_J: f64 = 0.1e-9;
 /// at 2 GHz with the paper's 5% activity factor assumption).
 pub const FLIT_HOP_J: f64 = 2.0e-12;
 
+/// The terms of [`EnergyMeter::record_op`] that an op's data cannot
+/// change: all but the ADC's, which scales with `adc_bits_used`. A term
+/// the op does not incur is 0, which leaves a non-negative sum unchanged,
+/// so folding every op's static terms once and then adding only ADC terms
+/// is bit-identical to `record_op` per op (DESIGN.md §6).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub(crate) struct OpEnergy {
+    /// Seconds the op occupies the array.
+    t: f64,
+    /// ADC conversions.
+    conversions: f64,
+    array_j: f64,
+    dac_j: f64,
+    digital_j: f64,
+    lut_j: f64,
+    write_j: f64,
+}
+
+impl OpEnergy {
+    /// The data-independent terms of `trace` under `power`.
+    pub(crate) fn new(trace: &OpTrace, power: &ArrayPower) -> Self {
+        let t = f64::from(trace.cycles) * ARRAY_CYCLE_S;
+        let (array_j, dac_j) = if trace.crossbar_active {
+            ((power.xb_w + power.sh_w) * t, power.dac_w * t)
+        } else {
+            (0.0, 0.0)
+        };
+        OpEnergy {
+            t,
+            conversions: f64::from(trace.adc_conversions),
+            array_j,
+            dac_j,
+            digital_j: (power.sa_w + power.reg_w * f64::from(trace.regfile_accesses.min(1))) * t,
+            lut_j: if trace.lut_reads > 0 {
+                power.lut_w * t
+            } else {
+                0.0
+            },
+            write_j: f64::from(trace.row_writes) * ROW_WRITE_J,
+        }
+    }
+
+    /// Whether the op converts anything, so has an ADC term.
+    pub(crate) fn converts(&self) -> bool {
+        self.conversions > 0.0
+    }
+
+    /// The joules of the whole op given its ADC term `adc_j` (0 when it
+    /// converts nothing), summed in [`EnergyMeter::record_op`]'s order.
+    pub(crate) fn op_j(&self, adc_j: f64) -> f64 {
+        self.array_j + self.dac_j + adc_j + self.digital_j + self.lut_j + self.write_j
+    }
+}
+
 /// Tracks activity-weighted energy and the average-ADC-resolution
 /// statistic.
 #[derive(Debug, Clone, Default)]
@@ -243,36 +297,40 @@ impl EnergyMeter {
     /// returns the joules that instruction dissipated (the telemetry
     /// layer attributes it to the executing instruction block).
     pub fn record_op(&mut self, trace: &OpTrace, power: &ArrayPower) -> f64 {
-        let t = f64::from(trace.cycles) * ARRAY_CYCLE_S;
-        let mut op_j = 0.0;
-        if trace.crossbar_active {
-            let array_j = (power.xb_w + power.sh_w) * t;
-            let dac_j = power.dac_w * t;
-            self.breakdown.array_j += array_j;
-            self.breakdown.dac_j += dac_j;
-            op_j += array_j + dac_j;
-        }
-        if trace.adc_conversions > 0 {
-            // ADC power is proportional to resolution (§5.2, §7.3).
-            let resolution_scale = f64::from(trace.adc_bits_used) / 5.0;
-            let adc_j = power.adc_w * resolution_scale * t;
-            self.breakdown.adc_j += adc_j;
-            op_j += adc_j;
-            self.adc_bit_samples +=
-                f64::from(trace.adc_bits_used) * f64::from(trace.adc_conversions);
-            self.adc_samples += f64::from(trace.adc_conversions);
-        }
-        let digital_j = (power.sa_w + power.reg_w * f64::from(trace.regfile_accesses.min(1))) * t;
-        self.breakdown.digital_j += digital_j;
-        op_j += digital_j;
-        if trace.lut_reads > 0 {
-            let lut_j = power.lut_w * t;
-            self.breakdown.lut_j += lut_j;
-            op_j += lut_j;
-        }
-        let write_j = f64::from(trace.row_writes) * ROW_WRITE_J;
-        self.breakdown.write_j += write_j;
-        op_j + write_j
+        let energy = OpEnergy::new(trace, power);
+        self.record_static(&energy);
+        let adc_j = if energy.converts() {
+            self.record_adc(&energy, trace.adc_bits_used, power)
+        } else {
+            0.0
+        };
+        energy.op_j(adc_j)
+    }
+
+    /// Integrates the data-independent terms of one op.
+    pub(crate) fn record_static(&mut self, energy: &OpEnergy) {
+        self.breakdown.array_j += energy.array_j;
+        self.breakdown.dac_j += energy.dac_j;
+        self.breakdown.digital_j += energy.digital_j;
+        self.breakdown.lut_j += energy.lut_j;
+        self.breakdown.write_j += energy.write_j;
+        self.adc_samples += energy.conversions;
+    }
+
+    /// Integrates the ADC term of a converting op whose conversions needed
+    /// `adc_bits` bits, and returns its joules.
+    pub(crate) fn record_adc(
+        &mut self,
+        energy: &OpEnergy,
+        adc_bits: u8,
+        power: &ArrayPower,
+    ) -> f64 {
+        // ADC power is proportional to resolution (§5.2, §7.3).
+        let resolution_scale = f64::from(adc_bits) / 5.0;
+        let adc_j = power.adc_w * resolution_scale * energy.t;
+        self.breakdown.adc_j += adc_j;
+        self.adc_bit_samples += f64::from(adc_bits) * energy.conversions;
+        adc_j
     }
 
     /// Integrates network activity.
@@ -318,6 +376,7 @@ impl EnergyMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn tile_totals_match_paper() {
@@ -398,6 +457,54 @@ mod tests {
         assert!(b.total_j() > 0.0);
         assert!(b.adc_j > 0.0 && b.array_j > 0.0 && b.write_j > 0.0);
         assert_eq!(b.lut_j, 0.0);
+    }
+
+    proptest! {
+        #[test]
+        fn static_terms_folded_first_then_adc_terms_equal_record_op(
+            ops in prop::collection::vec(
+                (1u32..20, prop_oneof![Just(0u32), Just(128u32), Just(2048u32)], 1u8..12, 0u32..3, 0u32..4, any::<bool>()),
+                0..40,
+            ),
+        ) {
+            // The simulator's fold: every op's static terms first, then
+            // the ADC terms of the converting ops, each in op order.
+            let power = ArrayPower::from_table4();
+            let traces: Vec<OpTrace> = ops
+                .iter()
+                .map(|&(cycles, adc_conversions, bits, row_writes, regfile_accesses, lut)| OpTrace {
+                    cycles,
+                    adc_conversions,
+                    adc_bits_used: if adc_conversions > 0 { bits } else { 0 },
+                    crossbar_active: adc_conversions > 0,
+                    row_writes,
+                    regfile_accesses,
+                    lut_reads: if lut { 8 } else { 0 },
+                })
+                .collect();
+            let mut reference = EnergyMeter::new();
+            let reference_j: Vec<f64> = traces.iter().map(|t| reference.record_op(t, &power)).collect();
+            let energies: Vec<OpEnergy> = traces.iter().map(|t| OpEnergy::new(t, &power)).collect();
+            let mut folded = EnergyMeter::new();
+            for energy in &energies {
+                folded.record_static(energy);
+            }
+            let mut folded_j = Vec::new();
+            for (energy, trace) in energies.iter().zip(&traces) {
+                let adc_j = if energy.converts() {
+                    folded.record_adc(energy, trace.adc_bits_used, &power)
+                } else {
+                    0.0
+                };
+                folded_j.push(energy.op_j(adc_j).to_bits());
+            }
+            let bits = |m: &EnergyMeter| {
+                let b = m.breakdown();
+                [b.adc_j, b.dac_j, b.array_j, b.digital_j, b.lut_j, b.write_j, m.avg_adc_bits()].map(f64::to_bits)
+            };
+            prop_assert_eq!(bits(&folded), bits(&reference));
+            prop_assert_eq!(folded_j, reference_j.iter().map(|j| j.to_bits()).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Functional + timing execution of compiled kernels.
 
-use crate::energy::{ArrayPower, EnergyBreakdown, EnergyMeter};
+use crate::energy::{ArrayPower, EnergyBreakdown, EnergyMeter, OpEnergy};
 use crate::fault::{
     mix_seed, mix_seed4, FaultConfig, FaultEvent, FaultKind, FaultPolicy, FaultSite, WatchdogConfig,
 };
@@ -18,7 +18,8 @@ use imp_noc::{
     TransportFaultKind,
 };
 use imp_rram::{
-    AnalogSpec, DacVectors, FaultMap, FaultRates, Fixed, OpTrace, ReramArray, ARRAY_CYCLE_S,
+    AnalogSpec, DacVectors, FaultMap, FaultRates, Fixed, MicroOp, OpTrace, ReramArray,
+    ARRAY_CYCLE_S,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -262,7 +263,22 @@ impl Machine {
     }
 
     /// Executes `kernel` over `inputs` (placeholder *and* variable
-    /// tensors, keyed by name).
+    /// tensors, keyed by name): [`Machine::run_inputs`] over the map.
+    ///
+    /// # Errors
+    /// As [`Machine::run_inputs`].
+    pub fn run(
+        &mut self,
+        kernel: &CompiledKernel,
+        inputs: &HashMap<String, Tensor>,
+    ) -> Result<RunReport, SimError> {
+        self.run_inputs(kernel, inputs.iter().map(|(name, t)| (name.as_str(), t)))
+    }
+
+    /// Executes `kernel` over borrowed `inputs`: placeholder *and*
+    /// variable tensors as `(name, tensor)` pairs. Of two pairs with one
+    /// name the later stands, so a caller may list variables before the
+    /// feeds that override them.
     ///
     /// When [`SimConfig::faults`] injects faults, each attempt ends with
     /// the per-array integrity checks; detections are handled per the
@@ -275,13 +291,13 @@ impl Machine {
     /// over-range), a kernel wider than the simulated chip (or wider than
     /// its healthy remainder under remap), a malformed hand-built kernel,
     /// or unrecovered fault detections ([`SimError::Faults`]).
-    pub fn run(
+    pub fn run_inputs<'a>(
         &mut self,
         kernel: &CompiledKernel,
-        inputs: &HashMap<String, Tensor>,
+        inputs: impl IntoIterator<Item = (&'a str, &'a Tensor)>,
     ) -> Result<RunReport, SimError> {
         let total_arrays = self.config.capacity.arrays();
-        let plan = RunPlan::new(kernel, inputs, total_arrays)?;
+        let plan = RunPlan::new(kernel, inputs, total_arrays, &self.power)?;
         let instances = kernel.parallel.instances();
         let num_ibs = kernel.ibs.len().max(1);
 
@@ -455,7 +471,7 @@ impl Machine {
                         .verify
                         .check(kernel, &resched, &avail, tel.as_ref())
                         .map_err(SimError::Verify)?;
-                    let tape = lower_tape(kernel, &resched);
+                    let tape = lower_tape(kernel, &resched, &self.power);
                     schedule_override = Some((resched, tape));
                 }
             }
@@ -533,6 +549,17 @@ impl Machine {
             })
             .collect();
 
+        // The tape's data-independent energy, folded once in tape order:
+        // every group would add the same terms in the same order from 0,
+        // so each group's meter starts from this sum and adds only its ADC
+        // terms (see [`OpEnergy`]).
+        let mut static_energy = EnergyMeter::new();
+        for step in tape {
+            if let Step::Op { energy, .. } = step {
+                static_energy.record_static(energy);
+            }
+        }
+
         let mut analog = self.config.analog;
         analog.frac_bits = kernel.format.frac_bits();
         let ctx = EngineCtx {
@@ -541,6 +568,7 @@ impl Machine {
             plan,
             usable,
             tape,
+            static_energy,
             fault_maps,
             instances,
             groups_per_round,
@@ -714,6 +742,9 @@ struct EngineCtx<'a> {
     usable: &'a [usize],
     /// The attempt's schedule, lowered to resolved steps.
     tape: &'a [Step],
+    /// The data-independent energy of every step of `tape`, which each
+    /// group's meter starts from.
+    static_energy: EnergyMeter,
     /// Per-(round-local slot) fault maps, indexed
     /// `group_in_round * num_ibs + ib`; `None` where the slot holds no
     /// fault. Only arrays with a map are armed and checked.
@@ -832,7 +863,7 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
         events: Vec::new(),
         transport_events: Vec::new(),
         noc: NocStats::default(),
-        meter: EnergyMeter::new(),
+        meter: ctx.static_energy.clone(),
         wear: 0,
         instructions: ctx.tape.len() as u64,
         ib_energy: ctx.telemetry_on.then(|| vec![0.0f64; ctx.num_ibs]),
@@ -840,7 +871,32 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
     let arrays = &mut worker.arrays;
     let round_base_net = round * ctx.module_latency * imp_noc::NET_CYCLES_PER_ARRAY_CYCLE;
     for step in ctx.tape {
-        let (ib, trace) = match *step {
+        match *step {
+            Step::Op {
+                ib,
+                ref op,
+                ref energy,
+            } => {
+                let adc_bits = arrays[ib]
+                    .execute_op(op)
+                    .map_err(|source| SimError::Array {
+                        site: Some(FaultSite {
+                            round,
+                            group,
+                            ib,
+                            physical_slot: ctx.usable[group_in_round * num_ibs + ib],
+                        }),
+                        source,
+                    })?;
+                let adc_j = if energy.converts() {
+                    outcome.meter.record_adc(energy, adc_bits, ctx.power)
+                } else {
+                    0.0
+                };
+                if let Some(per_ib) = outcome.ib_energy.as_mut() {
+                    per_ib[ib] += energy.op_j(adc_j);
+                }
+            }
             Step::Movg {
                 src_ib,
                 src_row,
@@ -878,44 +934,13 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
                     }
                     Err(ev) => return Err(transport_error(ctx.watchdog_limit, site, ev)),
                 }
-                continue;
             }
             Step::Reduce { ib, src_row, slot } => {
                 let row = arrays[ib].read_row(src_row);
                 for &value in row.iter().take(valid_lanes) {
                     outcome.reduce_acc[slot] = outcome.reduce_acc[slot].wrapping_add(value);
                 }
-                continue;
             }
-            Step::Store {
-                ib,
-                dst,
-                word,
-                trace,
-            } => {
-                arrays[ib].store(dst, word);
-                (ib, trace)
-            }
-            Step::Local { ib, ref inst, dac } => {
-                let executed = match dac {
-                    Some(dac) => arrays[ib].execute_dot_analysed(inst, dac),
-                    None => arrays[ib].execute_local(inst),
-                };
-                let trace = executed.map_err(|source| SimError::Array {
-                    site: Some(FaultSite {
-                        round,
-                        group,
-                        ib,
-                        physical_slot: ctx.usable[group_in_round * num_ibs + ib],
-                    }),
-                    source,
-                })?;
-                (ib, trace)
-            }
-        };
-        let op_j = outcome.meter.record_op(&trace, ctx.power);
-        if let Some(per_ib) = outcome.ib_energy.as_mut() {
-            per_ib[ib] += op_j;
         }
     }
     // Write-back-boundary integrity checks on every armed array: residue
@@ -1161,10 +1186,11 @@ impl RunPlan {
     /// NaN and ±inf; finite values saturate at the format's rails), then
     /// resolves the input rows against the feeds. This is the one place
     /// input names and lengths are checked.
-    fn new(
+    fn new<'a>(
         kernel: &CompiledKernel,
-        inputs: &HashMap<String, Tensor>,
+        inputs: impl IntoIterator<Item = (&'a str, &'a Tensor)>,
         total_arrays: usize,
+        power: &ArrayPower,
     ) -> Result<RunPlan, SimError> {
         let n_slots = kernel
             .outputs
@@ -1194,19 +1220,25 @@ impl RunPlan {
             });
         }
 
+        // A later pair overrides an earlier one of the same name.
+        let inputs: HashMap<&str, &Tensor> = inputs.into_iter().collect();
         let mut index = HashMap::with_capacity(inputs.len());
         let mut feeds = Vec::with_capacity(inputs.len());
-        let scale = kernel.format.scale();
+        let (format, scale) = (kernel.format, kernel.format.scale());
         for (name, tensor) in inputs {
-            let mut raw = Vec::with_capacity(tensor.data().len());
-            for (i, &v) in tensor.data().iter().enumerate() {
-                if !v.is_finite() {
-                    let name = name.clone();
-                    return Err(SimError::NonFiniteInput { name, index: i });
-                }
-                raw.push(Fixed::from_scaled_saturating(v * scale, kernel.format).raw());
+            let data = tensor.data();
+            // Two passes without a branch per element: a finiteness scan,
+            // then a conversion loop the compiler can vectorize.
+            if !data.iter().fold(true, |finite, v| finite & v.is_finite()) {
+                let index = data.iter().take_while(|v| v.is_finite()).count();
+                let name = name.to_string();
+                return Err(SimError::NonFiniteInput { name, index });
             }
-            index.insert(name.as_str(), feeds.len());
+            let raw: Vec<i32> = data
+                .iter()
+                .map(|&v| Fixed::from_scaled_saturating(v * scale, format).raw())
+                .collect();
+            index.insert(name, feeds.len());
             feeds.push(raw);
         }
         let lookup = |name: &str| {
@@ -1285,7 +1317,7 @@ impl RunPlan {
             }
             rows.push(ib_rows);
         }
-        let tape = lower_tape(kernel, &kernel.schedule);
+        let tape = lower_tape(kernel, &kernel.schedule, power);
         Ok(RunPlan {
             feeds,
             rows,
@@ -1300,21 +1332,14 @@ impl RunPlan {
 /// the group loop only executes.
 #[derive(Debug, Clone, Copy)]
 enum Step {
-    /// An array-local instruction of IB `ib`. A `dot` whose streamed
-    /// multiplicands were known when the tape was lowered carries their
-    /// analysed DAC vectors.
-    Local {
+    /// An array-local instruction of IB `ib`, decoded. A `dot` whose
+    /// streamed multiplicands were known when the tape was lowered carries
+    /// their analysed DAC vectors. `energy` is the data-independent energy
+    /// of the instruction's [`OpTrace::of`] activity.
+    Op {
         ib: usize,
-        inst: Instruction,
-        dac: Option<DacVectors>,
-    },
-    /// A `movi`: `word` stored to every lane of `dst` in IB `ib`, charged
-    /// its data-independent `trace`.
-    Store {
-        ib: usize,
-        dst: Addr,
-        word: i32,
-        trace: OpTrace,
+        op: MicroOp,
+        energy: OpEnergy,
     },
     /// A `movg`: row `src_row` of IB `src_ib` sent to row `dst_row` of IB
     /// `dst_ib`, `send_net` network cycles into the round.
@@ -1336,7 +1361,8 @@ enum Step {
 
 /// Lowers `sched` over `kernel`, a pair
 /// [`verify_structure`](imp_verify::verify_structure) accepts, into its
-/// execution tape in schedule order.
+/// execution tape in schedule order, each array-local instruction costed
+/// under `power`.
 ///
 /// Lowering follows, per IB, the registers whose lane 0 holds a value
 /// known before any group runs: only a `movi` makes a register known, and
@@ -1344,7 +1370,7 @@ enum Step {
 /// registers are all known then carries their [`DacVectors`], analysed
 /// here once instead of in every group. Lanes other than 0 never matter:
 /// `dot` streams lane 0 alone.
-fn lower_tape(kernel: &CompiledKernel, sched: &Schedule) -> Vec<Step> {
+fn lower_tape(kernel: &CompiledKernel, sched: &Schedule, power: &ArrayPower) -> Vec<Step> {
     let mut known = vec![[None::<i32>; NUM_REGISTERS]; kernel.ibs.len()];
     let mut tape = Vec::with_capacity(sched.entries.len());
     for entry in &sched.entries {
@@ -1370,37 +1396,30 @@ fn lower_tape(kernel: &CompiledKernel, sched: &Schedule) -> Vec<Step> {
                 src_row: src.index(),
                 slot: as_output_slot(dst).expect("ISA02 checked reduction slots"),
             },
-            Instruction::Movi { dst, imm } => {
-                let word = imm.as_i32();
-                if let Addr::Reg(reg) = dst {
-                    regs[usize::from(reg)] = Some(word);
-                }
-                Step::Store {
-                    ib,
-                    dst,
-                    word,
-                    trace: ReramArray::movi_trace(dst),
-                }
-            }
             local => {
-                let dac = match local {
-                    Instruction::Dot { mask, reg_mask, .. } => {
-                        let scalars = || mask.rows().zip(reg_mask.rows()).map(|(_, reg)| regs[reg]);
-                        if scalars().all(|m| m.is_some()) {
-                            DacVectors::analyse(scalars().map(Option::unwrap_or_default))
-                        } else {
-                            None
-                        }
-                    }
-                    _ => None,
-                };
-                if let Some(Addr::Reg(reg)) = local.local_dst() {
-                    regs[usize::from(reg)] = None;
-                }
-                Step::Local {
-                    ib,
-                    inst: local,
+                let mut op = MicroOp::decode(&local).expect("array-local instructions decode");
+                if let MicroOp::Dot {
+                    rows,
+                    regs: streamed,
                     dac,
+                    ..
+                } = &mut op
+                {
+                    let scalars = || rows.rows().zip(streamed.rows()).map(|(_, reg)| regs[reg]);
+                    if scalars().all(|m| m.is_some()) {
+                        *dac = DacVectors::analyse(scalars().map(Option::unwrap_or_default));
+                    }
+                }
+                if let Some(Addr::Reg(reg)) = local.local_dst() {
+                    regs[usize::from(reg)] = match op {
+                        MicroOp::Movi { word, .. } => Some(word),
+                        _ => None,
+                    };
+                }
+                Step::Op {
+                    ib,
+                    op,
+                    energy: OpEnergy::new(&OpTrace::of(&local), power),
                 }
             }
         });
@@ -1462,13 +1481,18 @@ mod tests {
         for w in imp_workloads::all_workloads() {
             for (policy, n) in [(OptPolicy::MaxDlp, 2048), (OptPolicy::MaxIlp, 64)] {
                 let kernel = w.compile(n, policy).unwrap();
-                let plan = RunPlan::new(&kernel, &w.inputs(n, 1), 64 * 64).unwrap();
+                let inputs = w.inputs(n, 1);
+                let inputs = inputs.iter().map(|(name, t)| (name.as_str(), t));
+                let power = ArrayPower::from_table4();
+                let plan = RunPlan::new(&kernel, inputs, 64 * 64, &power).unwrap();
                 for step in &plan.tape {
-                    if let Step::Local { inst, dac, .. } = step {
-                        if matches!(inst, Instruction::Dot { .. }) {
-                            assert!(dac.is_some(), "{} {policy:?}: {inst}", w.name);
-                            dots += 1;
-                        }
+                    if let Step::Op {
+                        op: op @ MicroOp::Dot { dac, .. },
+                        ..
+                    } = step
+                    {
+                        assert!(dac.is_some(), "{} {policy:?}: {op:?}", w.name);
+                        dots += 1;
                     }
                 }
             }
@@ -1688,6 +1712,27 @@ mod tests {
         for (i, &v) in updated.data().iter().enumerate() {
             assert!((v - (1.0 + i as f64 / 2.0)).abs() < 1e-3);
         }
+    }
+
+    #[test]
+    fn a_later_input_of_the_same_name_overrides_an_earlier_one() {
+        let mut g = GraphBuilder::new();
+        let x = g.placeholder("x", Shape::vector(4)).unwrap();
+        let y = g.add(x, x).unwrap();
+        g.fetch(y);
+        let kernel = compile(&g.finish(), &CompileOptions::default()).unwrap();
+        let mut machine = Machine::new(SimConfig::functional());
+        let nan = Tensor::filled(f64::NAN, Shape::vector(4));
+        let ones = Tensor::filled(1.0, Shape::vector(4));
+        let report = machine
+            .run_inputs(&kernel, [("x", &nan), ("x", &ones)])
+            .unwrap();
+        assert_eq!(report.outputs[&y].data(), &[2.0; 4]);
+        let result = machine.run_inputs(&kernel, [("x", &ones), ("x", &nan)]);
+        assert!(
+            matches!(result, Err(SimError::NonFiniteInput { ref name, index: 0 }) if name == "x"),
+            "{result:?}"
+        );
     }
 
     #[test]

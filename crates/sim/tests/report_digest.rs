@@ -4,6 +4,11 @@
 //! configurations — is digested and compared against the checked-in
 //! `tests/golden/report_digest.txt`.
 //!
+//! A second, wider matrix runs a few of those configurations at
+//! [`WIDE_INSTANCES`], so each run spans several full batches of the
+//! lane-batched engine, a partial batch and a last group with only three
+//! valid lanes.
+//!
 //! A host-speed change to the simulator or the ReRAM substrate must leave
 //! this file byte-identical: outputs, variable updates, cycles, energy,
 //! NoC counters, fault events, recovery and ADC accounting are all in the
@@ -12,12 +17,14 @@
 //! To regenerate after an *intentional* model change:
 //! `RUN_DIGEST_GOLDEN_UPDATE=1 cargo test -p imp-sim --test report_digest`
 
-use imp_compiler::OptPolicy;
+use imp_compiler::{CompiledKernel, OptPolicy};
+use imp_dfg::Tensor;
 use imp_rram::FaultRates;
 use imp_sim::{
     FaultConfig, FaultPolicy, LinkFaultRates, Machine, Parallelism, RunReport, SimConfig,
     TransportConfig, TransportPolicy,
 };
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 const GOLDEN_PATH: &str = concat!(
@@ -27,6 +34,22 @@ const GOLDEN_PATH: &str = concat!(
 
 /// Module instances per run: eight instance groups.
 const INSTANCES: usize = 64;
+
+/// Module instances per wide run: 38 instance groups, the last holding
+/// three valid lanes.
+const WIDE_INSTANCES: usize = 299;
+
+/// The configurations of the wide matrix, by name, with the policy each
+/// runs under: the clean path under both policies, a clipping ADC that
+/// sends groups back to the ordered loops, stuck cells that leave some
+/// groups on faulty slots, and dead links that drop `movg` messages.
+const WIDE_CONFIGS: [(&str, OptPolicy); 5] = [
+    ("clean", OptPolicy::MaxDlp),
+    ("clean", OptPolicy::MaxIlp),
+    ("adc4_clipping", OptPolicy::MaxDlp),
+    ("remap_stuck", OptPolicy::MaxDlp),
+    ("transport_dead_silent", OptPolicy::MaxIlp),
+];
 
 /// 64-bit FNV-1a.
 struct Fnv(u64);
@@ -204,6 +227,22 @@ fn configs() -> Vec<(&'static str, SimConfig)> {
 const FLIP_RATE: f64 = 0.02;
 const DEAD_RATE: f64 = 0.2;
 
+/// The digest of one run, or of the error it ends in.
+fn run_digest(
+    config: SimConfig,
+    kernel: &CompiledKernel,
+    inputs: &HashMap<String, Tensor>,
+) -> String {
+    match Machine::new(config).run(kernel, inputs) {
+        Ok(report) => format!("ok {:016x}", digest(&report)),
+        Err(err) => {
+            let mut h = Fnv::new();
+            h.bytes(err.to_string().as_bytes());
+            format!("err {:016x}", h.0)
+        }
+    }
+}
+
 fn digest_lines() -> String {
     let mut out = String::new();
     for workload in imp_workloads::all_workloads() {
@@ -211,15 +250,27 @@ fn digest_lines() -> String {
         for policy in [OptPolicy::MaxDlp, OptPolicy::MaxIlp] {
             let kernel = workload.compile(INSTANCES, policy).expect("compiles");
             for (name, config) in configs() {
-                let result = match Machine::new(config).run(&kernel, &inputs) {
-                    Ok(report) => format!("ok {:016x}", digest(&report)),
-                    Err(err) => {
-                        let mut h = Fnv::new();
-                        h.bytes(err.to_string().as_bytes());
-                        format!("err {:016x}", h.0)
-                    }
-                };
+                let result = run_digest(config, &kernel, &inputs);
                 let _ = writeln!(out, "{} {policy:?} {name} {result}", workload.name);
+            }
+        }
+    }
+    let configs = configs();
+    for workload in imp_workloads::all_workloads() {
+        let inputs = workload.inputs(WIDE_INSTANCES, 1);
+        for policy in [OptPolicy::MaxDlp, OptPolicy::MaxIlp] {
+            let kernel = workload.compile(WIDE_INSTANCES, policy).expect("compiles");
+            for (wide, _) in WIDE_CONFIGS.iter().filter(|(_, p)| *p == policy) {
+                let (name, config) = configs
+                    .iter()
+                    .find(|(name, _)| name == wide)
+                    .expect("wide configurations are in the matrix");
+                let result = run_digest(config.clone(), &kernel, &inputs);
+                let _ = writeln!(
+                    out,
+                    "{} {policy:?} {name}@{WIDE_INSTANCES} {result}",
+                    workload.name
+                );
             }
         }
     }

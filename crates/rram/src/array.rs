@@ -667,14 +667,7 @@ impl ReramArray {
         dac: Option<DacVectors>,
     ) -> Result<Converted, RramError> {
         if self.fast_path_enabled && self.exact_conversions() {
-            let dac = dac.or_else(|| {
-                DacVectors::analyse(
-                    rows.rows()
-                        .zip(regs.rows())
-                        .map(|(_, reg)| self.regfile.read_lane(reg, 0)),
-                )
-            });
-            if let Some(out) = dac.and_then(|dac| self.in_situ_dot_fast(rows, regs, dac)) {
+            if let Some(out) = self.in_situ_dot_fast(rows, regs, dac) {
                 return Ok(out);
             }
         }
@@ -735,15 +728,28 @@ impl ReramArray {
     }
 
     /// Exact-conversion fast path of [`ReramArray::in_situ_dot`]. The
-    /// largest partial is the maximum, over the DAC vectors `dac` keeps, of
-    /// the column-wise weighted sum over all 128 bit-lines, accumulated
-    /// from the sensed words as packed [`ColumnSums`](digits::ColumnSums) that
-    /// skip the rows a vector does not drive. When the maximum fits the
-    /// ADC, no conversion can fail and the value is the wide MAC. Returns
-    /// `None`, touching nothing, when some partial is out of range; the
-    /// caller then re-runs the ordered loop, which reports the same first
-    /// error.
-    fn in_situ_dot_fast(&self, rows: RowMask, regs: RowMask, dac: DacVectors) -> Option<Converted> {
+    /// largest partial is the maximum, over the DAC vectors `dac` keeps
+    /// (analysed here from the registers when `None`), of the column-wise
+    /// weighted sum over all 128 bit-lines, accumulated from the sensed
+    /// words as packed [`ColumnSums`](digits::ColumnSums) that skip the
+    /// rows a vector does not drive. When the maximum fits the ADC, no
+    /// conversion can fail and the value is the wide MAC. Returns `None`,
+    /// touching nothing, when the pairs are too many to analyse or some
+    /// partial is out of range; the caller then re-runs the ordered loop,
+    /// which reports the same first error.
+    fn in_situ_dot_fast(
+        &self,
+        rows: RowMask,
+        regs: RowMask,
+        dac: Option<DacVectors>,
+    ) -> Option<Converted> {
+        let dac = dac.or_else(|| {
+            DacVectors::analyse(
+                rows.rows()
+                    .zip(regs.rows())
+                    .map(|(_, reg)| self.regfile.read_lane(reg, 0)),
+            )
+        })?;
         let limit = self.spec.adc_max();
         let mut max_partial: i64 = 0;
         for chunk in dac.chunks() {
@@ -855,6 +861,27 @@ impl ReramArray {
         Some((out, AnalogSpec::required_adc_bits(max_partial.max(1))))
     }
 
+    /// Whether the exact-conversion fast path would run `op` on the
+    /// array's current state: `false` exactly when an in-situ op would
+    /// take its ordered loop.
+    #[cfg(test)]
+    pub(crate) fn fast_path_accepts(&self, op: &MicroOp) -> bool {
+        let fast = self.fast_path_enabled && self.exact_conversions();
+        match *op {
+            MicroOp::AddSub { plus, minus, .. } => {
+                fast && self.in_situ_add_fast(plus, minus).is_some()
+            }
+            MicroOp::Dot {
+                rows, regs, dac, ..
+            } => fast && self.in_situ_dot_fast(rows, regs, dac).is_some(),
+            MicroOp::Mul { a, b, .. } => fast && self.in_situ_mul_fast(a, b).is_some(),
+            MicroOp::Periphery { .. }
+            | MicroOp::Movs { .. }
+            | MicroOp::Lut { .. }
+            | MicroOp::Movi { .. } => true,
+        }
+    }
+
     /// Reads a source for a digital-periphery op, with the ADC bits its
     /// read-out needs: a memory row is read through the ADCs one cell
     /// level per conversion, a register converts nothing.
@@ -870,7 +897,7 @@ impl ReramArray {
 type Converted = ([i32; LANES], u8);
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::LutKind;
     use imp_isa::{Imm, LaneMask, RowMask};
@@ -1532,7 +1559,12 @@ mod tests {
     /// registers, from the low four bits of the second), `addrs` pick the
     /// operands, and `imm` is the shift amount (mod 32), the AND mask, the
     /// lane mask (low byte, 0 being dynamic) or the `movi` word.
-    fn local_instruction(opcode: u8, masks: (u8, u8), addrs: [u8; 3], imm: u32) -> Instruction {
+    pub(crate) fn local_instruction(
+        opcode: u8,
+        masks: (u8, u8),
+        addrs: [u8; 3],
+        imm: u32,
+    ) -> Instruction {
         let [src, dst, b] = addrs.map(|code| match code % 13 {
             row @ 0..=7 => Addr::mem(usize::from(row)),
             reg @ 8..=11 => Addr::reg(usize::from(reg - 8)),

@@ -66,6 +66,51 @@ impl ColumnSums {
         }
     }
 
+    /// The column sums of the one row `words` at weight 1, whose fields
+    /// hold its digits one per byte: the operand of
+    /// [`ColumnSums::add_level`].
+    #[inline]
+    pub(crate) fn of_row(words: &[i32; LANES]) -> Self {
+        let mut sums = ColumnSums::new();
+        sums.add(words, 1);
+        sums
+    }
+
+    /// Adds the row whose digits `row` holds ([`ColumnSums::of_row`]) at
+    /// weight `level`, a DAC level in `0..4`: [`ColumnSums::add`] without
+    /// re-extracting the digits or multiplying, for a row streamed at
+    /// several levels.
+    #[inline]
+    pub(crate) fn add_level(&mut self, row: &ColumnSums, level: u32) {
+        debug_assert!(level < 4, "a DAC level is 2 bits");
+        let once = 0u32.wrapping_sub(level & 1);
+        let twice = 0u32.wrapping_sub(level >> 1);
+        for (field, &digits) in self.fields.iter_mut().zip(&row.fields) {
+            *field += (digits & once) + ((digits << 1) & twice);
+        }
+    }
+
+    /// The OR of the 128 column sums. Its bit length is the largest sum's,
+    /// and it exceeds `2^b − 1` exactly when the largest sum does, so it
+    /// stands in for the maximum in an ADC range test and resolution.
+    #[inline]
+    pub(crate) fn or_columns(&self) -> u32 {
+        let or = self.fields.iter().fold(0, |acc, &field| acc | field);
+        (or | or >> 8 | or >> 16 | or >> 24) & 0xFF
+    }
+
+    /// The OR of the 128 magnitudes `|self − minus|`, column by column:
+    /// [`ColumnSums::or_columns`] of a signed (`sub`) sum.
+    #[inline]
+    pub(crate) fn or_abs_diff(&self, minus: &ColumnSums) -> u32 {
+        let (plus, minus) = (self.columns(), minus.columns());
+        plus.as_flattened()
+            .iter()
+            .zip(minus.as_flattened())
+            .fold(0, |acc, (&p, &n)| acc | p.abs_diff(n))
+            .into()
+    }
+
     /// The 128 column sums, four per field, in an order that is the same
     /// for every `ColumnSums` but is not bit-line order.
     #[inline]
@@ -98,14 +143,13 @@ pub fn word_to_digits(word: i32) -> [u8; DIGITS_PER_WORD] {
 /// pattern): `word_to_digits(word).max()` in a few bit operations.
 pub(crate) fn max_digit(word: i32) -> u8 {
     const LOW_BITS: u32 = 0x5555_5555;
+    // A digit 3 implies a digit of at least 2, which implies a non-zero
+    // digit, so the three tests add up to the largest digit, without a
+    // branch.
     let bits = word as u32;
-    if bits & (bits >> 1) & LOW_BITS != 0 {
-        3
-    } else if bits & !LOW_BITS != 0 {
-        2
-    } else {
-        u8::from(bits != 0)
-    }
+    u8::from(bits != 0)
+        + u8::from(bits & !LOW_BITS != 0)
+        + u8::from(bits & (bits >> 1) & LOW_BITS != 0)
 }
 
 /// Recombines base-4 digits into a word: `Σ dᵢ·4ⁱ mod 2³²`, reinterpreted
@@ -205,6 +249,45 @@ mod tests {
                         prop_assert_eq!(got, reference[lane][4 * j + k]);
                     }
                 }
+            }
+        }
+
+        #[test]
+        fn add_level_adds_the_row_at_its_weight(
+            rows in prop::collection::vec((prop::array::uniform8(any::<i32>()), 0u32..4), 0..28),
+        ) {
+            let (mut added, mut leveled) = (ColumnSums::new(), ColumnSums::new());
+            for (words, level) in &rows {
+                added.add(words, *level);
+                leveled.add_level(&ColumnSums::of_row(words), *level);
+            }
+            prop_assert_eq!(added.columns(), leveled.columns());
+        }
+
+        #[test]
+        fn or_folds_have_the_bit_length_of_the_largest_column(
+            plus in prop::collection::vec((prop::array::uniform8(any::<i32>()), 0u32..4), 0..28),
+            minus in prop::collection::vec(prop::array::uniform8(any::<i32>()), 0..28),
+            bits in 1u32..9,
+        ) {
+            let (mut p, mut n) = (ColumnSums::new(), ColumnSums::new());
+            for (words, weight) in &plus {
+                p.add(words, *weight);
+            }
+            for words in &minus {
+                n.add(words, 1);
+            }
+            let max = p.columns().as_flattened().iter().fold(0u32, |m, &c| m.max(c.into()));
+            let max_abs = p
+                .columns()
+                .as_flattened()
+                .iter()
+                .zip(n.columns().as_flattened())
+                .fold(0u32, |m, (&a, &b)| m.max(a.abs_diff(b).into()));
+            let limit = (1u32 << bits) - 1;
+            for (or, max) in [(p.or_columns(), max), (p.or_abs_diff(&n), max_abs)] {
+                prop_assert_eq!(u32::BITS - or.leading_zeros(), u32::BITS - max.leading_zeros());
+                prop_assert_eq!(or > limit, max > limit);
             }
         }
 

@@ -50,6 +50,7 @@
 
 mod analog;
 mod array;
+mod batch;
 mod crossbar;
 pub mod digits;
 mod error;
@@ -60,6 +61,7 @@ mod regfile;
 
 pub use analog::{AnalogSpec, DacVectors, OpTrace};
 pub use array::{MicroOp, ReramArray};
+pub use batch::{ArrayBatch, BATCH};
 pub use crossbar::Crossbar;
 pub use error::RramError;
 pub use fault::{FaultMap, FaultRates};

@@ -9,10 +9,10 @@
 
 use imp_compiler::{compile, CompileOptions, CompiledKernel, OptPolicy};
 use imp_dfg::{GraphBuilder, Shape, Tensor};
-use imp_rram::FaultRates;
+use imp_rram::{FaultRates, RramError};
 use imp_sim::{
-    FaultConfig, FaultPolicy, LinkFaultRates, Machine, Parallelism, RunReport, SimConfig,
-    TransportConfig, TransportPolicy,
+    FaultConfig, FaultPolicy, FaultSite, LinkFaultRates, Machine, Parallelism, RunReport,
+    SimConfig, SimError, TransportConfig, TransportPolicy,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -237,4 +237,55 @@ fn auto_parallelism_matches_serial() {
     .run(&kernel, &inputs)
     .unwrap();
     assert_identical(&serial, &auto, "auto");
+}
+
+/// A strict-ADC over-range in the middle of a lane batch, in group 5 of
+/// 38 and again in group 25, is the error of the lowest group, with its
+/// site, however the groups are batched or sharded. Under a 3-bit ADC
+/// (limit 7) a square over-ranges exactly when its operand holds a digit
+/// 3 (3·3 = 9); every other instance's largest digit is at most 2.
+#[test]
+fn a_mid_batch_overrange_is_the_lowest_groups_error() {
+    const N: usize = 299;
+    let mut g = GraphBuilder::new();
+    let x = g.placeholder("x", Shape::vector(N)).unwrap();
+    let sq = g.square(x).unwrap();
+    g.fetch(sq);
+    let kernel = compile(&g.finish(), &CompileOptions::default()).unwrap();
+    let feed = |hot: &[usize]| -> HashMap<String, Tensor> {
+        let values = Tensor::from_fn(Shape::vector(N), |i| {
+            if hot.contains(&i) {
+                0.75 // Q16.16 0xC000: a digit 3.
+            } else {
+                [0.5, 1.0, 0.25][i % 3] // Q16.16 digits of at most 2.
+            }
+        });
+        [("x".to_string(), values)].into_iter().collect()
+    };
+    let run = |parallelism, inputs: &HashMap<String, Tensor>| {
+        let mut config = SimConfig::functional();
+        config.analog.adc_bits = 3;
+        config.analog.strict_adc = true;
+        config.parallelism = parallelism;
+        Machine::new(config).run(&kernel, inputs)
+    };
+    for parallelism in [Parallelism::Serial, Parallelism::Threads(2)] {
+        assert!(run(parallelism, &feed(&[])).is_ok(), "{parallelism:?}");
+        match run(parallelism, &feed(&[5 * 8 + 2, 25 * 8 + 6])) {
+            Err(SimError::Array {
+                site: Some(site),
+                source: RramError::AdcOverrange { partial_sum, limit },
+            }) => {
+                let expect = FaultSite {
+                    round: 0,
+                    group: 5,
+                    ib: 0,
+                    physical_slot: 5,
+                };
+                assert_eq!(site, expect, "{parallelism:?}");
+                assert_eq!((partial_sum, limit), (9, 7), "{parallelism:?}");
+            }
+            other => panic!("{parallelism:?}: expected group 5's over-range, got {other:?}"),
+        }
+    }
 }

@@ -11,7 +11,7 @@
 //! average against the 5-bit peak), which is why average power lands far
 //! below TDP (Figure 14).
 
-use imp_rram::{OpTrace, ARRAY_CYCLE_S};
+use imp_rram::{OpTrace, ARRAY_CYCLE_S, BATCH};
 
 /// One row of Table 4.
 #[derive(Debug, Clone, PartialEq)]
@@ -266,6 +266,14 @@ impl OpEnergy {
         }
     }
 
+    /// The ADC joules of the op when its conversions needed `adc_bits`
+    /// bits: ADC power is proportional to resolution (§5.2, §7.3).
+    #[inline]
+    pub(crate) fn adc_j(&self, adc_bits: u8, power: &ArrayPower) -> f64 {
+        let resolution_scale = f64::from(adc_bits) / 5.0;
+        power.adc_w * resolution_scale * self.t
+    }
+
     /// Whether the op converts anything, so has an ADC term.
     pub(crate) fn converts(&self) -> bool {
         self.conversions > 0.0
@@ -275,6 +283,50 @@ impl OpEnergy {
     /// converts nothing), summed in [`EnergyMeter::record_op`]'s order.
     pub(crate) fn op_j(&self, adc_j: f64) -> f64 {
         self.array_j + self.dac_j + adc_j + self.digital_j + self.lut_j + self.write_j
+    }
+}
+
+/// The ADC terms of up to [`BATCH`] meters, added lane by lane: lane
+/// `g`'s sums are exactly those [`EnergyMeter::record_adc`] would reach
+/// on meter `g`, as each lane adds the same terms in the same order, but
+/// the lanes add side by side.
+#[derive(Debug, Clone)]
+pub(crate) struct AdcTally {
+    adc_j: [f64; BATCH],
+    adc_bit_samples: [f64; BATCH],
+}
+
+impl AdcTally {
+    /// Every lane starting from `meter`'s ADC terms.
+    pub(crate) fn new(meter: &EnergyMeter) -> Self {
+        AdcTally {
+            adc_j: [meter.breakdown.adc_j; BATCH],
+            adc_bit_samples: [meter.adc_bit_samples; BATCH],
+        }
+    }
+
+    /// Integrates a converting op whose conversions in lane `g` needed
+    /// `adc_bits[g]` bits, and stores each lane's joules in `adc_j[g]`.
+    pub(crate) fn record(
+        &mut self,
+        energy: &OpEnergy,
+        adc_bits: &[u8],
+        power: &ArrayPower,
+        adc_j: &mut [f64; BATCH],
+    ) {
+        let lanes = self.adc_j.iter_mut().zip(&mut self.adc_bit_samples);
+        for (((total, samples), &bits), lane_j) in lanes.zip(adc_bits).zip(adc_j) {
+            *lane_j = energy.adc_j(bits, power);
+            *total += *lane_j;
+            *samples += f64::from(bits) * energy.conversions;
+        }
+    }
+
+    /// Writes lane `lane`'s ADC terms into `meter`, which must hold the
+    /// terms the tally started from.
+    pub(crate) fn store(&self, lane: usize, meter: &mut EnergyMeter) {
+        meter.breakdown.adc_j = self.adc_j[lane];
+        meter.adc_bit_samples = self.adc_bit_samples[lane];
     }
 }
 
@@ -325,9 +377,7 @@ impl EnergyMeter {
         adc_bits: u8,
         power: &ArrayPower,
     ) -> f64 {
-        // ADC power is proportional to resolution (§5.2, §7.3).
-        let resolution_scale = f64::from(adc_bits) / 5.0;
-        let adc_j = power.adc_w * resolution_scale * energy.t;
+        let adc_j = energy.adc_j(adc_bits, power);
         self.breakdown.adc_j += adc_j;
         self.adc_bit_samples += f64::from(adc_bits) * energy.conversions;
         adc_j

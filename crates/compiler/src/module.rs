@@ -229,6 +229,9 @@ pub mod vaddr {
     pub const CROSS_IB: u8 = 0;
     /// Array-field marker for a reduction output slot.
     pub const OUTPUT_SLOT: u8 = 63;
+    /// Reduction output slots an address can encode: the slot is the
+    /// 12-bit tile field.
+    pub const OUTPUT_SLOTS: usize = 4096;
 
     /// Virtual address of row `row` in instruction block `ib`.
     pub fn cross_ib(ib: usize, row: u8) -> GlobalAddr {

@@ -3,7 +3,8 @@
 //! names an IB, row, register or reduction slot the kernel does not have;
 //! a `movg` leaves some other IB or stays in its own; a `reduce_sum`
 //! feeds a slot no output declares; two input bindings load one row; an
-//! output mixes reduction slots with per-instance rows; a window input
+//! output reads a reduction slot no address can encode or mixes
+//! reduction slots with per-instance rows; a window input
 //! has no stencil grid; the schedule misses, repeats or
 //! invents an instruction; a shift moves a word by 32 bits or more; or
 //! the fixed-point format has more than 30 fraction bits. `Machine::run`
@@ -230,6 +231,16 @@ fn output_from_a_missing_ib() -> Case {
     (kernel, inputs)
 }
 
+/// The sum gains a second output reading a reduction slot past the
+/// 12-bit tile field `vaddr::output_slot` encodes.
+fn output_slot_past_the_address_space() -> Case {
+    let (mut kernel, inputs) = reduction();
+    let mut extra = kernel.outputs[0].clone();
+    extra.locs = vec![OutputLoc::Reduced { slot: usize::MAX }];
+    kernel.outputs.push(extra);
+    (kernel, inputs)
+}
+
 /// A 16-instance `square` whose output gains one reduction slot beside
 /// its per-instance rows.
 fn output_mixing_reduced_and_row_locs() -> Case {
@@ -340,6 +351,10 @@ const MUTATIONS: &[Named] = &[
     ("two_inputs_loading_one_row", two_inputs_loading_one_row),
     ("output_row_past_the_array", output_row_past_the_array),
     ("output_from_a_missing_ib", output_from_a_missing_ib),
+    (
+        "output_slot_past_the_address_space",
+        output_slot_past_the_address_space,
+    ),
     (
         "output_mixing_reduced_and_row_locs",
         output_mixing_reduced_and_row_locs,
@@ -471,6 +486,11 @@ fn output_row_past_the_array_is_a_typed_error() {
 #[test]
 fn output_from_a_missing_ib_is_a_typed_error() {
     assert_malformed(output_from_a_missing_ib(), "ISA03");
+}
+
+#[test]
+fn output_slot_past_the_address_space_is_a_typed_error() {
+    assert_malformed(output_slot_past_the_address_space(), "ISA03");
 }
 
 #[test]

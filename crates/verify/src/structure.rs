@@ -282,7 +282,8 @@ fn check_layout(kernel: &CompiledKernel, i: usize, out: &mut Vec<Diagnostic>) {
 }
 
 /// `ISA03`: every per-instance output names an existing IB and an
-/// in-range row, and no output mixes reduced and per-instance locations.
+/// in-range row, every reduced output a slot an address can encode, and
+/// no output mixes reduced and per-instance locations.
 fn check_outputs(kernel: &CompiledKernel, out: &mut Vec<Diagnostic>) {
     for output in &kernel.outputs {
         let reduced = output
@@ -306,22 +307,32 @@ fn check_outputs(kernel: &CompiledKernel, out: &mut Vec<Diagnostic>) {
             });
         }
         for loc in &output.locs {
-            if let OutputLoc::Row { ib, row } = *loc {
-                if ib >= kernel.ibs.len() || usize::from(row) >= ARRAY_ROWS {
-                    out.push(Diagnostic {
-                        node: Some(output.node),
-                        ..ib_error(
-                            ib,
-                            "ISA03",
-                            format!(
-                                "output of {:?} claims ib{ib} row {row}, outside the kernel layout",
-                                output.node
-                            ),
-                            "output locations must name an existing IB and an in-range row",
-                        )
-                    });
+            let (ib, message, help) = match *loc {
+                OutputLoc::Row { ib, row }
+                    if ib >= kernel.ibs.len() || usize::from(row) >= ARRAY_ROWS =>
+                {
+                    (
+                        Some(ib),
+                        format!("claims ib{ib} row {row}, outside the kernel layout"),
+                        "output locations must name an existing IB and an in-range row",
+                    )
                 }
-            }
+                OutputLoc::Reduced { slot } if slot >= vaddr::OUTPUT_SLOTS => (
+                    None,
+                    format!("reads reduction slot {slot}, which no address encodes"),
+                    "reduction slots must be below vaddr::OUTPUT_SLOTS",
+                ),
+                _ => continue,
+            };
+            out.push(Diagnostic {
+                rule: "ISA03",
+                severity: Severity::Error,
+                ib,
+                pc: None,
+                node: Some(output.node),
+                message: format!("output of {:?} {message}", output.node),
+                help: help.into(),
+            });
         }
     }
 }

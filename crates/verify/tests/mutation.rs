@@ -242,6 +242,20 @@ fn isa03_output_mixing_reduced_and_row_locs() {
 }
 
 #[test]
+fn isa03_reduced_output_slot_past_the_address_space() {
+    use imp_compiler::module::OutputLoc;
+    let mut k = kernel("blackscholes");
+    let mut extra = k.outputs[0].clone();
+    for slot in [4096, usize::MAX] {
+        extra.locs = vec![OutputLoc::Reduced { slot }];
+        k.outputs.push(extra.clone());
+        let report = verify_kernel(&k);
+        assert_eq!(error_rules(&report), vec!["ISA03"], "{}", report.render());
+        k.outputs.pop();
+    }
+}
+
+#[test]
 fn isa03_row_pressure() {
     let mut k = kernel("blackscholes");
     k.ibs[0].peak_rows = 131;

@@ -305,6 +305,20 @@ mod tests {
     }
 
     #[test]
+    fn required_adc_bits_is_the_bit_length() {
+        // The fast paths resolve an op's ADC bits as the bit length of its
+        // partials' OR, which stands in for the largest partial's.
+        let bit_length = |m: i64| (i64::BITS - m.leading_zeros()) as u8;
+        let edges = (1..=40).flat_map(|k| {
+            let p = 1i64 << k;
+            [p - 1, p, p + 1]
+        });
+        for m in (1..=1 << 16).chain(edges) {
+            assert_eq!(AnalogSpec::required_adc_bits(m), bit_length(m), "{m}");
+        }
+    }
+
+    #[test]
     fn strict_conversion() {
         let spec = AnalogSpec::prototype();
         assert_eq!(spec.convert(31).unwrap(), 31);

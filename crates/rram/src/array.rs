@@ -1,7 +1,12 @@
 //! One ReRAM processing unit: a crossbar plus its periphery, executing
-//! array-local ISA instructions.
+//! array-local ISA instructions. This module holds what makes arrays
+//! differ beyond their data: sensing through a fault map, noise, ADC
+//! faults and the ordered loops that model them one conversion at a time.
+//! An in-situ op whose conversions are all exact runs its clean body from
+//! [`crate::batch`] on the sensed rows.
 
 use crate::analog::{AnalogSpec, DacVectors, OpTrace};
+use crate::batch::{self, Exact, Operands};
 use crate::crossbar::Crossbar;
 use crate::digits::{self, DIGITS_PER_WORD};
 use crate::fault::FaultMap;
@@ -378,13 +383,7 @@ impl ReramArray {
     }
 
     fn latch_dynamic_mask(&mut self, value: &[i32; LANES]) {
-        let mut mask = 0u8;
-        for (lane, &word) in value.iter().enumerate() {
-            if word != 0 {
-                mask |= 1 << lane;
-            }
-        }
-        self.dynamic_mask = mask;
+        self.dynamic_mask = batch::latched_mask(value);
     }
 
     fn read_addr(&self, addr: Addr) -> [i32; LANES] {
@@ -498,7 +497,7 @@ impl ReramArray {
     /// in the digital periphery, written to `dst`.
     fn periphery(&mut self, src: Addr, dst: Addr, shl: u8, shr: u8, and: u32) -> u8 {
         let (value, bits) = self.read_for_periphery(src);
-        let out = value.map(|word| ((((word as u32) << shl) as i32) >> shr) & and as i32);
+        let out = value.map(|word| batch::shift_and(word, shl, shr, and));
         self.write_addr(dst, out);
         bits
     }
@@ -541,16 +540,14 @@ impl ReramArray {
     /// word-lines). Each partial is validated against the ADC range, then
     /// the shift-and-add periphery recombines them modulo 2³².
     ///
-    /// The exact-conversion fast path is tried first; the ordered general
-    /// loop runs when it is disabled, when analog noise or an ADC fault is
-    /// active, or when some partial leaves the ADC range.
+    /// The shared clean body ([`batch::add_sub`]) is tried first; the
+    /// ordered general loop runs when it declines (see
+    /// [`ReramArray::exact`]).
     ///
     /// Returns the words and the ADC bits the largest partial needed.
     fn in_situ_add(&mut self, plus: RowMask, minus: RowMask) -> Result<Converted, RramError> {
-        if self.fast_path_enabled && self.exact_conversions() {
-            if let Some(out) = self.in_situ_add_fast(plus, minus) {
-                return Ok(out);
-            }
+        if let Some(out) = self.exact(|ops| batch::add_sub(ops, plus, minus)) {
+            return Ok(out);
         }
         let plus_rows = self.sense_rows(plus);
         let minus_rows = self.sense_rows(minus);
@@ -594,50 +591,6 @@ impl ReramArray {
         Ok((out, AnalogSpec::required_adc_bits(max_abs_partial.max(1))))
     }
 
-    /// Exact-conversion fast path of [`ReramArray::in_situ_add`]. By §2.3
-    /// the shift-and-add recombination of the column sums is the wrapping
-    /// sum of the plus words minus the minus words, so that is the value.
-    /// The exact column sums are still needed for the over-range test and
-    /// `adc_bits_used`; they accumulate from the sensed words as packed
-    /// [`ColumnSums`](digits::ColumnSums), one per sign. When every
-    /// partial fits the ADC, no conversion clips or fails. Returns `None`,
-    /// touching nothing, when some partial is out of range or a sign has
-    /// more rows than a packed sum holds; the caller then re-runs the
-    /// ordered loop, which reports the same first error or clips the same
-    /// way as always.
-    fn in_situ_add_fast(&self, plus: RowMask, minus: RowMask) -> Option<Converted> {
-        let max_rows = digits::ColumnSums::MAX_WEIGHT as usize;
-        if plus.count() > max_rows || minus.count() > max_rows {
-            return None;
-        }
-        let mut out = [0i32; LANES];
-        let mut plus_sums = digits::ColumnSums::new();
-        self.crossbar.for_each_read(plus, |words| {
-            for (acc, &word) in out.iter_mut().zip(words) {
-                *acc = acc.wrapping_add(word);
-            }
-            plus_sums.add(words, 1);
-        });
-        let mut minus_sums = digits::ColumnSums::new();
-        self.crossbar.for_each_read(minus, |words| {
-            for (acc, &word) in out.iter_mut().zip(words) {
-                *acc = acc.wrapping_sub(word);
-            }
-            minus_sums.add(words, 1);
-        });
-        let (plus_cols, minus_cols) = (plus_sums.columns(), minus_sums.columns());
-        let max_abs = plus_cols
-            .as_flattened()
-            .iter()
-            .zip(minus_cols.as_flattened())
-            .fold(0, |m, (&p, &n)| m.max(p.abs_diff(n)));
-        let max_abs = i64::from(max_abs);
-        if max_abs > self.spec.adc_max() {
-            return None;
-        }
-        Some((out, AnalogSpec::required_adc_bits(max_abs.max(1))))
-    }
-
     /// In-situ dot product: selected rows multiplied by register
     /// multiplicands streamed 2 bits per cycle through the word-line DACs,
     /// products summed over the bit-lines.
@@ -654,22 +607,20 @@ impl ReramArray {
     /// wide product with two's-complement sign correction and selects the
     /// window aligned to the fixed-point format.
     ///
-    /// The exact-conversion fast path is tried first; the ordered general
-    /// loop runs when it is disabled, when analog noise or an ADC fault is
-    /// active, or when some partial leaves the ADC range.
+    /// The shared clean body ([`batch::dot`]) is tried first; the ordered
+    /// general loop runs when it declines (see [`ReramArray::exact`]).
     ///
     /// `dac` is the streamed multiplicands' [`DacVectors`] when the caller
-    /// analysed them ahead of time; the fast path derives them otherwise.
+    /// analysed them ahead of time; the clean body derives them otherwise.
     fn in_situ_dot(
         &mut self,
         rows: RowMask,
         regs: RowMask,
         dac: Option<DacVectors>,
     ) -> Result<Converted, RramError> {
-        if self.fast_path_enabled && self.exact_conversions() {
-            if let Some(out) = self.in_situ_dot_fast(rows, regs, dac) {
-                return Ok(out);
-            }
+        let frac = self.spec.frac_bits;
+        if let Some(out) = self.exact(|ops| batch::dot(ops, rows, regs, dac, frac)) {
+            return Ok(out);
         }
         let rows = self.sense_rows(rows);
         let scalars: Vec<i32> = regs
@@ -727,74 +678,18 @@ impl ReramArray {
         Ok((out, AnalogSpec::required_adc_bits(max_partial.max(1))))
     }
 
-    /// Exact-conversion fast path of [`ReramArray::in_situ_dot`]. The
-    /// largest partial is the maximum, over the DAC vectors `dac` keeps
-    /// (analysed here from the registers when `None`), of the column-wise
-    /// weighted sum over all 128 bit-lines, accumulated from the sensed
-    /// words as packed [`ColumnSums`](digits::ColumnSums) that skip the
-    /// rows a vector does not drive. When the maximum fits the ADC, no
-    /// conversion can fail and the value is the wide MAC. Returns `None`,
-    /// touching nothing, when the pairs are too many to analyse or some
-    /// partial is out of range; the caller then re-runs the ordered loop,
-    /// which reports the same first error.
-    fn in_situ_dot_fast(
-        &self,
-        rows: RowMask,
-        regs: RowMask,
-        dac: Option<DacVectors>,
-    ) -> Option<Converted> {
-        let dac = dac.or_else(|| {
-            DacVectors::analyse(
-                rows.rows()
-                    .zip(regs.rows())
-                    .map(|(_, reg)| self.regfile.read_lane(reg, 0)),
-            )
-        })?;
-        let limit = self.spec.adc_max();
-        let mut max_partial: i64 = 0;
-        for chunk in dac.chunks() {
-            let mut sums = digits::ColumnSums::new();
-            for (row, reg) in rows.rows().zip(regs.rows()) {
-                let weight = DacVectors::level(self.regfile.read_lane(reg, 0), chunk);
-                if weight != 0 {
-                    sums.add(&self.crossbar.read_row(row), weight);
-                }
-            }
-            let vector_max = sums
-                .columns()
-                .as_flattened()
-                .iter()
-                .fold(0, |m, &s| m.max(s));
-            max_partial = max_partial.max(i64::from(vector_max));
-            if max_partial > limit {
-                return None;
-            }
-        }
-        let mut acc = [0i64; LANES];
-        for (row, reg) in rows.rows().zip(regs.rows()) {
-            let m = i64::from(self.regfile.read_lane(reg, 0));
-            for (acc, &word) in acc.iter_mut().zip(&self.crossbar.read_row(row)) {
-                *acc = acc.wrapping_add(i64::from(word).wrapping_mul(m));
-            }
-        }
-        Some((
-            acc.map(|acc| (acc >> self.spec.frac_bits) as i32),
-            AnalogSpec::required_adc_bits(max_partial.max(1)),
-        ))
-    }
-
     /// In-situ element-wise multiply: operand `a` resident in the array,
     /// operand `b` streamed 2 bits per cycle through the *bit-line* DACs
     /// (the new capability this architecture adds over ISAAC, §2.2).
     ///
-    /// The exact-conversion fast path is tried first; the ordered general
-    /// loop runs when it is disabled, when analog noise or an ADC fault is
-    /// active, or when some partial leaves the ADC range.
+    /// The shared clean body ([`batch::mul`]) is tried first; the ordered
+    /// general loop runs when it declines (see [`ReramArray::exact`]).
     fn in_situ_mul(&mut self, a: Addr, b: Addr) -> Result<Converted, RramError> {
-        if self.fast_path_enabled && self.exact_conversions() {
-            if let Some(out) = self.in_situ_mul_fast(a, b) {
-                return Ok(out);
-            }
+        let frac = self.spec.frac_bits;
+        if let Some(out) =
+            self.exact(|ops| Some(batch::mul(&ops.read_addr(a), &ops.read_addr(b), frac)))
+        {
+            return Ok(out);
         }
         self.in_situ_mul_ordered(a, b)
     }
@@ -835,61 +730,40 @@ impl ReramArray {
         Ok((out, AnalogSpec::required_adc_bits(max_partial.max(1))))
     }
 
-    /// Exact-conversion fast path of [`ReramArray::in_situ_mul`]: a lane's
-    /// partials are the products `digit(a)·chunk(b)`, so its largest is
-    /// `max_digit(a)·max_digit(b)`. When that fits the ADC for every
-    /// lane, no conversion can fail and the value is the wide product.
-    /// Returns `None`, touching nothing, when some partial is out of
-    /// range; the caller then re-runs the ordered loop, which reports the
-    /// same first error.
-    fn in_situ_mul_fast(&self, a: Addr, b: Addr) -> Option<Converted> {
-        let a_value = self.read_addr(a);
-        let b_value = self.read_addr(b);
-        let max_partial = a_value
-            .iter()
-            .zip(&b_value)
-            .map(|(&x, &y)| i64::from(digits::max_digit(x) * digits::max_digit(y)))
-            .max()
-            .unwrap_or(0);
-        if max_partial > self.spec.adc_max() {
+    /// The exact-conversion fast path of an in-situ op: its clean `body`
+    /// run on the array's sensed rows, its partials' OR resolved against
+    /// the ADC. Every conversion is then exact, so no conversion can fail
+    /// or clip and the value is the body's. Returns `None`, touching
+    /// nothing, when the fast path is disabled, analog noise or an ADC
+    /// fault perturbs a conversion, the body declines or some partial is
+    /// out of range; the caller then runs the ordered loop, which reports
+    /// the same first error or clips the same way as always.
+    fn exact(&self, body: impl FnOnce(&Self) -> Option<Exact>) -> Option<Converted> {
+        if !(self.fast_path_enabled && self.exact_conversions()) {
             return None;
         }
-        let out = std::array::from_fn(|lane| {
-            let wide = i64::from(a_value[lane]).wrapping_mul(i64::from(b_value[lane]));
-            (wide >> self.spec.frac_bits) as i32
-        });
-        Some((out, AnalogSpec::required_adc_bits(max_partial.max(1))))
-    }
-
-    /// Whether the exact-conversion fast path would run `op` on the
-    /// array's current state: `false` exactly when an in-situ op would
-    /// take its ordered loop.
-    #[cfg(test)]
-    pub(crate) fn fast_path_accepts(&self, op: &MicroOp) -> bool {
-        let fast = self.fast_path_enabled && self.exact_conversions();
-        match *op {
-            MicroOp::AddSub { plus, minus, .. } => {
-                fast && self.in_situ_add_fast(plus, minus).is_some()
-            }
-            MicroOp::Dot {
-                rows, regs, dac, ..
-            } => fast && self.in_situ_dot_fast(rows, regs, dac).is_some(),
-            MicroOp::Mul { a, b, .. } => fast && self.in_situ_mul_fast(a, b).is_some(),
-            MicroOp::Periphery { .. }
-            | MicroOp::Movs { .. }
-            | MicroOp::Lut { .. }
-            | MicroOp::Movi { .. } => true,
-        }
+        let (words, or) = body(self)?;
+        Some((words, batch::resolve(&self.spec, or)?))
     }
 
     /// Reads a source for a digital-periphery op, with the ADC bits its
     /// read-out needs: a memory row is read through the ADCs one cell
     /// level per conversion, a register converts nothing.
     fn read_for_periphery(&self, src: Addr) -> Converted {
-        match src {
-            Addr::Mem(row) => (self.crossbar.read_row(row as usize), digits::CELL_BITS),
-            Addr::Reg(reg) => (self.regfile.read(reg as usize), 0),
-        }
+        (self.read_addr(src), batch::read_bits(src))
+    }
+}
+
+/// The array's operands as its bit-lines sense them, for the clean bodies.
+impl Operands for ReramArray {
+    #[inline]
+    fn for_each_row(&self, mask: RowMask, f: impl FnMut(&[i32; LANES])) {
+        self.crossbar.for_each_read(mask, f);
+    }
+
+    #[inline]
+    fn reg(&self, reg: usize) -> [i32; LANES] {
+        self.regfile.read(reg)
     }
 }
 
@@ -905,6 +779,29 @@ pub(crate) mod tests {
 
     fn array() -> ReramArray {
         ReramArray::new(AnalogSpec::integer())
+    }
+
+    /// Whether the exact-conversion fast path would run `op` on the
+    /// array's current state: `false` exactly when an in-situ op would
+    /// take its ordered loop.
+    pub(crate) fn fast_path_accepts(array: &ReramArray, op: &MicroOp) -> bool {
+        let frac = array.spec.frac_bits;
+        let exact = match *op {
+            MicroOp::AddSub { plus, minus, .. } => {
+                array.exact(|ops| batch::add_sub(ops, plus, minus))
+            }
+            MicroOp::Dot {
+                rows, regs, dac, ..
+            } => array.exact(|ops| batch::dot(ops, rows, regs, dac, frac)),
+            MicroOp::Mul { a, b, .. } => {
+                array.exact(|ops| Some(batch::mul(&ops.read_addr(a), &ops.read_addr(b), frac)))
+            }
+            MicroOp::Periphery { .. }
+            | MicroOp::Movs { .. }
+            | MicroOp::Lut { .. }
+            | MicroOp::Movi { .. } => return true,
+        };
+        exact.is_some()
     }
 
     fn q16_array() -> ReramArray {

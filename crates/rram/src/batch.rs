@@ -1,21 +1,20 @@
-//! Lane-batched execution: the fault-free state of up to [`BATCH`]
-//! instance groups of one instruction block, each op run over every
-//! group's words at once.
+//! The clean semantics of every op, once, and lane-batched execution.
+//!
+//! Each in-situ op class (`add`/`sub`, `dot`, `mul`) has one clean body
+//! here: a function of one group's [`Operands`] returning the op's words
+//! and the OR of its partials, which [`resolve`] turns into "fits the ADC"
+//! and the ADC bits. [`ReramArray`](crate::ReramArray) runs a body on its
+//! sensed rows when every conversion is exact and falls back to its
+//! ordered loops otherwise; [`ArrayBatch`] runs it on each of its groups.
 //!
 //! One instruction block drives every module instance in lock-step, and
-//! only the data differs from one instance to the next (§2, §4). An
-//! [`ArrayBatch`] therefore holds each crossbar row and each register as
-//! `BATCH × 8` contiguous words (group `g`'s eight lanes first at
-//! `8·g`), and runs one op body over all of them instead of one
-//! [`ReramArray::execute_op`](crate::ReramArray::execute_op) call per
-//! group. Each group keeps its own dynamic mask and its own write counts.
-//!
-//! Only the clean fast paths live here. [`ArrayBatch::execute_op`]
-//! returns `false` when some group's [`ReramArray`](crate::ReramArray)
-//! would leave its fast path for the ordered loop (analog noise, an ADC
-//! over-range, a `dot` with too many pairs to analyse); the caller then
-//! discards the batch and runs its groups one array at a time, which stays
-//! the one home of faults, noise, clipping and errors.
+//! only the data differs (§2, §4). An [`ArrayBatch`] holds the fault-free
+//! state of up to [`BATCH`] groups of one block, each row and register as
+//! `BATCH × 8` contiguous words (group `g`'s lanes at `8·g`), and runs each
+//! op over all of them. [`ArrayBatch::execute_op`] declines an op some
+//! group's array would run on its ordered loop; the caller then re-runs
+//! the groups one array at a time, the one home of faults, noise, clipping
+//! and errors.
 
 use crate::analog::{AnalogSpec, DacVectors};
 use crate::array::MicroOp;
@@ -41,7 +40,7 @@ const ZERO: Words = [[0; LANES]; BATCH];
 /// dynamic mask and write counts.
 ///
 /// Only the groups of the last [`ArrayBatch::reset`] are live: ops read and
-/// write their words alone. Only the clean fast paths live here;
+/// write their words alone. Only the clean fast paths run here;
 /// [`ArrayBatch::execute_op`] declines an op some group's
 /// [`ReramArray`](crate::ReramArray) would run on its ordered loop.
 #[derive(Debug, Clone)]
@@ -56,9 +55,6 @@ pub struct ArrayBatch {
     /// The words an op computes, before [`ArrayBatch::commit`] writes
     /// them back (kept so that no op clears a fresh buffer).
     out: Words,
-    /// A `dot`'s pairs in one group: the digits and words of each row and
-    /// its multiplicand (kept to reuse the allocation).
-    streamed: Vec<(ColumnSums, [i32; LANES], i32)>,
 }
 
 impl ArrayBatch {
@@ -75,7 +71,6 @@ impl ArrayBatch {
             },
             dynamic_masks: [0; BATCH],
             out: ZERO,
-            streamed: Vec::new(),
         }
     }
 
@@ -163,24 +158,22 @@ impl ArrayBatch {
     /// to analyse. The batch is then stale and the caller re-runs its
     /// groups one array at a time.
     ///
-    /// The ADC range test and resolution of a group come from the OR of
-    /// its column sums: as the ADC's limit is `2^adc_bits − 1`, the OR
-    /// exceeds it exactly when the largest sum does, and has the same bit
-    /// length.
-    ///
     /// # Panics
     /// Panics if `adc_bits` holds fewer entries than there are live groups.
     pub fn execute_op(&mut self, op: &MicroOp, adc_bits: &mut [u8]) -> bool {
         let g = self.groups;
         let bits = &mut adc_bits[..g];
+        let frac = self.spec.frac_bits;
         match *op {
-            MicroOp::AddSub { plus, minus, dst } => self.add_sub(plus, minus, dst, bits),
+            MicroOp::AddSub { plus, minus, dst } => {
+                self.in_situ(dst, bits, |ops| add_sub(ops, plus, minus))
+            }
             MicroOp::Dot {
                 rows,
                 regs,
                 dac,
                 dst,
-            } => self.dot(rows, regs, dac, dst, bits),
+            } => self.in_situ(dst, bits, |ops| dot(ops, rows, regs, dac, frac)),
             MicroOp::Mul { a, b, dst } => self.mul(a, b, dst, bits),
             MicroOp::Periphery {
                 src,
@@ -190,7 +183,7 @@ impl ArrayBatch {
                 and,
             } => {
                 for (out, words) in self.out.iter_mut().zip(&self.store.slot(src)[..g]) {
-                    *out = words.map(|word| ((((word as u32) << shl) as i32) >> shr) & and as i32);
+                    *out = words.map(|word| shift_and(word, shl, shr, and));
                 }
                 bits.fill(read_bits(src));
                 self.commit(dst)
@@ -236,118 +229,54 @@ impl ArrayBatch {
         self.spec.noise_prob <= 0.0
     }
 
-    /// `add` or `sub`: the wrapping sum of the `plus` rows minus the
-    /// `minus` rows, range-tested on the packed column sums of each sign.
-    fn add_sub(&mut self, plus: RowMask, minus: RowMask, dst: Addr, bits: &mut [u8]) -> bool {
-        let max_rows = ColumnSums::MAX_WEIGHT as usize;
-        if !self.exact_conversions() || plus.count() > max_rows || minus.count() > max_rows {
-            return false;
-        }
-        let g = self.groups;
-        let mut ors = [0u32; BATCH];
-        for (group, (out, or)) in self.out[..g].iter_mut().zip(&mut ors).enumerate() {
-            let (sum, plus_sums) = self.store.column_sums(plus, group);
-            if minus.is_empty() {
-                *out = sum;
-                *or = plus_sums.or_columns();
-            } else {
-                let (drain, minus_sums) = self.store.column_sums(minus, group);
-                *out = std::array::from_fn(|lane| sum[lane].wrapping_sub(drain[lane]));
-                *or = plus_sums.or_abs_diff(&minus_sums);
-            }
-        }
-        self.resolve(&ors[..g], bits) && self.commit(dst)
-    }
-
-    /// `dot`: each group's rows times the lane-0 multiplicands of its own
-    /// registers, range-tested per kept DAC vector as
-    /// [`ReramArray`](crate::ReramArray)'s fast path does.
-    fn dot(
+    /// An in-situ op: `body` run on each live group's operands and its OR
+    /// resolved to the group's ADC bits, then the words committed to
+    /// `dst`; `false`, touching no word, when some group's body declines
+    /// or leaves the ADC range.
+    fn in_situ(
         &mut self,
-        rows: RowMask,
-        regs: RowMask,
-        dac: Option<DacVectors>,
         dst: Addr,
         bits: &mut [u8],
+        body: impl Fn(&Group) -> Option<Exact>,
     ) -> bool {
         if !self.exact_conversions() {
             return false;
         }
-        let g = self.groups;
-        let store = &self.store;
-        let streamed = &mut self.streamed;
-        let mut ors = [0u32; BATCH];
-        for (group, (or, out)) in ors[..g].iter_mut().zip(&mut self.out).enumerate() {
-            // Each pair's digits, extracted once for every DAC vector.
-            streamed.clear();
-            streamed.extend(rows.rows().zip(regs.rows()).map(|(row, reg)| {
-                let words = store.row(row)[group];
-                (ColumnSums::of_row(&words), words, store.reg(reg)[group][0])
-            }));
-            // Without analysed vectors each group's multiplicands are its
-            // own: analyse them per group.
-            let Some(dac) = dac.or_else(|| DacVectors::analyse(streamed.iter().map(|p| p.2)))
-            else {
+        for (group, (out, bits)) in self.out.iter_mut().zip(bits).enumerate() {
+            let store = &self.store;
+            let Some((words, or)) = body(&Group { store, group }) else {
                 return false;
             };
-            *or = dac.chunks().fold(0, |or, chunk| {
-                let mut sums = ColumnSums::new();
-                for (digits, _, m) in streamed.iter() {
-                    sums.add_level(digits, DacVectors::level(*m, chunk));
-                }
-                or | sums.or_columns()
-            });
-            let mut acc = [0i64; LANES];
-            for (_, words, m) in streamed.iter() {
-                for (acc, &word) in acc.iter_mut().zip(words) {
-                    *acc = acc.wrapping_add(i64::from(word).wrapping_mul(i64::from(*m)));
-                }
-            }
-            *out = acc.map(|acc| (acc >> self.spec.frac_bits) as i32);
+            let Some(needed) = resolve(&self.spec, or) else {
+                return false;
+            };
+            (*out, *bits) = (words, needed);
         }
-        self.resolve(&ors[..g], bits) && self.commit(dst)
+        self.commit(dst)
     }
 
-    /// `mul`: the lane-wise wide products, whose largest partial per lane
-    /// is the product of the operands' largest digits.
+    /// `mul`, its two halves ([`mul_or`], [`mul_words`]) in separate loops
+    /// over the groups: one loop of [`mul`] per group ran ≈30% slower.
     fn mul(&mut self, a: Addr, b: Addr, dst: Addr, bits: &mut [u8]) -> bool {
         if !self.exact_conversions() {
             return false;
         }
-        let g = self.groups;
-        let frac = self.spec.frac_bits;
-        let mut ors = [0u32; BATCH];
         let (a, b) = (self.store.slot(a), self.store.slot(b));
-        for ((or, a), b) in ors[..g].iter_mut().zip(a).zip(b) {
-            *or = a.iter().zip(b).fold(0, |or, (&x, &y)| {
-                or | (u32::from(digits::max_digit(x)) * u32::from(digits::max_digit(y)))
-            });
+        for ((bits, a), b) in bits.iter_mut().zip(a).zip(b) {
+            let Some(needed) = resolve(&self.spec, mul_or(a, b)) else {
+                return false;
+            };
+            *bits = needed;
         }
-        for ((out, a), b) in self.out[..g].iter_mut().zip(a).zip(b) {
-            for ((out, &x), &y) in out.iter_mut().zip(a).zip(b) {
-                *out = ((i64::from(x) * i64::from(y)) >> frac) as i32;
-            }
+        for ((out, a), b) in self.out[..bits.len()].iter_mut().zip(a).zip(b) {
+            mul_words(a, b, self.spec.frac_bits, out);
         }
-        self.resolve(&ors[..g], bits) && self.commit(dst)
-    }
-
-    /// Stores each live group's ADC resolution, the bit length of its
-    /// column-sum OR in `ors` (at least 1), and whether every OR is within
-    /// the ADC's range.
-    fn resolve(&self, ors: &[u32], bits: &mut [u8]) -> bool {
-        let limit = self.spec.adc_max();
-        let mut fits = true;
-        for (bits, &or) in bits.iter_mut().zip(ors) {
-            fits &= i64::from(or) <= limit;
-            *bits = (u32::BITS - or.leading_zeros()).max(1) as u8;
-        }
-        fits
+        self.commit(dst)
     }
 
     /// Writes the live groups' words of [`ArrayBatch::out`] to `dst`: a
     /// row write of every group, or a register, the mask register
-    /// latching each group's mask. Returns `true`, so that an op ends in
-    /// `fits && self.commit(dst)`.
+    /// latching each group's mask. Returns `true`: the op ran.
     fn commit(&mut self, dst: Addr) -> bool {
         let g = self.groups;
         let out = &self.out[..g];
@@ -363,10 +292,7 @@ impl ArrayBatch {
                 self.store.regs.get_mut(usize::from(reg), ZERO)[..g].copy_from_slice(out);
                 if usize::from(reg) == MASK_REGISTER {
                     for (mask, words) in self.dynamic_masks.iter_mut().zip(out) {
-                        *mask = words
-                            .iter()
-                            .enumerate()
-                            .fold(0, |mask, (lane, &word)| mask | u8::from(word != 0) << lane);
+                        *mask = latched_mask(words);
                     }
                 }
             }
@@ -402,22 +328,6 @@ impl Store {
     /// Register `reg`'s words; a register never written reads zero.
     fn reg(&self, reg: usize) -> &Words {
         self.regs.get(reg).unwrap_or(&ZERO)
-    }
-
-    /// The wrapping sum of group `group`'s rows in `mask` and their column
-    /// sums.
-    #[inline]
-    fn column_sums(&self, mask: RowMask, group: usize) -> ([i32; LANES], ColumnSums) {
-        let mut sum = [0i32; LANES];
-        let mut sums = ColumnSums::new();
-        for row in mask.rows() {
-            let words = &self.row(row)[group];
-            for (acc, &word) in sum.iter_mut().zip(words) {
-                *acc = acc.wrapping_add(word);
-            }
-            sums.add(words, 1);
-        }
-        (sum, sums)
     }
 }
 
@@ -482,17 +392,209 @@ impl<T> Slots<T> {
 
 /// The ADC bits a digital-periphery read of `src` needs: one cell level
 /// per conversion from a memory row, none from a register.
-fn read_bits(src: Addr) -> u8 {
+pub(crate) fn read_bits(src: Addr) -> u8 {
     match src {
         Addr::Mem(_) => digits::CELL_BITS,
         Addr::Reg(_) => 0,
     }
 }
 
+/// Where a clean body reads one group's operands: its crossbar rows as
+/// the bit-lines sense them, and its registers.
+pub(crate) trait Operands {
+    /// Calls `f` with each row of `mask`, in ascending order.
+    fn for_each_row(&self, mask: RowMask, f: impl FnMut(&[i32; LANES]));
+
+    /// Register `reg`.
+    fn reg(&self, reg: usize) -> [i32; LANES];
+}
+
+/// Group `group` of a batch's store.
+struct Group<'a> {
+    store: &'a Store,
+    group: usize,
+}
+
+impl Operands for Group<'_> {
+    #[inline]
+    fn for_each_row(&self, mask: RowMask, mut f: impl FnMut(&[i32; LANES])) {
+        for row in mask.rows() {
+            // A copy: `f` on a reference into the store made a batch
+            // `add` ≈3× slower.
+            let words = self.store.row(row)[self.group];
+            f(&words);
+        }
+    }
+
+    #[inline]
+    fn reg(&self, reg: usize) -> [i32; LANES] {
+        self.store.reg(reg)[self.group]
+    }
+}
+
+/// A clean body's result: the op's words and the OR of its bit-line
+/// partials, which [`resolve`] tests against the ADC.
+pub(crate) type Exact = ([i32; LANES], u32);
+
+/// The ADC bits a clean body's partials need, the bit length of their OR
+/// `or` (at least 1), or `None` when some partial exceeds the ADC's range.
+/// As the ADC's limit is `2^adc_bits − 1`, the OR exceeds it exactly when
+/// the largest partial does, and has the same bit length, which is
+/// [`AnalogSpec::required_adc_bits`] of the largest partial.
+#[inline]
+pub(crate) fn resolve(spec: &AnalogSpec, or: u32) -> Option<u8> {
+    (i64::from(or) <= spec.adc_max()).then(|| (u32::BITS - or.leading_zeros()).max(1) as u8)
+}
+
+/// The clean body of `add` (`minus` empty) or `sub`. By §2.3 the
+/// shift-and-add recombination of the column sums is the wrapping sum of
+/// the `plus` words minus the `minus` words, so that is the value. The
+/// exact column sums, which the range test and the ADC bits need,
+/// accumulate as packed [`ColumnSums`], one per sign. `None` when a sign
+/// has more rows than a packed sum holds.
+#[inline]
+pub(crate) fn add_sub(ops: &impl Operands, plus: RowMask, minus: RowMask) -> Option<Exact> {
+    let max_rows = ColumnSums::MAX_WEIGHT as usize;
+    if plus.count() > max_rows || minus.count() > max_rows {
+        return None;
+    }
+    let mut words = [0i32; LANES];
+    let mut plus_sums = ColumnSums::new();
+    ops.for_each_row(plus, |read| {
+        for (acc, &word) in words.iter_mut().zip(read) {
+            *acc = acc.wrapping_add(word);
+        }
+        plus_sums.add(read, 1);
+    });
+    if minus.is_empty() {
+        return Some((words, plus_sums.or_columns()));
+    }
+    let mut minus_sums = ColumnSums::new();
+    ops.for_each_row(minus, |read| {
+        for (acc, &word) in words.iter_mut().zip(read) {
+            *acc = acc.wrapping_sub(word);
+        }
+        minus_sums.add(read, 1);
+    });
+    Some((words, plus_sums.or_abs_diff(&minus_sums)))
+}
+
+/// The clean body of `dot`: the `rows`, paired in order with the lane-0
+/// multiplicands of `regs`. Each pair's row is read once and its digits
+/// extracted once, then streamed at the level of every DAC vector `dac`
+/// keeps (analysed here from the multiplicands when `None`) without a
+/// multiply; the partials' OR is over those vectors' column sums, and the
+/// value is the wide MAC's window at `frac_bits`. `None` when there are
+/// more than [`DacVectors::MAX_PAIRS`] pairs.
+#[inline]
+pub(crate) fn dot(
+    ops: &impl Operands,
+    rows: RowMask,
+    regs: RowMask,
+    dac: Option<DacVectors>,
+    frac_bits: u8,
+) -> Option<Exact> {
+    // The pairs' digits live on the stack. Zeroing room for the most
+    // pairs made a three-pair `dot` ≈40% slower, so a few pairs take a
+    // small buffer.
+    const FEW: usize = 4;
+    let pairs = rows.count().min(regs.count());
+    if pairs <= FEW {
+        streamed::<FEW>(ops, rows, regs, dac, frac_bits)
+    } else if pairs <= DacVectors::MAX_PAIRS {
+        streamed::<{ DacVectors::MAX_PAIRS }>(ops, rows, regs, dac, frac_bits)
+    } else {
+        None
+    }
+}
+
+/// [`dot`] of at most `N` pairs.
+#[inline]
+fn streamed<const N: usize>(
+    ops: &impl Operands,
+    rows: RowMask,
+    regs: RowMask,
+    dac: Option<DacVectors>,
+    frac_bits: u8,
+) -> Option<Exact> {
+    // Each pair's digits, words and multiplicand. The MAC runs after the
+    // range OR: accumulated while reading, it ran a batch `dot` ≈7% slower.
+    let mut digits = [ColumnSums::new(); N];
+    let mut pairs = [([0i32; LANES], 0i32); N];
+    let (mut n, mut regs) = (0, regs.rows());
+    ops.for_each_row(rows, |words| {
+        let Some(reg) = regs.next() else {
+            return;
+        };
+        (digits[n], pairs[n]) = (ColumnSums::of_row(words), (*words, ops.reg(reg)[0]));
+        n += 1;
+    });
+    let (digits, pairs) = (&digits[..n], &pairs[..n]);
+    let dac = dac.or_else(|| DacVectors::analyse(pairs.iter().map(|&(_, m)| m)))?;
+    let or = dac.chunks().fold(0, |or, chunk| {
+        let mut sums = ColumnSums::new();
+        for (digits, &(_, m)) in digits.iter().zip(pairs) {
+            sums.add_level(digits, DacVectors::level(m, chunk));
+        }
+        or | sums.or_columns()
+    });
+    let mut acc = [0i64; LANES];
+    for (words, m) in pairs {
+        for (acc, &word) in acc.iter_mut().zip(words) {
+            *acc = acc.wrapping_add(i64::from(word).wrapping_mul(i64::from(*m)));
+        }
+    }
+    Some((acc.map(|acc| (acc >> frac_bits) as i32), or))
+}
+
+/// The clean body of `mul`: the lane-wise wide products of `a` and `b` at
+/// `frac_bits` ([`mul_words`]), whose largest partial per lane is the
+/// product of the operands' largest digits ([`mul_or`]).
+#[inline]
+pub(crate) fn mul(a: &[i32; LANES], b: &[i32; LANES], frac_bits: u8) -> Exact {
+    let mut words = [0; LANES];
+    mul_words(a, b, frac_bits, &mut words);
+    (words, mul_or(a, b))
+}
+
+/// The partials' OR of [`mul`].
+#[inline]
+pub(crate) fn mul_or(a: &[i32; LANES], b: &[i32; LANES]) -> u32 {
+    a.iter().zip(b).fold(0, |or, (&x, &y)| {
+        or | (u32::from(digits::max_digit(x)) * u32::from(digits::max_digit(y)))
+    })
+}
+
+/// The words of [`mul`], written to `out`.
+#[inline]
+pub(crate) fn mul_words(a: &[i32; LANES], b: &[i32; LANES], frac_bits: u8, out: &mut [i32; LANES]) {
+    for ((out, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *out = ((i64::from(x) * i64::from(y)) >> frac_bits) as i32;
+    }
+}
+
+/// The digital periphery's word op (`mov`, `shiftl`, `shiftr`, `mask`):
+/// `word` shifted left by `shl`, arithmetic-shifted right by `shr` and
+/// ANDed with `and`.
+#[inline]
+pub(crate) fn shift_and(word: i32, shl: u8, shr: u8, and: u32) -> i32 {
+    ((((word as u32) << shl) as i32) >> shr) & and as i32
+}
+
+/// The dynamic predication mask a write of `words` to the mask register
+/// latches: lane `l`'s bit is set when its word is non-zero.
+#[inline]
+pub(crate) fn latched_mask(words: &[i32; LANES]) -> u8 {
+    words
+        .iter()
+        .enumerate()
+        .fold(0, |mask, (lane, &word)| mask | u8::from(word != 0) << lane)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::array::tests::local_instruction;
+    use crate::array::tests::{fast_path_accepts, local_instruction};
     use crate::{LutKind, ReramArray};
     use imp_isa::{Instruction, LaneMask};
     use proptest::prelude::*;
@@ -602,21 +704,26 @@ mod tests {
     }
 
     /// Runs `op` on `batch` and, when every array's fast path accepts it,
-    /// on every array, asserting that the batch declines exactly when some
-    /// array would leave its fast path and otherwise matches every array's
-    /// ADC bits and state. Returns whether the batch ran `op`.
+    /// on every array's ordered loops, the reference, asserting that the
+    /// batch declines exactly when some array would leave its fast path
+    /// and otherwise matches every array's ADC bits and state. Returns
+    /// whether the batch ran `op`.
     fn step(
         batch: &mut ArrayBatch,
         arrays: &mut [ReramArray],
         op: &MicroOp,
     ) -> Result<bool, String> {
-        let accepts = arrays.iter().all(|array| array.fast_path_accepts(op));
+        let accepts = arrays.iter().all(|array| fast_path_accepts(array, op));
         let mut bits = [0u8; BATCH];
         let ran = batch.execute_op(op, &mut bits);
         prop_assert_eq!(ran, accepts, "{:?}", op);
         if ran {
             for (g, array) in arrays.iter_mut().enumerate() {
-                let array_bits = array.execute_op(op).expect("the fast path cannot fail");
+                array.set_fast_path_enabled(false);
+                let array_bits = array
+                    .execute_op(op)
+                    .expect("an op the fast path accepts cannot fail");
+                array.set_fast_path_enabled(true);
                 prop_assert_eq!(bits[g], array_bits, "group {} {:?}", g, op);
             }
             assert_same_state(batch, arrays)?;
@@ -643,7 +750,7 @@ mod tests {
         };
         let mut bits = [0; BATCH];
         let (mut batch, arrays) = load(spec, &rows, BATCH);
-        assert!(!arrays[5].fast_path_accepts(&mul));
+        assert!(!fast_path_accepts(&arrays[5], &mul));
         assert!(
             !batch.execute_op(&mul, &mut bits),
             "group 5 needs the ordered loop"

@@ -92,8 +92,8 @@ impl Crossbar {
 
     /// Calls `f` with each row of `rows`, in ascending order, as
     /// [`Crossbar::read_row`] reads it. The fault-map test is made once
-    /// per call, not once per row, which keeps the clean `add`/`sub` fast
-    /// path as fast as a direct word read.
+    /// per call, not once per row, which keeps the `add`/`sub` and `dot`
+    /// fast paths' reads as fast as a direct word read.
     #[inline]
     pub fn for_each_read(&self, rows: RowMask, mut f: impl FnMut(&[i32; LANES])) {
         match self.faults.as_deref() {

@@ -86,7 +86,9 @@ fn auto_workers(work: usize, host_threads: usize) -> usize {
 pub struct SimConfig {
     /// Chip capacity (tiles/clusters/arrays).
     pub capacity: ChipCapacity,
-    /// Analog periphery of every array.
+    /// Analog periphery of every array. The machine replaces its
+    /// [`frac_bits`](AnalogSpec::frac_bits) with the kernel's fixed-point
+    /// format, so a value set there is never read.
     pub analog: AnalogSpec,
     /// Base seed for all per-array randomness — process-variation noise
     /// and fault-population generation. Each physical array slot derives
@@ -234,7 +236,6 @@ struct Attempt {
     reduce_acc: Vec<i32>,
     rounds: u64,
     cycles: u64,
-    load_cycles: u64,
     writes_per_exec: u64,
     instructions_executed: u64,
     noc: NocStats,
@@ -324,28 +325,26 @@ impl Machine {
         kernel: &CompiledKernel,
         inputs: impl IntoIterator<Item = (&'a str, &'a Tensor)>,
     ) -> Result<RunReport, SimError> {
-        let total_arrays = self.config.capacity.arrays();
         let tel = self.config.telemetry.clone();
         let plan_span = tel.as_ref().map(|t| t.span("sim.plan"));
-        let plan = RunPlan::new(kernel, inputs, total_arrays, &self.power)?;
+        let plan = RunPlan::new(kernel, inputs, self)?;
         drop(plan_span);
-        let instances = kernel.parallel.instances();
-        let num_ibs = kernel.ibs.len().max(1);
+        let instances = plan.instances;
 
         let mut run_span = tel.as_ref().map(|t| t.span("sim.run"));
         // Per-IB energy attribution, merged in ascending group order by
         // `run_once` and accumulated across attempts here (failed
         // attempts burned real joules, exactly like the meter).
         let mut ib_energy_total: Vec<f64> = match &tel {
-            Some(_) => vec![0.0; num_ibs],
+            Some(_) => vec![0.0; plan.num_ibs],
             None => Vec::new(),
         };
 
         let policy = self.config.faults.policy;
         let watchdog = self.config.watchdog;
-        let mut avail = ArrayAvailability::all(total_arrays);
+        let mut avail = ArrayAvailability::all(self.config.capacity.arrays());
         // A remapped schedule and the tape lowered from it.
-        let mut schedule_override: Option<(Schedule, Vec<Step>)> = None;
+        let mut schedule_override: Option<(Schedule, Tape)> = None;
         // Energy accumulates across attempts: failed executions still
         // burned their joules.
         let mut meter = EnergyMeter::new();
@@ -366,16 +365,13 @@ impl Machine {
         loop {
             let usable: Vec<usize> = avail.usable_slots().collect();
             let (sched, tape) = match &schedule_override {
-                Some((sched, tape)) => (sched, tape.as_slice()),
-                None => (&kernel.schedule, plan.tape.as_slice()),
+                Some((sched, tape)) => (sched, tape),
+                None => (&kernel.schedule, &plan.tape),
             };
             let attempt = self.run_once(
-                kernel,
                 &plan,
-                instances,
-                &usable,
-                sched,
                 tape,
+                &usable,
                 attempt_idx,
                 &mut meter,
                 &mut out_values,
@@ -439,7 +435,7 @@ impl Machine {
                     instances,
                     rounds: attempt.rounds,
                     cycles,
-                    load_cycles: attempt.load_cycles,
+                    load_cycles: plan.load_cycles,
                     seconds,
                     energy,
                     avg_power_w,
@@ -518,43 +514,33 @@ impl Machine {
         }
     }
 
-    /// One complete execution attempt over the given usable arrays and
-    /// schedule (`tape` is the schedule lowered by [`lower_tape`]), with
-    /// fault detection but no recovery decisions.
+    /// One complete execution attempt of `tape` (a schedule lowered by
+    /// [`lower_tape`]) over the given usable arrays, with fault detection
+    /// but no recovery decisions.
     ///
     /// This is the parallel engine's top half: it builds the shared
     /// read-only [`EngineCtx`], shards the instance groups over worker
     /// threads per [`SimConfig::parallelism`] (each worker owning a
-    /// pooled set of arrays and a private network timing view), then
+    /// pooled set of arrays and private network timing views), then
     /// merges the per-group outcomes in ascending group order. Because
     /// every group's state and randomness derive only from
     /// `(fault_seed, slot, group, attempt)`, the merged attempt is bit-
     /// and cycle-identical whatever the worker count.
-    #[allow(clippy::too_many_arguments)]
     fn run_once(
         &self,
-        kernel: &CompiledKernel,
         plan: &RunPlan,
-        instances: usize,
+        tape: &Tape,
         usable: &[usize],
-        sched: &Schedule,
-        tape: &[Step],
         attempt_idx: u64,
         meter: &mut EnergyMeter,
         out_values: &mut [Vec<f64>],
     ) -> Result<Attempt, SimError> {
-        let n_slots = plan.n_slots;
-        let num_ibs = kernel.ibs.len().max(1);
-        // The watchdog's cycle budget doubles as a per-transfer deadline,
-        // cutting off retransmit storms inside the network.
-        let watchdog_limit = self.config.watchdog.max_cycles;
-        let net_deadline = Some(watchdog_limit.saturating_mul(imp_noc::NET_CYCLES_PER_ARRAY_CYCLE));
+        let (n_slots, instances, num_ibs) = (plan.n_slots, plan.instances, plan.num_ibs);
         let Packing {
             groups: groups_total,
             groups_per_round,
             rounds,
         } = perf::pack(instances, num_ibs, usable.len());
-        let module_latency = sched.module_latency.max(1);
 
         // Per-(round-local slot) fault populations, generated once per
         // attempt: a fault map is a property of the *physical array*
@@ -578,43 +564,14 @@ impl Machine {
                 (!map.is_clean()).then(|| Arc::new(map))
             })
             .collect();
-
-        // The tape's data-independent energy, folded once in tape order:
-        // every group would add the same terms in the same order from 0,
-        // so each group's meter starts from this sum and adds only its ADC
-        // terms (see [`OpEnergy`]).
-        let mut static_energy = EnergyMeter::new();
-        for step in tape {
-            if let Step::Op { energy, .. } = step {
-                static_energy.record_static(energy);
-            }
-        }
-
-        let mut analog = self.config.analog;
-        analog.frac_bits = kernel.format.frac_bits();
         let ctx = EngineCtx {
-            kernel,
-            analog,
+            machine: self,
             plan,
-            usable,
             tape,
-            transfers: tape.iter().any(|step| matches!(step, Step::Movg { .. })),
-            static_energy,
+            usable,
             fault_maps,
-            instances,
             groups_per_round,
-            num_ibs,
-            module_latency,
-            net_deadline,
             attempt_idx,
-            telemetry_on: self.config.telemetry.is_some(),
-            fault_seed: self.config.fault_seed,
-            arrays_per_tile: self.config.capacity.clusters_per_tile
-                * self.config.capacity.arrays_per_cluster,
-            tiles: self.config.capacity.tiles,
-            watchdog_limit,
-            network_proto: &self.network,
-            power: &self.power,
         };
 
         // Contiguous shards keep each worker's groups cache-friendly; the
@@ -622,7 +579,7 @@ impl Machine {
         // run on at most one OS thread per host thread, each thread taking
         // a contiguous block of shards in turn. The calling thread runs
         // the first block, so a single thread spawns nothing.
-        let work = tape.len() * groups_total;
+        let work = tape.steps.len() * groups_total;
         let workers = self
             .config
             .parallelism
@@ -661,11 +618,8 @@ impl Machine {
             .telemetry
             .as_ref()
             .map(|_| std::time::Instant::now());
-        let mut ib_energy: Option<Vec<f64>> = self
-            .config
-            .telemetry
-            .as_ref()
-            .map(|_| vec![0.0; kernel.ibs.len().max(1)]);
+        let mut ib_energy: Option<Vec<f64>> =
+            self.config.telemetry.as_ref().map(|_| vec![0.0; num_ibs]);
         let mut reduce_acc = vec![0i32; n_slots];
         let mut events: Vec<FaultEvent> = Vec::new();
         let mut transport_events: Vec<FaultEvent> = Vec::new();
@@ -677,9 +631,11 @@ impl Machine {
             for (acc, &part) in reduce_acc.iter_mut().zip(&outcome.reduce_acc) {
                 *acc = acc.wrapping_add(part);
             }
-            for (out_idx, elem, values) in outcome.harvest {
-                let base = elem * instances + group * LANES;
-                out_values[out_idx][base..base + values.len()].copy_from_slice(&values);
+            let valid_lanes = GroupPlace::new(&ctx, group).valid_lanes;
+            for (loc, values) in plan.row_outputs.iter().zip(&outcome.harvest) {
+                let base = loc.elem * instances + group * LANES;
+                out_values[loc.out][base..base + valid_lanes]
+                    .copy_from_slice(&values[..valid_lanes]);
             }
             events.extend(outcome.events);
             transport_events.extend(outcome.transport_events);
@@ -729,7 +685,8 @@ impl Machine {
             let mut net = self.network.clone();
             net.reset();
             net.set_next_msg_id(groups_total as u64 * MSG_ID_STRIDE);
-            match net.reduce_transfer(&tiles, 0, &reduce_acc, 32 * n_slots, 0, net_deadline) {
+            let deadline = self.net_deadline();
+            match net.reduce_transfer(&tiles, 0, &reduce_acc, 32 * n_slots, 0, deadline) {
                 Ok(delivery) => {
                     for ev in &delivery.events {
                         transport_events.push(transport_fault_event(site, ev));
@@ -738,25 +695,18 @@ impl Machine {
                     // A dropped reduction loses the sums entirely.
                     reduce_acc = delivery.payload.unwrap_or_else(|| vec![0i32; n_slots]);
                 }
-                Err(ev) => return Err(transport_error(ctx.watchdog_limit, site, ev)),
+                Err(ev) => return Err(self.transport_error(site, ev)),
             }
             noc.merge(&net.stats());
         }
         meter.record_noc(&noc);
 
         let transport_overhead_cycles = imp_noc::net_to_array_cycles(noc.retransmit_cycles);
-        let cycles = rounds * module_latency + reduce_tail_cycles + transport_overhead_cycles;
-        // Accelerator-mode loading estimate: every group's input rows
-        // stream in through the external I/O port.
-        let bytes_per_group: usize = kernel.ibs.iter().map(|ib| ib.input_rows.len() * 32).sum();
-        let load_cycles =
-            perf::load_cycles(bytes_per_group * groups_total, EXTERNAL_IO_BYTES_PER_S);
-
+        let cycles = rounds * tape.module_latency + reduce_tail_cycles + transport_overhead_cycles;
         Ok(Attempt {
             reduce_acc,
             rounds,
             cycles,
-            load_cycles,
             writes_per_exec,
             instructions_executed,
             noc,
@@ -765,6 +715,26 @@ impl Machine {
             transport_overhead_cycles,
             ib_energy,
         })
+    }
+
+    /// The deadline of every transfer: the watchdog's cycle budget, which
+    /// cuts off retransmit storms inside the network.
+    fn net_deadline(&self) -> Option<u64> {
+        let limit = self.config.watchdog.max_cycles;
+        Some(limit.saturating_mul(imp_noc::NET_CYCLES_PER_ARRAY_CYCLE))
+    }
+
+    /// Maps a fatal transport error to the right [`SimError`]: deadline
+    /// overruns become [`SimError::Timeout`], everything else surfaces as
+    /// an unrecovered fault.
+    fn transport_error(&self, site: FaultSite, ev: TransportEvent) -> SimError {
+        if let TransportFaultKind::DeadlineExceeded { spent_net_cycles } = ev.kind {
+            return SimError::Timeout {
+                limit_cycles: self.config.watchdog.max_cycles,
+                spent_cycles: imp_noc::net_to_array_cycles(spent_net_cycles),
+            };
+        }
+        SimError::Faults(vec![transport_fault_event(site, &ev)])
     }
 }
 
@@ -778,92 +748,50 @@ const MSG_ID_STRIDE: u64 = 1 << 32;
 /// derived from the same `(fault_seed, slot, group, attempt)` tuple.
 const TRANSIENT_STREAM_SALT: u64 = 0x7261_6E51_6C69_7463;
 
-/// Read-only state shared by every worker during one attempt.
+/// What every worker of one attempt reads: the attempt's own facts, and
+/// the machine, the run's plan and the attempt's tape for the rest.
 struct EngineCtx<'a> {
-    kernel: &'a CompiledKernel,
-    /// Every array's analog spec, at the kernel's fixed-point format.
-    analog: AnalogSpec,
-    /// Quantized feeds, resolved input rows and the reduction-slot count;
-    /// see [`RunPlan::new`].
-    plan: &'a RunPlan,
+    machine: &'a Machine,
+    plan: &'a RunPlan<'a>,
+    tape: &'a Tape,
     usable: &'a [usize],
-    /// The attempt's schedule, lowered to resolved steps.
-    tape: &'a [Step],
-    /// Whether `tape` sends any `movg`.
-    transfers: bool,
-    /// The data-independent energy of every step of `tape`, which each
-    /// group's meter starts from.
-    static_energy: EnergyMeter,
     /// Per-(round-local slot) fault maps, indexed
     /// `group_in_round * num_ibs + ib`; `None` where the slot holds no
     /// fault. Only arrays with a map are armed and checked.
     fault_maps: Vec<Option<Arc<FaultMap>>>,
-    instances: usize,
     groups_per_round: usize,
-    num_ibs: usize,
-    module_latency: u64,
-    net_deadline: Option<u64>,
     attempt_idx: u64,
-    /// Whether telemetry is installed; workers then attribute per-IB
-    /// energy into their [`GroupOutcome`].
-    telemetry_on: bool,
-    fault_seed: u64,
-    arrays_per_tile: usize,
-    tiles: usize,
-    watchdog_limit: u64,
-    network_proto: &'a Network,
-    power: &'a ArrayPower,
 }
 
-/// One worker thread's private mutable state: a pooled array per IB and a
-/// private network timing view, both fully re-initialized per group, and
-/// the lane-batched state its first batch builds.
+/// One worker thread's private mutable state, re-initialized per group
+/// or batch: a pooled array per IB, the per-IB lane batches its first
+/// batch builds, and a pool of network timing views, of which
+/// [`run_group`] uses view 0 and [`run_batch`] views `0..width`.
 struct Worker {
     arrays: Vec<ReramArray>,
-    network: Network,
-    batch: Option<BatchState>,
+    batches: Vec<ArrayBatch>,
+    networks: Vec<Network>,
 }
 
 impl Worker {
     /// One blank array per IB, at the kernel's fixed-point format and
-    /// holding the IB's LUT.
+    /// holding the IB's LUT, and one network view.
     fn new(ctx: &EngineCtx) -> Self {
         let arrays = ctx
+            .plan
             .kernel
             .ibs
             .iter()
             .map(|ib| {
-                let mut array = ReramArray::new(ctx.analog);
+                let mut array = ReramArray::new(ctx.plan.analog);
                 array.set_lut(ib.lut.clone());
                 array
             })
             .collect();
         Worker {
             arrays,
-            network: ctx.network_proto.clone(),
-            batch: None,
-        }
-    }
-}
-
-/// A worker's lane-batched state: one [`ArrayBatch`] per IB and, for a
-/// tape that sends `movg`s, one network view per batch slot, each
-/// re-initialized per batch.
-struct BatchState {
-    arrays: Vec<ArrayBatch>,
-    networks: Vec<Network>,
-}
-
-impl BatchState {
-    fn new(ctx: &EngineCtx) -> Self {
-        BatchState {
-            arrays: ctx
-                .kernel
-                .ibs
-                .iter()
-                .map(|ib| ArrayBatch::new(ctx.analog, ib.lut.clone()))
-                .collect(),
-            networks: Vec::new(),
+            batches: Vec::new(),
+            networks: vec![ctx.machine.network.clone()],
         }
     }
 }
@@ -873,8 +801,9 @@ impl BatchState {
 struct GroupOutcome {
     /// This group's contribution to each reduction slot (wrapping adds).
     reduce_acc: Vec<i32>,
-    /// Per-instance outputs: `(output idx, elem idx, valid-lane values)`.
-    harvest: Vec<(usize, usize, Vec<f64>)>,
+    /// Per-instance outputs, every lane, in [`RunPlan::row_outputs`]
+    /// order.
+    harvest: Vec<[f64; LANES]>,
     events: Vec<FaultEvent>,
     transport_events: Vec<FaultEvent>,
     noc: NocStats,
@@ -890,16 +819,17 @@ impl GroupOutcome {
     /// The outcome of a group before its first step: the tape's static
     /// energy and instruction count, nothing else yet.
     fn new(ctx: &EngineCtx) -> Self {
+        let telemetry = &ctx.machine.config.telemetry;
         GroupOutcome {
             reduce_acc: vec![0i32; ctx.plan.n_slots],
             harvest: Vec::new(),
             events: Vec::new(),
             transport_events: Vec::new(),
             noc: NocStats::default(),
-            meter: ctx.static_energy.clone(),
+            meter: ctx.tape.static_energy.clone(),
             wear: 0,
-            instructions: ctx.tape.len() as u64,
-            ib_energy: ctx.telemetry_on.then(|| vec![0.0f64; ctx.num_ibs]),
+            instructions: ctx.tape.steps.len() as u64,
+            ib_energy: telemetry.as_ref().map(|_| vec![0.0; ctx.plan.num_ibs]),
         }
     }
 
@@ -930,26 +860,13 @@ impl GroupOutcome {
         }
     }
 
-    /// Harvests the per-instance outputs, `read(ib, row)` reading the
+    /// Converts the per-instance outputs, `read(ib, row)` reading the
     /// group's final rows.
-    fn harvest(
-        &mut self,
-        kernel: &CompiledKernel,
-        valid_lanes: usize,
-        read: impl Fn(usize, usize) -> [i32; LANES],
-    ) {
-        for (out_idx, output) in kernel.outputs.iter().enumerate() {
-            for (elem, loc) in output.locs.iter().enumerate() {
-                if let OutputLoc::Row { ib, row } = *loc {
-                    let converted: Vec<f64> = read(ib, row as usize)
-                        .iter()
-                        .take(valid_lanes)
-                        .map(|&word| Fixed::from_raw(word, kernel.format).to_f64())
-                        .collect();
-                    self.harvest.push((out_idx, elem, converted));
-                }
-            }
-        }
+    fn harvest(&mut self, plan: &RunPlan, read: impl Fn(usize, usize) -> [i32; LANES]) {
+        let format = plan.kernel.format;
+        let convert = |word| Fixed::from_raw(word, format).to_f64();
+        let rows = plan.row_outputs.iter();
+        self.harvest = rows.map(|loc| read(loc.ib, loc.row).map(convert)).collect();
     }
 }
 
@@ -969,7 +886,7 @@ impl GroupPlace {
             group,
             round: (group / ctx.groups_per_round) as u64,
             in_round: group % ctx.groups_per_round,
-            valid_lanes: (ctx.instances - group * LANES).min(LANES),
+            valid_lanes: (ctx.plan.instances - group * LANES).min(LANES),
         }
     }
 
@@ -979,13 +896,13 @@ impl GroupPlace {
     fn lane_instances(&self, ctx: &EngineCtx) -> [usize; LANES] {
         std::array::from_fn(|lane| {
             (self.group * LANES + lane.min(self.valid_lanes.saturating_sub(1)))
-                .min(ctx.instances.saturating_sub(1))
+                .min(ctx.plan.instances.saturating_sub(1))
         })
     }
 
     /// Index of IB `ib`'s slot in the round-local slot tables.
     fn slot_index(&self, ctx: &EngineCtx, ib: usize) -> usize {
-        self.in_round * ctx.num_ibs + ib
+        self.in_round * ctx.plan.num_ibs + ib
     }
 
     /// The fault site of IB `ib` of this group.
@@ -1002,27 +919,25 @@ impl GroupPlace {
     /// map on any of its slots, so every conversion is exact and no array
     /// is armed.
     fn batchable(&self, ctx: &EngineCtx) -> bool {
-        ctx.analog.noise_prob <= 0.0
-            && (0..ctx.num_ibs).all(|ib| ctx.fault_maps[self.slot_index(ctx, ib)].is_none())
+        ctx.plan.analog.noise_prob <= 0.0
+            && (0..ctx.plan.num_ibs).all(|ib| ctx.fault_maps[self.slot_index(ctx, ib)].is_none())
     }
 
     /// The network time this group's round starts at.
     fn round_base_net(&self, ctx: &EngineCtx) -> u64 {
-        self.round * ctx.module_latency * imp_noc::NET_CYCLES_PER_ARRAY_CYCLE
+        self.round * ctx.tape.module_latency * imp_noc::NET_CYCLES_PER_ARRAY_CYCLE
     }
 }
 
-/// Sends one group's `movg` payload `value` over `network` and returns
-/// the row delivered to IB `dst_ib` (`None` when the message was dropped,
-/// which leaves the stale destination row), recording survived transport
-/// faults into `events`.
-#[allow(clippy::too_many_arguments)]
+/// Sends one group's `movg` payload `value` from IB `src_ib` to IB
+/// `dst_ib` over `network` and returns the row delivered (`None` when the
+/// message was dropped, which leaves the stale destination row),
+/// recording survived transport faults into `events`.
 fn send_movg(
     ctx: &EngineCtx,
     network: &mut Network,
     place: &GroupPlace,
-    src_ib: usize,
-    dst_ib: usize,
+    (src_ib, dst_ib): (usize, usize),
     send_net: u64,
     value: &[i32; LANES],
     events: &mut Vec<FaultEvent>,
@@ -1031,7 +946,8 @@ fn send_movg(
     let dst_tile = tile_of(ctx, place.in_round, dst_ib);
     let site = place.site(ctx, dst_ib);
     let now = place.round_base_net(ctx) + send_net;
-    match network.transfer(src_tile, dst_tile, value, 32, now, ctx.net_deadline) {
+    let deadline = ctx.machine.net_deadline();
+    match network.transfer(src_tile, dst_tile, value, 32, now, deadline) {
         Ok(delivery) => {
             events.extend(
                 delivery
@@ -1045,7 +961,7 @@ fn send_movg(
                 row
             }))
         }
-        Err(ev) => Err(transport_error(ctx.watchdog_limit, site, ev)),
+        Err(ev) => Err(ctx.machine.transport_error(site, ev)),
     }
 }
 
@@ -1060,25 +976,25 @@ fn send_movg(
 /// that need none of them.
 fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<GroupOutcome, SimError> {
     let place = GroupPlace::new(ctx, group);
-    worker.network.reset();
-    worker.network.set_next_msg_id(group as u64 * MSG_ID_STRIDE);
+    let Worker {
+        arrays, networks, ..
+    } = worker;
+    let network = &mut networks[0];
+    network.reset();
+    network.set_next_msg_id(group as u64 * MSG_ID_STRIDE);
 
+    let fault_seed = ctx.machine.config.fault_seed;
     let lane_instances = place.lane_instances(ctx);
     for (ib_index, rows) in ctx.plan.rows.iter().enumerate() {
-        let array = &mut worker.arrays[ib_index];
+        let array = &mut arrays[ib_index];
         array.reset();
         let slot_index = place.slot_index(ctx, ib_index);
         let slot = ctx.usable[slot_index] as u64;
         // Deterministic, order-independent noise stream per
         // (physical array, group, attempt).
-        array.set_fault_seed(mix_seed4(
-            ctx.fault_seed,
-            slot,
-            group as u64,
-            ctx.attempt_idx,
-        ));
+        array.set_fault_seed(mix_seed4(fault_seed, slot, group as u64, ctx.attempt_idx));
         if let Some(map) = &ctx.fault_maps[slot_index] {
-            let salted = ctx.fault_seed ^ TRANSIENT_STREAM_SALT;
+            let salted = fault_seed ^ TRANSIENT_STREAM_SALT;
             let stream = mix_seed4(salted, slot, group as u64, ctx.attempt_idx);
             array.arm_faults(Arc::clone(map), stream);
         }
@@ -1088,8 +1004,8 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
     }
 
     let mut outcome = GroupOutcome::new(ctx);
-    let arrays = &mut worker.arrays;
-    for step in ctx.tape {
+    let power = &ctx.machine.power;
+    for step in &ctx.tape.steps {
         match *step {
             Step::Op {
                 ib,
@@ -1102,7 +1018,7 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
                         site: Some(place.site(ctx, ib)),
                         source,
                     })?;
-                outcome.record_op(ib, energy, adc_bits, ctx.power);
+                outcome.record_op(ib, energy, adc_bits, power);
             }
             Step::Movg {
                 src_ib,
@@ -1113,10 +1029,9 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
             } => {
                 let value = arrays[src_ib].read_row(src_row);
                 let events = &mut outcome.transport_events;
-                let network = &mut worker.network;
-                if let Some(row) = send_movg(
-                    ctx, network, &place, src_ib, dst_ib, send_net, &value, events,
-                )? {
+                let route = (src_ib, dst_ib);
+                if let Some(row) = send_movg(ctx, network, &place, route, send_net, &value, events)?
+                {
                     arrays[dst_ib].write_row(dst_row, &row);
                 }
             }
@@ -1129,7 +1044,7 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
     // scan over its crossbar, plus the latched ADC duplicate-conversion
     // disagreement flag. Free in cycles (overlapped with the write-back
     // stage, see [`crate::fault`]); only recovery costs time.
-    let detect_cycle = (place.round + 1) * ctx.module_latency;
+    let detect_cycle = (place.round + 1) * ctx.tape.module_latency;
     let armed = arrays
         .iter()
         .enumerate()
@@ -1154,15 +1069,13 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
             });
         }
     }
-    outcome.harvest(ctx.kernel, place.valid_lanes, |ib, row| {
-        arrays[ib].read_row(row)
-    });
+    outcome.harvest(ctx.plan, |ib, row| arrays[ib].read_row(row));
     outcome.wear = arrays
         .iter()
         .map(|a| a.crossbar().total_writes())
         .max()
         .unwrap_or(0);
-    outcome.noc = worker.network.stats();
+    outcome.noc = network.stats();
     Ok(outcome)
 }
 
@@ -1185,17 +1098,24 @@ fn run_batch(
     first: usize,
     width: usize,
 ) -> Option<Vec<GroupOutcome>> {
-    let state = worker.batch.get_or_insert_with(|| BatchState::new(ctx));
+    let Worker {
+        batches, networks, ..
+    } = worker;
+    if batches.is_empty() {
+        let ibs = ctx.plan.kernel.ibs.iter();
+        *batches = ibs
+            .map(|ib| ArrayBatch::new(ctx.plan.analog, ib.lut.clone()))
+            .collect();
+    }
     let places: Vec<GroupPlace> = (first..first + width)
         .map(|group| GroupPlace::new(ctx, group))
         .collect();
-    if ctx.transfers {
-        if state.networks.len() < width {
-            state
-                .networks
-                .resize_with(width, || ctx.network_proto.clone());
+    let transfers = ctx.tape.transfers;
+    if transfers {
+        if networks.len() < width {
+            networks.resize_with(width, || ctx.machine.network.clone());
         }
-        for (network, place) in state.networks.iter_mut().zip(&places) {
+        for (network, place) in networks.iter_mut().zip(&places) {
             network.reset();
             network.set_next_msg_id(place.group as u64 * MSG_ID_STRIDE);
         }
@@ -1203,9 +1123,9 @@ fn run_batch(
 
     // Stage the input rows: an element feed whose groups are all full is
     // one contiguous run of instances, copied as is.
-    let full = (first + width) * LANES <= ctx.instances;
+    let full = (first + width) * LANES <= ctx.plan.instances;
     let mut staged = [[0i32; LANES]; BATCH];
-    for (array, rows) in state.arrays.iter_mut().zip(&ctx.plan.rows) {
+    for (array, rows) in batches.iter_mut().zip(&ctx.plan.rows) {
         array.reset(width);
         for (row, input) in rows {
             match *input {
@@ -1225,22 +1145,24 @@ fn run_batch(
     }
 
     let mut outcomes: Vec<GroupOutcome> = places.iter().map(|_| GroupOutcome::new(ctx)).collect();
-    let mut tally = AdcTally::new(&ctx.static_energy);
+    let power = &ctx.machine.power;
+    let telemetry_on = ctx.machine.config.telemetry.is_some();
+    let mut tally = AdcTally::new(&ctx.tape.static_energy);
     let (mut adc_bits, mut adc_j) = ([0u8; BATCH], [0f64; BATCH]);
-    for step in ctx.tape {
+    for step in &ctx.tape.steps {
         match *step {
             Step::Op {
                 ib,
                 ref op,
                 ref energy,
             } => {
-                if !state.arrays[ib].execute_op(op, &mut adc_bits) {
+                if !batches[ib].execute_op(op, &mut adc_bits) {
                     return None;
                 }
                 if energy.converts() {
-                    tally.record(energy, &adc_bits[..width], ctx.power, &mut adc_j);
+                    tally.record(energy, &adc_bits[..width], power, &mut adc_j);
                 }
-                if ctx.telemetry_on {
+                if telemetry_on {
                     for (outcome, &adc_j) in outcomes.iter_mut().zip(&adc_j) {
                         let adc_j = if energy.converts() { adc_j } else { 0.0 };
                         outcome.attribute(ib, energy, adc_j);
@@ -1254,39 +1176,32 @@ fn run_batch(
                 dst_row,
                 send_net,
             } => {
-                let groups = places.iter().zip(&mut outcomes).zip(&mut state.networks);
+                let groups = places.iter().zip(&mut outcomes).zip(networks.iter_mut());
                 for (g, ((place, outcome), network)) in groups.enumerate() {
-                    let value = state.arrays[src_ib].read_row(g, src_row);
+                    let value = batches[src_ib].read_row(g, src_row);
                     let events = &mut outcome.transport_events;
-                    let sent = send_movg(
-                        ctx, network, place, src_ib, dst_ib, send_net, &value, events,
-                    );
+                    let route = (src_ib, dst_ib);
+                    let sent = send_movg(ctx, network, place, route, send_net, &value, events);
                     if let Some(row) = sent.ok()? {
-                        state.arrays[dst_ib].write_group_row(g, dst_row, &row);
+                        batches[dst_ib].write_group_row(g, dst_row, &row);
                     }
                 }
             }
             Step::Reduce { ib, src_row, slot } => {
                 for (g, (place, outcome)) in places.iter().zip(&mut outcomes).enumerate() {
-                    outcome.reduce(
-                        slot,
-                        &state.arrays[ib].read_row(g, src_row),
-                        place.valid_lanes,
-                    );
+                    outcome.reduce(slot, &batches[ib].read_row(g, src_row), place.valid_lanes);
                 }
             }
         }
     }
-    for (g, (place, outcome)) in places.iter().zip(&mut outcomes).enumerate() {
+    for (g, outcome) in outcomes.iter_mut().enumerate() {
         tally.store(g, &mut outcome.meter);
-        let arrays = &state.arrays;
-        outcome.harvest(ctx.kernel, place.valid_lanes, |ib, row| {
-            arrays[ib].read_row(g, row)
-        });
-        outcome.wear = arrays.iter().map(|a| a.total_writes(g)).max().unwrap_or(0);
-        // A tape without transfers leaves every group's network blank.
-        if let Some(network) = state.networks.get(g) {
-            outcome.noc = network.stats();
+        outcome.harvest(ctx.plan, |ib, row| batches[ib].read_row(g, row));
+        outcome.wear = batches.iter().map(|a| a.total_writes(g)).max().unwrap_or(0);
+        // A tape without transfers leaves every group's `NocStats` at
+        // the default and reads no pooled view.
+        if transfers {
+            outcome.noc = networks[g].stats();
         }
     }
     Some(outcomes)
@@ -1429,24 +1344,12 @@ fn build_ib_profiles(
     profiles
 }
 
-/// Maps a fatal transport error to the right [`SimError`]: deadline
-/// overruns become [`SimError::Timeout`], everything else surfaces as an
-/// unrecovered fault.
-fn transport_error(watchdog_limit: u64, site: FaultSite, ev: TransportEvent) -> SimError {
-    if let TransportFaultKind::DeadlineExceeded { spent_net_cycles } = ev.kind {
-        return SimError::Timeout {
-            limit_cycles: watchdog_limit,
-            spent_cycles: imp_noc::net_to_array_cycles(spent_net_cycles),
-        };
-    }
-    SimError::Faults(vec![transport_fault_event(site, &ev)])
-}
-
 /// Physical tile of IB `ib` of round-local group `g` (groups packed
 /// densely across the chip's *usable* arrays).
 fn tile_of(ctx: &EngineCtx, group_in_round: usize, ib: usize) -> usize {
-    let flat = ctx.usable[group_in_round * ctx.num_ibs + ib];
-    (flat / ctx.arrays_per_tile) % ctx.tiles
+    let capacity = &ctx.machine.config.capacity;
+    let flat = ctx.usable[group_in_round * ctx.plan.num_ibs + ib];
+    (flat / (capacity.clusters_per_tile * capacity.arrays_per_cluster)) % capacity.tiles
 }
 
 /// Where one input row's lanes come from, resolved from its
@@ -1496,32 +1399,52 @@ impl StagedInput {
     }
 }
 
-/// Everything [`Machine::run`] checks and resolves before any group
-/// executes, so the group loop only executes.
-struct RunPlan {
+/// Everything [`Machine::run`] checks, resolves and lowers from the
+/// kernel and its feeds, once per run, so attempts and groups only
+/// execute.
+struct RunPlan<'k> {
+    kernel: &'k CompiledKernel,
+    instances: usize,
+    /// The kernel's IBs, at least one.
+    num_ibs: usize,
+    /// Every array's analog spec: the machine's, at the kernel's
+    /// fixed-point format.
+    analog: AnalogSpec,
     /// Every supplied feed, quantized to the kernel's format.
     feeds: Vec<Vec<i32>>,
     /// Per IB: each input row and where its lanes come from.
     rows: Vec<Vec<(usize, StagedInput)>>,
     /// Reduction slots the kernel's outputs read.
     n_slots: usize,
-    /// The kernel's own schedule, lowered by [`lower_tape`].
-    tape: Vec<Step>,
+    /// Every per-instance output location, in the kernel's order.
+    row_outputs: Vec<RowOutput>,
+    /// Accelerator-mode loading estimate: every group's input rows
+    /// stream in through the external I/O port.
+    load_cycles: u64,
+    /// The kernel's own schedule, lowered.
+    tape: Tape,
 }
 
-impl RunPlan {
+/// Element `elem` of output `out`, read from row `row` of IB `ib`.
+struct RowOutput {
+    out: usize,
+    elem: usize,
+    ib: usize,
+    row: usize,
+}
+
+impl<'k> RunPlan<'k> {
     /// The one pre-run pass: checks the kernel's structure (the verifier's
     /// [`verify_structure`](imp_verify::verify_structure)) and its width
-    /// against the chip's `total_arrays`, quantizes every feed (rejecting
-    /// NaN and ±inf; finite values saturate at the format's rails), then
-    /// resolves the input rows against the feeds. This is the one place
-    /// input names and lengths are checked.
+    /// against `machine`'s arrays, quantizes every feed (rejecting NaN and
+    /// ±inf; finite values saturate at the format's rails), then resolves
+    /// the input rows against the feeds and lowers the kernel's schedule.
+    /// This is the one place input names and lengths are checked.
     fn new<'a>(
-        kernel: &CompiledKernel,
+        kernel: &'k CompiledKernel,
         inputs: impl IntoIterator<Item = (&'a str, &'a Tensor)>,
-        total_arrays: usize,
-        power: &ArrayPower,
-    ) -> Result<RunPlan, SimError> {
+        machine: &Machine,
+    ) -> Result<Self, SimError> {
         let structure = imp_verify::verify_structure(kernel, &kernel.schedule);
         // The first error in (ib, pc, rule) order.
         if let Some(d) = structure.diagnostics.first() {
@@ -1544,6 +1467,7 @@ impl RunPlan {
             .max()
             .unwrap_or(0);
         let num_ibs = kernel.ibs.len().max(1);
+        let total_arrays = machine.config.capacity.arrays();
         if num_ibs > total_arrays {
             return Err(SimError::OutOfArrays {
                 needed: num_ibs,
@@ -1648,12 +1572,33 @@ impl RunPlan {
             }
             rows.push(ib_rows);
         }
-        let tape = lower_tape(kernel, &kernel.schedule, power);
+        let row_outputs = kernel.outputs.iter().enumerate().flat_map(|(out, output)| {
+            let locs = output.locs.iter().enumerate();
+            locs.filter_map(move |(elem, loc)| match *loc {
+                OutputLoc::Row { ib, row } => Some(RowOutput {
+                    out,
+                    elem,
+                    ib,
+                    row: usize::from(row),
+                }),
+                OutputLoc::Reduced { .. } => None,
+            })
+        });
+        let bytes_per_group: usize = kernel.ibs.iter().map(|ib| ib.input_rows.len() * 32).sum();
+        let groups = perf::pack(n, num_ibs, total_arrays).groups;
+        let mut analog = machine.config.analog;
+        analog.frac_bits = kernel.format.frac_bits();
         Ok(RunPlan {
+            kernel,
+            instances: n,
+            num_ibs,
+            analog,
             feeds,
             rows,
             n_slots,
-            tape,
+            row_outputs: row_outputs.collect(),
+            load_cycles: perf::load_cycles(bytes_per_group * groups, EXTERNAL_IO_BYTES_PER_S),
+            tape: lower_tape(kernel, &kernel.schedule, &machine.power),
         })
     }
 }
@@ -1690,9 +1635,24 @@ enum Step {
     },
 }
 
+/// A schedule lowered for execution, with the facts every attempt that
+/// runs it shares.
+struct Tape {
+    /// The scheduled instructions, in schedule order.
+    steps: Vec<Step>,
+    /// The data-independent energy of every step, folded in tape order
+    /// from 0: every group's meter starts from it and adds only its ADC
+    /// terms (see [`OpEnergy`]).
+    static_energy: EnergyMeter,
+    /// Whether any step is a `movg`.
+    transfers: bool,
+    /// The schedule's module latency, at least one cycle.
+    module_latency: u64,
+}
+
 /// Lowers `sched` over `kernel`, a pair
 /// [`verify_structure`](imp_verify::verify_structure) accepts, into its
-/// execution tape in schedule order, each array-local instruction costed
+/// tape: the steps in schedule order, each array-local instruction costed
 /// under `power`.
 ///
 /// Lowering follows, per IB, the registers whose lane 0 holds a value
@@ -1701,14 +1661,15 @@ enum Step {
 /// registers are all known then carries their [`DacVectors`], analysed
 /// here once instead of in every group. Lanes other than 0 never matter:
 /// `dot` streams lane 0 alone.
-fn lower_tape(kernel: &CompiledKernel, sched: &Schedule, power: &ArrayPower) -> Vec<Step> {
+fn lower_tape(kernel: &CompiledKernel, sched: &Schedule, power: &ArrayPower) -> Tape {
     let mut known = vec![[None::<i32>; NUM_REGISTERS]; kernel.ibs.len()];
-    let mut tape = Vec::with_capacity(sched.entries.len());
+    let mut steps = Vec::with_capacity(sched.entries.len());
+    let mut static_energy = EnergyMeter::new();
     for entry in &sched.entries {
         let ib = entry.ib;
         let regs = &mut known[ib];
         let inst = kernel.ibs[ib].block.instructions()[entry.index];
-        tape.push(match inst {
+        steps.push(match inst {
             Instruction::Movg { src, dst } => {
                 let (_, src_row) = as_cross_ib(src).expect("ISA02 checked movg sources");
                 let (dst_ib, dst_row) = as_cross_ib(dst).expect("ISA02 checked movg destinations");
@@ -1747,15 +1708,18 @@ fn lower_tape(kernel: &CompiledKernel, sched: &Schedule, power: &ArrayPower) -> 
                         _ => None,
                     };
                 }
-                Step::Op {
-                    ib,
-                    op,
-                    energy: OpEnergy::new(&OpTrace::of(&local), power),
-                }
+                let energy = OpEnergy::new(&OpTrace::of(&local), power);
+                static_energy.record_static(&energy);
+                Step::Op { ib, op, energy }
             }
         });
     }
-    tape
+    Tape {
+        transfers: steps.iter().any(|step| matches!(step, Step::Movg { .. })),
+        steps,
+        static_energy,
+        module_latency: sched.module_latency.max(1),
+    }
 }
 
 #[cfg(test)]
@@ -1814,9 +1778,9 @@ mod tests {
                 let kernel = w.compile(n, policy).unwrap();
                 let inputs = w.inputs(n, 1);
                 let inputs = inputs.iter().map(|(name, t)| (name.as_str(), t));
-                let power = ArrayPower::from_table4();
-                let plan = RunPlan::new(&kernel, inputs, 64 * 64, &power).unwrap();
-                for step in &plan.tape {
+                let machine = Machine::new(SimConfig::functional());
+                let plan = RunPlan::new(&kernel, inputs, &machine).unwrap();
+                for step in &plan.tape.steps {
                     if let Step::Op {
                         op: op @ MicroOp::Dot { dac, .. },
                         ..
@@ -1847,8 +1811,9 @@ mod tests {
         let kernel = w.compile(64 * LANES, OptPolicy::MaxDlp).unwrap();
         let inputs = w.inputs(64 * LANES, 5);
         let inputs = inputs.iter().map(|(name, t)| (name.as_str(), t));
-        let plan = RunPlan::new(&kernel, inputs, 64 * 64, &ArrayPower::from_table4()).unwrap();
-        assert_eq!(Parallelism::Auto.shards(plan.tape.len() * 64), 1);
+        let machine = Machine::new(SimConfig::functional());
+        let plan = RunPlan::new(&kernel, inputs, &machine).unwrap();
+        assert_eq!(Parallelism::Auto.shards(plan.tape.steps.len() * 64), 1);
     }
 
     #[test]

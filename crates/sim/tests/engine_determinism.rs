@@ -101,13 +101,13 @@ fn assert_identical(a: &RunReport, b: &RunReport, tag: &str) {
     );
 }
 
-/// Runs the same kernel under `Serial` and `Threads(1|2|4)` and demands
-/// identical reports.
+/// Runs the same kernel under `Serial` and `Threads(1|2|4)`, demands
+/// identical reports and returns the serial one.
 fn check_all_parallelisms(
     config: &SimConfig,
     kernel: &CompiledKernel,
     inputs: &HashMap<String, Tensor>,
-) {
+) -> RunReport {
     let mut serial_config = config.clone();
     serial_config.parallelism = Parallelism::Serial;
     let serial = Machine::new(serial_config)
@@ -121,6 +121,7 @@ fn check_all_parallelisms(
             .expect("parallel run");
         assert_identical(&serial, &par, &format!("{workers} workers"));
     }
+    serial
 }
 
 proptest! {
@@ -217,6 +218,45 @@ fn retry_recovery_identical_across_worker_counts() {
         ..SimConfig::functional()
     };
     check_all_parallelisms(&config, &kernel, &inputs);
+}
+
+/// Lane batches of a multi-IB kernel, whose `movg`s run over each
+/// worker's pooled network views: kmeans compiled MaxILP at 299 instances
+/// (38 groups: full and partial batches, and a three-lane last group)
+/// runs clean, over dead links that drop `movg`s under Silent, and with
+/// stuck cells under Remap, identically on every worker count.
+#[test]
+fn multi_ib_lane_batches_identical_across_worker_counts() {
+    const N: usize = 299;
+    let w = imp_workloads::workload("kmeans").unwrap();
+    let kernel = w.compile(N, OptPolicy::MaxIlp).unwrap();
+    assert!(kernel.ibs.len() > 1, "MaxILP splits kmeans");
+    let inputs = w.inputs(N, 1);
+    let base = SimConfig {
+        fault_seed: 11,
+        ..SimConfig::functional()
+    };
+    let dead_links = TransportConfig {
+        rates: LinkFaultRates::dead_links(0.2),
+        policy: TransportPolicy::Silent,
+    };
+    let stuck = FaultConfig::new(FaultRates::cells(4e-6), FaultPolicy::Remap);
+    let configs = [
+        base.clone(),
+        SimConfig {
+            transport: dead_links,
+            ..base.clone()
+        },
+        SimConfig {
+            faults: stuck,
+            ..base
+        },
+    ];
+    let [clean, dropping, remapped] =
+        configs.map(|config| check_all_parallelisms(&config, &kernel, &inputs));
+    assert!(clean.noc.messages > 0, "the groups send movgs");
+    assert!(dropping.noc.dropped_messages > 0, "dead links drop movgs");
+    assert!(remapped.retries > 0, "a stuck cell is remapped around");
 }
 
 /// `Auto` resolves to some worker count; whatever it is, the report must

@@ -6,8 +6,9 @@
 //! output reads a reduction slot no address can encode or mixes
 //! reduction slots with per-instance rows; a window input
 //! has no stencil grid; the schedule misses, repeats or
-//! invents an instruction; a shift moves a word by 32 bits or more; or
-//! the fixed-point format has more than 30 fraction bits. `Machine::run`
+//! invents an instruction; a shift moves a word by 32 bits or more; the
+//! fixed-point format has more than 30 fraction bits; or a stencil grid
+//! has more instances than a `usize` counts. `Machine::run`
 //! refuses them before any instance group executes, through the
 //! verifier's structural pass (rules `ISA01`–`ISA03` and `SCH04`), so the
 //! simulator and a `Deny` build agree on which kernels can execute.
@@ -324,6 +325,16 @@ fn format_past_thirty_fraction_bits() -> Case {
     (kernel, inputs)
 }
 
+/// Blackscholes, an element-wise kernel, declared a stencil whose
+/// `h × w` grid overflows a `usize` (it would wrap to 0 instances).
+fn stencil_grid_past_usize() -> Case {
+    let w = imp_workloads::workload("blackscholes").expect("known workload");
+    let mut kernel = w.compile(64, OptPolicy::MaxDlp).expect("compiles");
+    let side = 1 << (usize::BITS / 2);
+    kernel.parallel = ParallelSpec::Stencil { h: side, w: side };
+    (kernel, w.inputs(64, 1))
+}
+
 /// A named way to build a case.
 type Named = (&'static str, fn() -> Case);
 
@@ -381,6 +392,7 @@ const MUTATIONS: &[Named] = &[
         "format_past_thirty_fraction_bits",
         format_past_thirty_fraction_bits,
     ),
+    ("stencil_grid_past_usize", stencil_grid_past_usize),
 ];
 
 fn run((kernel, inputs): &Case) -> Result<(), SimError> {
@@ -531,4 +543,9 @@ fn shift_of_a_word_or_more_is_a_typed_error() {
 #[test]
 fn format_past_thirty_fraction_bits_is_a_typed_error() {
     assert_malformed(format_past_thirty_fraction_bits(), "ISA03");
+}
+
+#[test]
+fn stencil_grid_past_usize_is_a_typed_error() {
+    assert_malformed(stencil_grid_past_usize(), "ISA03");
 }

@@ -15,7 +15,7 @@
 //! |---|---|---|
 //! | `ISA01` | error | every local operand address is in range (rows < 128, registers < 128) and every immediate is legal (shift amounts < 32, [`Instruction::check_immediates`](imp_isa::Instruction::check_immediates)) |
 //! | `ISA02` | error | every global address is well formed: `movg` src names a row below 128 of its own IB, dst a row below 128 of a different, existing IB; `reduce_sum` targets a slot some output declares `Reduced` |
-//! | `ISA03` | error | layout fits the array: peak rows/registers ≤ 128, input rows in range and unaliased, window inputs only in a `ParallelSpec::Stencil` kernel, output rows and reduction slots in range, and the kernel's fixed-point format supported (at most 30 fraction bits) |
+//! | `ISA03` | error | layout fits the array: peak rows/registers ≤ 128, input rows in range and unaliased, window inputs only in a `ParallelSpec::Stencil` kernel, a stencil grid's `h × w` within `usize`, output rows and reduction slots in range, and the kernel's fixed-point format supported (at most 30 fraction bits) |
 //! | `ISA04` | warning | a `lut` instruction reads a programmed (non-zero) table |
 //! | `DF01` | error | def-before-use: every register read is written earlier in program order; every row read is too, or is filled from an input binding, or is delivered by an incoming `movg` |
 //! | `DF02` | warning | no dead writes: every written slot is read before being overwritten, or is live-out |

@@ -16,6 +16,7 @@ use imp_rram::QFormat;
 /// Runs the structural rules over `kernel` and its timetable `schedule`.
 pub(crate) fn check(kernel: &CompiledKernel, schedule: &Schedule, out: &mut Vec<Diagnostic>) {
     check_format(kernel, out);
+    check_grid(kernel, out);
     for (i, ib) in kernel.ibs.iter().enumerate() {
         check_layout(kernel, i, out);
         for (pc, inst) in ib.block.instructions().iter().enumerate() {
@@ -209,6 +210,25 @@ fn check_format(kernel: &CompiledKernel, out: &mut Vec<Diagnostic>) {
                 QFormat::MAX_FRAC_BITS
             ),
             help: "compile at a format with 0..=30 fraction bits".into(),
+        });
+    }
+}
+
+/// `ISA03`: a stencil kernel's `h × w` grid counts its instances in a
+/// `usize`.
+fn check_grid(kernel: &CompiledKernel, out: &mut Vec<Diagnostic>) {
+    let ParallelSpec::Stencil { h, w } = kernel.parallel else {
+        return;
+    };
+    if h.checked_mul(w).is_none() {
+        out.push(Diagnostic {
+            rule: "ISA03",
+            severity: Severity::Error,
+            ib: None,
+            pc: None,
+            node: None,
+            message: format!("the {h} × {w} stencil grid has more instances than a usize counts"),
+            help: "a stencil grid must hold at most usize::MAX instances".into(),
         });
     }
 }

@@ -256,6 +256,22 @@ fn isa03_reduced_output_slot_past_the_address_space() {
 }
 
 #[test]
+fn isa03_stencil_grid_past_usize() {
+    let mut k = kernel("hotspot");
+    let side = 1 << (usize::BITS / 2);
+    for (h, w) in [(side, side), (usize::MAX, 2)] {
+        k.parallel = ParallelSpec::Stencil { h, w };
+        let report = verify_kernel(&k);
+        assert_eq!(error_rules(&report), vec!["ISA03"], "{}", report.render());
+    }
+    k.parallel = ParallelSpec::Stencil {
+        h: side,
+        w: side - 1,
+    };
+    assert!(verify_structure(&k, &k.schedule).is_clean());
+}
+
+#[test]
 fn isa03_row_pressure() {
     let mut k = kernel("blackscholes");
     k.ibs[0].peak_rows = 131;

@@ -444,11 +444,6 @@ impl Builder<'_> {
                     class: VClass::Parallel,
                 })
             }
-            Op::NoOp => Ok(NodeVal {
-                scalars: Vec::new(),
-                intra: Shape::scalar(),
-                class: VClass::Const,
-            }),
         }
     }
 

@@ -106,17 +106,6 @@ impl Graph {
             .collect()
     }
 
-    /// All placeholder names in declaration order.
-    pub fn placeholder_names(&self) -> Vec<&str> {
-        self.nodes
-            .iter()
-            .filter_map(|n| match &n.op {
-                Op::Placeholder { name } => Some(name.as_str()),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// All variable names in declaration order.
     pub fn variable_names(&self) -> Vec<&str> {
         self.nodes
@@ -558,11 +547,6 @@ impl GraphBuilder {
         Ok(self.push(op, vec![var, value], sv))
     }
 
-    /// `NoOp` control-dependency anchor over `deps`.
-    pub fn noop(&mut self, deps: &[NodeId]) -> NodeId {
-        self.push(Op::NoOp, deps.to_vec(), Shape::scalar())
-    }
-
     /// Marks a node as a fetched output.
     pub fn fetch(&mut self, id: NodeId) {
         if !self.graph.outputs.contains(&id) {
@@ -608,7 +592,6 @@ mod tests {
         assert_eq!(graph.len(), 5);
         assert_eq!(graph.outputs(), &[t]);
         assert_eq!(graph.node(t).unwrap().shape(), &Shape::vector(8));
-        assert_eq!(graph.placeholder_names(), vec!["x", "y"]);
         assert_eq!(graph.consumers(s), vec![t]);
     }
 

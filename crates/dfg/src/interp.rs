@@ -153,7 +153,6 @@ impl<'g> Interpreter<'g> {
                 self.variables.insert(name, updated.clone());
                 Ok(updated)
             }
-            Op::NoOp => Ok(Tensor::scalar(0.0)),
         }
     }
 

@@ -101,11 +101,6 @@ impl BinaryOp {
             BinaryOp::Less => "Less",
         }
     }
-
-    /// Whether operands commute.
-    pub fn is_commutative(self) -> bool {
-        matches!(self, BinaryOp::Add | BinaryOp::Mul)
-    }
 }
 
 /// Axis reductions.
@@ -190,8 +185,6 @@ pub enum Op {
     Assign,
     /// `AssignAdd` — accumulate into a `Variable`'s persistent value.
     AssignAdd,
-    /// `NoOp` — control-dependency anchor.
-    NoOp,
 }
 
 impl Op {
@@ -214,31 +207,7 @@ impl Op {
             Op::Gather => "Gather",
             Op::Assign => "Assign",
             Op::AssignAdd => "AssignAdd",
-            Op::NoOp => "NoOp",
         }
-    }
-
-    /// Whether this is an input node (`Const`, `Placeholder`, `Variable`).
-    pub fn is_input(&self) -> bool {
-        matches!(
-            self,
-            Op::Const(_) | Op::Placeholder { .. } | Op::Variable { .. }
-        )
-    }
-
-    /// Whether the node computes element-wise over its operands (the
-    /// module-parallel ops; reductions, gathers and matrix ops are not).
-    pub fn is_elementwise(&self) -> bool {
-        matches!(self, Op::Unary(_) | Op::Binary(_) | Op::Select)
-    }
-
-    /// Whether the node requires cross-module communication (reduction,
-    /// scatter/gather — the restricted communication of §3/§4).
-    pub fn is_communication(&self) -> bool {
-        matches!(
-            self,
-            Op::Reduce { .. } | Op::Gather | Op::MatMul | Op::Tensordot | Op::Conv2D
-        )
     }
 }
 
@@ -274,21 +243,6 @@ mod tests {
         assert_eq!(BinaryOp::FloorDiv.apply(-7.0, 2.0), -4.0);
         assert_eq!(BinaryOp::Less.apply(1.0, 2.0), 1.0);
         assert_eq!(BinaryOp::Less.apply(2.0, 1.0), 0.0);
-    }
-
-    #[test]
-    fn classification() {
-        assert!(Op::Const(Tensor::scalar(1.0)).is_input());
-        assert!(Op::Unary(UnaryOp::Abs).is_elementwise());
-        assert!(Op::Select.is_elementwise());
-        assert!(Op::Reduce {
-            op: ReduceOp::Sum,
-            axis: 0
-        }
-        .is_communication());
-        assert!(!Op::Binary(BinaryOp::Add).is_communication());
-        assert!(BinaryOp::Add.is_commutative());
-        assert!(!BinaryOp::Sub.is_commutative());
     }
 
     #[test]

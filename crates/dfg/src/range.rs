@@ -214,7 +214,6 @@ pub fn analyze(
             }
             Op::Assign => get(1),
             Op::AssignAdd => get(0).add(get(1)),
-            Op::NoOp => Interval::point(0.0),
         };
         ranges.insert(node.id(), interval);
     }

@@ -7,7 +7,6 @@
 //! execution.
 
 use crate::{DfgError, Shape};
-use imp_rram::{Fixed, QFormat};
 use std::fmt;
 
 /// A multi-dimensional array of `f64` values.
@@ -81,15 +80,6 @@ impl Tensor {
         self.data[self.shape.offset(index)]
     }
 
-    /// The single element of a scalar tensor, if it is one.
-    pub fn as_scalar(&self) -> Option<f64> {
-        if self.data.len() == 1 {
-            Some(self.data[0])
-        } else {
-            None
-        }
-    }
-
     /// Element-wise map.
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Tensor {
         Tensor {
@@ -146,12 +136,6 @@ impl Tensor {
         })
     }
 
-    /// Quantizes every element to fixed point and back, yielding the value
-    /// the chip would compute with (saturating at the format's range).
-    pub fn quantize(&self, format: QFormat) -> Tensor {
-        self.map(|x| Fixed::from_f64_saturating(x, format).to_f64())
-    }
-
     /// Largest absolute element (0 for an empty tensor).
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0, |acc: f64, &x| acc.max(x.abs()))
@@ -197,7 +181,6 @@ mod tests {
         assert_eq!(t.at(&[0, 1]), 2.0);
         assert_eq!(t.at(&[1, 0]), 3.0);
         assert!(Tensor::from_vec(vec![1.0], Shape::vector(2)).is_err());
-        assert_eq!(Tensor::scalar(5.0).as_scalar(), Some(5.0));
         assert_eq!(Tensor::zeros(Shape::vector(3)).data(), &[0.0; 3]);
     }
 
@@ -222,16 +205,6 @@ mod tests {
         let m = t.reshape(Shape::matrix(2, 2)).unwrap();
         assert_eq!(m.at(&[1, 1]), 4.0);
         assert!(t.reshape(Shape::vector(3)).is_err());
-    }
-
-    #[test]
-    fn quantization() {
-        let t = Tensor::from_vec(vec![0.1, -0.25, 100000.0], Shape::vector(3)).unwrap();
-        let q = t.quantize(QFormat::Q16_16);
-        assert!((q.data()[0] - 0.1).abs() < 1e-4);
-        assert_eq!(q.data()[1], -0.25);
-        // Saturated at the Q16.16 max.
-        assert!(q.data()[2] < 32768.0);
     }
 
     #[test]

@@ -173,7 +173,6 @@ pub fn render(graph: &Graph, ranges: &HashMap<String, Interval>) -> String {
             Op::AssignAdd => {
                 let _ = writeln!(out, "assign_add {out_name} {} {}", ins[0], ins[1]);
             }
-            Op::NoOp => {}
         }
     }
     for &id in graph.outputs() {

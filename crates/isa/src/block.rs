@@ -5,7 +5,7 @@
 //! are collections of IBs; at runtime every instance of a module executes
 //! the same IBs in lock-step on different data.
 
-use crate::{Instruction, IsaError, Latency};
+use crate::{Instruction, IsaError};
 use std::fmt;
 
 /// A straight-line sequence of ISA instructions.
@@ -60,21 +60,6 @@ impl InstructionBlock {
     /// Iterates over the instructions.
     pub fn iter(&self) -> std::slice::Iter<'_, Instruction> {
         self.instructions.iter()
-    }
-
-    /// Sum of the fixed latencies of all instructions, treating variable
-    /// (network) instructions as `network_estimate` cycles each.
-    ///
-    /// This is the block latency the compiler's analytical model uses;
-    /// the simulator measures the true latency.
-    pub fn static_latency(&self, network_estimate: u32) -> u64 {
-        self.instructions
-            .iter()
-            .map(|inst| match inst.latency() {
-                Latency::Fixed(cycles) => u64::from(cycles),
-                Latency::Variable => u64::from(network_estimate),
-            })
-            .sum()
     }
 
     /// Encodes the whole block as a concatenated byte stream.
@@ -160,22 +145,6 @@ mod tests {
                 },
             ],
         )
-    }
-
-    #[test]
-    fn static_latency_sums_table1() {
-        // movi 1 + movi 1 + add 3 + mul 18 = 23
-        assert_eq!(sample().static_latency(0), 23);
-    }
-
-    #[test]
-    fn variable_latency_uses_estimate() {
-        let mut block = sample();
-        block.push(Instruction::ReduceSum {
-            src: Addr::mem(3),
-            dst: crate::GlobalAddr::new(0, 0, 0),
-        });
-        assert_eq!(block.static_latency(100), 123);
     }
 
     #[test]

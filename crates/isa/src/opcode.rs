@@ -85,12 +85,6 @@ impl Opcode {
             .ok_or(IsaError::UnknownOpcode(byte))
     }
 
-    /// Returns `true` for the in-situ analog compute opcodes that occupy the
-    /// crossbar (add, dot, mul, sub).
-    pub fn is_in_situ_compute(self) -> bool {
-        matches!(self, Opcode::Add | Opcode::Dot | Opcode::Mul | Opcode::Sub)
-    }
-
     /// Returns `true` for opcodes whose latency depends on network state
     /// (`movg`, `reduce_sum`).
     pub fn has_variable_latency(self) -> bool {
@@ -152,9 +146,6 @@ mod tests {
 
     #[test]
     fn classification() {
-        assert!(Opcode::Add.is_in_situ_compute());
-        assert!(Opcode::Dot.is_in_situ_compute());
-        assert!(!Opcode::Lut.is_in_situ_compute());
         assert!(Opcode::Movg.has_variable_latency());
         assert!(Opcode::ReduceSum.has_variable_latency());
         assert!(!Opcode::Add.has_variable_latency());

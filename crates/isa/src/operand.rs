@@ -342,11 +342,6 @@ impl Imm {
         i32::from_le_bytes([self.0[0], self.0[1], self.0[2], self.0[3]])
     }
 
-    /// Reads the immediate as a 32-bit unsigned word.
-    pub fn as_u32(self) -> u32 {
-        u32::from_le_bytes([self.0[0], self.0[1], self.0[2], self.0[3]])
-    }
-
     /// Raw 16-byte wire format.
     pub fn to_bytes(self) -> [u8; 16] {
         self.0
@@ -472,8 +467,7 @@ mod tests {
         let imm = Imm::broadcast(-123456);
         assert_eq!(imm.as_i32(), -123456);
         assert_eq!(Imm::from_bytes(imm.to_bytes()), imm);
-        let imm = Imm::scalar(31);
-        assert_eq!(imm.as_u32(), 31);
+        assert_eq!(Imm::scalar(31).as_i32(), 31);
     }
 
     #[test]

@@ -58,15 +58,6 @@ impl Lut {
         Lut { entries, kind }
     }
 
-    /// Builds a LUT from a slice of up to 512 entries (the rest zero).
-    pub fn from_entries(kind: LutKind, values: &[u8]) -> Self {
-        let mut entries = Box::new([0; LUT_ENTRIES]);
-        for (entry, &value) in entries.iter_mut().zip(values) {
-            *entry = value;
-        }
-        Lut { entries, kind }
-    }
-
     /// Looks up the entry for a lane value: index is the low 9 bits.
     pub fn lookup(&self, lane_value: i32) -> u8 {
         self.entries[(lane_value as u32 as usize) % LUT_ENTRIES]
@@ -129,14 +120,6 @@ mod tests {
         assert_eq!(lut.lookup(10), 10);
         assert_eq!(lut.lookup(512 + 10), 10);
         assert_eq!(lut.lookup(-1), lut.entry(511));
-    }
-
-    #[test]
-    fn from_entries_pads_with_zero() {
-        let lut = Lut::from_entries(LutKind::Custom, &[1, 2, 3]);
-        assert_eq!(lut.entry(0), 1);
-        assert_eq!(lut.entry(2), 3);
-        assert_eq!(lut.entry(3), 0);
     }
 
     #[test]

@@ -224,11 +224,12 @@ pub const ROW_WRITE_J: f64 = 0.1e-9;
 /// at 2 GHz with the paper's 5% activity factor assumption).
 pub const FLIT_HOP_J: f64 = 2.0e-12;
 
-/// The terms of [`EnergyMeter::record_op`] that an op's data cannot
-/// change: all but the ADC's, which scales with `adc_bits_used`. A term
-/// the op does not incur is 0, which leaves a non-negative sum unchanged,
-/// so folding every op's static terms once and then adding only ADC terms
-/// is bit-identical to `record_op` per op (DESIGN.md §6).
+/// The energy terms of one op that its data cannot change: all but the
+/// ADC's, which scales with `adc_bits_used`. A term the op does not incur
+/// is 0, which leaves a non-negative sum unchanged, so folding every op's
+/// static terms once ([`EnergyMeter::record_static`]) and then adding only
+/// ADC terms ([`AdcTally`]) is bit-identical to adding every term of each
+/// op in turn (DESIGN.md §6).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub(crate) struct OpEnergy {
     /// Seconds the op occupies the array.
@@ -280,16 +281,17 @@ impl OpEnergy {
     }
 
     /// The joules of the whole op given its ADC term `adc_j` (0 when it
-    /// converts nothing), summed in [`EnergyMeter::record_op`]'s order.
+    /// converts nothing), in the one order telemetry sums them.
     pub(crate) fn op_j(&self, adc_j: f64) -> f64 {
         self.array_j + self.dac_j + adc_j + self.digital_j + self.lut_j + self.write_j
     }
 }
 
-/// The ADC terms of up to [`BATCH`] meters, added lane by lane: lane
-/// `g`'s sums are exactly those [`EnergyMeter::record_adc`] would reach
-/// on meter `g`, as each lane adds the same terms in the same order, but
-/// the lanes add side by side.
+/// The ADC terms of up to [`BATCH`] meters, one lane per instance group,
+/// added lane by lane: each lane adds its group's terms in tape order, so
+/// a lane's sums equal those of a meter fed that group's ops one by one.
+/// Every tape walk books its ADC terms here; a single group's walk is a
+/// tally one lane wide.
 #[derive(Debug, Clone)]
 pub(crate) struct AdcTally {
     adc_j: [f64; BATCH],
@@ -345,20 +347,6 @@ impl EnergyMeter {
         EnergyMeter::default()
     }
 
-    /// Integrates one executed instruction's activity on one array and
-    /// returns the joules that instruction dissipated (the telemetry
-    /// layer attributes it to the executing instruction block).
-    pub fn record_op(&mut self, trace: &OpTrace, power: &ArrayPower) -> f64 {
-        let energy = OpEnergy::new(trace, power);
-        self.record_static(&energy);
-        let adc_j = if energy.converts() {
-            self.record_adc(&energy, trace.adc_bits_used, power)
-        } else {
-            0.0
-        };
-        energy.op_j(adc_j)
-    }
-
     /// Integrates the data-independent terms of one op.
     pub(crate) fn record_static(&mut self, energy: &OpEnergy) {
         self.breakdown.array_j += energy.array_j;
@@ -367,20 +355,6 @@ impl EnergyMeter {
         self.breakdown.lut_j += energy.lut_j;
         self.breakdown.write_j += energy.write_j;
         self.adc_samples += energy.conversions;
-    }
-
-    /// Integrates the ADC term of a converting op whose conversions needed
-    /// `adc_bits` bits, and returns its joules.
-    pub(crate) fn record_adc(
-        &mut self,
-        energy: &OpEnergy,
-        adc_bits: u8,
-        power: &ArrayPower,
-    ) -> f64 {
-        let adc_j = energy.adc_j(adc_bits, power);
-        self.breakdown.adc_j += adc_j;
-        self.adc_bit_samples += f64::from(adc_bits) * energy.conversions;
-        adc_j
     }
 
     /// Integrates network activity.
@@ -427,6 +401,28 @@ impl EnergyMeter {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl EnergyMeter {
+        /// The per-op reference: adds every term of one executed op's
+        /// activity with a plain `+=` and returns the op's joules.
+        fn record_op(&mut self, trace: &OpTrace, power: &ArrayPower) -> f64 {
+            let energy = OpEnergy::new(trace, power);
+            let adc_j = if energy.converts() {
+                energy.adc_j(trace.adc_bits_used, power)
+            } else {
+                0.0
+            };
+            self.breakdown.adc_j += adc_j;
+            self.breakdown.dac_j += energy.dac_j;
+            self.breakdown.array_j += energy.array_j;
+            self.breakdown.digital_j += energy.digital_j;
+            self.breakdown.lut_j += energy.lut_j;
+            self.breakdown.write_j += energy.write_j;
+            self.adc_bit_samples += f64::from(trace.adc_bits_used) * energy.conversions;
+            self.adc_samples += energy.conversions;
+            energy.op_j(adc_j)
+        }
+    }
 
     #[test]
     fn tile_totals_match_paper() {
@@ -518,7 +514,8 @@ mod tests {
             ),
         ) {
             // The simulator's fold: every op's static terms first, then
-            // the ADC terms of the converting ops, each in op order.
+            // the ADC terms of the converting ops through a one-lane
+            // tally, each in op order.
             let power = ArrayPower::from_table4();
             let traces: Vec<OpTrace> = ops
                 .iter()
@@ -539,15 +536,19 @@ mod tests {
             for energy in &energies {
                 folded.record_static(energy);
             }
+            let mut tally = AdcTally::new(&folded);
+            let mut adc_j = [0.0; BATCH];
             let mut folded_j = Vec::new();
             for (energy, trace) in energies.iter().zip(&traces) {
-                let adc_j = if energy.converts() {
-                    folded.record_adc(energy, trace.adc_bits_used, &power)
+                let lane_j = if energy.converts() {
+                    tally.record(energy, &[trace.adc_bits_used], &power, &mut adc_j);
+                    adc_j[0]
                 } else {
                     0.0
                 };
-                folded_j.push(energy.op_j(adc_j).to_bits());
+                folded_j.push(energy.op_j(lane_j).to_bits());
             }
+            tally.store(0, &mut folded);
             let bits = |m: &EnergyMeter| {
                 let b = m.breakdown();
                 [b.adc_j, b.dac_j, b.array_j, b.digital_j, b.lut_j, b.write_j, m.avg_adc_bits()].map(f64::to_bits)

@@ -19,7 +19,7 @@ use imp_noc::{
 };
 use imp_rram::{
     AnalogSpec, ArrayBatch, DacVectors, FaultMap, FaultRates, Fixed, MicroOp, OpTrace, ReramArray,
-    ARRAY_CYCLE_S, BATCH,
+    RramError, ARRAY_CYCLE_S, BATCH,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -765,8 +765,8 @@ struct EngineCtx<'a> {
 
 /// One worker thread's private mutable state, re-initialized per group
 /// or batch: a pooled array per IB, the per-IB lane batches its first
-/// batch builds, and a pool of network timing views, of which
-/// [`run_group`] uses view 0 and [`run_batch`] views `0..width`.
+/// batch builds, and a pool of network timing views, empty until a
+/// [`walk`] over a tape with `movg`s grows it to its groups.
 struct Worker {
     arrays: Vec<ReramArray>,
     batches: Vec<ArrayBatch>,
@@ -775,7 +775,7 @@ struct Worker {
 
 impl Worker {
     /// One blank array per IB, at the kernel's fixed-point format and
-    /// holding the IB's LUT, and one network view.
+    /// holding the IB's LUT, and no network view yet.
     fn new(ctx: &EngineCtx) -> Self {
         let arrays = ctx
             .plan
@@ -791,7 +791,7 @@ impl Worker {
         Worker {
             arrays,
             batches: Vec::new(),
-            networks: vec![ctx.machine.network.clone()],
+            networks: Vec::new(),
         }
     }
 }
@@ -831,42 +831,6 @@ impl GroupOutcome {
             instructions: ctx.tape.steps.len() as u64,
             ib_energy: telemetry.as_ref().map(|_| vec![0.0; ctx.plan.num_ibs]),
         }
-    }
-
-    /// Books the data-dependent energy of a [`Step::Op`] of IB `ib` whose
-    /// conversions needed `adc_bits`.
-    fn record_op(&mut self, ib: usize, energy: &OpEnergy, adc_bits: u8, power: &ArrayPower) {
-        let adc_j = if energy.converts() {
-            self.meter.record_adc(energy, adc_bits, power)
-        } else {
-            0.0
-        };
-        self.attribute(ib, energy, adc_j);
-    }
-
-    /// Attributes a [`Step::Op`] of IB `ib`, whose conversions took
-    /// `adc_j` joules, to its IB's telemetry joules (only when telemetry
-    /// is installed).
-    fn attribute(&mut self, ib: usize, energy: &OpEnergy, adc_j: f64) {
-        if let Some(per_ib) = self.ib_energy.as_mut() {
-            per_ib[ib] += energy.op_j(adc_j);
-        }
-    }
-
-    /// Adds the valid lanes of `row` into reduction slot `slot`.
-    fn reduce(&mut self, slot: usize, row: &[i32; LANES], valid_lanes: usize) {
-        for &value in row.iter().take(valid_lanes) {
-            self.reduce_acc[slot] = self.reduce_acc[slot].wrapping_add(value);
-        }
-    }
-
-    /// Converts the per-instance outputs, `read(ib, row)` reading the
-    /// group's final rows.
-    fn harvest(&mut self, plan: &RunPlan, read: impl Fn(usize, usize) -> [i32; LANES]) {
-        let format = plan.kernel.format;
-        let convert = |word| Fixed::from_raw(word, format).to_f64();
-        let rows = plan.row_outputs.iter();
-        self.harvest = rows.map(|loc| read(loc.ib, loc.row).map(convert)).collect();
     }
 }
 
@@ -929,40 +893,188 @@ impl GroupPlace {
     }
 }
 
-/// Sends one group's `movg` payload `value` from IB `src_ib` to IB
-/// `dst_ib` over `network` and returns the row delivered (`None` when the
-/// message was dropped, which leaves the stale destination row),
-/// recording survived transport faults into `events`.
-fn send_movg(
-    ctx: &EngineCtx,
-    network: &mut Network,
-    place: &GroupPlace,
-    (src_ib, dst_ib): (usize, usize),
-    send_net: u64,
-    value: &[i32; LANES],
-    events: &mut Vec<FaultEvent>,
-) -> Result<Option<[i32; LANES]>, SimError> {
-    let src_tile = tile_of(ctx, place.in_round, src_ib);
-    let dst_tile = tile_of(ctx, place.in_round, dst_ib);
-    let site = place.site(ctx, dst_ib);
-    let now = place.round_base_net(ctx) + send_net;
-    let deadline = ctx.machine.net_deadline();
-    match network.transfer(src_tile, dst_tile, value, 32, now, deadline) {
-        Ok(delivery) => {
-            events.extend(
-                delivery
-                    .events
-                    .iter()
-                    .map(|ev| transport_fault_event(site, ev)),
-            );
-            Ok(delivery.payload.map(|words| {
-                let mut row = [0i32; LANES];
-                row.copy_from_slice(&words);
-                row
-            }))
-        }
-        Err(ev) => Err(ctx.machine.transport_error(site, ev)),
+/// The arrays one [`walk`] drives, one per IB: a single group's
+/// [`ReramArray`]s, or the [`ArrayBatch`]es of up to [`BATCH`] groups.
+/// Group `g` is the walk's `places[g]`.
+trait GroupArrays {
+    /// Executes `op` on IB `ib` of every group, storing group `g`'s ADC
+    /// resolution in `adc_bits[g]`; `Ok(false)` when a batch declines the
+    /// op (see [`ArrayBatch::execute_op`]).
+    fn execute_op(
+        &mut self,
+        ib: usize,
+        op: &MicroOp,
+        adc_bits: &mut [u8; BATCH],
+    ) -> Result<bool, RramError>;
+    /// Row `row` of IB `ib` of group `g`.
+    fn read_row(&self, g: usize, ib: usize, row: usize) -> [i32; LANES];
+    /// Writes row `row` of IB `ib` of group `g`.
+    fn write_row(&mut self, g: usize, ib: usize, row: usize, words: &[i32; LANES]);
+    /// Row writes on group `g`'s busiest array.
+    fn wear(&self, g: usize) -> u64;
+}
+
+impl GroupArrays for [ReramArray] {
+    fn execute_op(
+        &mut self,
+        ib: usize,
+        op: &MicroOp,
+        adc_bits: &mut [u8; BATCH],
+    ) -> Result<bool, RramError> {
+        adc_bits[0] = self[ib].execute_op(op)?;
+        Ok(true)
     }
+
+    fn read_row(&self, _: usize, ib: usize, row: usize) -> [i32; LANES] {
+        self[ib].read_row(row)
+    }
+
+    fn write_row(&mut self, _: usize, ib: usize, row: usize, words: &[i32; LANES]) {
+        self[ib].write_row(row, words);
+    }
+
+    fn wear(&self, _: usize) -> u64 {
+        let writes = self.iter().map(|a| a.crossbar().total_writes());
+        writes.max().unwrap_or(0)
+    }
+}
+
+impl GroupArrays for [ArrayBatch] {
+    fn execute_op(
+        &mut self,
+        ib: usize,
+        op: &MicroOp,
+        adc_bits: &mut [u8; BATCH],
+    ) -> Result<bool, RramError> {
+        Ok(self[ib].execute_op(op, adc_bits))
+    }
+
+    fn read_row(&self, g: usize, ib: usize, row: usize) -> [i32; LANES] {
+        self[ib].read_row(g, row)
+    }
+
+    fn write_row(&mut self, g: usize, ib: usize, row: usize, words: &[i32; LANES]) {
+        self[ib].write_group_row(g, row, words);
+    }
+
+    fn wear(&self, g: usize) -> u64 {
+        self.iter().map(|a| a.total_writes(g)).max().unwrap_or(0)
+    }
+}
+
+/// Walks the tape once over `arrays`, staged with the groups at `places`,
+/// and returns each group's outcome: the one home of the step semantics,
+/// the energy and telemetry books, and the harvest.
+///
+/// Uses `networks[g]` as group `g`'s timing view, growing the pool and
+/// resetting views `0..places.len()` only for a tape with `movg`s;
+/// without them every group keeps the default `NocStats`.
+///
+/// Returns `Ok(None)` when the arrays decline an op. A failed transfer,
+/// or an array error (which only one group's arrays raise), is `Err`.
+fn walk<A: GroupArrays + ?Sized>(
+    ctx: &EngineCtx,
+    arrays: &mut A,
+    places: &[GroupPlace],
+    networks: &mut Vec<Network>,
+) -> Result<Option<Vec<GroupOutcome>>, SimError> {
+    let transfers = ctx.tape.transfers;
+    if transfers {
+        if networks.len() < places.len() {
+            networks.resize_with(places.len(), || ctx.machine.network.clone());
+        }
+        for (network, place) in networks.iter_mut().zip(places) {
+            network.reset();
+            network.set_next_msg_id(place.group as u64 * MSG_ID_STRIDE);
+        }
+    }
+
+    let mut outcomes: Vec<GroupOutcome> = places.iter().map(|_| GroupOutcome::new(ctx)).collect();
+    let power = &ctx.machine.power;
+    let telemetry_on = ctx.machine.config.telemetry.is_some();
+    let deadline = ctx.machine.net_deadline();
+    let mut tally = AdcTally::new(&ctx.tape.static_energy);
+    let (mut adc_bits, mut adc_j) = ([0u8; BATCH], [0f64; BATCH]);
+    for step in &ctx.tape.steps {
+        match *step {
+            Step::Op {
+                ib,
+                ref op,
+                ref energy,
+            } => {
+                match arrays.execute_op(ib, op, &mut adc_bits) {
+                    Ok(true) => {}
+                    Ok(false) => return Ok(None),
+                    Err(source) => {
+                        let site = Some(places[0].site(ctx, ib));
+                        return Err(SimError::Array { site, source });
+                    }
+                }
+                if energy.converts() {
+                    tally.record(energy, &adc_bits[..places.len()], power, &mut adc_j);
+                }
+                if telemetry_on {
+                    for (outcome, &adc_j) in outcomes.iter_mut().zip(&adc_j) {
+                        let adc_j = if energy.converts() { adc_j } else { 0.0 };
+                        if let Some(per_ib) = outcome.ib_energy.as_mut() {
+                            per_ib[ib] += energy.op_j(adc_j);
+                        }
+                    }
+                }
+            }
+            Step::Movg {
+                src_ib,
+                src_row,
+                dst_ib,
+                dst_row,
+                send_net,
+            } => {
+                let groups = places.iter().zip(&mut outcomes).zip(networks.iter_mut());
+                for (g, ((place, outcome), network)) in groups.enumerate() {
+                    let value = arrays.read_row(g, src_ib, src_row);
+                    let src_tile = tile_of(ctx, place.in_round, src_ib);
+                    let dst_tile = tile_of(ctx, place.in_round, dst_ib);
+                    let site = place.site(ctx, dst_ib);
+                    let now = place.round_base_net(ctx) + send_net;
+                    let delivery = network
+                        .transfer(src_tile, dst_tile, &value, 32, now, deadline)
+                        .map_err(|ev| ctx.machine.transport_error(site, ev))?;
+                    let events = delivery.events.iter();
+                    let events = events.map(|ev| transport_fault_event(site, ev));
+                    outcome.transport_events.extend(events);
+                    // A dropped message leaves the stale destination row.
+                    if let Some(words) = delivery.payload {
+                        let mut row = [0i32; LANES];
+                        row.copy_from_slice(&words);
+                        arrays.write_row(g, dst_ib, dst_row, &row);
+                    }
+                }
+            }
+            Step::Reduce { ib, src_row, slot } => {
+                for (g, (place, outcome)) in places.iter().zip(&mut outcomes).enumerate() {
+                    let row = arrays.read_row(g, ib, src_row);
+                    let acc = &mut outcome.reduce_acc[slot];
+                    for &value in row.iter().take(place.valid_lanes) {
+                        *acc = acc.wrapping_add(value);
+                    }
+                }
+            }
+        }
+    }
+    let format = ctx.plan.kernel.format;
+    let convert = |word| Fixed::from_raw(word, format).to_f64();
+    for (g, outcome) in outcomes.iter_mut().enumerate() {
+        tally.store(g, &mut outcome.meter);
+        let rows = ctx.plan.row_outputs.iter();
+        outcome.harvest = rows
+            .map(|loc| arrays.read_row(g, loc.ib, loc.row).map(convert))
+            .collect();
+        outcome.wear = arrays.wear(g);
+        if transfers {
+            outcome.noc = networks[g].stats();
+        }
+    }
+    Ok(Some(outcomes))
 }
 
 /// Executes one instance group on `worker`, returning its complete
@@ -979,10 +1091,6 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
     let Worker {
         arrays, networks, ..
     } = worker;
-    let network = &mut networks[0];
-    network.reset();
-    network.set_next_msg_id(group as u64 * MSG_ID_STRIDE);
-
     let fault_seed = ctx.machine.config.fault_seed;
     let lane_instances = place.lane_instances(ctx);
     for (ib_index, rows) in ctx.plan.rows.iter().enumerate() {
@@ -1003,43 +1111,10 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
         }
     }
 
-    let mut outcome = GroupOutcome::new(ctx);
-    let power = &ctx.machine.power;
-    for step in &ctx.tape.steps {
-        match *step {
-            Step::Op {
-                ib,
-                ref op,
-                ref energy,
-            } => {
-                let adc_bits = arrays[ib]
-                    .execute_op(op)
-                    .map_err(|source| SimError::Array {
-                        site: Some(place.site(ctx, ib)),
-                        source,
-                    })?;
-                outcome.record_op(ib, energy, adc_bits, power);
-            }
-            Step::Movg {
-                src_ib,
-                src_row,
-                dst_ib,
-                dst_row,
-                send_net,
-            } => {
-                let value = arrays[src_ib].read_row(src_row);
-                let events = &mut outcome.transport_events;
-                let route = (src_ib, dst_ib);
-                if let Some(row) = send_movg(ctx, network, &place, route, send_net, &value, events)?
-                {
-                    arrays[dst_ib].write_row(dst_row, &row);
-                }
-            }
-            Step::Reduce { ib, src_row, slot } => {
-                outcome.reduce(slot, &arrays[ib].read_row(src_row), place.valid_lanes);
-            }
-        }
-    }
+    let outcomes = walk(ctx, &mut arrays[..], &[place], networks)?;
+    let mut outcome = outcomes
+        .and_then(|outcomes| outcomes.into_iter().next())
+        .expect("a group's own arrays run every op");
     // Write-back-boundary integrity checks on every armed array: residue
     // scan over its crossbar, plus the latched ADC duplicate-conversion
     // disagreement flag. Free in cycles (overlapped with the write-back
@@ -1069,13 +1144,6 @@ fn run_group(ctx: &EngineCtx, worker: &mut Worker, group: usize) -> Result<Group
             });
         }
     }
-    outcome.harvest(ctx.plan, |ib, row| arrays[ib].read_row(row));
-    outcome.wear = arrays
-        .iter()
-        .map(|a| a.crossbar().total_writes())
-        .max()
-        .unwrap_or(0);
-    outcome.noc = network.stats();
     Ok(outcome)
 }
 
@@ -1110,16 +1178,6 @@ fn run_batch(
     let places: Vec<GroupPlace> = (first..first + width)
         .map(|group| GroupPlace::new(ctx, group))
         .collect();
-    let transfers = ctx.tape.transfers;
-    if transfers {
-        if networks.len() < width {
-            networks.resize_with(width, || ctx.machine.network.clone());
-        }
-        for (network, place) in networks.iter_mut().zip(&places) {
-            network.reset();
-            network.set_next_msg_id(place.group as u64 * MSG_ID_STRIDE);
-        }
-    }
 
     // Stage the input rows: an element feed whose groups are all full is
     // one contiguous run of instances, copied as is.
@@ -1143,68 +1201,9 @@ fn run_batch(
             }
         }
     }
-
-    let mut outcomes: Vec<GroupOutcome> = places.iter().map(|_| GroupOutcome::new(ctx)).collect();
-    let power = &ctx.machine.power;
-    let telemetry_on = ctx.machine.config.telemetry.is_some();
-    let mut tally = AdcTally::new(&ctx.tape.static_energy);
-    let (mut adc_bits, mut adc_j) = ([0u8; BATCH], [0f64; BATCH]);
-    for step in &ctx.tape.steps {
-        match *step {
-            Step::Op {
-                ib,
-                ref op,
-                ref energy,
-            } => {
-                if !batches[ib].execute_op(op, &mut adc_bits) {
-                    return None;
-                }
-                if energy.converts() {
-                    tally.record(energy, &adc_bits[..width], power, &mut adc_j);
-                }
-                if telemetry_on {
-                    for (outcome, &adc_j) in outcomes.iter_mut().zip(&adc_j) {
-                        let adc_j = if energy.converts() { adc_j } else { 0.0 };
-                        outcome.attribute(ib, energy, adc_j);
-                    }
-                }
-            }
-            Step::Movg {
-                src_ib,
-                src_row,
-                dst_ib,
-                dst_row,
-                send_net,
-            } => {
-                let groups = places.iter().zip(&mut outcomes).zip(networks.iter_mut());
-                for (g, ((place, outcome), network)) in groups.enumerate() {
-                    let value = batches[src_ib].read_row(g, src_row);
-                    let events = &mut outcome.transport_events;
-                    let route = (src_ib, dst_ib);
-                    let sent = send_movg(ctx, network, place, route, send_net, &value, events);
-                    if let Some(row) = sent.ok()? {
-                        batches[dst_ib].write_group_row(g, dst_row, &row);
-                    }
-                }
-            }
-            Step::Reduce { ib, src_row, slot } => {
-                for (g, (place, outcome)) in places.iter().zip(&mut outcomes).enumerate() {
-                    outcome.reduce(slot, &batches[ib].read_row(g, src_row), place.valid_lanes);
-                }
-            }
-        }
-    }
-    for (g, outcome) in outcomes.iter_mut().enumerate() {
-        tally.store(g, &mut outcome.meter);
-        outcome.harvest(ctx.plan, |ib, row| batches[ib].read_row(g, row));
-        outcome.wear = batches.iter().map(|a| a.total_writes(g)).max().unwrap_or(0);
-        // A tape without transfers leaves every group's `NocStats` at
-        // the default and reads no pooled view.
-        if transfers {
-            outcome.noc = networks[g].stats();
-        }
-    }
-    Some(outcomes)
+    walk(ctx, &mut batches[..], &places, networks)
+        .ok()
+        .flatten()
 }
 
 /// One logical worker shard: its first group and its groups' result
@@ -1814,6 +1813,44 @@ mod tests {
         let machine = Machine::new(SimConfig::functional());
         let plan = RunPlan::new(&kernel, inputs, &machine).unwrap();
         assert_eq!(Parallelism::Auto.shards(plan.tape.steps.len() * 64), 1);
+    }
+
+    /// A worker's network views are cloned only by a walk of a tape with
+    /// `movg`s, one per group of the walk.
+    #[test]
+    fn a_walk_clones_network_views_only_for_movgs() {
+        const N: usize = 5 * LANES - 3;
+        for (name, policy, transfers) in [
+            ("blackscholes", OptPolicy::MaxDlp, false),
+            ("kmeans", OptPolicy::MaxIlp, true),
+        ] {
+            let w = imp_workloads::workload(name).unwrap();
+            let kernel = w.compile(N, policy).unwrap();
+            let inputs = w.inputs(N, 3);
+            let inputs = inputs.iter().map(|(name, t)| (name.as_str(), t));
+            let machine = Machine::new(SimConfig::functional());
+            let plan = RunPlan::new(&kernel, inputs, &machine).unwrap();
+            assert_eq!(plan.tape.transfers, transfers, "{name}");
+            let usable: Vec<usize> = (0..machine.config.capacity.arrays()).collect();
+            let groups_per_round = perf::pack(N, plan.num_ibs, usable.len()).groups_per_round;
+            let ctx = EngineCtx {
+                machine: &machine,
+                plan: &plan,
+                tape: &plan.tape,
+                usable: &usable,
+                fault_maps: vec![None; groups_per_round * plan.num_ibs],
+                groups_per_round,
+                attempt_idx: 0,
+            };
+            let mut worker = Worker::new(&ctx);
+            assert!(worker.networks.is_empty(), "{name}");
+            run_group(&ctx, &mut worker, 4).unwrap();
+            assert_eq!(worker.networks.len(), usize::from(transfers), "{name}");
+            let batched = run_batch(&ctx, &mut worker, 0, 5).expect("a clean batch");
+            assert_eq!(worker.networks.len(), 5 * usize::from(transfers), "{name}");
+            let sent = |outcome: &GroupOutcome| outcome.noc.messages > 0;
+            assert!(batched.iter().all(|o| sent(o) == transfers), "{name}");
+        }
     }
 
     #[test]

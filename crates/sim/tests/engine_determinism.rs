@@ -259,6 +259,65 @@ fn multi_ib_lane_batches_identical_across_worker_counts() {
     assert!(remapped.retries > 0, "a stuck cell is remapped around");
 }
 
+/// A clean run executed in lane batches equals the same run executed one
+/// group at a time: every corpus kernel, compiled MaxDLP and MaxILP at
+/// 299 instances (38 groups, the last holding three lanes; hotspot's
+/// stencil grid holds 289, 37 groups), with telemetry installed.
+/// `Serial` runs its one shard as batches of 16, 16 and 6 (or 5) groups;
+/// `Threads(16)` cuts the groups into shards of at most
+/// three, below the four-group batch crossover, so each of its groups
+/// runs on its own arrays. The reports and the per-IB profile energies
+/// must match bit for bit.
+#[test]
+fn clean_batches_match_per_group_runs() {
+    const N: usize = 299;
+    let run = |kernel: &CompiledKernel, inputs: &HashMap<String, Tensor>, parallelism| {
+        let config = SimConfig {
+            parallelism,
+            telemetry: Some(imp_sim::Telemetry::new()),
+            ..SimConfig::functional()
+        };
+        let report = Machine::new(config).run(kernel, inputs).expect("clean run");
+        let telemetry = report.telemetry.clone().expect("telemetry installed");
+        (report, telemetry)
+    };
+    for w in imp_workloads::all_workloads() {
+        for policy in [OptPolicy::MaxDlp, OptPolicy::MaxIlp] {
+            let tag = format!("{} {policy:?}", w.name);
+            let kernel = w.compile(N, policy).unwrap();
+            let inputs = w.inputs(N, 1);
+            let (batched, batched_tel) = run(&kernel, &inputs, Parallelism::Serial);
+            let (per_group, per_group_tel) = run(&kernel, &inputs, Parallelism::Threads(16));
+            let shards = |tel: &imp_sim::TelemetryReport| {
+                tel.engine
+                    .as_ref()
+                    .expect("engine stats")
+                    .groups_per_worker
+                    .clone()
+            };
+            let groups = batched.instances.div_ceil(8);
+            assert_eq!(shards(&batched_tel), [groups], "{tag}: one serial shard");
+            let per_group_shards = shards(&per_group_tel);
+            assert!(
+                per_group_shards.iter().all(|&groups| groups < 4),
+                "{tag}: every shard below the crossover: {per_group_shards:?}"
+            );
+            assert_identical(&batched, &per_group, &tag);
+            let energies = |tel: &imp_sim::TelemetryReport| -> Vec<u64> {
+                tel.ib_profiles
+                    .iter()
+                    .map(|p| p.energy_j.to_bits())
+                    .collect()
+            };
+            assert_eq!(
+                energies(&batched_tel),
+                energies(&per_group_tel),
+                "{tag}: per-IB energies"
+            );
+        }
+    }
+}
+
 /// `Auto` resolves to some worker count; whatever it is, the report must
 /// equal the serial one (the user-facing guarantee of the default).
 #[test]

@@ -65,22 +65,6 @@ pub fn assert_all_close(got: &[f64], want: &[f64], tolerance: f64, label: &str) 
     }
 }
 
-/// Asserts every element of `got` is within `tolerance_ulps` format ULPs
-/// of the corresponding element of `want`.
-///
-/// # Panics
-/// Panics on length mismatch or on the first out-of-tolerance element.
-#[track_caller]
-pub fn assert_within_ulps(
-    got: &[f64],
-    want: &[f64],
-    format: QFormat,
-    tolerance_ulps: f64,
-    label: &str,
-) {
-    assert_all_close(got, want, tolerance_ulps * format.epsilon(), label);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,7 +85,6 @@ mod tests {
     #[test]
     fn close_slices_pass() {
         assert_all_close(&[1.0, 2.0], &[1.0004, 1.9996], 1e-3, "demo");
-        assert_within_ulps(&[1.0], &[1.0], QFormat::Q16_16, 0.0, "exact");
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::analog::{AnalogSpec, DacVectors};
 use crate::array::MicroOp;
 use crate::digits::{self, ColumnSums};
 use crate::lut::Lut;
-use imp_isa::{Addr, RowMask, ARRAY_ROWS, LANES, MASK_REGISTER, NUM_REGISTERS};
+use imp_isa::{Addr, LaneMask, RowMask, ARRAY_ROWS, LANES, MASK_REGISTER, NUM_REGISTERS};
 
 /// Instance groups one [`ArrayBatch`] holds: 128 words in a row. A
 /// serial corpus pass ran within noise at 8, 16 and 32 groups per batch;
@@ -189,20 +189,10 @@ impl ArrayBatch {
                 self.commit(dst)
             }
             MicroOp::Movs { src, dst, lanes } => {
-                // Each lane's select word: all ones where the mask takes
-                // the lane.
-                let select = |mask: u8| -> [i32; LANES] {
-                    std::array::from_fn(|lane| -i32::from((mask >> lane) & 1))
-                };
-                let fixed = select(lanes.bits());
                 let (old, new) = (self.store.slot(dst), self.store.slot(src));
                 let groups = self.out[..g].iter_mut().zip(old).zip(new);
                 for (((out, old), new), &dynamic) in groups.zip(&self.dynamic_masks) {
-                    let take = match lanes.bits() {
-                        0 => select(dynamic),
-                        _ => fixed,
-                    };
-                    *out = std::array::from_fn(|l| (new[l] & take[l]) | (old[l] & !take[l]));
+                    *out = crate::select_lanes(old, new, movs_lanes(lanes, dynamic));
                 }
                 bits.fill(read_bits(src));
                 self.commit(dst)
@@ -581,6 +571,16 @@ pub(crate) fn shift_and(word: i32, shl: u8, shr: u8, and: u32) -> i32 {
     ((((word as u32) << shl) as i32) >> shr) & and as i32
 }
 
+/// The lanes a `movs` with lane mask `lanes` writes: `lanes`, or the
+/// latched `dynamic` mask for the all-zero dynamic-predication encoding.
+#[inline]
+pub(crate) fn movs_lanes(lanes: LaneMask, dynamic: u8) -> u8 {
+    match lanes.bits() {
+        0 => dynamic,
+        bits => bits,
+    }
+}
+
 /// The dynamic predication mask a write of `words` to the mask register
 /// latches: lane `l`'s bit is set when its word is non-zero.
 #[inline]
@@ -596,7 +596,7 @@ mod tests {
     use super::*;
     use crate::array::tests::{fast_path_accepts, local_instruction};
     use crate::{LutKind, ReramArray};
-    use imp_isa::{Instruction, LaneMask};
+    use imp_isa::Instruction;
     use proptest::prelude::*;
 
     /// The LUT every test array holds.

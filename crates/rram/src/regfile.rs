@@ -45,11 +45,6 @@ impl RegisterFile {
     pub fn write(&mut self, reg: usize, value: [i32; LANES]) {
         self.regs[reg] = value;
     }
-
-    /// Writes selected lanes of register `reg`.
-    pub fn write_masked(&mut self, reg: usize, value: [i32; LANES], lane_mask: u8) {
-        self.regs[reg] = crate::select_lanes(&self.regs[reg], &value, lane_mask);
-    }
 }
 
 impl Default for RegisterFile {
@@ -69,13 +64,5 @@ mod tests {
         rf.write(3, [1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(rf.read(3), [1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(rf.read_lane(3, 2), 3);
-    }
-
-    #[test]
-    fn masked_write() {
-        let mut rf = RegisterFile::new();
-        rf.write(0, [9; LANES]);
-        rf.write_masked(0, [1; LANES], 0b1000_0001);
-        assert_eq!(rf.read(0), [1, 9, 9, 9, 9, 9, 9, 1]);
     }
 }

@@ -169,7 +169,7 @@ struct IbState {
     remaining: HashMap<ScalarId, usize>,
     /// Scalars whose rows must survive to the end (module outputs).
     pinned: HashSet<ScalarId>,
-    const_rows: HashMap<u64, u8>,
+    const_rows: HashMap<ConstKey, u8>,
     input_rows: Vec<(u8, InputBinding)>,
     lut_alloc: LutAllocator,
     /// Deps collected while preparing the current op's operands.
@@ -179,6 +179,22 @@ struct IbState {
     current: Option<ScalarId>,
     /// Per-instruction originating scalar (parallel to `instructions`).
     provenance: Vec<Option<ScalarId>>,
+}
+
+/// A constant row's contents: a compile-time value, which `movi` writes
+/// in the kernel's fixed-point format (keyed by its `f64` bits, so `-0.0`
+/// and `0.0` keep separate rows), or a raw word not scaled to the format,
+/// e.g. a LUT index base. The two never share a row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum ConstKey {
+    Value(u64),
+    Raw(i32),
+}
+
+impl ConstKey {
+    fn value(value: f64) -> Self {
+        ConstKey::Value(value.to_bits())
+    }
 }
 
 impl IbState {
@@ -523,7 +539,7 @@ impl LowerCtx<'_> {
                     Ok(row)
                 }
                 SOp::Const(value) => {
-                    let row = self.const_row(ib, *value)?;
+                    let row = self.const_row(ib, ConstKey::value(*value))?;
                     self.ibs[ib].loc.insert(id, Loc::Row(row));
                     Ok(row)
                 }
@@ -539,30 +555,16 @@ impl LowerCtx<'_> {
         }
     }
 
-    /// A row holding a compile-time constant (deduplicated per IB;
+    /// A row holding the constant `key` (deduplicated per IB;
     /// materialized with `movi`).
-    fn const_row(&mut self, ib: usize, value: f64) -> Result<u8, CompileError> {
-        let raw = self.raw(value);
-        if let Some(&row) = self.ibs[ib].const_rows.get(&value.to_bits()) {
-            return Ok(row);
-        }
-        let row = self.ibs[ib].alloc_row()?;
-        self.ibs[ib].emit(Instruction::Movi {
-            dst: Addr::mem(row as usize),
-            imm: imp_isa::Imm::broadcast(raw),
-        });
-        self.ibs[ib].const_rows.insert(value.to_bits(), row);
-        Ok(row)
-    }
-
-    /// A scratch row holding a *raw* constant word (not fixed-point
-    /// scaled), e.g. LUT index bases.
-    fn raw_const_row(&mut self, ib: usize, raw: i32) -> Result<u8, CompileError> {
-        // Key raw consts in a disjoint space from f64 consts.
-        let key = 0x8000_0000_0000_0000u64 | (raw as u32 as u64);
+    fn const_row(&mut self, ib: usize, key: ConstKey) -> Result<u8, CompileError> {
         if let Some(&row) = self.ibs[ib].const_rows.get(&key) {
             return Ok(row);
         }
+        let raw = match key {
+            ConstKey::Value(bits) => self.raw(f64::from_bits(bits)),
+            ConstKey::Raw(raw) => raw,
+        };
         let row = self.ibs[ib].alloc_row()?;
         self.ibs[ib].emit(Instruction::Movi {
             dst: Addr::mem(row as usize),
@@ -862,7 +864,7 @@ impl LowerCtx<'_> {
         let mut cur = x_row;
         let mut scratch: Option<u8> = None;
         if table.lo_raw != 0 {
-            let lo_row = self.raw_const_row(ib, table.lo_raw)?;
+            let lo_row = self.const_row(ib, ConstKey::Raw(table.lo_raw))?;
             let t = self.ibs[ib].alloc_row()?;
             self.ibs[ib].emit(Instruction::Sub {
                 minuend: RowMask::from_rows([cur as usize]),
@@ -882,7 +884,7 @@ impl LowerCtx<'_> {
             self.ibs[ib].rows.free(t);
         }
         if table.base != 0 {
-            let base_row = self.raw_const_row(ib, table.base as i32)?;
+            let base_row = self.const_row(ib, ConstKey::Raw(table.base as i32))?;
             self.ibs[ib].emit(Instruction::Add {
                 mask: RowMask::from_rows([idx as usize, base_row as usize]),
                 dst: Addr::mem(idx as usize),
@@ -970,7 +972,7 @@ impl LowerCtx<'_> {
         self.ibs[home].rows.free(idx);
         // Newton–Raphson: x ← x·(2 − b·x), quadratic convergence from the
         // 8-bit seed (one iteration ≈ 16 bits, two ≈ full width).
-        let two_row = self.const_row(home, 2.0)?;
+        let two_row = self.const_row(home, ConstKey::value(2.0))?;
         for _ in 0..self.options.div_iterations {
             let t1 = self.ibs[home].alloc_row()?;
             self.ibs[home].emit(Instruction::Mul {
@@ -1034,7 +1036,7 @@ impl LowerCtx<'_> {
         let mut y = self.emit_seed(home, idx, scale)?;
         self.ibs[home].rows.free(idx);
         // Newton–Raphson for 1/√x: y ← y·(3 − x·y²)/2.
-        let three_row = self.const_row(home, 3.0)?;
+        let three_row = self.const_row(home, ConstKey::value(3.0))?;
         for _ in 0..self.options.sqrt_iterations {
             let y2 = self.ibs[home].alloc_row()?;
             self.ibs[home].emit(Instruction::Mul {
@@ -1100,7 +1102,7 @@ impl LowerCtx<'_> {
         // Residual d = (x − lo) mod bucket − bucket/2 ∈ [−step/2, step/2].
         let t = self.ibs[home].alloc_row()?;
         if table.lo_raw != 0 {
-            let lo_row = self.raw_const_row(home, table.lo_raw)?;
+            let lo_row = self.const_row(home, ConstKey::Raw(table.lo_raw))?;
             self.ibs[home].emit(Instruction::Sub {
                 minuend: RowMask::from_rows([x_row as usize]),
                 subtrahend: RowMask::from_rows([lo_row as usize]),
@@ -1119,7 +1121,7 @@ impl LowerCtx<'_> {
             imm: bucket_mask,
         });
         let half_raw = 1i32 << table.index_shift.saturating_sub(1);
-        let half_row = self.raw_const_row(home, half_raw)?;
+        let half_row = self.const_row(home, ConstKey::Raw(half_raw))?;
         let d = self.ibs[home].alloc_row()?;
         self.ibs[home].emit(Instruction::Sub {
             minuend: RowMask::from_rows([t as usize]),
@@ -1139,7 +1141,7 @@ impl LowerCtx<'_> {
             dst: Addr::mem(d2 as usize),
             amount: 1,
         });
-        let one_row = self.const_row(home, 1.0)?;
+        let one_row = self.const_row(home, ConstKey::value(1.0))?;
         let p = self.ibs[home].alloc_row()?;
         self.ibs[home].emit(Instruction::Add {
             mask: RowMask::from_rows([one_row as usize, d as usize, d2 as usize]),

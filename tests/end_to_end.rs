@@ -226,3 +226,33 @@ fn non_finite_feeds_are_typed_errors() {
         );
     }
 }
+
+#[test]
+fn a_constant_never_shares_a_row_with_a_raw_word() {
+    // The LUT index of `exp` subtracts the table's raw lower bound
+    // (−16384 in Q16.16) held in a constant row. A negative constant whose
+    // `f64` bits end in that word must get a row of its own: sharing the
+    // raw word's row, the index read the constant's word (0) instead and
+    // `exp` was off by up to 9.3. Its own error here is ≈0.12.
+    let n = 16;
+    for bits in [0x8000_0000_FFFF_C000u64, 0x8000_0000_0000_0001] {
+        let mut g = GraphBuilder::new();
+        let x = g.placeholder("x", Shape::vector(n)).unwrap();
+        let c = g.scalar(f64::from_bits(bits));
+        let arg = g.add(x, c).unwrap();
+        let out = g.exp(arg).unwrap();
+        g.fetch(out);
+        let xs = Tensor::from_fn(Shape::vector(n), |i| i as f64 * 0.25);
+        let (golden, report) = run_both(g, vec![("x", xs)], |b| {
+            b.policy(OptPolicy::MaxDlp)
+                .range("x", imp::range::Interval::new(0.0, 4.0))
+        });
+        let label = format!("exp(x + {:e})", f64::from_bits(bits));
+        assert_all_close(
+            report.outputs[&out].data(),
+            golden[&out].data(),
+            0.2,
+            &label,
+        );
+    }
+}

@@ -31,16 +31,19 @@
 //! ## Example
 //!
 //! ```
-//! use imp_rram::{ReramArray, AnalogSpec};
-//! use imp_isa::{Instruction, Addr, RowMask, Imm};
+//! use imp_rram::{AnalogSpec, MicroOp, OpTrace, ReramArray};
+//! use imp_isa::{Addr, Instruction, RowMask};
 //!
 //! let mut array = ReramArray::new(AnalogSpec::default());
 //! array.write_row_broadcast(0, 21);
 //! array.write_row_broadcast(1, 21);
-//! let trace = array.execute_local(&Instruction::Add {
+//! let add = Instruction::Add {
 //!     mask: RowMask::from_rows([0, 1]),
 //!     dst: Addr::mem(2),
-//! }).unwrap();
+//! };
+//! let op = MicroOp::decode(&add).unwrap();
+//! let adc_bits_used = array.execute_op(&op).unwrap();
+//! let trace = OpTrace { adc_bits_used, ..OpTrace::of(&add) };
 //! assert_eq!(array.read_word(2, 0), 42);
 //! assert_eq!(trace.cycles, 3);
 //! ```

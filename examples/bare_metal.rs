@@ -13,7 +13,7 @@
 
 use imp::isa::{assemble, disassemble, Instruction};
 use imp::{AnalogSpec, QFormat};
-use imp_rram::ReramArray;
+use imp_rram::{MicroOp, OpTrace, ReramArray};
 
 fn main() {
     // Integer-format array (Q0) so raw values read naturally.
@@ -58,10 +58,17 @@ fn main() {
     );
     println!("{}", disassemble(&program));
 
-    // Execute instruction by instruction, reporting cycles and ADC usage.
+    // Execute instruction by instruction, reporting cycles and ADC usage:
+    // decode each into the op the array runs, execute it, and complete its
+    // static activity with the ADC resolution its data needed.
     let mut total_cycles = 0u32;
     for inst in program.iter() {
-        let trace = array.execute_local(inst).expect("executes");
+        let op = MicroOp::decode(inst).expect("array-local");
+        let adc_bits_used = array.execute_op(&op).expect("executes");
+        let trace = OpTrace {
+            adc_bits_used,
+            ..OpTrace::of(inst)
+        };
         total_cycles += trace.cycles;
         println!(
             "{:<24} {:>2} cycles, {:>4} ADC conversions @ {} bits",

@@ -1572,6 +1572,66 @@ pub(crate) mod tests {
         }
     }
 
+    /// The ordered `dot`/`mul` written out from the model (§2.2), apart
+    /// from `mac_ordered`: lane by lane, digit by digit, chunk by chunk,
+    /// the ideal bit-line partial `Σₚ digit(rowₚ)·chunk(mₚ)` of the
+    /// `(row, multiplicand)` pairs takes one draw from `noise`, then the
+    /// ADC fault: `offset` plus one `glitch` draw at probability
+    /// `transient`, clamped to the ADC range. A strict ADC fails on the
+    /// first partial out of range. Each lane's value is the signed
+    /// `Σₚ rowₚ·mₚ` plus every partial's error at weight 4^(digit+chunk),
+    /// windowed at `frac_bits`. Returns the words and ADC bits (or the
+    /// error) and whether a fault error was seen.
+    fn mac_reference(
+        spec: &AnalogSpec,
+        pairs: &[([i32; LANES], [i32; LANES])],
+        mut noise: StdRng,
+        (offset, transient, mut glitch): (i64, f64, StdRng),
+    ) -> (Result<([i32; LANES], u8), RramError>, bool) {
+        let limit = spec.adc_max();
+        let digit = |word: i32, pos: usize| i64::from((word as u32 >> (2 * pos)) & 0b11);
+        let mut fault_seen = false;
+        let mut max_partial = 0;
+        let mut out = [0i32; LANES];
+        for (lane, word) in out.iter_mut().enumerate() {
+            let mut value = pairs.iter().fold(0i64, |acc, (row, m)| {
+                acc.wrapping_add(i64::from(row[lane]) * i64::from(m[lane]))
+            });
+            for d in 0..16 {
+                for c in 0..16 {
+                    let ideal: i64 = pairs
+                        .iter()
+                        .map(|(row, m)| digit(row[lane], d) * digit(m[lane], c))
+                        .sum();
+                    let mut sensed = ideal;
+                    if spec.noise_prob > 0.0 && noise.gen::<f64>() < spec.noise_prob {
+                        sensed += if noise.gen::<bool>() { 1 } else { -1 };
+                    }
+                    let mut fault = offset;
+                    if transient > 0.0 && glitch.gen::<f64>() < transient {
+                        fault += if glitch.gen::<bool>() { 1 } else { -1 };
+                    }
+                    if fault != 0 {
+                        fault_seen = true;
+                        sensed = (sensed + fault).clamp(-limit, limit);
+                    }
+                    if spec.strict_adc && sensed.abs() > limit {
+                        let error = RramError::AdcOverrange {
+                            partial_sum: sensed,
+                            limit,
+                        };
+                        return (Err(error), fault_seen);
+                    }
+                    max_partial = max_partial.max(sensed);
+                    value = value.wrapping_add((sensed - ideal) << (2 * (d + c)));
+                }
+            }
+            *word = (value >> spec.frac_bits) as i32;
+        }
+        let bits = AnalogSpec::required_adc_bits(max_partial.max(1));
+        (Ok((out, bits)), fault_seen)
+    }
+
     proptest! {
         #[test]
         fn fast_path_add_equivalent(
@@ -1996,6 +2056,76 @@ pub(crate) mod tests {
             for fast in [true, false] {
                 prop_assert_eq!(run(mul, fast), run(dot, fast), "fast path {}", fast);
             }
+        }
+
+        #[test]
+        fn ordered_dot_and_mul_match_a_reference_under_noise_and_adc_faults(
+            words in prop::array::uniform8(any::<i32>()),
+            b in any::<i32>(),
+            shift in 0u32..32,
+            pairs in 1usize..5,
+            analog in (2u8..7, any::<bool>(), any::<bool>(), any::<bool>()),
+            adc_faults in (any::<bool>(), any::<bool>()),
+            seed in any::<u64>(),
+        ) {
+            // `mac_reference` draws noise and glitches in (lane, digit,
+            // chunk) order, so a loop order, a weight or an error term
+            // that moves in `mac_ordered` shows here, on either path (the
+            // fast path runs only without noise and ADC faults).
+            let (adc_bits, strict, noise, q16) = analog;
+            let (offset, glitch) = adc_faults;
+            let base = if q16 { AnalogSpec::prototype() } else { AnalogSpec::integer() };
+            let spec = AnalogSpec {
+                adc_bits,
+                strict_adc: strict,
+                noise_prob: if noise { 0.3 } else { 0.0 },
+                ..base
+            };
+            let rates = crate::fault::FaultRates {
+                adc_offset: if offset { 1.0 } else { 0.0 },
+                transient_adc: if glitch { 0.05 } else { 0.0 },
+                ..crate::fault::FaultRates::none()
+            };
+            let map = FaultMap::generate(seed, &rates);
+            let lanes = |v: i32| -> [i32; LANES] {
+                std::array::from_fn(|lane| v.rotate_left(5 * lane as u32) >> shift)
+            };
+            let rows = words[..4].iter().map(|&v| lanes(v)).collect::<Vec<_>>();
+            let regs = words[4..8].iter().map(|&v| lanes(v)).collect::<Vec<_>>();
+            let b = lanes(b);
+            let run = |op: MicroOp| {
+                let mut a = ReramArray::new(spec);
+                a.set_fault_seed(seed);
+                if !map.is_clean() {
+                    a.arm_faults(Arc::new(map.clone()), seed);
+                }
+                for (row, words) in rows.iter().enumerate() {
+                    a.write_row(row, words);
+                }
+                for (reg, &words) in regs.iter().enumerate() {
+                    a.write_reg(reg, words);
+                }
+                a.write_row(8, &b);
+                let result = a.execute_op(&op).map(|bits| (a.read_row(10), bits));
+                (result, a.adc_fault_detected())
+            };
+            let reference = |pairs: &[([i32; LANES], [i32; LANES])]| {
+                let glitch = map.seed() ^ TRANSIENT_SALT ^ seed;
+                let adc = (map.adc_offset(), map.transient_adc(), StdRng::seed_from_u64(glitch));
+                mac_reference(&spec, pairs, StdRng::seed_from_u64(seed), adc)
+            };
+            // `dot` streams lane 0 of each register through the word-line
+            // DACs; `mul` streams `b` lane by lane through the bit-lines.
+            let dot = MicroOp::Dot {
+                rows: (0..pairs).collect(),
+                regs: (0..pairs).collect(),
+                dac: None,
+                dst: Addr::mem(10),
+            };
+            let dot_pairs: Vec<_> = (0..pairs).map(|p| (rows[p], [regs[p][0]; LANES])).collect();
+            prop_assert_eq!(run(dot), reference(&dot_pairs), "dot");
+            let mul = MicroOp::Mul { a: Addr::mem(0), b: Addr::mem(8), dst: Addr::mem(10) };
+            prop_assert_eq!(run(mul), reference(&[(rows[0], b)]), "mul");
         }
 
         #[test]

@@ -145,17 +145,32 @@ impl Fixed {
     }
 
     /// [`Fixed::from_f64_saturating`] of a value already multiplied by
-    /// `format.scale()`, without branches: clamp to the `i32` rails (NaN
-    /// stays NaN), truncate toward zero (NaN becomes 0), then step one away
-    /// from zero when the fraction left is at least one half. Bit-identical
-    /// to `f64::round` followed by a saturating cast: the fraction is exact,
-    /// and the step cannot leave `i32`, since a value clamped to a rail is
-    /// an integer.
+    /// `format.scale()`, in compare-selects and float adds only, so a loop
+    /// over a slice packs two values per SSE2 instruction (a float-to-int
+    /// cast would not: Rust's `as i32` saturates, which compiles to a
+    /// scalar `cvttsd2si` with fix-ups).
+    ///
+    /// NaN selects 0, then the value is clamped to the `i32` rails. Adding
+    /// `1.5·2^52` rounds it to the nearest integer, ties to even, and
+    /// leaves that integer in the low 32 bits of the sum's mantissa (the
+    /// sum stays in `[2^52, 2^53)`, where the spacing of `f64` is 1).
+    /// An exact tie `y − r = ±0.5` that went toward zero then steps one
+    /// away from it. Bit-identical to `f64::round` followed by a saturating
+    /// cast: `y − r` is exact, and the step cannot leave `i32`, since a
+    /// value clamped to a rail is an integer. Inline across crates, so the
+    /// caller's loop is the one that packs.
+    #[inline]
     pub fn from_scaled_saturating(scaled: f64, format: QFormat) -> Self {
-        let clamped = scaled.clamp(f64::from(i32::MIN), f64::from(i32::MAX));
-        let truncated = clamped as i32;
-        let fraction = clamped - f64::from(truncated);
-        let raw = truncated + i32::from(fraction >= 0.5) - i32::from(fraction <= -0.5);
+        /// `1.5·2^52`: even, so adding it keeps round-half-to-even.
+        const ROUND: f64 = 6_755_399_441_055_744.0;
+        let (min, max) = (f64::from(i32::MIN), f64::from(i32::MAX));
+        let y = if scaled.is_nan() { 0.0 } else { scaled };
+        let y = if y < min { min } else { y };
+        let y = if y > max { max } else { y };
+        let shifted = y + ROUND;
+        let even = shifted.to_bits() as i32;
+        let tie = y - (shifted - ROUND);
+        let raw = even + i32::from(tie == 0.5 && y > 0.0) - i32::from(tie == -0.5 && y < 0.0);
         Fixed { raw, format }
     }
 
@@ -380,6 +395,54 @@ mod tests {
                     assert_rounds_like_reference(value / scale, format);
                 }
             }
+        }
+    }
+
+    /// Every boundary of the rounding, exhaustively, in raw units (so the
+    /// scale is 1): ±3 ulp around each half-integer `k + 0.5` for
+    /// |k| ≤ 2^17 and around ±(2^e + 0.5) for e = 0..30, ±0.5 and ±1
+    /// around both rails, signed zeros, subnormals and infinities. NaNs
+    /// whose payload reaches the low word give 0, not their payload bits.
+    #[test]
+    fn rounding_boundary_table_matches_reference() {
+        let check = |scaled: f64| {
+            assert_eq!(
+                Fixed::from_scaled_saturating(scaled, QFormat::INTEGER).raw(),
+                round_then_saturate(scaled, QFormat::INTEGER),
+                "{scaled:e} ({:#x})",
+                scaled.to_bits()
+            );
+        };
+        let around = |centre: f64| (-3..=3).for_each(|ulps| check(nudge(centre, ulps)));
+        for k in -(1i32 << 17)..=(1 << 17) {
+            around(f64::from(k) + 0.5);
+        }
+        for e in 0..=30 {
+            let half = 2f64.powi(e) + 0.5;
+            around(half);
+            around(-half);
+        }
+        for rail in [f64::from(i32::MAX), f64::from(i32::MIN)] {
+            for offset in [-1.0, -0.5, 0.0, 0.5, 1.0] {
+                around(rail + offset);
+            }
+        }
+        let subnormal = f64::from_bits(0x000F_FFFF_FFFF_FFFF);
+        for special in [0.0, 1e-310, subnormal, f64::from_bits(1), f64::INFINITY] {
+            around(special);
+            around(-special);
+        }
+        let nans = [
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7FF0_0000_0000_0001),
+            f64::from_bits(0xFFF8_0000_0000_0001),
+            f64::from_bits(0x7FF8_0000_FFFF_FFFF),
+        ];
+        for nan in nans {
+            assert!(nan.is_nan());
+            assert_eq!(Fixed::from_scaled_saturating(nan, QFormat::Q16_16).raw(), 0);
+            check(nan);
         }
     }
 

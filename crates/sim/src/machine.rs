@@ -21,7 +21,7 @@ use imp_rram::{
     AnalogSpec, ArrayBatch, DacVectors, FaultMap, FaultRates, Fixed, MicroOp, OpTrace, ReramArray,
     RramError, ARRAY_CYCLE_S, BATCH,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// How [`Machine::run`] spreads instance groups over host threads.
@@ -1398,6 +1398,11 @@ impl StagedInput {
     }
 }
 
+/// Elements of a feed that [`RunPlan::new`] scans and converts per
+/// block: 8 KiB of `f64`, so the conversion reads what the finiteness scan
+/// left in L1.
+const QUANTIZE_BLOCK: usize = 1024;
+
 /// Everything [`Machine::run`] checks, resolves and lowers from the
 /// kernel and its feeds, once per run, so attempts and groups only
 /// execute.
@@ -1435,10 +1440,17 @@ struct RowOutput {
 impl<'k> RunPlan<'k> {
     /// The one pre-run pass: checks the kernel's structure (the verifier's
     /// [`verify_structure`](imp_verify::verify_structure)) and its width
-    /// against `machine`'s arrays, quantizes every feed (rejecting NaN and
-    /// ±inf; finite values saturate at the format's rails), then resolves
-    /// the input rows against the feeds and lowers the kernel's schedule.
+    /// against `machine`'s arrays, quantizes every feed, then resolves the
+    /// input rows against the feeds and lowers the kernel's schedule.
     /// This is the one place input names and lengths are checked.
+    ///
+    /// Feeds are quantized in name order, each in one read: block by
+    /// block ([`QUANTIZE_BLOCK`]), a finiteness scan and then
+    /// [`Fixed::from_scaled_saturating`] into one exactly sized `Vec`.
+    /// The first feed with a NaN or ±inf fails with the index of its first
+    /// non-finite element; finite values saturate at the format's rails.
+    /// Telemetry times the quantization as `sim.plan.inputs` and the
+    /// lowering as `sim.plan.lower`.
     fn new<'a>(
         kernel: &'k CompiledKernel,
         inputs: impl IntoIterator<Item = (&'a str, &'a Tensor)>,
@@ -1474,27 +1486,37 @@ impl<'k> RunPlan<'k> {
             });
         }
 
-        // A later pair overrides an earlier one of the same name.
-        let inputs: HashMap<&str, &Tensor> = inputs.into_iter().collect();
-        let mut index = HashMap::with_capacity(inputs.len());
-        let mut feeds = Vec::with_capacity(inputs.len());
+        // A later pair overrides an earlier one of the same name. Name
+        // order, not a hash order, picks which non-finite feed is named.
+        let mut named = BTreeMap::new();
+        named.extend(inputs);
+        let telemetry = machine.config.telemetry.as_ref();
+        let inputs_span = telemetry.map(|t| t.span("sim.plan.inputs"));
+        let mut index = HashMap::with_capacity(named.len());
+        let mut feeds = Vec::with_capacity(named.len());
         let (format, scale) = (kernel.format, kernel.format.scale());
-        for (name, tensor) in inputs {
+        for (name, tensor) in named {
             let data = tensor.data();
-            // Two passes without a branch per element: a finiteness scan,
-            // then a conversion loop the compiler can vectorize.
-            if !data.iter().fold(true, |finite, v| finite & v.is_finite()) {
-                let index = data.iter().take_while(|v| v.is_finite()).count();
-                let name = name.to_string();
-                return Err(SimError::NonFiniteInput { name, index });
+            // One read per feed: each block is scanned for finiteness and
+            // converted while it is still in L1, and both loops are
+            // branch-free per element, so they pack.
+            let mut raw = Vec::with_capacity(data.len());
+            for block in data.chunks(QUANTIZE_BLOCK) {
+                if !block.iter().fold(true, |finite, v| finite & v.is_finite()) {
+                    let index = data.iter().take_while(|v| v.is_finite()).count();
+                    let name = name.to_string();
+                    return Err(SimError::NonFiniteInput { name, index });
+                }
+                raw.extend(
+                    block
+                        .iter()
+                        .map(|&v| Fixed::from_scaled_saturating(v * scale, format).raw()),
+                );
             }
-            let raw: Vec<i32> = data
-                .iter()
-                .map(|&v| Fixed::from_scaled_saturating(v * scale, format).raw())
-                .collect();
             index.insert(name, feeds.len());
             feeds.push(raw);
         }
+        drop(inputs_span);
         let lookup = |name: &str| {
             index
                 .get(name)
@@ -1587,6 +1609,9 @@ impl<'k> RunPlan<'k> {
         let groups = perf::pack(n, num_ibs, total_arrays).groups;
         let mut analog = machine.config.analog;
         analog.frac_bits = kernel.format.frac_bits();
+        let lower_span = telemetry.map(|t| t.span("sim.plan.lower"));
+        let tape = lower_tape(kernel, &kernel.schedule, &machine.power);
+        drop(lower_span);
         Ok(RunPlan {
             kernel,
             instances: n,
@@ -1597,7 +1622,7 @@ impl<'k> RunPlan<'k> {
             n_slots,
             row_outputs: row_outputs.collect(),
             load_cycles: perf::load_cycles(bytes_per_group * groups, EXTERNAL_IO_BYTES_PER_S),
-            tape: lower_tape(kernel, &kernel.schedule, &machine.power),
+            tape,
         })
     }
 }

@@ -1,7 +1,7 @@
 //! Missing and short feeds are typed errors from `Machine::run` for every
 //! way a kernel reads a feed: a per-instance `Element` row, a stencil
 //! `Window` grid and a `Shared` input row. Each error names the feed at
-//! fault.
+//! fault; of several non-finite feeds, the first by name.
 
 use imp_compiler::module::InputBinding;
 use imp_compiler::{compile, CompileOptions, CompiledKernel};
@@ -139,6 +139,29 @@ fn a_short_feed_is_named_for_every_binding_kind() {
                 "{}: expected an input-shape error, got {other:?}",
                 case.what
             ),
+        }
+    }
+}
+
+#[test]
+fn of_two_non_finite_feeds_the_first_by_name_is_named_on_every_run() {
+    let mut g = GraphBuilder::new();
+    let a = g.placeholder("a", Shape::vector(64)).unwrap();
+    let b = g.placeholder("b", Shape::vector(64)).unwrap();
+    let y = g.add(a, b).unwrap();
+    g.fetch(y);
+    let kernel = compile(&g.finish(), &CompileOptions::default()).unwrap();
+    let nan_at =
+        |at: usize| Tensor::from_fn(Shape::vector(64), |i| if i == at { f64::NAN } else { 1.0 });
+    // Every `HashMap` iterates in its own random order, so a run that
+    // quantized feeds in map order would name `b` about half the time.
+    for _ in 0..64 {
+        let inputs = feeds(&[("b", nan_at(3)), ("a", nan_at(5))]);
+        match run(&kernel, &inputs) {
+            Err(SimError::NonFiniteInput { name, index }) => {
+                assert_eq!((name.as_str(), index), ("a", 5));
+            }
+            other => panic!("expected a non-finite-input error, got {other:?}"),
         }
     }
 }

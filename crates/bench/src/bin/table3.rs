@@ -22,7 +22,7 @@ fn main() {
             w.suite.name(),
             shape,
             w.paper_ib_insts,
-            kernel.stats.max_ib_instructions,
+            kernel.stats().max_ib_instructions,
             kernel.ibs.len()
         );
         emit("table3", w.name, "paper_ib_insts", w.paper_ib_insts as f64);
@@ -30,7 +30,7 @@ fn main() {
             "table3",
             w.name,
             "our_ib_insts",
-            kernel.stats.max_ib_instructions as f64,
+            kernel.stats().max_ib_instructions as f64,
         );
         emit(
             "table3",

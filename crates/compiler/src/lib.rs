@@ -10,16 +10,18 @@
 //!    axis; kernels containing `Conv2D` parallelize over grid elements
 //!    with halo *window* inputs (the paper's convolution decomposition
 //!    into simultaneous dot products on input slices, §5.1).
-//! 2. **Node merging** ([`merge`]) — chains of 2-operand adds/subs are
-//!    promoted to single n-ary in-situ operations, bounded by ADC
-//!    resolution; nodes feeding multiplications keep results in registers
-//!    to skip array write-backs (§5.2).
-//! 3. **IB partitioning** ([`partition`]) — the module's scalar DFG is
-//!    split into instruction blocks according to the optimization target
-//!    (MaxDLP / MaxILP / MaxArrayUtil, §7.4), inserting cross-IB moves for
-//!    cut edges (the pack/unpack of IB expansion).
-//! 4. **Instruction lowering** ([`lower`]) — complex operations become
-//!    LUT-seeded iterative sequences: Newton–Raphson division and rsqrt,
+//! 2. **Node merging** (the crate-private `merge` pass) — chains of
+//!    2-operand adds/subs are promoted to single n-ary in-situ operations,
+//!    bounded by ADC resolution; nodes feeding multiplications keep
+//!    results in registers to skip array write-backs (§5.2).
+//! 3. **IB partitioning** (the crate-private `partition` pass) — the
+//!    module's scalar DFG is split into instruction blocks according to
+//!    the optimization target (MaxDLP / MaxILP / MaxArrayUtil, §7.4),
+//!    inserting cross-IB moves for cut edges (the pack/unpack of IB
+//!    expansion).
+//! 4. **Instruction lowering** (the crate-private `lower` pass) — emits
+//!    the kernel's [`CompiledIb`]s. Complex operations become LUT-seeded
+//!    iterative sequences: Newton–Raphson division and rsqrt,
 //!    range-reduced exponential, LUT sigmoid (§5.1, following the IA-64
 //!    algorithms the paper cites); `Select` becomes mask-register +
 //!    selective moves; rows are allocated round-robin for wear leveling
@@ -27,7 +29,8 @@
 //! 5. **Scheduling** ([`schedule`]) — an adapted Bottom-Up-Greedy pass
 //!    places IBs on nearby arrays and computes the static instruction
 //!    timetable, accounting for operand location, network latency and
-//!    read/write conflicts (§5.2).
+//!    read/write conflicts (§5.2). The runtime's remap re-runs the same
+//!    [`schedule::schedule`] over the compiled blocks.
 //!
 //! The result is a [`CompiledKernel`]: per-IB machine code in the 13-
 //! instruction ISA plus the layout metadata the runtime (`imp-sim`) uses
@@ -38,11 +41,11 @@
 #![forbid(unsafe_code)]
 
 mod error;
-pub mod lower;
-pub mod luts;
-pub mod merge;
+mod lower;
+mod luts;
+mod merge;
 pub mod module;
-pub mod partition;
+mod partition;
 pub mod perf;
 pub mod scalar;
 pub mod schedule;
@@ -51,7 +54,7 @@ pub use error::CompileError;
 pub use module::{CompiledIb, CompiledKernel, InputBinding, InstructionMix, ModuleOutput};
 pub use perf::{ChipCapacity, PerfEstimate};
 pub use scalar::{ParallelSpec, ScalarModule};
-pub use schedule::{reschedule, ArrayAvailability};
+pub use schedule::ArrayAvailability;
 
 use imp_dfg::Graph;
 use imp_rram::QFormat;
@@ -212,29 +215,28 @@ pub fn compile(graph: &Graph, options: &CompileOptions) -> Result<CompiledKernel
         }
     }
 
-    let (num_ibs, partitioned) = {
+    let partitioned = {
         let _span = tel.map(|t| t.span("compile.partition"));
-        let num_ibs = partition::choose_ib_count(&module, options);
-        (num_ibs, partition::partition(&module, num_ibs)?)
+        partition::partition(&module, options)
     };
     if let Some(t) = tel {
-        t.counter_add("compile.ibs_after_partition", num_ibs as u64);
+        t.counter_add("compile.ibs_after_partition", partitioned.num_ibs as u64);
     }
 
-    let lowered = {
+    let (ibs, outputs) = {
         let _span = tel.map(|t| t.span("compile.lower"));
         lower::lower(&module, &partitioned, options)?
     };
     if let Some(t) = tel {
-        for ib in &lowered.ibs {
-            t.record_value("compile.ib.instructions", ib.instructions.len() as f64);
+        for ib in &ibs {
+            t.record_value("compile.ib.instructions", ib.block.len() as f64);
         }
     }
 
     let avail = schedule::ArrayAvailability::all(options.capacity.arrays());
     let schedule = {
         let _span = tel.map(|t| t.span("compile.schedule"));
-        schedule::schedule(&lowered, options, &avail)?
+        schedule::schedule(&ibs, options.pipelining, &avail)?
     };
     if let Some(t) = tel {
         // BUG placement scan length: slots examined until every IB found a
@@ -254,7 +256,12 @@ pub fn compile(graph: &Graph, options: &CompileOptions) -> Result<CompiledKernel
     }
 
     let _span = tel.map(|t| t.span("compile.assemble"));
-    Ok(module::assemble_kernel(
-        graph, module, lowered, schedule, options,
-    ))
+    Ok(CompiledKernel {
+        ibs,
+        outputs,
+        format: options.format,
+        parallel: module.parallel,
+        schedule,
+        module,
+    })
 }

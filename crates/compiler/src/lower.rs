@@ -10,45 +10,14 @@
 //! so modules fit the 128-row arrays.
 
 use crate::luts::{self, LutAllocator, SeedTable, TableFn};
-use crate::module::{vaddr, InputBinding, ModuleOutput, OutputLoc};
+use crate::module::{vaddr, CompiledIb, InputBinding, ModuleOutput, OutputLoc};
 use crate::partition::Partition;
 use crate::scalar::{SOp, ScalarId, ScalarModule, VClass};
 use crate::{CompileError, CompileOptions};
 use imp_dfg::range::Interval;
-use imp_isa::{Addr, Instruction, LaneMask, RowMask, ARRAY_ROWS, MASK_REGISTER};
-use imp_rram::{Fixed, Lut, QFormat};
+use imp_isa::{Addr, Instruction, InstructionBlock, LaneMask, RowMask, ARRAY_ROWS, MASK_REGISTER};
+use imp_rram::{Fixed, QFormat};
 use std::collections::{HashMap, HashSet};
-
-/// One lowered instruction block, before final assembly.
-#[derive(Debug, Clone)]
-pub struct LoweredIb {
-    /// Diagnostic name.
-    pub name: String,
-    /// Machine code.
-    pub instructions: Vec<Instruction>,
-    /// Cross-IB dependencies per instruction.
-    pub deps: Vec<Vec<(usize, usize)>>,
-    /// Rows filled from input tensors at load time.
-    pub input_rows: Vec<(u8, InputBinding)>,
-    /// LUT contents.
-    pub lut: Lut,
-    /// Peak simultaneous row occupancy.
-    pub peak_rows: usize,
-    /// Peak register occupancy.
-    pub peak_regs: usize,
-    /// Per-instruction originating scalar, where known (parallel to
-    /// `instructions`); verification maps it back to the DFG node.
-    pub provenance: Vec<Option<ScalarId>>,
-}
-
-/// The lowering result for a whole module.
-#[derive(Debug, Clone)]
-pub struct Lowered {
-    /// Per-IB code.
-    pub ibs: Vec<LoweredIb>,
-    /// Output locations.
-    pub outputs: Vec<ModuleOutput>,
-}
 
 /// Where a scalar currently lives within one IB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -323,7 +292,8 @@ struct LowerCtx<'m> {
     reduce_slots: HashMap<ScalarId, usize>,
 }
 
-/// Lowers a partitioned module to per-IB machine code.
+/// Lowers a partitioned module to the kernel's instruction blocks and
+/// output locations.
 ///
 /// # Errors
 /// Row/register exhaustion, missing/invalid value ranges for the
@@ -332,7 +302,7 @@ pub fn lower(
     module: &ScalarModule,
     partition: &Partition,
     options: &CompileOptions,
-) -> Result<Lowered, CompileError> {
+) -> Result<(Vec<CompiledIb>, Vec<ModuleOutput>), CompileError> {
     let mut ctx = LowerCtx {
         module,
         partition,
@@ -363,9 +333,11 @@ pub fn lower(
     let ibs = ctx
         .ibs
         .into_iter()
-        .map(|state| LoweredIb {
-            name: format!("ib{}", state.index),
-            instructions: state.instructions,
+        .map(|state| CompiledIb {
+            block: InstructionBlock::from_instructions(
+                format!("ib{}", state.index),
+                state.instructions,
+            ),
             deps: state.deps,
             input_rows: state.input_rows,
             lut: state.lut_alloc.render(format.frac_bits()),
@@ -374,7 +346,7 @@ pub fn lower(
             provenance: state.provenance,
         })
         .collect();
-    Ok(Lowered { ibs, outputs })
+    Ok((ibs, outputs))
 }
 
 impl LowerCtx<'_> {

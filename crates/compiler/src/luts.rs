@@ -86,11 +86,6 @@ impl LutAllocator {
         LutAllocator::default()
     }
 
-    /// The carved tables so far.
-    pub fn tables(&self) -> &[SeedTable] {
-        &self.tables
-    }
-
     /// Allocates (or reuses) a table of `entries` buckets for `func` over
     /// `range`.
     ///
@@ -270,7 +265,7 @@ mod tests {
                 )
                 .unwrap();
         }
-        assert_eq!(alloc.tables().len(), 8);
+        assert_eq!(alloc.tables.len(), 8);
     }
 
     #[test]
@@ -284,7 +279,7 @@ mod tests {
             .allocate(TableFn::Reciprocal { scale: 6 }, r, 16, SEED_TABLE_ENTRIES)
             .unwrap();
         assert_eq!(a, b);
-        assert_eq!(alloc.tables().len(), 1);
+        assert_eq!(alloc.tables.len(), 1);
     }
 
     #[test]

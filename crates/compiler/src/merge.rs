@@ -37,10 +37,10 @@ pub fn merge_nodes(module: &mut ScalarModule, options: &CompileOptions) -> Merge
     loop {
         let mut changed = false;
         for idx in 0..module.ops.len() {
-            let id = ScalarId(idx);
             match module.ops[idx].clone() {
                 SOp::AddN(xs) => {
-                    let (merged, did) = flatten_add(module, &xs, max_nary, &consumer_counts, id);
+                    let (merged, _, did) =
+                        flatten(module, &xs, &[], false, max_nary, &consumer_counts);
                     if did {
                         stats.adds_merged += 1;
                         module.ops[idx] = SOp::AddN(merged);
@@ -49,7 +49,7 @@ pub fn merge_nodes(module: &mut ScalarModule, options: &CompileOptions) -> Merge
                 }
                 SOp::SubN { plus, minus } => {
                     let (new_plus, new_minus, did) =
-                        flatten_sub(module, &plus, &minus, max_nary, &consumer_counts, id);
+                        flatten(module, &plus, &minus, true, max_nary, &consumer_counts);
                     if did {
                         stats.subs_merged += 1;
                         module.ops[idx] = SOp::SubN {
@@ -107,45 +107,19 @@ fn count_consumers(module: &ScalarModule) -> Vec<usize> {
     counts
 }
 
-/// Inlines single-consumer AddN operands of an AddN, respecting the n-ary
-/// cap.
-fn flatten_add(
-    module: &ScalarModule,
-    xs: &[ScalarId],
-    max_nary: usize,
-    consumers: &[usize],
-    _self_id: ScalarId,
-) -> (Vec<ScalarId>, bool) {
-    let mut out: Vec<ScalarId> = Vec::with_capacity(xs.len());
-    let mut did = false;
-    let mut pending = xs.len();
-    for &x in xs {
-        pending -= 1;
-        let inline = consumers[x.0] == 1 && matches!(module.ops[x.0], SOp::AddN(_));
-        if inline {
-            if let SOp::AddN(inner) = &module.ops[x.0] {
-                if out.len() + pending + inner.len() <= max_nary {
-                    out.extend_from_slice(inner);
-                    did = true;
-                    continue;
-                }
-            }
-        }
-        out.push(x);
-    }
-    (out, did)
-}
-
-/// Inlines single-consumer AddN/SubN operands of a SubN (a plus-side SubN
-/// contributes its plus list to plus and minus list to minus; a minus-side
-/// SubN contributes inverted).
-fn flatten_sub(
+/// Inlines single-consumer operands of an n-ary add or subtract,
+/// respecting the n-ary cap: an AddN operand contributes its operands to
+/// its own side, and, when `inline_subs` (the op is a SubN), a SubN operand
+/// contributes its plus list to that side and its minus list to the other
+/// (a minus-side SubN contributes inverted). An AddN has no minus list and
+/// inlines only AddN operands.
+fn flatten(
     module: &ScalarModule,
     plus: &[ScalarId],
     minus: &[ScalarId],
+    inline_subs: bool,
     max_nary: usize,
     consumers: &[usize],
-    _self_id: ScalarId,
 ) -> (Vec<ScalarId>, Vec<ScalarId>, bool) {
     let mut new_plus: Vec<ScalarId> = Vec::new();
     let mut new_minus: Vec<ScalarId> = Vec::new();
@@ -170,7 +144,7 @@ fn flatten_sub(
                     SOp::SubN {
                         plus: ip,
                         minus: im,
-                    } if placed + pending + ip.len() + im.len() <= max_nary => {
+                    } if inline_subs && placed + pending + ip.len() + im.len() <= max_nary => {
                         // A subtracted SubN flips its sides.
                         if side {
                             new_plus.extend_from_slice(ip);

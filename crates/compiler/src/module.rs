@@ -1,12 +1,10 @@
 //! Compiled-kernel containers: per-IB machine code plus the layout
 //! metadata the runtime uses to place data and read back results.
 
-use crate::lower::Lowered;
 use crate::scalar::{ParallelSpec, ScalarId, ScalarModule};
 use crate::schedule::Schedule;
-use crate::CompileOptions;
-use imp_dfg::{Graph, NodeId};
-use imp_isa::InstructionBlock;
+use imp_dfg::NodeId;
+use imp_isa::{Instruction, InstructionBlock};
 use imp_rram::{Lut, QFormat};
 
 /// How one module-input scalar is sourced from host tensors at load time.
@@ -170,13 +168,28 @@ pub struct CompiledKernel {
     pub parallel: ParallelSpec,
     /// Static schedule (instruction timetable and IB placements).
     pub schedule: Schedule,
-    /// Aggregate statistics.
-    pub stats: KernelStats,
     /// The scalar module IR (for diagnostics and tests).
     pub module: ScalarModule,
 }
 
 impl CompiledKernel {
+    /// Aggregate statistics, derived from the blocks and the schedule.
+    pub fn stats(&self) -> KernelStats {
+        let lens = self.ibs.iter().map(|ib| ib.block.len());
+        KernelStats {
+            total_instructions: lens.clone().sum(),
+            max_ib_instructions: lens.max().unwrap_or(0),
+            module_latency: self.schedule.module_latency,
+            num_ibs: self.ibs.len(),
+            cross_ib_moves: self
+                .ibs
+                .iter()
+                .flat_map(|ib| ib.block.instructions())
+                .filter(|inst| matches!(inst, Instruction::Movg { .. }))
+                .count(),
+        }
+    }
+
     /// The kernel's per-opcode instruction mix across all IBs.
     pub fn instruction_mix(&self) -> InstructionMix {
         InstructionMix::from_instructions(self.ibs.iter().flat_map(|ib| ib.block.instructions()))
@@ -191,8 +204,8 @@ impl CompiledKernel {
             out,
             "; kernel: {} IBs, {} instructions, module latency {} cycles",
             self.ibs.len(),
-            self.stats.total_instructions,
-            self.stats.module_latency
+            self.stats().total_instructions,
+            self.module_latency()
         );
         for (i, ib) in self.ibs.iter().enumerate() {
             let _ = writeln!(
@@ -215,7 +228,7 @@ impl CompiledKernel {
 
     /// Static latency of one module execution, in array cycles.
     pub fn module_latency(&self) -> u64 {
-        self.stats.module_latency
+        self.schedule.module_latency
     }
 }
 
@@ -251,56 +264,6 @@ pub mod vaddr {
     /// Decodes a virtual output-slot address.
     pub fn as_output_slot(addr: GlobalAddr) -> Option<usize> {
         (addr.array == OUTPUT_SLOT).then_some(addr.tile as usize)
-    }
-}
-
-pub use vaddr::{as_cross_ib, as_output_slot};
-
-/// Builds the final kernel from the lowering and scheduling results.
-pub fn assemble_kernel(
-    _graph: &Graph,
-    module: ScalarModule,
-    lowered: Lowered,
-    schedule: Schedule,
-    options: &CompileOptions,
-) -> CompiledKernel {
-    let mut total = 0usize;
-    let mut max_ib = 0usize;
-    let mut cross = 0usize;
-    let mut ibs = Vec::with_capacity(lowered.ibs.len());
-    for ib in lowered.ibs {
-        total += ib.instructions.len();
-        max_ib = max_ib.max(ib.instructions.len());
-        cross += ib
-            .instructions
-            .iter()
-            .filter(|inst| matches!(inst, imp_isa::Instruction::Movg { .. }))
-            .count();
-        ibs.push(CompiledIb {
-            block: InstructionBlock::from_instructions(ib.name, ib.instructions),
-            input_rows: ib.input_rows,
-            lut: ib.lut,
-            peak_rows: ib.peak_rows,
-            peak_regs: ib.peak_regs,
-            deps: ib.deps,
-            provenance: ib.provenance,
-        });
-    }
-    let stats = KernelStats {
-        total_instructions: total,
-        max_ib_instructions: max_ib,
-        module_latency: schedule.module_latency,
-        num_ibs: ibs.len(),
-        cross_ib_moves: cross,
-    };
-    CompiledKernel {
-        ibs,
-        outputs: lowered.outputs,
-        format: options.format,
-        parallel: module.parallel,
-        schedule,
-        stats,
-        module,
     }
 }
 

@@ -9,7 +9,7 @@
 //! (§5.2 "Balancing Inter-Module and Intra-Module Parallelism").
 
 use crate::scalar::{SOp, ScalarId, ScalarModule};
-use crate::{perf, CompileError, CompileOptions, OptPolicy};
+use crate::{perf, CompileOptions, OptPolicy};
 use std::collections::{HashMap, HashSet};
 
 /// Which IB each live, scheduled scalar op belongs to. Leaves and
@@ -23,17 +23,6 @@ pub struct Partition {
     pub ib_of: HashMap<ScalarId, usize>,
     /// Scalars reachable from module outputs (dead ops excluded).
     pub live: HashSet<ScalarId>,
-}
-
-impl Partition {
-    /// Whether the edge `producer → consumer` crosses IBs (needs a
-    /// `movg`).
-    pub fn crosses(&self, producer: ScalarId, consumer: ScalarId) -> bool {
-        match (self.ib_of.get(&producer), self.ib_of.get(&consumer)) {
-            (Some(a), Some(b)) => a != b,
-            _ => false,
-        }
-    }
 }
 
 /// Live-set computation: scalars reachable from outputs.
@@ -100,12 +89,15 @@ pub fn op_weight(op: &SOp) -> u64 {
     }
 }
 
-/// Chooses the IB count for the configured policy.
-pub fn choose_ib_count(module: &ScalarModule, options: &CompileOptions) -> usize {
+/// Chooses the IB count for the configured policy and distributes the
+/// live scalar ops over that many blocks with a communication-averse
+/// greedy list pass: an op prefers the IB of its latest-finishing operand,
+/// falling back to the least-loaded block.
+pub fn partition(module: &ScalarModule, options: &CompileOptions) -> Partition {
     let live = live_set(module);
     let (total, depth) = ilp_metrics(module, &live);
     let ilp_width = (total.div_ceil(depth) as usize).max(1);
-    match options.policy {
+    let num_ibs = match options.policy {
         OptPolicy::MaxDlp => 1,
         OptPolicy::MaxIlp => ilp_width,
         OptPolicy::MaxArrayUtil => {
@@ -117,15 +109,7 @@ pub fn choose_ib_count(module: &ScalarModule, options: &CompileOptions) -> usize
                 .find(|&ibs| perf::pack(options.expected_instances, ibs, arrays).rounds == 1)
                 .unwrap_or(1)
         }
-    }
-}
-
-/// Distributes live scalar ops over `num_ibs` blocks with a
-/// communication-averse greedy list pass: an op prefers the IB of its
-/// latest-finishing operand, falling back to the least-loaded block.
-pub fn partition(module: &ScalarModule, num_ibs: usize) -> Result<Partition, CompileError> {
-    let live = live_set(module);
-    let num_ibs = num_ibs.max(1);
+    };
     let mut ib_of: HashMap<ScalarId, usize> = HashMap::new();
     let mut load = vec![0u64; num_ibs];
     // Finish time of each scalar assuming its IB's current load.
@@ -180,11 +164,11 @@ pub fn partition(module: &ScalarModule, num_ibs: usize) -> Result<Partition, Com
         }
     }
 
-    Ok(Partition {
+    Partition {
         num_ibs,
         ib_of,
         live,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -231,7 +215,7 @@ mod tests {
             policy: OptPolicy::MaxDlp,
             ..Default::default()
         };
-        assert_eq!(choose_ib_count(&module, &options), 1);
+        assert_eq!(partition(&module, &options).num_ibs, 1);
     }
 
     #[test]
@@ -241,7 +225,7 @@ mod tests {
             policy: OptPolicy::MaxIlp,
             ..Default::default()
         };
-        assert!(choose_ib_count(&module, &options) > 1);
+        assert!(partition(&module, &options).num_ibs > 1);
     }
 
     #[test]
@@ -259,34 +243,47 @@ mod tests {
             expected_instances: usize::MAX / 2,
             ..Default::default()
         };
-        assert!(choose_ib_count(&module, &small) >= choose_ib_count(&module, &large));
-        assert_eq!(choose_ib_count(&module, &large), 1);
+        let (small, large) = (
+            partition(&module, &small).num_ibs,
+            partition(&module, &large).num_ibs,
+        );
+        assert!(small >= large);
+        assert_eq!(large, 1);
     }
 
     #[test]
     fn partition_covers_all_live_ops() {
         let module = wide_module();
-        let part = partition(&module, 4).unwrap();
-        assert_eq!(part.num_ibs, 4);
+        let options = CompileOptions {
+            policy: OptPolicy::MaxIlp,
+            ..Default::default()
+        };
+        let part = partition(&module, &options);
         for idx in 0..module.ops.len() {
             let id = ScalarId(idx);
             if part.live.contains(&id) && is_scheduled(&module.ops[idx]) {
                 assert!(part.ib_of.contains_key(&id), "op {idx} unassigned");
             }
         }
-        // All four IBs should get work for an 8-wide module.
+        // Every IB should get work for an 8-wide module.
         let used: HashSet<usize> = part.ib_of.values().copied().collect();
-        assert_eq!(used.len(), 4);
+        assert_eq!(used.len(), part.num_ibs);
     }
 
     #[test]
     fn single_ib_partition_has_no_crossings() {
         let module = wide_module();
-        let part = partition(&module, 1).unwrap();
+        let options = CompileOptions {
+            policy: OptPolicy::MaxDlp,
+            ..Default::default()
+        };
+        let part = partition(&module, &options);
         for idx in 0..module.ops.len() {
             let id = ScalarId(idx);
             for op in module.op(id).operands() {
-                assert!(!part.crosses(op, id));
+                if let (Some(a), Some(b)) = (part.ib_of.get(&op), part.ib_of.get(&id)) {
+                    assert_eq!(a, b, "edge {op:?} -> {id:?} crosses IBs");
+                }
             }
         }
     }

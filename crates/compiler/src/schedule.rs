@@ -10,9 +10,8 @@
 //! arrival times given the IB placement, and (c) the compute/write-back
 //! pipelining option (§5.2).
 
-use crate::lower::Lowered;
-use crate::module::CompiledKernel;
-use crate::{CompileError, CompileOptions};
+use crate::module::CompiledIb;
+use crate::CompileError;
 use imp_isa::{Instruction, Latency};
 use std::collections::BTreeSet;
 
@@ -194,76 +193,39 @@ pub fn place(num_ibs: usize, avail: &ArrayAvailability) -> Result<Vec<Placement>
         .collect())
 }
 
-/// Computes the static timetable for code still in compiler IR.
-///
-/// # Errors
-/// Returns [`CompileError::OutOfArrays`] if placement fails and
-/// [`CompileError::Graph`] if the cross-IB dependence graph is cyclic (a
-/// compiler invariant violation).
-pub fn schedule(
-    lowered: &Lowered,
-    options: &CompileOptions,
-    avail: &ArrayAvailability,
-) -> Result<Schedule, CompileError> {
-    let placements = place(lowered.ibs.len(), avail)?;
-    let code: Vec<IbCode<'_>> = lowered
-        .ibs
-        .iter()
-        .map(|ib| (ib.instructions.as_slice(), ib.deps.as_slice()))
-        .collect();
-    timetable(&code, options.pipelining, placements)
-}
-
-/// Recomputes a compiled kernel's timetable for a different array
-/// availability — the runtime's remap path after retiring faulty arrays.
-/// Uses the cross-IB dependence lists retained in
-/// [`CompiledIb::deps`](crate::module::CompiledIb::deps), so no
-/// re-lowering is needed.
+/// Places the kernel's blocks on the usable arrays of `avail` and computes
+/// their static timetable: list scheduling by longest path over the
+/// program-order + cross-IB dependence DAG, with transfer latencies from
+/// the placements. Compile schedules on a fully available chip; the
+/// runtime's remap path re-runs this after retiring faulty arrays, from the
+/// dependence lists each [`CompiledIb`] keeps, so no re-lowering is needed.
 ///
 /// # Errors
 /// Returns [`CompileError::OutOfArrays`] if fewer usable arrays remain
-/// than the kernel has IBs.
-pub fn reschedule(
-    kernel: &CompiledKernel,
+/// than there are blocks, and [`CompileError::Graph`] if the cross-IB
+/// dependence graph is cyclic (a compiler invariant violation).
+pub fn schedule(
+    ibs: &[CompiledIb],
+    pipelining: bool,
     avail: &ArrayAvailability,
 ) -> Result<Schedule, CompileError> {
-    let placements = place(kernel.ibs.len(), avail)?;
-    let code: Vec<IbCode<'_>> = kernel
-        .ibs
-        .iter()
-        .map(|ib| (ib.block.instructions(), ib.deps.as_slice()))
-        .collect();
-    timetable(&code, kernel.schedule.pipelining, placements)
-}
-
-/// One IB's code plus its cross-IB dependence lists (one list per
-/// instruction, entries are `(producer_ib, producer_idx)`).
-type IbCode<'a> = (&'a [Instruction], &'a [Vec<(usize, usize)>]);
-
-/// The shared timetable core: list scheduling by longest path over the
-/// program-order + cross-IB dependence DAG, with transfer latencies from
-/// the given placements.
-fn timetable(
-    ibs: &[IbCode<'_>],
-    pipelining: bool,
-    placements: Vec<Placement>,
-) -> Result<Schedule, CompileError> {
-    let num_nodes: usize = ibs.iter().map(|(code, _)| code.len()).sum();
+    let placements = place(ibs.len(), avail)?;
+    let num_nodes: usize = ibs.iter().map(|ib| ib.block.len()).sum();
     // Flatten (ib, idx) to node ids.
     let mut base = vec![0usize; ibs.len() + 1];
-    for (i, (code, _)) in ibs.iter().enumerate() {
-        base[i + 1] = base[i] + code.len();
+    for (i, ib) in ibs.iter().enumerate() {
+        base[i + 1] = base[i] + ib.block.len();
     }
     let node = |ib: usize, idx: usize| base[ib] + idx;
 
     // Build edges: (pred, succ, extra_latency_after_pred_end).
     let mut preds: Vec<Vec<(usize, u64)>> = vec![Vec::new(); num_nodes];
-    for (i, (code, deps)) in ibs.iter().enumerate() {
-        for idx in 0..code.len() {
+    for (i, ib) in ibs.iter().enumerate() {
+        for idx in 0..ib.block.len() {
             if idx > 0 {
                 preds[node(i, idx)].push((node(i, idx - 1), 0));
             }
-            for &(p_ib, p_idx) in &deps[idx] {
+            for &(p_ib, p_idx) in &ib.deps[idx] {
                 let lat = transfer_latency(placements[p_ib], placements[i]);
                 preds[node(i, idx)].push((node(p_ib, p_idx), lat));
             }
@@ -298,8 +260,8 @@ fn timetable(
     let mut start = vec![0u64; num_nodes];
     let mut end = vec![0u64; num_nodes];
     let mut which: Vec<(usize, usize)> = vec![(0, 0); num_nodes];
-    for (i, (code, _)) in ibs.iter().enumerate() {
-        for idx in 0..code.len() {
+    for (i, ib) in ibs.iter().enumerate() {
+        for idx in 0..ib.block.len() {
             which[node(i, idx)] = (i, idx);
         }
     }
@@ -311,7 +273,7 @@ fn timetable(
             .max()
             .unwrap_or(0);
         start[n] = earliest;
-        end[n] = earliest + occupancy(&ibs[ib].0[idx], pipelining);
+        end[n] = earliest + occupancy(&ibs[ib].block.instructions()[idx], pipelining);
     }
 
     let mut entries: Vec<ScheduledInst> = (0..num_nodes)
@@ -334,8 +296,13 @@ fn timetable(
     // Instruction-supply stalls: code beyond one buffer refills from the
     // tile level while the array executes.
     let mut buffer_refills = Vec::with_capacity(ibs.len());
-    for (i, (code, _)) in ibs.iter().enumerate() {
-        let code_bytes: usize = code.iter().map(|inst| inst.encode().len()).sum();
+    for (i, ib) in ibs.iter().enumerate() {
+        let code_bytes: usize = ib
+            .block
+            .instructions()
+            .iter()
+            .map(|inst| inst.encode().len())
+            .sum();
         let refills = (code_bytes.div_ceil(INSTRUCTION_BUFFER_BYTES).max(1) - 1) as u32;
         ib_latencies[i] += u64::from(refills) * REFILL_STALL_CYCLES;
         buffer_refills.push(refills);
@@ -496,7 +463,7 @@ mod tests {
     fn reschedule_matches_original_on_full_availability() {
         let kernel = simple_kernel(OptPolicy::MaxIlp, true);
         let avail = ArrayAvailability::all(64);
-        let re = reschedule(&kernel, &avail).unwrap();
+        let re = schedule(&kernel.ibs, kernel.schedule.pipelining, &avail).unwrap();
         assert_eq!(re.module_latency, kernel.schedule.module_latency);
         assert_eq!(re.placements, kernel.schedule.placements);
         assert_eq!(re.entries, kernel.schedule.entries);
@@ -508,7 +475,7 @@ mod tests {
         assert!(kernel.ibs.len() > 1);
         let mut avail = ArrayAvailability::all(64);
         avail.retire(0); // force every IB off its original slot
-        let re = reschedule(&kernel, &avail).unwrap();
+        let re = schedule(&kernel.ibs, kernel.schedule.pipelining, &avail).unwrap();
         assert!(!re.placements.contains(&Placement {
             cluster: 0,
             array: 0

@@ -82,7 +82,7 @@ fn digest(kernel: &CompiledKernel) -> u64 {
     h.debug(&s.placements);
     h.debug(&s.buffer_refills);
     h.debug(&s.pipelining);
-    h.debug(&kernel.stats);
+    h.debug(&kernel.stats());
     h.debug(&kernel.module);
     h.0
 }
@@ -99,8 +99,8 @@ fn line(
         Ok(kernel) => format!(
             "ok {:016x} ibs={} insts={}",
             digest(kernel),
-            kernel.stats.num_ibs,
-            kernel.stats.total_instructions
+            kernel.stats().num_ibs,
+            kernel.stats().total_instructions
         ),
         Err(err) => {
             let mut h = Fnv::new();

@@ -87,15 +87,16 @@ fn main() -> ExitCode {
     };
     let kernel = session.kernel();
 
+    let stats = kernel.stats();
     println!("kernel `{path}` compiled:");
     println!("  parallelism        : {:?}", kernel.parallel);
-    println!("  instruction blocks : {}", kernel.ibs.len());
-    println!("  total instructions : {}", kernel.stats.total_instructions);
+    println!("  instruction blocks : {}", stats.num_ibs);
+    println!("  total instructions : {}", stats.total_instructions);
     println!(
         "  module latency     : {} array cycles",
-        kernel.module_latency()
+        stats.module_latency
     );
-    println!("  cross-IB moves     : {}", kernel.stats.cross_ib_moves);
+    println!("  cross-IB moves     : {}", stats.cross_ib_moves);
     let mix = kernel.instruction_mix();
     let mix_line: Vec<String> = mix.iter().map(|(m, c)| format!("{m}:{c}")).collect();
     println!("  instruction mix    : {}", mix_line.join(" "));

@@ -20,7 +20,7 @@
 //!   faults are transient; permanent faults exhaust the budget.
 //! * [`FaultPolicy::Remap`] — retire the physical arrays that failed
 //!   their checks, re-run BUG placement/scheduling around them
-//!   ([`imp_compiler::reschedule`]) and execute again at reduced
+//!   ([`imp_compiler::schedule::schedule`]) and execute again at reduced
 //!   parallelism: graceful degradation instead of an error, as long as
 //!   enough healthy arrays remain.
 //!

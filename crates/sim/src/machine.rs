@@ -6,9 +6,9 @@ use crate::fault::{
 };
 use crate::lifetime;
 use crate::SimError;
-use imp_compiler::module::{as_cross_ib, as_output_slot, OutputLoc};
+use imp_compiler::module::{vaddr, OutputLoc};
 use imp_compiler::perf::{self, Packing};
-use imp_compiler::schedule::Schedule;
+use imp_compiler::schedule::{schedule, Schedule};
 use imp_compiler::ParallelSpec;
 use imp_compiler::{ArrayAvailability, ChipCapacity, CompiledKernel, InputBinding};
 use imp_dfg::{NodeId, Shape, Tensor};
@@ -476,7 +476,7 @@ impl Machine {
                         avail.retire(event.site.physical_slot);
                     }
                     fault_overhead_cycles += attempt.cycles;
-                    let resched = match imp_compiler::reschedule(kernel, &avail) {
+                    let resched = match schedule(&kernel.ibs, kernel.schedule.pipelining, &avail) {
                         Ok(sched) => sched,
                         Err(imp_compiler::CompileError::OutOfArrays { needed, usable }) => {
                             return Err(SimError::OutOfArrays {
@@ -1695,8 +1695,9 @@ fn lower_tape(kernel: &CompiledKernel, sched: &Schedule, power: &ArrayPower) -> 
         let inst = kernel.ibs[ib].block.instructions()[entry.index];
         steps.push(match inst {
             Instruction::Movg { src, dst } => {
-                let (_, src_row) = as_cross_ib(src).expect("ISA02 checked movg sources");
-                let (dst_ib, dst_row) = as_cross_ib(dst).expect("ISA02 checked movg destinations");
+                let (_, src_row) = vaddr::as_cross_ib(src).expect("ISA02 checked movg sources");
+                let (dst_ib, dst_row) =
+                    vaddr::as_cross_ib(dst).expect("ISA02 checked movg destinations");
                 Step::Movg {
                     src_ib: ib,
                     src_row: usize::from(src_row),
@@ -1710,7 +1711,7 @@ fn lower_tape(kernel: &CompiledKernel, sched: &Schedule, power: &ArrayPower) -> 
             Instruction::ReduceSum { src, dst } => Step::Reduce {
                 ib,
                 src_row: src.index(),
-                slot: as_output_slot(dst).expect("ISA02 checked reduction slots"),
+                slot: vaddr::as_output_slot(dst).expect("ISA02 checked reduction slots"),
             },
             local => {
                 let mut op = MicroOp::decode(&local).expect("array-local instructions decode");
@@ -2052,7 +2053,7 @@ mod tests {
         };
         let kernel = compile(&graph, &options).unwrap();
         assert!(kernel.ibs.len() > 1, "MaxILP should split IBs");
-        assert!(kernel.stats.cross_ib_moves > 0);
+        assert!(kernel.stats().cross_ib_moves > 0);
         let inputs = [(
             "x".to_string(),
             Tensor::from_fn(Shape::new(vec![6, 32]), |i| ((i % 13) as f64) / 3.0 - 2.0),

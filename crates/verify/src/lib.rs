@@ -281,7 +281,7 @@ pub fn verify_kernel(kernel: &CompiledKernel) -> VerifyReport {
 }
 
 /// Verifies a kernel against an explicit schedule and array
-/// availability — the runtime's post-`reschedule` remap path, or a
+/// availability — the runtime's remap path, which re-runs `schedule`, or a
 /// chip-capacity-aware front-end check.
 pub fn verify_with(
     kernel: &CompiledKernel,

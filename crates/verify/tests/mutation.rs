@@ -486,7 +486,8 @@ fn reschedule_of_clean_kernel_verifies() {
     let p = k.schedule.placements[0];
     avail.retire(p.cluster * 8 + p.array);
     avail.retire(63);
-    let schedule = imp_compiler::reschedule(&k, &avail).expect("reschedule fits");
+    let schedule = imp_compiler::schedule::schedule(&k.ibs, k.schedule.pipelining, &avail)
+        .expect("reschedule fits");
     let report = verify_with(&k, &schedule, &avail);
     assert!(report.passes_deny(), "{}", report.render());
 }

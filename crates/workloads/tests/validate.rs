@@ -131,8 +131,8 @@ fn all_workloads_compile_under_all_policies() {
             let kernel = w
                 .compile(1 << 16, policy)
                 .unwrap_or_else(|e| panic!("{} under {policy:?}: {e}", w.name));
-            assert!(kernel.stats.total_instructions > 0, "{}", w.name);
-            assert!(kernel.stats.module_latency > 0, "{}", w.name);
+            assert!(kernel.stats().total_instructions > 0, "{}", w.name);
+            assert!(kernel.module_latency() > 0, "{}", w.name);
             for ib in &kernel.ibs {
                 assert!(ib.peak_rows <= 128, "{}: {} rows", w.name, ib.peak_rows);
                 assert!(ib.peak_regs <= 128, "{}: {} regs", w.name, ib.peak_regs);

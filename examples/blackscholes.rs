@@ -24,7 +24,7 @@ fn main() {
     println!("blackscholes kernel:");
     println!(
         "  instructions per module: {}",
-        kernel.stats.max_ib_instructions
+        kernel.stats().max_ib_instructions
     );
     println!(
         "  module latency         : {} cycles",

@@ -29,7 +29,7 @@ fn main() {
     }
     println!(
         "kmeans compiled module ({} instructions):",
-        kernel.stats.total_instructions
+        kernel.stats().total_instructions
     );
     for (op, count) in &counts {
         println!("  {:<11} × {count}", op.mnemonic());

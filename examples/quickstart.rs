@@ -32,7 +32,10 @@ fn main() -> Result<(), imp::Error> {
     let kernel = session.kernel();
     println!("compiled kernel:");
     println!("  instruction blocks : {}", kernel.ibs.len());
-    println!("  total instructions : {}", kernel.stats.total_instructions);
+    println!(
+        "  total instructions : {}",
+        kernel.stats().total_instructions
+    );
     println!(
         "  module latency     : {} array cycles",
         kernel.module_latency()

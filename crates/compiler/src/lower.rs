@@ -17,7 +17,6 @@ use crate::{CompileError, CompileOptions};
 use imp_dfg::range::Interval;
 use imp_isa::{Addr, Instruction, InstructionBlock, LaneMask, RowMask, ARRAY_ROWS, MASK_REGISTER};
 use imp_rram::{Fixed, QFormat};
-use std::collections::{HashMap, HashSet};
 
 /// Where a scalar currently lives within one IB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,20 +124,78 @@ impl RegAlloc {
     }
 }
 
+/// What one IB knows of one module scalar.
+#[derive(Debug, Clone, Copy, Default)]
+struct ScalarState {
+    /// Where the scalar currently lives in this IB.
+    loc: Option<Loc>,
+    /// Cross-IB arrival dependence: (producer ib, movg index).
+    arrival: Option<(usize, usize)>,
+    /// Remaining uses of the scalar in this IB.
+    remaining: usize,
+    /// Whether its row must survive to the end (module outputs).
+    pinned: bool,
+}
+
+/// The [`ScalarState`] of every scalar in every IB that can touch it: its
+/// home IB (IB 0 for leaves and constants) and the IBs of its consumers.
+/// Scalar `s` owns slots `start[s]..start[s + 1]`, so the table grows with
+/// the module's def-use edges rather than with IBs × scalars.
+struct ScalarSlots {
+    start: Vec<usize>,
+    ib: Vec<usize>,
+    state: Vec<ScalarState>,
+}
+
+impl ScalarSlots {
+    fn new(module: &ScalarModule, partition: &Partition, consumers: &ConsumerIndex) -> Self {
+        let mut start = Vec::with_capacity(module.ops.len() + 1);
+        let mut ib = Vec::with_capacity(module.ops.len());
+        start.push(0);
+        for idx in 0..module.ops.len() {
+            let first = ib.len();
+            ib.push(partition.ib_of[idx].unwrap_or(0));
+            for consumer in consumers.of(ScalarId(idx)) {
+                if let Some(home) = partition.ib_of[consumer.0] {
+                    if !ib[first..].contains(&home) {
+                        ib.push(home);
+                    }
+                }
+            }
+            start.push(ib.len());
+        }
+        let state = vec![ScalarState::default(); ib.len()];
+        ScalarSlots { start, ib, state }
+    }
+
+    fn slot(&self, id: ScalarId, ib: usize) -> usize {
+        let first = self.start[id.0];
+        let offset = self.ib[first..self.start[id.0 + 1]]
+            .iter()
+            .position(|&b| b == ib)
+            .expect("a scalar is touched only in its home IB or a consumer's");
+        first + offset
+    }
+
+    fn get(&self, id: ScalarId, ib: usize) -> &ScalarState {
+        &self.state[self.slot(id, ib)]
+    }
+
+    fn get_mut(&mut self, id: ScalarId, ib: usize) -> &mut ScalarState {
+        let slot = self.slot(id, ib);
+        &mut self.state[slot]
+    }
+}
+
 struct IbState {
     index: usize,
     instructions: Vec<Instruction>,
     deps: Vec<Vec<(usize, usize)>>,
     rows: RowAlloc,
     regs: RegAlloc,
-    loc: HashMap<ScalarId, Loc>,
-    /// Cross-IB arrival dependencies: scalar → (producer ib, movg index).
-    arrival: HashMap<ScalarId, (usize, usize)>,
-    /// Remaining uses of each scalar in this IB.
-    remaining: HashMap<ScalarId, usize>,
-    /// Scalars whose rows must survive to the end (module outputs).
-    pinned: HashSet<ScalarId>,
-    const_rows: HashMap<ConstKey, u8>,
+    /// Constant rows, deduplicated for the IB's whole lifetime (few per
+    /// IB, so searched linearly).
+    const_rows: Vec<(ConstKey, u8)>,
     input_rows: Vec<(u8, InputBinding)>,
     lut_alloc: LutAllocator,
     /// Deps collected while preparing the current op's operands.
@@ -154,7 +211,7 @@ struct IbState {
 /// in the kernel's fixed-point format (keyed by its `f64` bits, so `-0.0`
 /// and `0.0` keep separate rows), or a raw word not scaled to the format,
 /// e.g. a LUT index base. The two never share a row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ConstKey {
     Value(u64),
     Raw(i32),
@@ -174,11 +231,7 @@ impl IbState {
             deps: Vec::new(),
             rows: RowAlloc::new(),
             regs: RegAlloc::new(),
-            loc: HashMap::new(),
-            arrival: HashMap::new(),
-            remaining: HashMap::new(),
-            pinned: HashSet::new(),
-            const_rows: HashMap::new(),
+            const_rows: Vec::new(),
             input_rows: Vec::new(),
             lut_alloc: LutAllocator::new(),
             pending_deps: Vec::new(),
@@ -247,15 +300,13 @@ struct ConsumerIndex {
 impl ConsumerIndex {
     fn new(module: &ScalarModule) -> Self {
         let mut edges: Vec<(ScalarId, ScalarId)> = Vec::new();
+        let mut operands: Vec<ScalarId> = Vec::new();
         for (idx, op) in module.ops.iter().enumerate() {
-            let mut operands = op.operands();
+            operands.clear();
+            operands.extend(op.operands());
             operands.sort_unstable();
             operands.dedup();
-            edges.extend(
-                operands
-                    .into_iter()
-                    .map(|producer| (producer, ScalarId(idx))),
-            );
+            edges.extend(operands.iter().map(|&producer| (producer, ScalarId(idx))));
         }
         // Counting sort by producer; stable, so consumers stay ascending.
         let mut offsets = vec![0usize; module.ops.len() + 1];
@@ -285,11 +336,15 @@ struct LowerCtx<'m> {
     options: &'m CompileOptions,
     format: QFormat,
     ibs: Vec<IbState>,
+    scalars: ScalarSlots,
     consumers: ConsumerIndex,
-    /// Consumers of each scalar in other IBs (for eager movg emission).
-    remote_consumers: HashMap<ScalarId, Vec<usize>>,
-    /// Reduction slot of each ReduceAcross scalar.
-    reduce_slots: HashMap<ScalarId, usize>,
+    /// IBs other than its home that consume each scalar (for eager movg
+    /// emission), indexed by `ScalarId`.
+    remote_consumers: Vec<Vec<usize>>,
+    /// Reduction slot of each ReduceAcross scalar, indexed by `ScalarId`.
+    reduce_slots: Vec<Option<usize>>,
+    /// Reduction slots handed out so far.
+    next_reduce_slot: usize,
 }
 
 /// Lowers a partitioned module to the kernel's instruction blocks and
@@ -303,24 +358,28 @@ pub fn lower(
     partition: &Partition,
     options: &CompileOptions,
 ) -> Result<(Vec<CompiledIb>, Vec<ModuleOutput>), CompileError> {
+    let num_scalars = module.ops.len();
+    let consumers = ConsumerIndex::new(module);
     let mut ctx = LowerCtx {
         module,
         partition,
         options,
         format: options.format,
         ibs: (0..partition.num_ibs).map(IbState::new).collect(),
-        consumers: ConsumerIndex::new(module),
-        remote_consumers: HashMap::new(),
-        reduce_slots: HashMap::new(),
+        scalars: ScalarSlots::new(module, partition, &consumers),
+        consumers,
+        remote_consumers: vec![Vec::new(); num_scalars],
+        reduce_slots: vec![None; num_scalars],
+        next_reduce_slot: 0,
     };
     ctx.prepare_usage();
     ctx.preallocate_leaves()?;
-    for idx in 0..module.ops.len() {
-        let id = ScalarId(idx);
-        if !partition.live.contains(&id) {
+    for idx in 0..num_scalars {
+        if !partition.live[idx] {
             continue;
         }
-        if let Some(&home) = partition.ib_of.get(&id) {
+        if let Some(home) = partition.ib_of[idx] {
+            let id = ScalarId(idx);
             ctx.set_current(Some(id));
             ctx.lower_op(id, home)?;
             ctx.emit_remote_moves(id, home)?;
@@ -364,20 +423,20 @@ impl LowerCtx<'_> {
 
     /// Counts per-IB uses and remote consumers, and pins output rows.
     fn prepare_usage(&mut self) {
-        for idx in 0..self.module.ops.len() {
-            let id = ScalarId(idx);
-            if !self.partition.live.contains(&id) {
+        let (module, partition) = (self.module, self.partition);
+        for (idx, op) in module.ops.iter().enumerate() {
+            if !partition.live[idx] {
                 continue;
             }
-            let Some(&home) = self.partition.ib_of.get(&id) else {
+            let Some(home) = partition.ib_of[idx] else {
                 continue;
             };
-            for operand in self.module.ops[idx].operands() {
-                *self.ibs[home].remaining.entry(operand).or_insert(0) += 1;
+            for operand in op.operands() {
+                self.scalars.get_mut(operand, home).remaining += 1;
                 // A remote producer must movg into `home`.
-                if let Some(&producer_home) = self.partition.ib_of.get(&operand) {
+                if let Some(producer_home) = partition.ib_of[operand.0] {
                     if producer_home != home {
-                        let list = self.remote_consumers.entry(operand).or_default();
+                        let list = &mut self.remote_consumers[operand.0];
                         if !list.contains(&home) {
                             list.push(home);
                         }
@@ -385,10 +444,10 @@ impl LowerCtx<'_> {
                 }
             }
         }
-        for output in &self.module.outputs {
+        for output in &module.outputs {
             for &s in &output.scalars {
                 let home = self.home_of(s);
-                self.ibs[home].pinned.insert(s);
+                self.scalars.get_mut(s, home).pinned = true;
             }
         }
     }
@@ -396,7 +455,7 @@ impl LowerCtx<'_> {
     /// Home IB of a scalar: its partition assignment, or IB 0 for leaves
     /// and constants referenced directly as outputs.
     fn home_of(&self, id: ScalarId) -> usize {
-        self.partition.ib_of.get(&id).copied().unwrap_or(0)
+        self.partition.ib_of[id.0].unwrap_or(0)
     }
 
     /// Allocates every input-leaf row up front. The runtime fills input
@@ -404,21 +463,22 @@ impl LowerCtx<'_> {
     /// before any temporary can claim the same row earlier in the
     /// execution order (they are still freed after their last use).
     fn preallocate_leaves(&mut self) -> Result<(), CompileError> {
+        let mut homes: Vec<usize> = Vec::new();
         for idx in 0..self.module.ops.len() {
-            let id = ScalarId(idx);
-            if !self.partition.live.contains(&id) {
+            if !self.partition.live[idx] {
                 continue;
             }
             if !matches!(self.module.ops[idx], SOp::Leaf(_)) {
                 continue;
             }
+            let id = ScalarId(idx);
             // Reserve in every IB that reads this leaf as a row operand.
-            let mut homes: Vec<usize> = Vec::new();
+            homes.clear();
             for consumer in self.consumers.of(id) {
-                if !self.partition.live.contains(consumer) {
+                if !self.partition.live[consumer.0] {
                     continue;
                 }
-                if let Some(&h) = self.partition.ib_of.get(consumer) {
+                if let Some(h) = self.partition.ib_of[consumer.0] {
                     if !homes.contains(&h) {
                         homes.push(h);
                     }
@@ -436,7 +496,7 @@ impl LowerCtx<'_> {
                     homes.push(h);
                 }
             }
-            for home in homes {
+            for &home in &homes {
                 self.set_current(Some(id));
                 self.ensure_row(id, home)?;
             }
@@ -446,21 +506,19 @@ impl LowerCtx<'_> {
     }
 
     fn release_operands(&mut self, id: ScalarId, home: usize) {
-        for operand in self.module.ops[id.0].operands() {
+        let module = self.module;
+        for operand in module.ops[id.0].operands() {
             // Constant rows are deduplicated for the IB's whole lifetime.
-            if matches!(self.module.ops[operand.0], SOp::Const(_)) {
+            if matches!(module.ops[operand.0], SOp::Const(_)) {
                 continue;
             }
-            let state = &mut self.ibs[home];
-            if let Some(count) = state.remaining.get_mut(&operand) {
-                *count = count.saturating_sub(1);
-                if *count == 0 && !state.pinned.contains(&operand) {
-                    if let Some(loc) = state.loc.remove(&operand) {
-                        match loc {
-                            Loc::Row(row) => state.rows.free(row),
-                            Loc::Reg(reg) => state.regs.free(reg),
-                        }
-                    }
+            let entry = self.scalars.get_mut(operand, home);
+            entry.remaining = entry.remaining.saturating_sub(1);
+            if entry.remaining == 0 && !entry.pinned {
+                match entry.loc.take() {
+                    Some(Loc::Row(row)) => self.ibs[home].rows.free(row),
+                    Some(Loc::Reg(reg)) => self.ibs[home].regs.free(reg),
+                    None => {}
                 }
             }
         }
@@ -468,30 +526,37 @@ impl LowerCtx<'_> {
 
     /// Emits `movg`s delivering `id` to every remote consumer IB.
     fn emit_remote_moves(&mut self, id: ScalarId, home: usize) -> Result<(), CompileError> {
-        let Some(consumers) = self.remote_consumers.get(&id).cloned() else {
+        if self.remote_consumers[id.0].is_empty() {
             return Ok(());
-        };
+        }
         let src_row = self.ensure_row(id, home)?;
-        for consumer in consumers {
+        for k in 0..self.remote_consumers[id.0].len() {
+            let consumer = self.remote_consumers[id.0][k];
             let dst_row = self.ibs[consumer].alloc_row()?;
             let movg_idx = self.ibs[home].emit(Instruction::Movg {
                 src: vaddr::cross_ib(home, src_row),
                 dst: vaddr::cross_ib(consumer, dst_row),
             });
-            let state = &mut self.ibs[consumer];
-            state.loc.insert(id, Loc::Row(dst_row));
-            state.arrival.insert(id, (home, movg_idx));
+            let entry = self.scalars.get_mut(id, consumer);
+            entry.loc = Some(Loc::Row(dst_row));
+            entry.arrival = Some((home, movg_idx));
         }
         Ok(())
+    }
+
+    /// Records the arrival dependence of `id` in `ib`, if it was
+    /// `movg`-delivered, on the instruction about to be emitted.
+    fn note_arrival(&mut self, id: ScalarId, ib: usize) {
+        if let Some(arrival) = self.scalars.get(id, ib).arrival {
+            self.ibs[ib].pending_deps.push(arrival);
+        }
     }
 
     /// Materializes a leaf / constant in `ib` if absent, and returns the
     /// scalar's row (moving it out of a register if needed).
     fn ensure_row(&mut self, id: ScalarId, ib: usize) -> Result<u8, CompileError> {
-        if let Some((producer, movg_idx)) = self.ibs[ib].arrival.get(&id).copied() {
-            self.ibs[ib].pending_deps.push((producer, movg_idx));
-        }
-        match self.ibs[ib].loc.get(&id).copied() {
+        self.note_arrival(id, ib);
+        match self.scalars.get(id, ib).loc {
             Some(Loc::Row(row)) => Ok(row),
             Some(Loc::Reg(reg)) => {
                 let row = self.ibs[ib].alloc_row()?;
@@ -499,7 +564,7 @@ impl LowerCtx<'_> {
                     src: Addr::reg(reg as usize),
                     dst: Addr::mem(row as usize),
                 });
-                self.ibs[ib].loc.insert(id, Loc::Row(row));
+                self.scalars.get_mut(id, ib).loc = Some(Loc::Row(row));
                 self.ibs[ib].regs.free(reg);
                 Ok(row)
             }
@@ -507,12 +572,12 @@ impl LowerCtx<'_> {
                 SOp::Leaf(binding) => {
                     let row = self.ibs[ib].alloc_row()?;
                     self.ibs[ib].input_rows.push((row, binding.clone()));
-                    self.ibs[ib].loc.insert(id, Loc::Row(row));
+                    self.scalars.get_mut(id, ib).loc = Some(Loc::Row(row));
                     Ok(row)
                 }
                 SOp::Const(value) => {
                     let row = self.const_row(ib, ConstKey::value(*value))?;
-                    self.ibs[ib].loc.insert(id, Loc::Row(row));
+                    self.scalars.get_mut(id, ib).loc = Some(Loc::Row(row));
                     Ok(row)
                 }
                 // Reduction results live in output slots, never in rows.
@@ -530,7 +595,7 @@ impl LowerCtx<'_> {
     /// A row holding the constant `key` (deduplicated per IB;
     /// materialized with `movi`).
     fn const_row(&mut self, ib: usize, key: ConstKey) -> Result<u8, CompileError> {
-        if let Some(&row) = self.ibs[ib].const_rows.get(&key) {
+        if let Some(&(_, row)) = self.ibs[ib].const_rows.iter().find(|(k, _)| *k == key) {
             return Ok(row);
         }
         let raw = match key {
@@ -542,42 +607,42 @@ impl LowerCtx<'_> {
             dst: Addr::mem(row as usize),
             imm: imp_isa::Imm::broadcast(raw),
         });
-        self.ibs[ib].const_rows.insert(key, row);
+        self.ibs[ib].const_rows.push((key, row));
         Ok(row)
     }
 
     /// Rows for a set of operands, copying duplicates into scratch rows so
-    /// the n-ary row mask stays a set.
+    /// the n-ary row mask stays a set. `taken` holds the rows already
+    /// chosen (bit `i` is row `i`); the second result holds the copies.
     fn operand_rows(
         &mut self,
         ids: &[ScalarId],
         ib: usize,
-        taken: &mut Vec<u8>,
-    ) -> Result<(Vec<u8>, Vec<u8>), CompileError> {
+        taken: &mut u128,
+    ) -> Result<(Vec<u8>, u128), CompileError> {
         let mut rows = Vec::with_capacity(ids.len());
-        let mut scratch = Vec::new();
+        let mut scratch = 0u128;
         for &id in ids {
-            let row = self.ensure_row(id, ib)?;
-            if taken.contains(&row) {
+            let mut row = self.ensure_row(id, ib)?;
+            if *taken & (1u128 << row) != 0 {
                 let copy = self.ibs[ib].alloc_row()?;
                 self.ibs[ib].emit(Instruction::Mov {
                     src: Addr::mem(row as usize),
                     dst: Addr::mem(copy as usize),
                 });
-                scratch.push(copy);
-                taken.push(copy);
-                rows.push(copy);
-            } else {
-                taken.push(row);
-                rows.push(row);
+                scratch |= 1u128 << copy;
+                row = copy;
             }
+            *taken |= 1u128 << row;
+            rows.push(row);
         }
         Ok((rows, scratch))
     }
 
-    fn free_scratch(&mut self, ib: usize, scratch: Vec<u8>) {
-        for row in scratch {
-            self.ibs[ib].rows.free(row);
+    /// Frees the scratch rows of a mask (bit `i` is row `i`).
+    fn free_scratch(&mut self, ib: usize, scratch: u128) {
+        for row in RowMask::from_bits(scratch).rows() {
+            self.ibs[ib].rows.free(row as u8);
         }
     }
 
@@ -588,13 +653,13 @@ impl LowerCtx<'_> {
     /// through the digital periphery — shifts, masks, moves, LUT
     /// lookups, selects — modeling the output-register path).
     fn prefers_register(&self, id: ScalarId, home: usize) -> bool {
-        if self.ibs[home].pinned.contains(&id) || self.remote_consumers.contains_key(&id) {
+        if self.scalars.get(id, home).pinned || !self.remote_consumers[id.0].is_empty() {
             return false;
         }
         let consumers = self.consumers.of(id);
         !consumers.is_empty()
             && consumers.iter().all(|&c| {
-                self.partition.ib_of.get(&c) == Some(&home)
+                self.partition.ib_of[c.0] == Some(home)
                     && reg_capable_use(&self.module.ops[c.0], id)
             })
     }
@@ -606,25 +671,21 @@ impl LowerCtx<'_> {
             // Registers are a bounded resource; spill to a row when the
             // file is full rather than failing the compile.
             if let Some(reg) = self.ibs[home].regs.alloc() {
-                self.ibs[home].loc.insert(id, Loc::Reg(reg));
+                self.scalars.get_mut(id, home).loc = Some(Loc::Reg(reg));
                 return Ok(Addr::reg(reg as usize));
             }
         }
-        {
-            let row = self.ibs[home].alloc_row()?;
-            self.ibs[home].loc.insert(id, Loc::Row(row));
-            Ok(Addr::mem(row as usize))
-        }
+        let row = self.ibs[home].alloc_row()?;
+        self.scalars.get_mut(id, home).loc = Some(Loc::Row(row));
+        Ok(Addr::mem(row as usize))
     }
 
     /// The operand address for a periphery-read position (a `mul`
     /// multiplicand, shift/mask/mov/lut source): wherever the value
     /// already lives — register or row.
     fn operand_addr(&mut self, id: ScalarId, ib: usize) -> Result<Addr, CompileError> {
-        if let Some((producer, movg_idx)) = self.ibs[ib].arrival.get(&id).copied() {
-            self.ibs[ib].pending_deps.push((producer, movg_idx));
-        }
-        match self.ibs[ib].loc.get(&id).copied() {
+        self.note_arrival(id, ib);
+        match self.scalars.get(id, ib).loc {
             Some(Loc::Reg(reg)) => Ok(Addr::reg(reg as usize)),
             _ => Ok(Addr::mem(self.ensure_row(id, ib)? as usize)),
         }
@@ -635,10 +696,14 @@ impl LowerCtx<'_> {
     }
 
     fn lower_op(&mut self, id: ScalarId, home: usize) -> Result<(), CompileError> {
-        match self.module.ops[id.0].clone() {
+        let module = self.module;
+        match module.ops[id.0] {
             SOp::Leaf(_) | SOp::Const(_) => Ok(()), // materialized on use
-            SOp::AddN(xs) => self.lower_addsub(id, home, &xs, &[]),
-            SOp::SubN { plus, minus } => self.lower_addsub(id, home, &plus, &minus),
+            SOp::AddN(ref xs) => self.lower_addsub(id, home, xs, &[]),
+            SOp::SubN {
+                ref plus,
+                ref minus,
+            } => self.lower_addsub(id, home, plus, minus),
             SOp::Mul(a, b) => {
                 let a_row = self.ensure_row(a, home)?;
                 let b_addr = self.operand_addr(b, home)?;
@@ -650,7 +715,7 @@ impl LowerCtx<'_> {
                 });
                 Ok(())
             }
-            SOp::DotShared { xs, ws } => self.lower_dot(id, home, &xs, &ws),
+            SOp::DotShared { ref xs, ref ws } => self.lower_dot(id, home, xs, ws),
             SOp::Div(a, b) => self.lower_div(id, home, a, b),
             SOp::Exp(x) => self.lower_exp(id, home, x),
             SOp::Sqrt(x) => self.lower_sqrt(id, home, x),
@@ -661,8 +726,9 @@ impl LowerCtx<'_> {
             SOp::FloorQ(x) => self.lower_floor(id, home, x),
             SOp::ReduceAcross(x) => {
                 let src = self.ensure_row(x, home)?;
-                let slot = self.reduce_slots.len();
-                self.reduce_slots.insert(id, slot);
+                let slot = self.next_reduce_slot;
+                self.next_reduce_slot += 1;
+                self.reduce_slots[id.0] = Some(slot);
                 self.ibs[home].emit(Instruction::ReduceSum {
                     src: Addr::mem(src as usize),
                     dst: vaddr::output_slot(slot),
@@ -679,7 +745,7 @@ impl LowerCtx<'_> {
         plus: &[ScalarId],
         minus: &[ScalarId],
     ) -> Result<(), CompileError> {
-        let mut taken = Vec::new();
+        let mut taken = 0u128;
         let (plus_rows, s1) = self.operand_rows(plus, home, &mut taken)?;
         let (minus_rows, s2) = self.operand_rows(minus, home, &mut taken)?;
         let dst = self.dest_for(id, home)?;
@@ -712,7 +778,7 @@ impl LowerCtx<'_> {
             });
             return Ok(());
         }
-        let mut scratch: Vec<u8> = Vec::new();
+        let mut scratch = 0u128;
         while rows.len() > cap {
             let mut next: Vec<u8> = Vec::new();
             for chunk in rows.chunks(cap) {
@@ -721,7 +787,7 @@ impl LowerCtx<'_> {
                     continue;
                 }
                 let partial = self.ibs[ib].alloc_row()?;
-                scratch.push(partial);
+                scratch |= 1u128 << partial;
                 self.ibs[ib].emit(Instruction::Add {
                     mask: chunk.iter().map(|&r| r as usize).collect(),
                     dst: Addr::mem(partial as usize),
@@ -749,7 +815,7 @@ impl LowerCtx<'_> {
         let mut partials: Vec<u8> = Vec::new();
         for (chunk_xs, chunk_ws) in xs.chunks(max_dot).zip(ws.chunks(max_dot)) {
             // Rows for the data operands (copies resolve duplicates).
-            let mut taken = Vec::new();
+            let mut taken = 0u128;
             let (rows, scratch) = self.operand_rows(chunk_xs, home, &mut taken)?;
             // `dot` pairs the i-th lowest set row with the i-th lowest set
             // register, so sort pairs by row and load the weights into an
@@ -804,7 +870,7 @@ impl LowerCtx<'_> {
     /// a statically preloaded register file would cap a module at ~127
     /// distinct weights.
     fn bind_weight(&mut self, ib: usize, w: ScalarId, reg: u8) -> Result<(), CompileError> {
-        match self.module.ops[w.0].clone() {
+        match self.module.ops[w.0] {
             SOp::Const(value) => {
                 let raw = self.raw(value);
                 self.ibs[ib].emit(Instruction::Movi {
@@ -1215,7 +1281,7 @@ impl LowerCtx<'_> {
     ) -> Result<(), CompileError> {
         let a_row = self.ensure_row(a, home)?;
         let b_row = self.ensure_row(b, home)?;
-        let mut taken = vec![a_row];
+        let mut taken = 1u128 << a_row;
         let b_eff = if a_row == b_row {
             let (rows, _) = self.operand_rows(&[b], home, &mut taken)?;
             rows[0]
@@ -1296,12 +1362,13 @@ impl LowerCtx<'_> {
     /// Final output placement: every output scalar must sit in a row (or a
     /// reduction slot) the runtime can read back.
     fn assemble_outputs(&mut self) -> Result<Vec<ModuleOutput>, CompileError> {
-        let mut outputs = Vec::new();
-        for soutput in self.module.outputs.clone() {
+        let module = self.module;
+        let mut outputs = Vec::with_capacity(module.outputs.len());
+        for soutput in &module.outputs {
             let mut locs = Vec::with_capacity(soutput.scalars.len());
             for &s in &soutput.scalars {
                 if soutput.reduced {
-                    let slot = *self.reduce_slots.get(&s).ok_or_else(|| {
+                    let slot = self.reduce_slots[s.0].ok_or_else(|| {
                         CompileError::Graph(format!("reduction slot missing for {}", s.0))
                     })?;
                     locs.push(OutputLoc::Reduced { slot });
@@ -1316,7 +1383,7 @@ impl LowerCtx<'_> {
             outputs.push(ModuleOutput {
                 node: soutput.node,
                 locs,
-                assign_to: soutput.assign_to,
+                assign_to: soutput.assign_to.clone(),
             });
         }
         Ok(outputs)

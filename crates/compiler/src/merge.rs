@@ -37,10 +37,10 @@ pub fn merge_nodes(module: &mut ScalarModule, options: &CompileOptions) -> Merge
     loop {
         let mut changed = false;
         for idx in 0..module.ops.len() {
-            match module.ops[idx].clone() {
+            match &module.ops[idx] {
                 SOp::AddN(xs) => {
                     let (merged, _, did) =
-                        flatten(module, &xs, &[], false, max_nary, &consumer_counts);
+                        flatten(module, xs, &[], false, max_nary, &consumer_counts);
                     if did {
                         stats.adds_merged += 1;
                         module.ops[idx] = SOp::AddN(merged);
@@ -49,7 +49,7 @@ pub fn merge_nodes(module: &mut ScalarModule, options: &CompileOptions) -> Merge
                 }
                 SOp::SubN { plus, minus } => {
                     let (new_plus, new_minus, did) =
-                        flatten(module, &plus, &minus, true, max_nary, &consumer_counts);
+                        flatten(module, plus, minus, true, max_nary, &consumer_counts);
                     if did {
                         stats.subs_merged += 1;
                         module.ops[idx] = SOp::SubN {

@@ -8,34 +8,37 @@
 //! inter- vs intra-module balance the paper's analytical model arbitrates
 //! (§5.2 "Balancing Inter-Module and Intra-Module Parallelism").
 
-use crate::scalar::{SOp, ScalarId, ScalarModule};
+use crate::scalar::{SOp, ScalarModule};
 use crate::{perf, CompileOptions, OptPolicy};
-use std::collections::{HashMap, HashSet};
 
 /// Which IB each live, scheduled scalar op belongs to. Leaves and
 /// constants are *replicated*: they get bindings in every IB that uses
-/// them instead of a home IB.
+/// them instead of a home IB. Both tables are indexed by `ScalarId`.
 #[derive(Debug, Clone)]
 pub struct Partition {
     /// Number of instruction blocks.
     pub num_ibs: usize,
     /// Home IB of each scheduled (non-leaf, non-const) scalar.
-    pub ib_of: HashMap<ScalarId, usize>,
-    /// Scalars reachable from module outputs (dead ops excluded).
-    pub live: HashSet<ScalarId>,
+    pub ib_of: Vec<Option<usize>>,
+    /// Whether each scalar is reachable from module outputs (dead ops are
+    /// not).
+    pub live: Vec<bool>,
 }
 
-/// Live-set computation: scalars reachable from outputs.
-pub fn live_set(module: &ScalarModule) -> HashSet<ScalarId> {
-    let mut live = HashSet::new();
-    let mut stack: Vec<ScalarId> = module
-        .outputs
-        .iter()
-        .flat_map(|o| o.scalars.iter().copied())
-        .collect();
-    while let Some(id) = stack.pop() {
-        if live.insert(id) {
-            stack.extend(module.op(id).operands());
+/// Live-set computation: scalars reachable from outputs. Ops are in
+/// definition order, so one backward sweep reaches every operand.
+pub fn live_set(module: &ScalarModule) -> Vec<bool> {
+    let mut live = vec![false; module.ops.len()];
+    for output in &module.outputs {
+        for s in &output.scalars {
+            live[s.0] = true;
+        }
+    }
+    for idx in (0..module.ops.len()).rev() {
+        if live[idx] {
+            for operand in module.ops[idx].operands() {
+                live[operand.0] = true;
+            }
         }
     }
     live
@@ -47,20 +50,18 @@ fn is_scheduled(op: &SOp) -> bool {
 
 /// Critical-path depth and op count of the live module, using rough
 /// per-op latency weights (cycles).
-fn ilp_metrics(module: &ScalarModule, live: &HashSet<ScalarId>) -> (u64, u64) {
+fn ilp_metrics(module: &ScalarModule, live: &[bool]) -> (u64, u64) {
     let mut depth = vec![0u64; module.ops.len()];
     let mut total = 0u64;
     let mut max_depth = 0u64;
     for idx in 0..module.ops.len() {
-        let id = ScalarId(idx);
-        if !live.contains(&id) || !is_scheduled(&module.ops[idx]) {
+        if !live[idx] || !is_scheduled(&module.ops[idx]) {
             continue;
         }
         let w = op_weight(&module.ops[idx]);
         total += w;
         let base = module.ops[idx]
             .operands()
-            .iter()
             .map(|o| depth[o.0])
             .max()
             .unwrap_or(0);
@@ -110,14 +111,14 @@ pub fn partition(module: &ScalarModule, options: &CompileOptions) -> Partition {
                 .unwrap_or(1)
         }
     };
-    let mut ib_of: HashMap<ScalarId, usize> = HashMap::new();
+    let mut ib_of: Vec<Option<usize>> = vec![None; module.ops.len()];
     let mut load = vec![0u64; num_ibs];
-    // Finish time of each scalar assuming its IB's current load.
-    let mut finish: HashMap<ScalarId, u64> = HashMap::new();
+    // Finish time of each scalar assuming its IB's current load (0 for
+    // leaves, constants and dead ops).
+    let mut finish = vec![0u64; module.ops.len()];
 
     for idx in 0..module.ops.len() {
-        let id = ScalarId(idx);
-        if !live.contains(&id) || !is_scheduled(&module.ops[idx]) {
+        if !live[idx] || !is_scheduled(&module.ops[idx]) {
             continue;
         }
         let op = &module.ops[idx];
@@ -126,12 +127,7 @@ pub fn partition(module: &ScalarModule, options: &CompileOptions) -> Partition {
         // operand-location heuristic).
         let preferred = op
             .operands()
-            .iter()
-            .filter_map(|o| {
-                ib_of
-                    .get(o)
-                    .map(|&b| (finish.get(o).copied().unwrap_or(0), b))
-            })
+            .filter_map(|o| ib_of[o.0].map(|b| (finish[o.0], b)))
             .max()
             .map(|(_, b)| b);
         let least_loaded = (0..num_ibs)
@@ -141,25 +137,19 @@ pub fn partition(module: &ScalarModule, options: &CompileOptions) -> Partition {
             Some(b) if load[b] <= load[least_loaded] + w * 4 => b,
             _ => least_loaded,
         };
-        let ready = op
-            .operands()
-            .iter()
-            .map(|o| finish.get(o).copied().unwrap_or(0))
-            .max()
-            .unwrap_or(0);
+        let ready = op.operands().map(|o| finish[o.0]).max().unwrap_or(0);
         let start = ready.max(load[target]);
         load[target] = start + w;
-        finish.insert(id, start + w);
-        ib_of.insert(id, target);
+        finish[idx] = start + w;
+        ib_of[idx] = Some(target);
     }
 
     // Cross-instance reductions must sit with their operand (the value is
     // already in that IB's array).
     for idx in 0..module.ops.len() {
-        let id = ScalarId(idx);
         if let SOp::ReduceAcross(src) = module.ops[idx] {
-            if let Some(&home) = ib_of.get(&src) {
-                ib_of.insert(id, home);
+            if let Some(home) = ib_of[src.0] {
+                ib_of[idx] = Some(home);
             }
         }
     }
@@ -174,8 +164,9 @@ pub fn partition(module: &ScalarModule, options: &CompileOptions) -> Partition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scalar::scalarize;
+    use crate::scalar::{scalarize, ScalarId};
     use imp_dfg::{GraphBuilder, Shape};
+    use std::collections::HashSet;
 
     fn wide_module() -> ScalarModule {
         // Eight independent chains: x_i² + x_i, summed pairwise at the end.
@@ -203,7 +194,7 @@ mod tests {
             .ops
             .iter()
             .enumerate()
-            .filter(|(i, op)| matches!(op, SOp::Mul(_, _)) && live.contains(&ScalarId(*i)))
+            .filter(|(i, op)| matches!(op, SOp::Mul(_, _)) && live[*i])
             .count();
         assert_eq!(muls_live, 0);
     }
@@ -260,13 +251,12 @@ mod tests {
         };
         let part = partition(&module, &options);
         for idx in 0..module.ops.len() {
-            let id = ScalarId(idx);
-            if part.live.contains(&id) && is_scheduled(&module.ops[idx]) {
-                assert!(part.ib_of.contains_key(&id), "op {idx} unassigned");
+            if part.live[idx] && is_scheduled(&module.ops[idx]) {
+                assert!(part.ib_of[idx].is_some(), "op {idx} unassigned");
             }
         }
         // Every IB should get work for an 8-wide module.
-        let used: HashSet<usize> = part.ib_of.values().copied().collect();
+        let used: HashSet<usize> = part.ib_of.iter().flatten().copied().collect();
         assert_eq!(used.len(), part.num_ibs);
     }
 
@@ -281,7 +271,7 @@ mod tests {
         for idx in 0..module.ops.len() {
             let id = ScalarId(idx);
             for op in module.op(id).operands() {
-                if let (Some(a), Some(b)) = (part.ib_of.get(&op), part.ib_of.get(&id)) {
+                if let (Some(a), Some(b)) = (part.ib_of[op.0], part.ib_of[id.0]) {
                     assert_eq!(a, b, "edge {op:?} -> {id:?} crosses IBs");
                 }
             }

@@ -90,23 +90,26 @@ pub enum SOp {
 }
 
 impl SOp {
-    /// The operand scalars of this op.
-    pub fn operands(&self) -> Vec<ScalarId> {
-        match self {
-            SOp::Leaf(_) | SOp::Const(_) => Vec::new(),
-            SOp::AddN(xs) => xs.clone(),
-            SOp::SubN { plus, minus } => plus.iter().chain(minus).copied().collect(),
-            SOp::Mul(a, b) => vec![*a, *b],
-            SOp::DotShared { xs, ws } => xs.iter().chain(ws).copied().collect(),
-            SOp::Div(a, b) | SOp::Less(a, b) => vec![*a, *b],
+    /// The operand scalars of this op, in operand order (`SubN`'s plus
+    /// list before its minus list, `DotShared`'s values before its
+    /// multiplicands).
+    pub fn operands(&self) -> impl Iterator<Item = ScalarId> + '_ {
+        use std::slice::from_ref;
+        let parts: [&[ScalarId]; 3] = match self {
+            SOp::Leaf(_) | SOp::Const(_) => [&[], &[], &[]],
+            SOp::AddN(xs) => [xs, &[], &[]],
+            SOp::SubN { plus, minus } => [plus, minus, &[]],
+            SOp::DotShared { xs, ws } => [xs, ws, &[]],
+            SOp::Mul(a, b) | SOp::Div(a, b) | SOp::Less(a, b) => [from_ref(a), from_ref(b), &[]],
             SOp::Exp(x)
             | SOp::Sqrt(x)
             | SOp::Abs(x)
             | SOp::Sigmoid(x)
             | SOp::FloorQ(x)
-            | SOp::ReduceAcross(x) => vec![*x],
-            SOp::Select { cond, a, b } => vec![*cond, *a, *b],
-        }
+            | SOp::ReduceAcross(x) => [from_ref(x), &[], &[]],
+            SOp::Select { cond, a, b } => [from_ref(cond), from_ref(a), from_ref(b)],
+        };
+        parts.into_iter().flatten().copied()
     }
 }
 
@@ -198,12 +201,12 @@ struct Builder<'g> {
     /// scalar pushed while lowering it.
     current_node: Option<NodeId>,
     const_cache: HashMap<u64, ScalarId>,
-    /// Per graph node: scalar ids (row-major intra order) + intra shape.
-    values: HashMap<NodeId, NodeVal>,
     parallel: ParallelSpec,
     ranges: HashMap<String, Interval>,
 }
 
+/// What one graph node scalarized to. `scalarize` keeps one per node,
+/// indexed by `NodeId::index()`; a node reads its inputs' by reference.
 #[derive(Debug, Clone)]
 struct NodeVal {
     scalars: Vec<ScalarId>,
@@ -228,19 +231,20 @@ pub fn scalarize(graph: &Graph, options: &CompileOptions) -> Result<ScalarModule
         origin: Vec::new(),
         current_node: None,
         const_cache: HashMap::new(),
-        values: HashMap::new(),
         parallel,
         ranges: options.ranges.clone(),
     };
+    // Nodes are in topological order and numbered by position.
+    let mut values: Vec<NodeVal> = Vec::with_capacity(graph.len());
     for node in graph.nodes() {
         b.current_node = Some(node.id());
-        let value = b.scalarize_node(node)?;
-        b.values.insert(node.id(), value);
+        let value = b.scalarize_node(node, &values)?;
+        values.push(value);
     }
     let mut outputs = Vec::new();
     for &out in graph.outputs() {
         let node = graph.node(out)?;
-        let value = &b.values[&out];
+        let value = &values[out.index()];
         let assign_to = match node.op() {
             Op::Assign | Op::AssignAdd => match b.graph.node(node.inputs()[0])?.op() {
                 Op::Variable { name, .. } => Some(name.clone()),
@@ -369,7 +373,7 @@ impl Builder<'_> {
         self.ranges.get(name).copied()
     }
 
-    fn scalarize_node(&mut self, node: &Node) -> Result<NodeVal, CompileError> {
+    fn scalarize_node(&mut self, node: &Node, values: &[NodeVal]) -> Result<NodeVal, CompileError> {
         match node.op() {
             Op::Placeholder { name } | Op::Variable { name, .. } => {
                 self.scalarize_input(name.clone(), node)
@@ -391,26 +395,26 @@ impl Builder<'_> {
                     class: VClass::Const,
                 })
             }
-            Op::Unary(op) => self.scalarize_unary(*op, node),
-            Op::Binary(op) => self.scalarize_binary(*op, node),
-            Op::Select => self.scalarize_select(node),
-            Op::Reduce { op, axis } => self.scalarize_reduce(*op, *axis, node),
-            Op::MatMul => self.scalarize_matmul(node),
-            Op::Tensordot => self.scalarize_tensordot(node),
-            Op::Conv2D => self.scalarize_conv(node),
+            Op::Unary(op) => self.scalarize_unary(*op, node, values),
+            Op::Binary(op) => self.scalarize_binary(*op, node, values),
+            Op::Select => self.scalarize_select(node, values),
+            Op::Reduce { op, axis } => self.scalarize_reduce(*op, *axis, node, values),
+            Op::MatMul => self.scalarize_matmul(node, values),
+            Op::Tensordot => self.scalarize_tensordot(node, values),
+            Op::Conv2D => self.scalarize_conv(node, values),
             Op::ExpandDims { axis } => {
-                let input = self.values[&node.inputs()[0]].clone();
+                let input = input(values, node, 0);
                 // Inserting a size-1 axis into the intra shape preserves
                 // row-major element order.
                 let axis = (*axis).min(input.intra.rank());
                 Ok(NodeVal {
-                    scalars: input.scalars,
+                    scalars: input.scalars.clone(),
                     intra: input.intra.with_axis(axis, 1),
                     class: input.class,
                 })
             }
             Op::Reshape { .. } => {
-                let input = self.values[&node.inputs()[0]].clone();
+                let input = input(values, node, 0);
                 let intra = self.intra_shape(node.shape());
                 if intra.elems() != input.intra.elems() {
                     return Err(CompileError::Unsupported(format!(
@@ -419,28 +423,25 @@ impl Builder<'_> {
                     )));
                 }
                 Ok(NodeVal {
-                    scalars: input.scalars,
+                    scalars: input.scalars.clone(),
                     intra,
                     class: input.class,
                 })
             }
-            Op::Pack { axis } => self.scalarize_pack(*axis, node),
-            Op::Gather => self.scalarize_gather(node),
-            Op::Assign => {
-                let value = self.values[&node.inputs()[1]].clone();
-                Ok(value)
-            }
+            Op::Pack { axis } => self.scalarize_pack(*axis, node, values),
+            Op::Gather => self.scalarize_gather(node, values),
+            Op::Assign => Ok(input(values, node, 1).clone()),
             Op::AssignAdd => {
-                let var = self.values[&node.inputs()[0]].clone();
-                let value = self.values[&node.inputs()[1]].clone();
-                let scalars = self.zip_elementwise(&var, &value, |b, x, y| {
+                let var = input(values, node, 0);
+                let value = input(values, node, 1);
+                let scalars = self.zip_elementwise(var, value, |b, x, y| {
                     let range = b.range[x.0].zip(b.range[y.0]).map(|(x, y)| x.add(y));
                     let class = b.combine_class(&[x, y]);
                     b.push(SOp::AddN(vec![x, y]), class, range)
                 })?;
                 Ok(NodeVal {
                     scalars,
-                    intra: var.intra,
+                    intra: var.intra.clone(),
                     class: VClass::Parallel,
                 })
             }
@@ -509,8 +510,13 @@ impl Builder<'_> {
             .collect())
     }
 
-    fn scalarize_unary(&mut self, op: UnaryOp, node: &Node) -> Result<NodeVal, CompileError> {
-        let input = self.values[&node.inputs()[0]].clone();
+    fn scalarize_unary(
+        &mut self,
+        op: UnaryOp,
+        node: &Node,
+        values: &[NodeVal],
+    ) -> Result<NodeVal, CompileError> {
+        let input = input(values, node, 0);
         self.check_not_reduced(&input.scalars, op.name())?;
         let scalars: Vec<ScalarId> = input
             .scalars
@@ -560,17 +566,22 @@ impl Builder<'_> {
             .collect();
         Ok(NodeVal {
             scalars,
-            intra: input.intra,
+            intra: input.intra.clone(),
             class: input.class,
         })
     }
 
-    fn scalarize_binary(&mut self, op: BinaryOp, node: &Node) -> Result<NodeVal, CompileError> {
-        let a = self.values[&node.inputs()[0]].clone();
-        let b = self.values[&node.inputs()[1]].clone();
+    fn scalarize_binary(
+        &mut self,
+        op: BinaryOp,
+        node: &Node,
+        values: &[NodeVal],
+    ) -> Result<NodeVal, CompileError> {
+        let a = input(values, node, 0);
+        let b = input(values, node, 1);
         self.check_not_reduced(&a.scalars, op.name())?;
         self.check_not_reduced(&b.scalars, op.name())?;
-        let scalars = self.zip_elementwise(&a, &b, |builder, x, y| {
+        let scalars = self.zip_elementwise(a, b, |builder, x, y| {
             let ranges = builder.range[x.0].zip(builder.range[y.0]);
             let class = builder.combine_class(&[x, y]);
             match op {
@@ -606,9 +617,9 @@ impl Builder<'_> {
             }
         })?;
         let intra = if a.scalars.len() >= b.scalars.len() {
-            a.intra
+            a.intra.clone()
         } else {
-            b.intra
+            b.intra.clone()
         };
         let class = self.combine_class(&scalars);
         Ok(NodeVal {
@@ -618,15 +629,19 @@ impl Builder<'_> {
         })
     }
 
-    fn scalarize_select(&mut self, node: &Node) -> Result<NodeVal, CompileError> {
-        let cond = self.values[&node.inputs()[0]].clone();
-        let a = self.values[&node.inputs()[1]].clone();
-        let b = self.values[&node.inputs()[2]].clone();
+    fn scalarize_select(
+        &mut self,
+        node: &Node,
+        values: &[NodeVal],
+    ) -> Result<NodeVal, CompileError> {
+        let cond = input(values, node, 0);
+        let a = input(values, node, 1);
+        let b = input(values, node, 2);
         let k = broadcast_len(&[cond.scalars.len(), a.scalars.len(), b.scalars.len()])?;
         let pick = |v: &NodeVal, i: usize| v.scalars[i / (k / v.scalars.len())];
         let scalars: Vec<ScalarId> = (0..k)
             .map(|i| {
-                let (c, x, y) = (pick(&cond, i), pick(&a, i), pick(&b, i));
+                let (c, x, y) = (pick(cond, i), pick(a, i), pick(b, i));
                 let range = self.range[x.0]
                     .zip(self.range[y.0])
                     .map(|(x, y)| x.union(y));
@@ -642,7 +657,7 @@ impl Builder<'_> {
                 )
             })
             .collect();
-        let intra = [&cond, &a, &b]
+        let intra = [cond, a, b]
             .iter()
             .max_by_key(|v| v.scalars.len())
             .expect("nonempty")
@@ -661,11 +676,13 @@ impl Builder<'_> {
         op: ReduceOp,
         axis: usize,
         node: &Node,
+        values: &[NodeVal],
     ) -> Result<NodeVal, CompileError> {
-        let input = self.values[&node.inputs()[0]].clone();
+        let input = input(values, node, 0);
         self.check_not_reduced(&input.scalars, op.name())?;
-        let input_shape = self.graph.node(node.inputs()[0])?.shape().clone();
-        let over_parallel = self.is_parallel_tensor(&input_shape)
+        let graph = self.graph;
+        let input_shape = graph.node(node.inputs()[0])?.shape();
+        let over_parallel = self.is_parallel_tensor(input_shape)
             && matches!(self.parallel, ParallelSpec::Vector { .. })
             && axis == input_shape.rank() - 1;
         if over_parallel {
@@ -681,7 +698,7 @@ impl Builder<'_> {
                 .collect();
             return Ok(NodeVal {
                 scalars,
-                intra: input.intra,
+                intra: input.intra.clone(),
                 class: VClass::Reduced,
             });
         }
@@ -761,10 +778,15 @@ impl Builder<'_> {
         best_idx
     }
 
-    fn scalarize_matmul(&mut self, node: &Node) -> Result<NodeVal, CompileError> {
-        let lhs = self.values[&node.inputs()[0]].clone();
-        let rhs = self.values[&node.inputs()[1]].clone();
-        let lhs_shape = self.graph.node(node.inputs()[0])?.shape().clone();
+    fn scalarize_matmul(
+        &mut self,
+        node: &Node,
+        values: &[NodeVal],
+    ) -> Result<NodeVal, CompileError> {
+        let lhs = input(values, node, 0);
+        let rhs = input(values, node, 1);
+        let graph = self.graph;
+        let lhs_shape = graph.node(node.inputs()[0])?.shape();
         // Supported restriction: shared [m, k] × parallel [k, N].
         if lhs.class == VClass::Parallel || rhs.class != VClass::Parallel {
             return Err(CompileError::Unsupported(
@@ -807,9 +829,13 @@ impl Builder<'_> {
         )
     }
 
-    fn scalarize_tensordot(&mut self, node: &Node) -> Result<NodeVal, CompileError> {
-        let a = self.values[&node.inputs()[0]].clone();
-        let b = self.values[&node.inputs()[1]].clone();
+    fn scalarize_tensordot(
+        &mut self,
+        node: &Node,
+        values: &[NodeVal],
+    ) -> Result<NodeVal, CompileError> {
+        let a = input(values, node, 0);
+        let b = input(values, node, 1);
         match (a.class, b.class) {
             // Shared vector · parallel vector → in-array dot.
             (VClass::Shared | VClass::Const, VClass::Parallel) => {
@@ -869,7 +895,7 @@ impl Builder<'_> {
         }
     }
 
-    fn scalarize_conv(&mut self, node: &Node) -> Result<NodeVal, CompileError> {
+    fn scalarize_conv(&mut self, node: &Node, values: &[NodeVal]) -> Result<NodeVal, CompileError> {
         let input_node = self.graph.node(node.inputs()[0])?;
         let name = match input_node.op() {
             Op::Placeholder { name } | Op::Variable { name, .. } => name.clone(),
@@ -879,13 +905,14 @@ impl Builder<'_> {
                 ))
             }
         };
-        let filter = self.values[&node.inputs()[1]].clone();
+        let filter = input(values, node, 1);
         if filter.class == VClass::Parallel {
             return Err(CompileError::Unsupported(
                 "Conv2D filter must be shared".into(),
             ));
         }
-        let fshape = self.graph.node(node.inputs()[1])?.shape().clone();
+        let graph = self.graph;
+        let fshape = graph.node(node.inputs()[1])?.shape();
         let (fh, fw) = (fshape.dim(0), fshape.dim(1));
         let range = self.input_range(&name);
         // Window leaves: the instance's stencil neighbourhood, gathered by
@@ -914,12 +941,13 @@ impl Builder<'_> {
         })
     }
 
-    fn scalarize_pack(&mut self, axis: usize, node: &Node) -> Result<NodeVal, CompileError> {
-        let parts: Vec<NodeVal> = node
-            .inputs()
-            .iter()
-            .map(|id| self.values[id].clone())
-            .collect();
+    fn scalarize_pack(
+        &mut self,
+        axis: usize,
+        node: &Node,
+        values: &[NodeVal],
+    ) -> Result<NodeVal, CompileError> {
+        let parts: Vec<&NodeVal> = node.inputs().iter().map(|id| &values[id.index()]).collect();
         let first = &parts[0];
         if parts.iter().any(|p| p.scalars.len() != first.scalars.len()) {
             return Err(CompileError::Unsupported(
@@ -948,11 +976,15 @@ impl Builder<'_> {
         })
     }
 
-    fn scalarize_gather(&mut self, node: &Node) -> Result<NodeVal, CompileError> {
-        let params = self.values[&node.inputs()[0]].clone();
+    fn scalarize_gather(
+        &mut self,
+        node: &Node,
+        values: &[NodeVal],
+    ) -> Result<NodeVal, CompileError> {
+        let params = input(values, node, 0);
         let indices_node = self.graph.node(node.inputs()[1])?;
         let indices = match indices_node.op() {
-            Op::Const(tensor) => tensor.clone(),
+            Op::Const(tensor) => tensor,
             _ => {
                 return Err(CompileError::Unsupported(
                     "Gather with runtime indices generates irregular access; gather host-side \
@@ -988,6 +1020,11 @@ impl Builder<'_> {
             class,
         })
     }
+}
+
+/// The scalarized value of `node`'s `i`-th input.
+fn input<'v>(values: &'v [NodeVal], node: &Node, i: usize) -> &'v NodeVal {
+    &values[node.inputs()[i].index()]
 }
 
 /// Element count of an element-wise op over operands of `counts` elements:

@@ -297,12 +297,7 @@ pub fn schedule(
     // tile level while the array executes.
     let mut buffer_refills = Vec::with_capacity(ibs.len());
     for (i, ib) in ibs.iter().enumerate() {
-        let code_bytes: usize = ib
-            .block
-            .instructions()
-            .iter()
-            .map(|inst| inst.encode().len())
-            .sum();
+        let code_bytes = ib.block.encode().len();
         let refills = (code_bytes.div_ceil(INSTRUCTION_BUFFER_BYTES).max(1) - 1) as u32;
         ib_latencies[i] += u64::from(refills) * REFILL_STALL_CYCLES;
         buffer_refills.push(refills);

@@ -62,11 +62,12 @@ impl InstructionBlock {
         self.instructions.iter()
     }
 
-    /// Encodes the whole block as a concatenated byte stream.
+    /// Encodes the whole block as a concatenated byte stream, in one
+    /// allocation.
     pub fn encode(&self) -> Vec<u8> {
-        let mut bytes = Vec::new();
+        let mut bytes = Vec::with_capacity(self.instructions.len() * Instruction::MAX_ENCODED_LEN);
         for inst in &self.instructions {
-            bytes.extend(inst.encode());
+            inst.encode_into(&mut bytes);
         }
         bytes
     }

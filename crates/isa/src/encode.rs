@@ -11,6 +11,13 @@ impl Instruction {
     /// Encodes the instruction into its binary wire format.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(Self::MAX_ENCODED_LEN);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the instruction's binary wire format to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
         out.push(self.opcode() as u8);
         match *self {
             Instruction::Add { mask, dst } => {
@@ -80,8 +87,7 @@ impl Instruction {
                 out.extend_from_slice(&dst.to_bytes());
             }
         }
-        debug_assert!(out.len() <= Self::MAX_ENCODED_LEN);
-        out
+        debug_assert!(out.len() - start <= Self::MAX_ENCODED_LEN);
     }
 
     /// Decodes one instruction from the front of `bytes`.

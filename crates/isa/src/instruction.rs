@@ -244,34 +244,37 @@ impl Instruction {
         }
     }
 
-    /// Local addresses read by this instruction.
-    pub fn local_srcs(&self) -> Vec<Addr> {
-        match *self {
-            Instruction::Add { mask, .. } => mask.rows().map(Addr::mem).collect(),
-            Instruction::Dot { mask, reg_mask, .. } => mask
-                .rows()
-                .map(Addr::mem)
-                .chain(reg_mask.rows().map(Addr::reg))
-                .collect(),
-            Instruction::Mul { a, b, .. } => vec![a, b],
-            Instruction::Sub {
+    /// Local addresses read by this instruction, in operand order: the
+    /// rows of its masks (`dot`'s second mask selects registers), or its
+    /// named sources.
+    pub fn local_srcs(&self) -> impl Iterator<Item = Addr> {
+        use Instruction::*;
+        let none = RowMask::EMPTY;
+        // (rows read from memory, then more such rows, registers, named
+        // sources)
+        let (rows, more_rows, regs, named) = match *self {
+            Add { mask, .. } => (mask, none, none, [None, None]),
+            Dot { mask, reg_mask, .. } => (mask, none, reg_mask, [None, None]),
+            Mul { a, b, .. } => (none, none, none, [Some(a), Some(b)]),
+            Sub {
                 minuend,
                 subtrahend,
                 ..
-            } => minuend
-                .rows()
-                .chain(subtrahend.rows())
-                .map(Addr::mem)
-                .collect(),
-            Instruction::ShiftL { src, .. }
-            | Instruction::ShiftR { src, .. }
-            | Instruction::Mask { src, .. }
-            | Instruction::Mov { src, .. }
-            | Instruction::Movs { src, .. }
-            | Instruction::Lut { src, .. }
-            | Instruction::ReduceSum { src, .. } => vec![src],
-            Instruction::Movi { .. } | Instruction::Movg { .. } => Vec::new(),
-        }
+            } => (minuend, subtrahend, none, [None, None]),
+            ShiftL { src, .. }
+            | ShiftR { src, .. }
+            | Mask { src, .. }
+            | Mov { src, .. }
+            | Movs { src, .. }
+            | Lut { src, .. }
+            | ReduceSum { src, .. } => (none, none, none, [Some(src), None]),
+            Movi { .. } | Movg { .. } => (none, none, none, [None, None]),
+        };
+        rows.rows()
+            .chain(more_rows.rows())
+            .map(Addr::mem)
+            .chain(regs.rows().map(Addr::reg))
+            .chain(named.into_iter().flatten())
     }
 
     /// Number of operands summed on the bit-lines, for ADC-resolution
@@ -440,7 +443,10 @@ mod tests {
             dst: Addr::mem(9),
         };
         assert_eq!(add.local_dst(), Some(Addr::mem(9)));
-        assert_eq!(add.local_srcs(), vec![Addr::mem(3), Addr::mem(7)]);
+        assert_eq!(
+            add.local_srcs().collect::<Vec<_>>(),
+            vec![Addr::mem(3), Addr::mem(7)]
+        );
         assert_eq!(add.nary_operands(), 2);
 
         let movg = Instruction::Movg {
@@ -448,7 +454,7 @@ mod tests {
             dst: GlobalAddr::new(0, 0, 1),
         };
         assert_eq!(movg.local_dst(), None);
-        assert!(movg.local_srcs().is_empty());
+        assert_eq!(movg.local_srcs().count(), 0);
     }
 
     #[test]

@@ -1370,18 +1370,17 @@ pub(crate) mod tests {
     /// destination is a register-file access, a memory destination a row
     /// write; `lut` reads the LUT once per lane.
     fn activity_from_operands(inst: &Instruction) -> OpTrace {
-        let srcs = inst.local_srcs();
         let dst = inst.local_dst().expect("array-local");
         let streamed = matches!(inst, Instruction::Dot { .. } | Instruction::Mul { .. });
         let in_situ = streamed || matches!(inst, Instruction::Add { .. } | Instruction::Sub { .. });
-        let crossbar_active = in_situ || srcs.iter().any(|src| src.is_mem());
+        let crossbar_active = in_situ || inst.local_srcs().any(|src| src.is_mem());
         let bit_lines = LANES * DIGITS_PER_WORD;
         let adc_conversions = match (streamed, crossbar_active) {
             (true, _) => bit_lines * DIGITS_PER_WORD,
             (false, true) => bit_lines,
             (false, false) => 0,
         };
-        let reg_operands = srcs.iter().filter(|src| src.is_reg()).count();
+        let reg_operands = inst.local_srcs().filter(|src| src.is_reg()).count();
         OpTrace {
             cycles: inst.latency().cycles().expect("array-local"),
             adc_conversions: adc_conversions as u32,

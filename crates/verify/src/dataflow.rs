@@ -4,7 +4,10 @@ use crate::{origin_node, Diagnostic, Severity};
 use imp_compiler::module::{vaddr, OutputLoc};
 use imp_compiler::CompiledKernel;
 use imp_isa::{Addr, Instruction, LaneMask, ARRAY_ROWS, MASK_REGISTER, NUM_REGISTERS};
-use std::collections::{HashMap, HashSet};
+
+/// Local addresses, indexed by `Addr::to_byte()`: 128 rows, then 128
+/// registers.
+const LOCAL_ADDRS: usize = ARRAY_ROWS + NUM_REGISTERS;
 
 /// One incoming `movg` delivery: producer IB, producer instruction
 /// index, destination row in the consumer.
@@ -77,16 +80,19 @@ fn check_ib(kernel: &CompiledKernel, i: usize, arrivals: &[Arrival], out: &mut V
     }
 
     // Rows delivered by more than one movg are skipped for DF04 — a
-    // reused arrival row cannot be attributed statically.
-    let mut by_row: HashMap<u8, Vec<Arrival>> = HashMap::new();
-    for &a in arrivals {
-        by_row.entry(a.row).or_default().push(a);
+    // reused arrival row cannot be attributed statically. Each other
+    // delivered row holds its arrival until a local write retires it, and
+    // whether a dependence on it has been seen.
+    let mut deliveries = [0usize; ARRAY_ROWS];
+    for a in arrivals {
+        deliveries[usize::from(a.row)] += 1;
     }
-    let mut pending_arrival: HashMap<u8, (Arrival, bool)> = by_row
-        .iter()
-        .filter(|(_, list)| list.len() == 1)
-        .map(|(&row, list)| (row, (list[0], false)))
-        .collect();
+    let mut pending_arrival: [Option<(Arrival, bool)>; ARRAY_ROWS] = [None; ARRAY_ROWS];
+    for &a in arrivals {
+        if deliveries[usize::from(a.row)] == 1 {
+            pending_arrival[usize::from(a.row)] = Some((a, false));
+        }
+    }
 
     // DF01 seeds: runtime-filled input rows and movg-delivered rows are
     // defined before the first instruction issues; every register starts
@@ -101,47 +107,44 @@ fn check_ib(kernel: &CompiledKernel, i: usize, arrivals: &[Arrival], out: &mut V
     }
 
     // Rows other parts of the system read after the block finishes.
-    let live_out: HashSet<u8> = kernel
-        .outputs
-        .iter()
-        .flat_map(|o| o.locs.iter())
-        .filter_map(|loc| match *loc {
-            OutputLoc::Row { ib: out_ib, row } if out_ib == i => Some(row),
-            _ => None,
-        })
-        .collect();
+    let mut live_out = [false; ARRAY_ROWS];
+    for loc in kernel.outputs.iter().flat_map(|o| o.locs.iter()) {
+        if let OutputLoc::Row { ib: out_ib, row } = *loc {
+            if out_ib == i {
+                live_out[usize::from(row)] = true;
+            }
+        }
+    }
 
     // DF02 state: last unread write per address.
-    let mut pending_write: HashMap<Addr, usize> = HashMap::new();
+    let mut pending_write: [Option<usize>; LOCAL_ADDRS] = [None; LOCAL_ADDRS];
 
     for (pc, inst) in instructions.iter().enumerate() {
         // The arrival dependence is attached to the consuming
         // instruction itself, so mark satisfaction before reads.
-        if let Some(deps) = ib.deps.get(pc) {
-            for &(p, pidx) in deps {
-                for (arrival, satisfied) in pending_arrival.values_mut() {
-                    if arrival.producer == p && arrival.movg_idx == pidx {
-                        *satisfied = true;
-                    }
+        if let Some(deps) = ib.deps.get(pc).filter(|deps| !deps.is_empty()) {
+            for (arrival, satisfied) in pending_arrival.iter_mut().flatten() {
+                if deps.contains(&(arrival.producer, arrival.movg_idx)) {
+                    *satisfied = true;
                 }
             }
         }
 
-        let mut reads: Vec<Addr> = inst.local_srcs();
-        if let Instruction::Movg { src, .. } = inst {
-            let (_, row) = vaddr::as_cross_ib(*src).expect("ISA02 checked movg sources");
-            reads.push(Addr::Mem(row));
-        }
-        if let Instruction::Movs { dst, lane_mask, .. } = inst {
-            if *lane_mask == LaneMask::DYNAMIC {
-                reads.push(Addr::Reg(MASK_REGISTER as u8));
+        let extra_reads = match *inst {
+            Instruction::Movg { src, .. } => {
+                let (_, row) = vaddr::as_cross_ib(src).expect("ISA02 checked movg sources");
+                [Some(Addr::Mem(row)), None]
             }
             // A selective move merges into prior contents: the
             // destination is read as well as written.
-            reads.push(*dst);
-        }
+            Instruction::Movs { dst, lane_mask, .. } => [
+                (lane_mask == LaneMask::DYNAMIC).then_some(Addr::Reg(MASK_REGISTER as u8)),
+                Some(dst),
+            ],
+            _ => [None, None],
+        };
 
-        for addr in &reads {
+        for addr in inst.local_srcs().chain(extra_reads.into_iter().flatten()) {
             let idx = addr.index();
             let defined = if addr.is_mem() {
                 row_def[idx]
@@ -160,7 +163,7 @@ fn check_ib(kernel: &CompiledKernel, i: usize, arrivals: &[Arrival], out: &mut V
                 });
             }
             if addr.is_mem() {
-                if let Some(&(arrival, satisfied)) = pending_arrival.get(&(idx as u8)) {
+                if let Some((arrival, satisfied)) = pending_arrival[idx] {
                     if !satisfied {
                         out.push(Diagnostic {
                             rule: "DF04",
@@ -177,7 +180,7 @@ fn check_ib(kernel: &CompiledKernel, i: usize, arrivals: &[Arrival], out: &mut V
                     }
                 }
             }
-            pending_write.remove(addr);
+            pending_write[usize::from(addr.to_byte())] = None;
         }
 
         if let Some(dst) = inst.local_dst() {
@@ -185,11 +188,11 @@ fn check_ib(kernel: &CompiledKernel, i: usize, arrivals: &[Arrival], out: &mut V
             if dst.is_mem() {
                 row_def[idx] = true;
                 // A local write retires the row's arrival identity.
-                pending_arrival.remove(&(idx as u8));
+                pending_arrival[idx] = None;
             } else {
                 reg_def[idx] = true;
             }
-            if let Some(old_pc) = pending_write.insert(dst, pc) {
+            if let Some(old_pc) = pending_write[usize::from(dst.to_byte())].replace(pc) {
                 out.push(Diagnostic {
                     rule: "DF02",
                     severity: Severity::Warning,
@@ -205,11 +208,13 @@ fn check_ib(kernel: &CompiledKernel, i: usize, arrivals: &[Arrival], out: &mut V
         }
     }
 
-    let mut leftovers: Vec<(Addr, usize)> = pending_write.into_iter().collect();
+    let mut leftovers: Vec<(Addr, usize)> = (0..=u8::MAX)
+        .filter_map(|byte| Some((Addr::from_byte(byte), pending_write[usize::from(byte)]?)))
+        .collect();
     leftovers.sort_by_key(|&(_, pc)| pc);
     for (addr, pc) in leftovers {
         let live = match addr {
-            Addr::Mem(row) => live_out.contains(&row),
+            Addr::Mem(row) => live_out[usize::from(row)],
             // The mask register is architectural state; writes to it are
             // never dead.
             Addr::Reg(reg) => usize::from(reg) == MASK_REGISTER,

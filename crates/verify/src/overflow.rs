@@ -12,11 +12,15 @@
 
 use crate::{origin_node, Diagnostic, Severity};
 use imp_compiler::module::{vaddr, InputBinding};
-use imp_compiler::scalar::{SOp, ScalarId};
+use imp_compiler::scalar::SOp;
 use imp_compiler::CompiledKernel;
 use imp_dfg::range::Interval;
-use imp_isa::{Addr, Instruction};
-use std::collections::{HashMap, HashSet};
+use imp_isa::{Addr, Instruction, ARRAY_ROWS, NUM_REGISTERS};
+use std::collections::HashMap;
+
+/// Known value interval per local address, indexed by `Addr::to_byte()`;
+/// `None` is unknown.
+type Env = [Option<Interval>; ARRAY_ROWS + NUM_REGISTERS];
 
 pub(crate) fn check(kernel: &CompiledKernel, out: &mut Vec<Diagnostic>) {
     let format = kernel.format;
@@ -31,9 +35,9 @@ pub(crate) fn check(kernel: &CompiledKernel, out: &mut Vec<Diagnostic>) {
         }
     }
 
-    // Ranges delivered into each IB by movg, keyed by destination row.
-    let mut arrival_range: Vec<HashMap<u8, Option<Interval>>> =
-        vec![HashMap::new(); kernel.ibs.len()];
+    // Ranges delivered into each IB by movg, one entry per destination
+    // row: the last delivery in producer program order wins.
+    let mut arrival_range: Vec<Vec<(u8, Option<Interval>)>> = vec![Vec::new(); kernel.ibs.len()];
     for ib in &kernel.ibs {
         for (m, inst) in ib.block.instructions().iter().enumerate() {
             if let Instruction::Movg { dst, .. } = inst {
@@ -45,31 +49,39 @@ pub(crate) fn check(kernel: &CompiledKernel, out: &mut Vec<Diagnostic>) {
                     .copied()
                     .flatten()
                     .and_then(|s| module.range.get(s.0).copied().flatten());
-                arrival_range[consumer].insert(row, range);
+                let delivered = &mut arrival_range[consumer];
+                match delivered.iter_mut().find(|(r, _)| *r == row) {
+                    Some(entry) => entry.1 = range,
+                    None => delivered.push((row, range)),
+                }
             }
         }
     }
 
-    let mut reported_sequences: HashSet<(usize, ScalarId)> = HashSet::new();
+    // The IB in which each LUT-seeded sequence was last reported, indexed
+    // by its result scalar: one finding per sequence and IB.
+    let mut reported_in: Vec<Option<usize>> = vec![None; module.ops.len()];
 
     for (i, ib) in kernel.ibs.iter().enumerate() {
-        // Known value interval per local address; absent = unknown.
-        let mut env: HashMap<Addr, Interval> = HashMap::new();
+        let mut env: Env = [None; ARRAY_ROWS + NUM_REGISTERS];
         for (row, binding) in &ib.input_rows {
             if let Some(Some(r)) = binding_range.get(binding).copied() {
-                env.insert(Addr::Mem(*row), r);
+                env[usize::from(Addr::Mem(*row).to_byte())] = Some(r);
             }
         }
-        for (&row, &range) in &arrival_range[i] {
+        for &(row, range) in &arrival_range[i] {
             if let Some(r) = range {
-                env.insert(Addr::Mem(row), r);
+                env[usize::from(Addr::Mem(row).to_byte())] = Some(r);
             }
         }
+        // The interval of the IB's LUT entries, found at its first `lut`.
+        let mut lut_range: Option<Interval> = None;
 
         for (pc, inst) in ib.block.instructions().iter().enumerate() {
             let Some(dst) = inst.local_dst() else {
                 continue;
             };
+            let dst_slot = usize::from(dst.to_byte());
             let provenance = ib.provenance.get(pc).copied().flatten();
             let sequence = provenance.filter(|s| {
                 matches!(
@@ -82,32 +94,23 @@ pub(crate) fn check(kernel: &CompiledKernel, out: &mut Vec<Diagnostic>) {
                 // Relational bound: the whole LUT-seeded iterative run is
                 // certified by the scalar-level range of its result.
                 let result = module.range.get(s.0).copied().flatten();
-                match result {
-                    Some(r) => {
-                        if !r.fits(format) && reported_sequences.insert((i, s)) {
-                            out.push(overflow_diag(kernel, i, pc, inst, r));
-                        }
-                        env.insert(dst, r);
-                    }
-                    None => {
-                        env.remove(&dst);
+                if let Some(r) = result {
+                    if !r.fits(format) && reported_in[s.0] != Some(i) {
+                        reported_in[s.0] = Some(i);
+                        out.push(overflow_diag(kernel, i, pc, inst, r));
                     }
                 }
+                env[dst_slot] = result;
                 continue;
             }
 
-            let value = transfer(inst, &env, scale, &ib.lut);
-            match value {
-                Some(v) => {
-                    if !v.fits(format) {
-                        out.push(overflow_diag(kernel, i, pc, inst, v));
-                    }
-                    env.insert(dst, v);
-                }
-                None => {
-                    env.remove(&dst);
+            let value = transfer(inst, &env, scale, &ib.lut, &mut lut_range);
+            if let Some(v) = value {
+                if !v.fits(format) {
+                    out.push(overflow_diag(kernel, i, pc, inst, v));
                 }
             }
+            env[dst_slot] = value;
         }
     }
 }
@@ -135,14 +138,27 @@ fn overflow_diag(
     }
 }
 
+/// The interval of every entry of `lut`, at the kernel's scale.
+fn entry_range(lut: &imp_rram::Lut, scale: f64) -> Interval {
+    let (mut lo, mut hi) = (u8::MAX, u8::MIN);
+    for e in 0..512 {
+        let v = lut.entry(e);
+        lo = lo.min(v);
+        hi = hi.max(v);
+    }
+    Interval::new(f64::from(lo) / scale, f64::from(hi) / scale)
+}
+
 /// Interval transfer function of one instruction. `None` means unknown.
+/// `lut_range` caches the interval of `lut`'s entries for the IB.
 fn transfer(
     inst: &Instruction,
-    env: &HashMap<Addr, Interval>,
+    env: &Env,
     scale: f64,
     lut: &imp_rram::Lut,
+    lut_range: &mut Option<Interval>,
 ) -> Option<Interval> {
-    let get = |addr: Addr| env.get(&addr).copied();
+    let get = |addr: Addr| env[usize::from(addr.to_byte())];
     let sum_rows = |rows: imp_isa::RowMask| -> Option<Interval> {
         let mut acc = Interval::point(0.0);
         for row in rows.rows() {
@@ -187,15 +203,7 @@ fn transfer(
             Some(get(src)?.union(get(dst)?))
         }
         Instruction::Movi { imm, .. } => Some(Interval::point(f64::from(imm.as_i32()) / scale)),
-        Instruction::Lut { .. } => {
-            let (mut lo, mut hi) = (u8::MAX, u8::MIN);
-            for e in 0..512 {
-                let v = lut.entry(e);
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-            Some(Interval::new(f64::from(lo) / scale, f64::from(hi) / scale))
-        }
+        Instruction::Lut { .. } => Some(*lut_range.get_or_insert_with(|| entry_range(lut, scale))),
         Instruction::Movg { .. } | Instruction::ReduceSum { .. } => None,
     }
 }

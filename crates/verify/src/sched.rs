@@ -3,7 +3,6 @@
 use crate::{origin_node, Diagnostic, Severity};
 use imp_compiler::schedule::{occupancy, transfer_latency, Schedule};
 use imp_compiler::{ArrayAvailability, CompiledKernel};
-use std::collections::HashMap;
 
 pub(crate) fn check(
     kernel: &CompiledKernel,
@@ -11,12 +10,19 @@ pub(crate) fn check(
     avail: &ArrayAvailability,
     out: &mut Vec<Diagnostic>,
 ) {
-    // SCH01: placements pairwise disjoint; SCH02: placements on live,
-    // existing arrays.
-    let mut by_slot: HashMap<usize, usize> = HashMap::new();
-    for (i, p) in schedule.placements.iter().enumerate() {
-        let slot = p.slot();
-        if let Some(prev) = by_slot.insert(slot, i) {
+    // SCH01: placements pairwise disjoint, each IB reported against the
+    // latest earlier IB on its slot.
+    let mut by_slot: Vec<(usize, usize)> = schedule
+        .placements
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (p.slot(), i))
+        .collect();
+    by_slot.sort_unstable();
+    for pair in by_slot.windows(2) {
+        let ((slot, prev), (next_slot, i)) = (pair[0], pair[1]);
+        if slot == next_slot {
+            let p = schedule.placements[i];
             out.push(Diagnostic {
                 rule: "SCH01",
                 severity: Severity::Error,
@@ -30,6 +36,10 @@ pub(crate) fn check(
                 help: "every IB needs its own physical array".into(),
             });
         }
+    }
+    // SCH02: placements on live, existing arrays.
+    for (i, p) in schedule.placements.iter().enumerate() {
+        let slot = p.slot();
         if slot >= avail.total() || avail.is_retired(slot) {
             let why = if slot >= avail.total() {
                 format!("beyond the {}-array chip", avail.total())

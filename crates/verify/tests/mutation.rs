@@ -4,9 +4,11 @@
 //! each mutation corrupts exactly one invariant and must trigger exactly
 //! the corresponding rule id.
 
-use imp_compiler::module::vaddr;
+use imp_compiler::module::{vaddr, CompiledIb, InputBinding, ModuleOutput, OutputLoc};
+use imp_compiler::scalar::{SOp, ScalarId, VClass};
 use imp_compiler::schedule::{Placement, ScheduledInst};
 use imp_compiler::{ArrayAvailability, CompiledKernel, OptPolicy, ParallelSpec};
+use imp_dfg::range::Interval;
 use imp_isa::{Addr, GlobalAddr, Instruction, InstructionBlock};
 use imp_verify::{verify_kernel, verify_structure, verify_with, Severity};
 
@@ -503,4 +505,189 @@ fn report_renders_and_counts() {
     assert!(text.contains("ISA03"), "{text}");
     let gaddr = GlobalAddr::new(0, 0, 0);
     assert_eq!(vaddr::as_cross_ib(gaddr), Some((0, 0)));
+}
+
+/// One hand-built IB: its input rows and its code, each instruction with
+/// the scalar it descends from.
+type HandIb = (
+    Vec<(u8, InputBinding)>,
+    Vec<(Instruction, Option<ScalarId>)>,
+);
+
+fn shared(name: &str) -> InputBinding {
+    InputBinding::Shared {
+        name: name.into(),
+        flat_idx: 0,
+    }
+}
+
+/// A hand-built kernel over two shared inputs: scalar 0 reads `a` in
+/// [0, 1], scalar 1 reads `b` in [0, 40000], past the Q16.16 range. IB `i`
+/// runs `ibs[i]` with no cross-IB dependences, the compiler schedules it,
+/// and `output_rows` are the `(ib, row)` locations of its one output.
+fn hand_kernel(ibs: Vec<HandIb>, output_rows: &[(usize, u8)]) -> CompiledKernel {
+    let mut k = kernel("blackscholes");
+    k.format = imp_rram::QFormat(16);
+    k.module.ops = vec![SOp::Leaf(shared("a")), SOp::Leaf(shared("b"))];
+    k.module.class = vec![VClass::Shared; 2];
+    k.module.range = vec![
+        Some(Interval::new(0.0, 1.0)),
+        Some(Interval::new(0.0, 40_000.0)),
+    ];
+    k.module.origin = vec![None; 2];
+    k.module.outputs.clear();
+    k.outputs = vec![ModuleOutput {
+        node: k.outputs[0].node,
+        locs: output_rows
+            .iter()
+            .map(|&(ib, row)| OutputLoc::Row { ib, row })
+            .collect(),
+        assign_to: None,
+    }];
+    k.ibs = ibs
+        .into_iter()
+        .enumerate()
+        .map(|(i, (input_rows, code))| {
+            let (instructions, provenance): (Vec<_>, Vec<_>) = code.into_iter().unzip();
+            CompiledIb {
+                deps: vec![Vec::new(); instructions.len()],
+                block: InstructionBlock::from_instructions(format!("ib{i}"), instructions),
+                input_rows,
+                lut: imp_rram::Lut::default(),
+                peak_rows: 8,
+                peak_regs: 4,
+                provenance,
+            }
+        })
+        .collect();
+    k.schedule = imp_compiler::schedule::schedule(&k.ibs, true, &ArrayAvailability::all(64))
+        .expect("hand-built kernel schedules");
+    k
+}
+
+/// `(rule, ib, pc)` of every finding, in report order.
+fn findings(
+    report: &imp_verify::VerifyReport,
+) -> Vec<(&'static str, Option<usize>, Option<usize>)> {
+    report
+        .diagnostics
+        .iter()
+        .map(|d| (d.rule, d.ib, d.pc))
+        .collect()
+}
+
+/// Two `movg`s deliver into one consumer row. DF04 cannot tell which
+/// delivery a read consumes, so it skips the row; OVF01 seeds the row from
+/// the last delivery in producer program order.
+#[test]
+fn two_deliveries_into_one_row() {
+    let movg = |src_row: u8, scalar: usize| {
+        (
+            Instruction::Movg {
+                src: vaddr::cross_ib(0, src_row),
+                dst: vaddr::cross_ib(1, 5),
+            },
+            Some(ScalarId(scalar)),
+        )
+    };
+    let consumer = (
+        Vec::new(),
+        vec![(
+            Instruction::Mov {
+                src: Addr::Mem(5),
+                dst: Addr::Mem(6),
+            },
+            None,
+        )],
+    );
+    let producer_rows = vec![(0, shared("a")), (1, shared("b"))];
+    let build = |deliveries: Vec<(Instruction, Option<ScalarId>)>| {
+        hand_kernel(
+            vec![(producer_rows.clone(), deliveries), consumer.clone()],
+            &[(1, 6)],
+        )
+    };
+
+    // `b` arrives last: the row holds values past the format.
+    let report = verify_kernel(&build(vec![movg(0, 0), movg(1, 1)]));
+    assert_eq!(
+        findings(&report),
+        vec![("OVF01", Some(1), Some(0))],
+        "{}",
+        report.render()
+    );
+    assert!(
+        report.diagnostics[0]
+            .message
+            .contains("produces values in [0, 40000]"),
+        "{}",
+        report.render()
+    );
+    // `a` arrives last: the row fits.
+    let report = verify_kernel(&build(vec![movg(1, 1), movg(0, 0)]));
+    assert!(report.is_clean(), "{}", report.render());
+    // One delivery and no dependence on it: DF04.
+    let report = verify_kernel(&build(vec![movg(0, 0)]));
+    assert_eq!(
+        findings(&report),
+        vec![("DF04", Some(1), Some(0))],
+        "{}",
+        report.render()
+    );
+}
+
+/// Dead writes to several rows and a register of one IB are reported in
+/// pc order, an overwritten write at its own pc.
+#[test]
+fn dead_writes_in_pc_order() {
+    let mov = |dst: Addr| {
+        (
+            Instruction::Mov {
+                src: Addr::Mem(0),
+                dst,
+            },
+            None,
+        )
+    };
+    let code = vec![
+        mov(Addr::Mem(3)),
+        mov(Addr::Reg(9)),
+        mov(Addr::Mem(2)),
+        mov(Addr::Mem(3)),
+        mov(Addr::Mem(7)),
+    ];
+    let k = hand_kernel(vec![(vec![(0, shared("a"))], code)], &[(0, 7)]);
+    let report = verify_kernel(&k);
+    let dead: Vec<_> = report
+        .diagnostics
+        .iter()
+        .map(|d| (d.rule, d.pc, d.message.as_str()))
+        .collect();
+    assert_eq!(
+        dead,
+        vec![
+            (
+                "DF02",
+                Some(0),
+                "write to m3 is overwritten at pc3 without ever being read"
+            ),
+            (
+                "DF02",
+                Some(1),
+                "write to r9 is never read and is not a kernel output"
+            ),
+            (
+                "DF02",
+                Some(2),
+                "write to m2 is never read and is not a kernel output"
+            ),
+            (
+                "DF02",
+                Some(3),
+                "write to m3 is never read and is not a kernel output"
+            ),
+        ],
+        "{}",
+        report.render()
+    );
 }
